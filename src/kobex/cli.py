@@ -12,6 +12,7 @@ Exit codes: 0 all verdicts pass, 2 a verdict failed, 3 configuration error.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -21,9 +22,9 @@ from . import domains, metrics, scenarios
 
 def _parse_point(text):
     try:
-        return np.array([complex(tok) for tok in text.split(",")], dtype=complex)
-    except ValueError as exc:
-        raise SystemExit("bad point %r: %s" % (text, exc))
+        return domains.cpoint(*[complex(tok) for tok in text.split(",")])
+    except ValueError as exc:  # malformed token, or DomainError from cpoint
+        raise domains.DomainError("bad point %r: %s" % (text, exc))
 
 
 def _get_domain(name):
@@ -171,6 +172,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+            raise domains.DomainError("--tol must be finite and nonnegative, got %r" % tol)
         return args.fn(args)
     except domains.DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)

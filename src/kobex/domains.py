@@ -194,6 +194,34 @@ def _complex_to_real(z):
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a, b, iters):
+    """Golden-section search for a minimizer of f on [a, b].
+
+    Brackets may be scalars or arrays (one independent search per element,
+    f evaluated once per round on all of them).  Scalars select with a
+    plain conditional, since np.where on 0-d values costs more than a cheap
+    f.  Ties f1 == f2 keep the right-hand interior point.  Returns the
+    midpoint of the final bracket and min(f1, f2) at its interior points.
+    """
+    pick = np.where if np.ndim(a) else (lambda c, x, y: x if c else y)
+    c1 = b - _INVPHI * (b - a)
+    c2 = a + _INVPHI * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(iters):
+        take1 = f1 < f2
+        b = pick(take1, c2, b)
+        a = pick(take1, a, c1)
+        c1n = pick(take1, b - _INVPHI * (b - a), c2)
+        c2n = pick(take1, c1, a + _INVPHI * (b - a))
+        fnew = f(pick(take1, c1n, c2n))
+        f1, f2 = pick(take1, fnew, f2), pick(take1, f1, fnew)
+        c1, c2 = c1n, c2n
+    return 0.5 * (a + b), np.minimum(f1, f2)
+
+
 def _generic_distance(D, z, n_dirs=512, refine_starts=3, rounds=30):
     """min over real directions of the first-exit radius = dist to complement.
 
@@ -267,29 +295,13 @@ def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
 
     # golden-section refinement of the angle around each per-point minimizer
     span = 2.0 * math.pi / n_angles
-    lo = angles[kbest] - span
-    hi = angles[kbest] + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def exit_for(theta):
         d = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
         return _ray_exit(D, x.astype(complex), d)
 
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1 = exit_for(c1)
-    f2 = exit_for(c2)
-    for _ in range(refine_iters):
-        take1 = f1 < f2
-        b = np.where(take1, c2, b)
-        a = np.where(take1, a, c1)
-        c1n = np.where(take1, b - invphi * (b - a), c2)
-        c2n = np.where(take1, c1, a + invphi * (b - a))
-        fnew = exit_for(np.where(take1, c1n, c2n))
-        f1, f2 = np.where(take1, fnew, f2), np.where(take1, f1, fnew)
-        c1, c2 = c1n, c2n
-    theta = 0.5 * (a + b)
+    theta, _ = _golden_min(exit_for, angles[kbest] - span, angles[kbest] + span,
+                           refine_iters)
     tstar = exit_for(theta)
     tstar = np.minimum(tstar, t[np.arange(m), kbest])
     dstar = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -359,55 +371,28 @@ def nearest_boundary_point(D, z, method="auto"):
     return z + tt * direction
 
 
-def directional_distance(D, z, v, n_phases=256, refine=True, refine_iters=60):
+def directional_distance(D, z, v, n_phases=256, refine=True):
     """Radius of the largest affine complex disc through z in direction v.
 
     delta_D(z; v) = sup { r > 0 : z + (r D) v/|v| is contained in D }.
     Computed by sampling phases e^{i theta}, bisecting to the first exit
     along each phase ray, taking the minimum, then (optionally) refining
     the phase by golden section around the minimizer.  Oracle work uses
-    n_phases=4096 and no refinement.
+    n_phases=4096 and no refinement.  One row of directional_distance_batch.
     """
     z = as_point(z, D.dim)
     v = as_point(v, D.dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise DomainError("direction v must be nonzero")
     if not bool(contains(D, z)):
         raise DomainError("point is outside the closure of %s" % D.name)
-    u = v / nv
-    theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
-    dirs = np.exp(1j * theta)[:, None] * u[None, :]
-    t = _ray_exit(D, z, dirs)
-    k = int(np.argmin(t))
-    best = float(t[k])
-    if not refine:
-        return best
-    span = 2.0 * math.pi / n_phases
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = theta[k] - span, theta[k] + span
-
-    def exit_at(th):
-        d = (np.exp(1j * th) * u)[None, :]
-        return float(_ray_exit(D, z, d)[0])
-
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = exit_at(c1), exit_at(c2)
-    for _ in range(refine_iters):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = exit_at(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = exit_at(c2)
-    return min(best, f1, f2)
+    return float(directional_distance_batch(D, z[None, :], v[None, :], n_phases,
+                                            refine, refine_iters=60)[0])
 
 
-def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
-    """directional_distance over paired rows of zs, vs; one big ray batch."""
+def directional_distance_batch(D, zs, vs, n_phases=256, refine=True, refine_iters=50):
+    """directional_distance over paired rows of zs, vs; one big ray batch,
+    then refine_iters golden-section rounds on all rows at once."""
+    if n_phases < 1:
+        raise DomainError("n_phases must be at least 1, got %r" % (n_phases,))
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
     m = zs.shape[0]
@@ -425,27 +410,14 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
         return best
     kbest = np.argmin(t, axis=1)
     span = 2.0 * math.pi / n_phases
-    a = theta[kbest] - span
-    b = theta[kbest] + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def exit_for(th):
         d = np.exp(1j * th)[:, None] * u
         return _ray_exit(D, zs, d)
 
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = exit_for(c1), exit_for(c2)
-    for _ in range(50):
-        take1 = f1 < f2
-        b = np.where(take1, c2, b)
-        a = np.where(take1, a, c1)
-        c1n = np.where(take1, b - invphi * (b - a), c2)
-        c2n = np.where(take1, c1, a + invphi * (b - a))
-        fnew = exit_for(np.where(take1, c1n, c2n))
-        f1, f2 = np.where(take1, fnew, f2), np.where(take1, f1, fnew)
-        c1, c2 = c1n, c2n
-    return np.minimum(best, np.minimum(f1, f2))
+    _, fmin = _golden_min(exit_for, theta[kbest] - span, theta[kbest] + span,
+                          refine_iters)
+    return np.minimum(best, fmin)
 
 
 def inward_normal(D, xi, active_tol=1e-8, fd_step=None):
@@ -712,25 +684,12 @@ def _curve_nearest_1d(xy, T_grid, curve, refine_iters=80):
     step = T_grid[1] - T_grid[0]
     a = np.clip(T_grid[k] - step, T_grid[0], T_grid[-1])
     b = np.clip(T_grid[k] + step, T_grid[0], T_grid[-1])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def f(T):
         X, Y = curve(T)
         return (xy[:, 0] - X) ** 2 + (xy[:, 1] - Y) ** 2
 
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(refine_iters):
-        take1 = f1 < f2
-        b = np.where(take1, c2, b)
-        a = np.where(take1, a, c1)
-        c1n = np.where(take1, b - invphi * (b - a), c2)
-        c2n = np.where(take1, c1, a + invphi * (b - a))
-        fnew = f(np.where(take1, c1n, c2n))
-        f1, f2 = np.where(take1, fnew, f2), np.where(take1, f1, fnew)
-        c1, c2 = c1n, c2n
-    T = 0.5 * (a + b)
+    T, _ = _golden_min(f, a, b, refine_iters)
     X, Y = curve(T)
     return np.sqrt(f(T)), np.stack([X, Y], axis=-1)
 
@@ -746,23 +705,18 @@ def ex21_D(name="ex21_d"):
     def smooth(z):
         return abs(z[1]) > 1e-12
 
+    T = np.linspace(0.0, 1.0, 4097)
+
+    def curve(T):
+        return T, 1.0 - T ** 2
+
     def dist(zs):
         xy = np.stack([np.abs(zs[..., 0]), np.abs(zs[..., 1])], axis=-1)
-        T = np.linspace(0.0, 1.0, 4097)
-
-        def curve(T):
-            return T, 1.0 - T ** 2
-
         d, _ = _curve_nearest_1d(xy, T, curve)
         return d
 
     def nearest(z):
         xy = np.array([[abs(z[0]), abs(z[1])]])
-        T = np.linspace(0.0, 1.0, 4097)
-
-        def curve(T):
-            return T, 1.0 - T ** 2
-
         _, pt = _curve_nearest_1d(xy, T, curve)
         ph = np.array([z[0] / abs(z[0]) if abs(z[0]) > 1e-14 else 1.0,
                        z[1] / abs(z[1]) if abs(z[1]) > 1e-14 else 1.0])
@@ -828,22 +782,9 @@ def _wall_distance(zs, profile):
     rows = np.arange(zs.shape[0])
     k = np.argmin(vals, axis=1)
     step = (hi0 - lo0) / (S.size - 1)
-    aa = np.maximum(grid[rows, k] - step, 0.0)
-    bb = grid[rows, k] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = bb - invphi * (bb - aa)
-    c2 = aa + invphi * (bb - aa)
-    f1, f2 = cost(c1), cost(c2)
-    for _ in range(70):
-        take1 = f1 < f2
-        bb = np.where(take1, c2, bb)
-        aa = np.where(take1, aa, c1)
-        c1n = np.where(take1, bb - invphi * (bb - aa), c2)
-        c2n = np.where(take1, c1, aa + invphi * (bb - aa))
-        fnew = cost(np.where(take1, c1n, c2n))
-        f1, f2 = np.where(take1, fnew, f2), np.where(take1, f1, fnew)
-        c1, c2 = c1n, c2n
-    return np.sqrt(np.minimum(f1, f2))
+    _, fmin = _golden_min(cost, np.maximum(grid[rows, k] - step, 0.0),
+                          grid[rows, k] + step, 70)
+    return np.sqrt(fmin)
 
 
 def ex22_D(name="ex22_d"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainError, as_point, boundary_distance,
+from .domains import (DomainError, _golden_min, as_point, boundary_distance,
                       boundary_distance_batch, contains, directional_distance,
                       hermitian_inner)
 
@@ -276,20 +276,7 @@ def path_distance_upper(D, z1, z2, segments=128, anchor=None, sweeps=1,
     def bumped(t):
         return nodes + t * bump * (anchor[None, :] - nodes)
 
-    a, b = 0.0, 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = length(bumped(c1)), length(bumped(c2))
-    for _ in range(30):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = length(bumped(c1))
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = length(bumped(c2))
-    t0 = 0.5 * (a + b)
+    t0, _ = _golden_min(lambda t: length(bumped(t)), 0.0, 1.0, 30)
     cand = bumped(t0)
     if length(cand) < best:
         nodes = cand
@@ -315,19 +302,7 @@ def path_distance_upper(D, z1, z2, segments=128, anchor=None, sweeps=1,
                     return np.inf
                 return float(np.sum(seglen / dmid))
 
-            lo, hi = -0.1 * nd, min(nd, 0.5)
-            c1, c2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-            f1, f2 = local(c1), local(c2)
-            for _ in range(18):
-                if f1 < f2:
-                    hi, c2, f2 = c2, c1, f1
-                    c1 = hi - invphi * (hi - lo)
-                    f1 = local(c1)
-                else:
-                    lo, c1, f1 = c1, c2, f2
-                    c2 = lo + invphi * (hi - lo)
-                    f2 = local(c2)
-            tbest = 0.5 * (lo + hi)
+            tbest, _ = _golden_min(local, -0.1 * nd, min(nd, 0.5), 18)
             if local(tbest) < local(0.0):
                 nodes[i] = nodes[i] + tbest * direction
         newlen = length(nodes)

@@ -88,6 +88,27 @@ def test_distance_outside_is_config_error(capsys):
     assert run_cli("distance", "ball2", "--at", "2,0") == 3
 
 
+@pytest.mark.parametrize("point", ["0.5,x", "nan,0"])
+def test_distance_bad_point_is_config_error(point, capsys):
+    assert run_cli("distance", "ball2", "--at", point) == 3
+    assert "error: bad point" in capsys.readouterr().err
+    assert run_cli("distance", "ball2", "--at", "0.1,0", "--dir", point) == 3
+    assert "error: bad point" in capsys.readouterr().err
+
+
+def test_distance_zero_phases_is_config_error(capsys):
+    assert run_cli("distance", "ball2", "--at=0.1,0", "--dir=1,0",
+                   "--phases", "0") == 3
+    assert "error: n_phases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", [("run", "dini-suite"), ("extend",)])
+def test_bad_tol_is_config_error(command, tol, capsys):
+    assert run_cli(*command, "--tol=" + tol) == 3
+    assert "error: --tol" in capsys.readouterr().err
+
+
 def test_metric_commands(capsys):
     assert run_cli("metric", "ball2", "--at", "0.5,0", "--dir", "1,0") == 0
     out = capsys.readouterr().out

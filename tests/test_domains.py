@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kobex as kx
-from kobex.domains import _ray_exit
+from kobex.domains import _golden_min, _ray_exit
 
 
 SQRT2 = math.sqrt(2.0)
@@ -154,6 +154,22 @@ def test_directional_phase_invariance(ball2, omega21, rng):
 def test_directional_zero_direction_raises(ball2):
     with pytest.raises(kx.DomainError):
         kx.directional_distance(ball2, kx.cpoint(0, 0), kx.cpoint(0, 0))
+
+
+def test_golden_min_scalar_and_array_brackets_agree():
+    def f(x):
+        return np.cos(3.0 * x) + 0.1 * x * x
+
+    ts, fs = _golden_min(f, 0.2, 1.9, 40)
+    ta, fa = _golden_min(f, np.array([0.2]), np.array([1.9]), 40)
+    assert ta.shape == fa.shape == (1,)
+    assert ts == ta[0] and fs == fa[0]
+
+
+def test_golden_min_finds_quadratic_minimizer():
+    t, fmin = _golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 60)
+    assert abs(t - 0.3) < 1e-9
+    assert fmin < 1e-18
 
 
 def test_disc_radius_dominates_point_distance(ball2, omega21, d21, d22, rng):
