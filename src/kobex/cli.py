@@ -84,9 +84,8 @@ def cmd_distance(args):
         val = domains.directional_distance(D, z, v, n_phases=args.phases)
         print("directional distance delta(z; v) = %.12g" % val)
     else:
-        val, err = domains.boundary_distance(D, z, method=args.method,
-                                             with_error=True)
-        print("boundary distance delta(z) = %.12g  (error <= %.2g)" % (val, err))
+        val = domains.boundary_distance(D, z, method=args.method)
+        print("boundary distance delta(z) = %.12g" % val)
         xi = domains.nearest_boundary_point(D, z, method=args.method)
         print("nearest boundary point: %s" % np.array2string(xi, precision=10))
     return 0
@@ -137,7 +136,8 @@ def build_parser():
     sp = sub.add_parser("run", help="run a scenario and report verdicts")
     sp.add_argument("scenario")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="tolerance of ball-sandwich and extension-oracle")
     sp.add_argument("--out", default=None, help="directory for jsonl/csv output")
     sp.add_argument("--csv", action="store_true", help="also emit csv tables")
     sp.add_argument("--print-report", action="store_true",

@@ -36,9 +36,6 @@ class ConvergenceError(RuntimeError):
     """An iterative geometric computation failed to converge."""
 
 
-# Default tolerances.  All distance/projection entry points accept overrides.
-POSITION_TOL = 1e-8
-VALUE_TOL = 1e-10
 CONE_MC_POINTS = 100_000
 
 
@@ -163,12 +160,26 @@ def _ray_exit(D, z, dirs, march_steps=128, iters=64):
                 break
         if not found.all():
             raise ConvergenceError("ray march found no exit within the bounding cap")
+    lo, hi = _bisect(lambda t: contains(D, z + t[:, None] * dirs), lo, hi, iters)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(inside, lo, hi, iters):
+    """Bisection keeping inside(lo) true and inside(hi) false.
+
+    Brackets may be scalars or float arrays (one independent search per
+    element, inside evaluated once per round on all of them).  Array
+    brackets are updated in place, so a caller's ray batch is not held
+    twice; scalars come back as 0-d arrays.  Returns the final (lo, hi).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        inside = contains(D, z + mid[:, None] * dirs)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return 0.5 * (lo + hi)
+        ok = np.asarray(inside(mid))
+        np.copyto(lo, mid, where=ok)
+        np.copyto(hi, mid, where=~ok)
+    return lo, hi
 
 
 def _sphere_directions(k, real_dim, seed=0):
@@ -308,7 +319,22 @@ def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
     return tstar, dstar
 
 
-def boundary_distance(D, z, method="auto", n_dirs=512, with_error=False):
+def _route(D, method, fast):
+    """The distance dispatch: "fast" when method is "auto" and the domain
+    has the closed form `fast` (its dist_fn or nearest_fn), "section" for
+    the moduli-section reduction of a Reinhardt domain, else "generic"."""
+    if method not in ("auto", "reinhardt", "generic"):
+        raise DomainError("unknown distance method %r" % (method,))
+    if method == "auto" and fast is not None:
+        return "fast"
+    if method in ("auto", "reinhardt") and D.is_reinhardt:
+        return "section"
+    if method == "reinhardt":
+        raise DomainError("%s is not flagged Reinhardt" % D.name)
+    return "generic"
+
+
+def boundary_distance(D, z, method="auto"):
     """Euclidean distance from an interior point to the boundary of D.
 
     method:
@@ -318,34 +344,28 @@ def boundary_distance(D, z, method="auto", n_dirs=512, with_error=False):
       "generic"   force the direction-search optimizer (multi-start
                   first-exit minimization refined by bisection).
 
-    The reported error estimate is <= 1e-8 * (1 + |z|).
+    One row of boundary_distance_batch.
     """
     z = as_point(z, D.dim)
     if not bool(contains(D, z)):
         raise DomainError("point is outside the closure of %s" % D.name)
-    err = POSITION_TOL * (1.0 + np.linalg.norm(z))
-
-    if method == "auto" and D.dist_fn is not None:
-        d = float(D.dist_fn(z[None, :])[0])
-        return (d, err) if with_error else d
-    if method in ("auto", "reinhardt") and D.is_reinhardt:
-        x = np.abs(z)
-        d = float(_moduli_section_distance(D, x[None, :])[0][0])
-        return (d, err) if with_error else d
-    if method == "reinhardt":
-        raise DomainError("%s is not flagged Reinhardt" % D.name)
-    d, _ = _generic_distance(D, z, n_dirs=n_dirs)
-    return (d, err) if with_error else d
+    return float(boundary_distance_batch(D, z[None, :], method)[0])
 
 
 def boundary_distance_batch(D, zs, method="auto"):
-    """Vectorized boundary_distance over rows of zs (interior points)."""
+    """boundary_distance over rows of zs.
+
+    Rows are not checked to be interior: path integration calls this
+    thousands of times per path on trial points that may leave D, and a
+    membership check there costs twice the fast distance it guards.
+    """
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    if method == "auto" and D.dist_fn is not None:
+    route = _route(D, method, D.dist_fn)
+    if route == "fast":
         return np.asarray(D.dist_fn(zs), dtype=float)
-    if method in ("auto", "reinhardt") and D.is_reinhardt:
+    if route == "section":
         return _moduli_section_distance(D, np.abs(zs))[0]
-    return np.array([boundary_distance(D, z, method="generic") for z in zs])
+    return np.array([_generic_distance(D, z)[0] for z in zs])
 
 
 def nearest_boundary_point(D, z, method="auto"):
@@ -357,9 +377,10 @@ def nearest_boundary_point(D, z, method="auto"):
     z = as_point(z, D.dim)
     if not bool(contains(D, z)):
         raise DomainError("point is outside the closure of %s" % D.name)
-    if method == "auto" and D.nearest_fn is not None:
+    route = _route(D, method, D.nearest_fn)
+    if route == "fast":
         return D.nearest_fn(z)
-    if method in ("auto", "reinhardt") and D.is_reinhardt:
+    if route == "section":
         x = np.abs(z)
         t, d = _moduli_section_distance(D, x[None, :])
         sect = x + t[0] * d[0]
@@ -382,8 +403,6 @@ def directional_distance(D, z, v, n_phases=256, refine=True):
     """
     z = as_point(z, D.dim)
     v = as_point(v, D.dim)
-    if not bool(contains(D, z)):
-        raise DomainError("point is outside the closure of %s" % D.name)
     return float(directional_distance_batch(D, z[None, :], v[None, :], n_phases,
                                             refine, refine_iters=60)[0])
 
@@ -391,9 +410,11 @@ def directional_distance(D, z, v, n_phases=256, refine=True):
 def directional_distance_batch(D, zs, vs, n_phases=256, refine=True, refine_iters=50):
     """directional_distance over paired rows of zs, vs; one big ray batch,
     then refine_iters golden-section rounds on all rows at once."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+    if not np.all(contains(D, zs)):
+        raise DomainError("point is outside the closure of %s" % D.name)
     if n_phases < 1:
         raise DomainError("n_phases must be at least 1, got %r" % (n_phases,))
-    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
     m = zs.shape[0]
     nv = np.linalg.norm(vs, axis=-1, keepdims=True)
@@ -544,7 +565,7 @@ def certify_cone_condition(D, W, samples, theta_min=1e-3, r_cap=None,
         witnesses.append((w, xi, (w - xi) / gap))
     r_needed = max(np.linalg.norm(w - xi) for w, xi, _ in witnesses) * (1.0 + 1e-9)
     if r_cap is None:
-        r_cap = max(2.0 * r_needed, 4.0 * r_needed)
+        r_cap = 4.0 * r_needed
     r_cap = max(r_cap, r_needed)
 
     def feasible(theta, r, count):
@@ -570,28 +591,15 @@ def certify_cone_condition(D, W, samples, theta_min=1e-3, r_cap=None,
         return ConeCertificate(0.0, 0.0, [], len(violations), violations)
     witnesses = keep
 
-    lo, hi = theta_min, math.pi - 1e-6
-    if not feasible(lo, r_needed, search_points):
+    if not feasible(theta_min, r_needed, search_points):
         return ConeCertificate(0.0, 0.0, witnesses, len(violations) + 1, violations)
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid, r_needed, search_points):
-            lo = mid
-        else:
-            hi = mid
-    theta = lo
+    theta = float(_bisect(lambda th: feasible(th, r_needed, search_points),
+                          theta_min, math.pi - 1e-6, bisect_iters)[0])
 
-    rlo, rhi = r_needed, r_cap
-    if feasible(theta, rhi, search_points):
-        rlo = rhi
-    else:
-        for _ in range(bisect_iters):
-            mid = 0.5 * (rlo + rhi)
-            if feasible(theta, mid, search_points):
-                rlo = mid
-            else:
-                rhi = mid
-    r = rlo
+    r = r_cap
+    if not feasible(theta, r, search_points):
+        r = float(_bisect(lambda rr: feasible(theta, rr, search_points),
+                          r_needed, r_cap, bisect_iters)[0])
 
     # final certification at full Monte-Carlo resolution, with backoff
     for _ in range(8):

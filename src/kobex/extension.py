@@ -16,15 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import ConvergenceError, DomainError, boundary_distance_batch
-from .psh import psi_tail
+from .psh import psi_tails
 from .regularity import ChartError, GraphChart
 
 
 class TailBoundError(ConvergenceError):
     pass
-
-
-EPS_DIR = None  # the vertical direction (0, ..., 0, i); built per dimension
 
 
 def _eps_vec(n):
@@ -169,25 +166,11 @@ class PsiLadder:
     """Cached tail integrals of psi at the geometric rungs t' 2^-k."""
 
     def __init__(self, psi, tprime, levels=70):
-        from scipy import integrate as _int
         self.psi = psi
         self.tprime = float(tprime)
         self.levels = levels
-        c = np.empty(levels)
-        for k in range(levels):
-            a = tprime * 2.0 ** (-(k + 1))
-            b = tprime * 2.0 ** (-k)
-            x = np.linspace(a, b, 17)
-            c[k] = _int.simpson(np.atleast_1d(psi(x)), x=x)
-        below = 0.0
-        if c[-2] > 0 and c[-1] / c[-2] < 0.999:
-            rho = c[-1] / c[-2]
-            below = c[-1] * rho / (1.0 - rho)
-        elif c[-1] > 1e-300:
-            below = math.inf
         # tails[k] = int_0^{t' 2^-k} psi
-        suffix = np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]])
-        self.tails = suffix + below
+        self.tails = psi_tails(psi, tprime, levels)
 
     def rung(self, k):
         return self.tprime * 2.0 ** (-k)

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainError, as_point, boundary_distance_batch, contains
+from .domains import (DomainError, _bisect, as_point, boundary_distance_batch,
+                      contains)
+from .regularity import dyadic_panels
 
 
 class SmoothnessError(DomainError):
@@ -209,16 +211,10 @@ def nearest_point_cubic(x0, y0, lo=None, hi=1.0, iters=90):
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
 
-    def f(X):
-        return 2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0
-
-    lo = np.broadcast_to(x0 if lo is None else lo, x0.shape).astype(float).copy()
-    hi = np.broadcast_to(hi, x0.shape).astype(float).copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+    lo = np.broadcast_to(x0 if lo is None else lo, x0.shape).astype(float)
+    hi = np.broadcast_to(hi, x0.shape).astype(float)
+    lo, hi = _bisect(lambda X: 2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0 < 0,
+                     lo, hi, iters)
     X = 0.5 * (lo + hi)
     return X, 1.0 - X ** 2
 
@@ -291,28 +287,22 @@ def make_psi(M, s, alpha_star, C):
     return psi
 
 
-def psi_tail(psi, t, levels=80, rel_tol=1e-12):
-    """int_0^t psi(x) dx by dyadic panels toward 0 with geometric tail
-    extrapolation; finite exactly when psi is integrable at 0."""
+def psi_tails(psi, t, levels):
+    """Tail integrals int_0^{t 2^-k} psi for k = 0, ..., levels: dyadic
+    panels toward 0, with the part below the last panel extrapolated from
+    the ratio of the last two (+inf when they stop decaying)."""
+    c = dyadic_panels(psi, t, levels, 17)
+    below = 0.0
+    if c[-2] > 0 and c[-1] / c[-2] < 0.999:
+        rho = c[-1] / c[-2]
+        below = c[-1] * rho / (1.0 - rho)
+    elif c[-1] > 1e-300:
+        below = math.inf
+    return np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]]) + below
+
+
+def psi_tail(psi, t, levels=80):
+    """int_0^t psi(x) dx; finite exactly when psi is integrable at 0."""
     if t <= 0:
         return 0.0
-    from scipy import integrate as _int
-    total = 0.0
-    contributions = []
-    for k in range(levels):
-        a = t * 2.0 ** (-(k + 1))
-        b = t * 2.0 ** (-k)
-        x = np.linspace(a, b, 17)
-        c = float(_int.simpson(np.atleast_1d(psi(x)), x=x))
-        contributions.append(c)
-        total += c
-        if c < rel_tol * max(total, 1e-300) and k > 4:
-            return total
-    c_last = contributions[-1]
-    c_prev = contributions[-2]
-    if c_prev > 0 and c_last / c_prev < 0.999:
-        rho = c_last / c_prev
-        total += c_last * rho / (1.0 - rho)
-    else:
-        return math.inf
-    return total
+    return float(psi_tails(psi, t, levels)[0])

@@ -11,16 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .domains import (DomainError, as_point, boundary_distance_batch,
+from .domains import (DomainError, _bisect, as_point, boundary_distance_batch,
                       contains, inward_normal)
 
 
 class ChartError(DomainError):
     pass
-
-
-class DiniDivergence(Exception):
-    """Raised only internally; public API reports divergence via DiniIntegral."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +108,14 @@ class DiniIntegral:
         return self.value
 
 
-def _panel_simpson(f, a, b, n=33):
-    x = np.linspace(a, b, n)
-    return integrate.simpson(f(x), x=x)
+def dyadic_panels(f, t, levels, n):
+    """n-point Simpson integrals of f over the dyadic panels toward 0:
+    entry k covers [t 2^-(k+1), t 2^-k]."""
+    c = np.empty(levels)
+    for k in range(levels):
+        x = np.linspace(t * 2.0 ** (-(k + 1)), t * 2.0 ** (-k), n)
+        c[k] = integrate.simpson(np.atleast_1d(f(x)), x=x)
+    return c
 
 
 def dini_integral(omega, eps, levels=60, decay_cutoff=0.97, abs_floor=1e-13):
@@ -131,18 +132,8 @@ def dini_integral(omega, eps, levels=60, decay_cutoff=0.97, abs_floor=1e-13):
     if eps > omega.domain_end * (1 + 1e-12):
         raise DomainError("eps exceeds the modulus domain")
 
-    def f(r):
-        return np.atleast_1d(omega(r)) / r
-
-    contributions = []
-    total = 0.0
-    for k in range(levels):
-        a = eps * 2.0 ** (-(k + 1))
-        b = eps * 2.0 ** (-k)
-        c = float(_panel_simpson(f, a, b))
-        contributions.append(c)
-        total += c
-    contributions = np.array(contributions)
+    contributions = dyadic_panels(lambda r: omega(r) / r, eps, levels, 33)
+    total = float(np.cumsum(contributions)[-1])   # in panel order, not pairwise
     tail = contributions[-10:]
     if np.all(tail <= abs_floor):
         return DiniIntegral(total, False, levels, 0.0)
@@ -383,15 +374,10 @@ class HFunction:
         if self.flat:
             out = np.where(x <= 0.0, 0.0, math.inf)
             return out if out.shape else float(out)
-        lo = np.zeros_like(x, dtype=float)
-        hi = np.full_like(x, self.t[-1], dtype=float)
-        unreachable = x > self.hmax
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            below = np.interp(mid, self.t, self.h) < x
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = np.where(unreachable, math.inf, 0.5 * (lo + hi))
+        lo, hi = _bisect(lambda t: np.interp(t, self.t, self.h) < x,
+                         np.zeros_like(x, dtype=float),
+                         np.full_like(x, self.t[-1], dtype=float), iters)
+        out = np.where(x > self.hmax, math.inf, 0.5 * (lo + hi))
         return out if out.shape else float(out)
 
 

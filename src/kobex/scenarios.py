@@ -6,6 +6,7 @@ deterministic given the seed.  ``explain`` lists, per pipeline stage, a
 stable anchor naming the formula or construction the stage evaluates.
 """
 
+import inspect
 import math
 import time
 
@@ -125,11 +126,11 @@ def _sibony_rate_constant(alpha=4.0, c=0.25):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def scenario_ball_sandwich(seed=0, tol=1e-6, report=None):
+def scenario_ball_sandwich(seed=0, tol=1e-6):
     """Directional-distance sandwich on the unit ball against the exact
     invariant metric, with the directional distance from the 4096-phase
     brute-force oracle."""
-    rep = report or Report("ball-sandwich", seed, VERSION)
+    rep = Report("ball-sandwich", seed, VERSION)
     rng = np.random.default_rng(seed)
     B = domains.ball(2)
     zs = []
@@ -164,11 +165,11 @@ def scenario_ball_sandwich(seed=0, tol=1e-6, report=None):
     return rep
 
 
-def scenario_example21(seed=0, tol=None, report=None):
+def scenario_example21(seed=0):
     """The square-first proper map between the Reinhardt pair with the
     corner at (1, 0): barrier bound on the source, metric growth rate on
     the target."""
-    rep = report or Report("example21", seed, VERSION)
+    rep = Report("example21", seed, VERSION)
     rng = np.random.default_rng(seed)
     D = domains.ex21_D()
     Om = domains.ex21_Omega()
@@ -285,11 +286,11 @@ def scenario_example21(seed=0, tol=None, report=None):
     return rep
 
 
-def scenario_example22(seed=0, tol=None, report=None):
+def scenario_example22(seed=0):
     """The square-second proper map between the flat-graph pair at the
     origin: analytic against finite-difference Levi forms, psh check,
     flatness orders, and the boundary decay constant at exponent one."""
-    rep = report or Report("example22", seed, VERSION)
+    rep = Report("example22", seed, VERSION)
     rng = np.random.default_rng(seed)
     D = domains.ex22_D()
     rho = _rho22_witness()
@@ -368,10 +369,10 @@ def scenario_example22(seed=0, tol=None, report=None):
     return rep
 
 
-def scenario_dini_suite(seed=0, tol=None, report=None):
+def scenario_dini_suite(seed=0):
     """Endpoint rate integrals: closed forms, divergence detection, the
     composite rule, and the integrated modulus."""
-    rep = report or Report("dini-suite", seed, VERSION)
+    rep = Report("dini-suite", seed, VERSION)
     w_sqrt = regularity.ModulusOfContinuity.from_function(np.sqrt, 1.0, name="sqrt")
     w_lin = regularity.ModulusOfContinuity.from_function(lambda r: r, 1.0, name="lin")
 
@@ -412,11 +413,11 @@ def scenario_dini_suite(seed=0, tol=None, report=None):
     return rep
 
 
-def scenario_embedding_suite(seed=0, tol=None, report=None):
+def scenario_embedding_suite(seed=0):
     """Model-domain embedding at the flat-graph origin: parameter
     selection, a 10^4-pair verification, and the doubled-eps negative
     control."""
-    rep = report or Report("embedding-suite", seed, VERSION)
+    rep = Report("embedding-suite", seed, VERSION)
     rng = np.random.default_rng(seed)
     t0 = time.time()
     D = domains.ex22_D()
@@ -495,12 +496,12 @@ def _chart_interior_samples(D, chart, rng, count, pull=0.35):
     return np.array(out)
 
 
-def scenario_extension_oracle(seed=0, tol=2.5e-7, report=None):
+def scenario_extension_oracle(seed=0, tol=2.5e-7):
     """Boundary extension of the square-first map through the corner chart:
     the recovered boundary values must match direct evaluation of the
     entire map, with the ladder certificates and t'-independence holding
     at every grid point."""
-    rep = report or Report("extension-oracle", seed, VERSION)
+    rep = Report("extension-oracle", seed, VERSION)
     t0 = time.time()
     chart = charts.ex21_chart(0.25)
     F, jac, _ = _square_first_map()
@@ -573,11 +574,11 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7, report=None):
     return rep
 
 
-def scenario_dichotomy_demo(seed=0, tol=None, report=None):
+def scenario_dichotomy_demo(seed=0):
     """Hand-built paired sequences in the ball whose images are forced to
     two distinct boundary points: the diverging quantity grows monotonely
     while the consistency margin fails beyond a finite index."""
-    rep = report or Report("dichotomy-demo", seed, VERSION)
+    rep = Report("dichotomy-demo", seed, VERSION)
     B = domains.ball(2)
     o = np.zeros(2, dtype=complex)
     rng = np.random.default_rng(seed)
@@ -721,6 +722,8 @@ def run_scenario(name, seed=0, tol=None, out_dir=None, csv=False):
     t0 = time.time()
     kwargs = {"seed": seed}
     if tol is not None:
+        if "tol" not in inspect.signature(SCENARIOS[name]).parameters:
+            raise domains.DomainError("scenario %r takes no tol" % name)
         kwargs["tol"] = tol
     report = SCENARIOS[name](**kwargs)
     report.wall_clock = time.time() - t0   # console only, never serialized

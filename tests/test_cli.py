@@ -109,6 +109,25 @@ def test_bad_tol_is_config_error(command, tol, capsys):
     assert "error: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["example21", "example22", "dini-suite",
+                                      "embedding-suite", "dichotomy-demo"])
+def test_tol_for_a_scenario_without_one_is_config_error(scenario, capsys):
+    assert run_cli("run", scenario, "--tol", "1e-3") == 3
+    assert "error: scenario %r takes no tol" % scenario in capsys.readouterr().err
+
+
+def test_tol_reaches_the_scenarios_that_read_it(tmp_path, capsys):
+    assert run_cli("run", "ball-sandwich", "--tol", "1e-5", "--out", str(tmp_path)) == 0
+    assert run_cli("extend", "--tol", "5e-7", "--out", str(tmp_path)) == 0
+    recs = [json.loads(line)
+            for name in ("ball-sandwich", "extension-oracle")
+            for line in (tmp_path / (name + ".jsonl")).read_text().splitlines()]
+    assert {r["tolerances"]["rel"] for r in recs
+            if r.get("op", "").startswith("sandwich")} == {1e-5}
+    assert {r["constants"]["tol"] for r in recs
+            if r.get("op") == "boundary-values-match-direct"} == {5e-7}
+
+
 def test_metric_commands(capsys):
     assert run_cli("metric", "ball2", "--at", "0.5,0", "--dir", "1,0") == 0
     out = capsys.readouterr().out

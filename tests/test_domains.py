@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kobex as kx
-from kobex.domains import _golden_min, _ray_exit
+from kobex.domains import _bisect, _golden_min, _ray_exit
 
 
 SQRT2 = math.sqrt(2.0)
@@ -94,6 +94,26 @@ def test_distance_outside_raises(ball2):
         kx.boundary_distance(ball2, kx.cpoint(2.0, 0))
 
 
+def test_distance_unknown_method_raises(ball2):
+    z = kx.cpoint(0.5, 0)
+    with pytest.raises(kx.DomainError, match="unknown distance method"):
+        kx.boundary_distance(ball2, z, method="bogus")
+    with pytest.raises(kx.DomainError, match="unknown distance method"):
+        kx.boundary_distance_batch(ball2, z[None, :], method="bogus")
+    with pytest.raises(kx.DomainError, match="unknown distance method"):
+        kx.nearest_boundary_point(ball2, z, method="bogus")
+
+
+def test_reinhardt_method_needs_reinhardt_domain(d22):
+    z = kx.cpoint(0.5, 0)
+    with pytest.raises(kx.DomainError, match="not flagged Reinhardt"):
+        kx.boundary_distance(d22, z, method="reinhardt")
+    with pytest.raises(kx.DomainError, match="not flagged Reinhardt"):
+        kx.boundary_distance_batch(d22, z[None, :], method="reinhardt")
+    with pytest.raises(kx.DomainError, match="not flagged Reinhardt"):
+        kx.nearest_boundary_point(d22, z, method="reinhardt")
+
+
 def test_distance_generic_agrees_with_fast_paths(ball2, omega21, d22, rng):
     cases = [(ball2, kx.cpoint(0.3, 0.2j)),
              (omega21, kx.cpoint(0.25 * np.exp(1.1j), 0.4)),
@@ -154,6 +174,38 @@ def test_directional_phase_invariance(ball2, omega21, rng):
 def test_directional_zero_direction_raises(ball2):
     with pytest.raises(kx.DomainError):
         kx.directional_distance(ball2, kx.cpoint(0, 0), kx.cpoint(0, 0))
+
+
+def test_directional_batch_rejects_outside_rows(ball2):
+    with pytest.raises(kx.DomainError, match="outside the closure"):
+        kx.directional_distance_batch(ball2, [[2.0, 0.0]], [[1.0, 0.0]])
+    with pytest.raises(kx.DomainError, match="outside the closure"):
+        kx.directional_distance_batch(ball2, [[0.1, 0.0], [2.0, 0.0]],
+                                      [[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_bisect_reaches_sqrt2():
+    lo, hi = _bisect(lambda x: x * x < 2.0, 1.0, 2.0, 60)
+    assert abs(lo - math.sqrt(2.0)) < 1e-12
+    assert abs(hi - math.sqrt(2.0)) < 1e-12
+
+
+def test_bisect_scalar_and_array_brackets_agree():
+    def inside(x):
+        return np.cos(x) > 0.3 * x
+
+    ls, hs = _bisect(inside, 0.0, 2.0, 40)
+    la, ha = _bisect(inside, np.array([0.0]), np.array([2.0]), 40)
+    assert la.shape == ha.shape == (1,)
+    assert float(ls) == la[0] and float(hs) == ha[0]
+
+
+def test_bisect_rows_are_independent():
+    targets = np.array([2.0, 3.0, 5.0, 7.0])
+    lo, hi = _bisect(lambda x: x * x < targets, np.ones(4), np.full(4, 3.0), 50)
+    for k, c in enumerate(targets):
+        lk, hk = _bisect(lambda x: x * x < c, 1.0, 3.0, 50)
+        assert lo[k] == float(lk) and hi[k] == float(hk)
 
 
 def test_golden_min_scalar_and_array_brackets_agree():

@@ -393,6 +393,14 @@ def test_psi_composite_dini_for_bundled_rates():
         assert math.isfinite(kx.psi_tail(psi, 0.25))
 
 
+def test_psi_tail_is_the_top_of_the_ladder():
+    M = kx.ModulusOfContinuity.from_function(np.sqrt, 10.0)
+    for psi in (kx.make_psi(M, s=0.5, alpha_star=2.0, C=0.7),
+                lambda y: 0.5 / np.sqrt(np.asarray(y, dtype=float))):
+        for t in (0.004, 0.5):
+            assert kx.psi_tail(psi, t) == kx.PsiLadder(psi, t, levels=80).tail(0)
+
+
 def test_psi_tail_diverges_for_critical_rate():
     # psi(y) = 1/y is not integrable at 0
     assert math.isinf(kx.psi_tail(lambda y: 1.0 / np.asarray(y, dtype=float), 0.5))

@@ -5,6 +5,7 @@ import pytest
 
 import kobex as kx
 from kobex import charts
+from kobex.regularity import dyadic_panels
 
 
 def sqrt_rate():
@@ -66,6 +67,14 @@ def test_dini_rejects_bad_eps():
         kx.dini_integral(sqrt_rate(), -1.0)
     with pytest.raises(kx.DomainError):
         kx.dini_integral(sqrt_rate(), 2.0)
+
+
+def test_dyadic_panels_sum_to_sqrt_integral():
+    t = 0.5
+    panels = dyadic_panels(lambda r: r ** -0.5, t, 60, 17)
+    want = 2.0 * math.sqrt(t) - 2.0 * math.sqrt(t * 2.0 ** -60)
+    assert panels.shape == (60,)
+    assert np.sum(panels) == pytest.approx(want, rel=1e-6)
 
 
 def test_composed_rate_preserves_integrability():
