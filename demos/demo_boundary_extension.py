@@ -29,7 +29,11 @@ def main():
         return np.stack([z[..., 0] ** 2, z[..., 1]], axis=-1)
 
     def jac(z):
-        return np.array([[2.0 * z[0], 0.0], [0.0, 1.0]], dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        J = np.zeros(z.shape + (2,), dtype=complex)
+        J[..., 0, 0] = 2.0 * z[..., 0]
+        J[..., 1, 1] = 1.0
+        return J
 
     fmap = kx.HolomorphicMap.from_ambient(F, chart, jacobian=jac)
     M = kx.ModulusOfContinuity.from_function(

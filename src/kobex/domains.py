@@ -276,7 +276,8 @@ def _generic_distance(D, z, n_dirs=512, refine_starts=3, rounds=30):
 
 
 def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
-    """Distance within the real moduli section, batched over rows of x.
+    """Distance within the real moduli section, batched over rows of x
+    (two columns: the section of a Reinhardt domain in C^2).
 
     For a Reinhardt domain the distance from z to the complement equals the
     distance from (|z_1|, ..., |z_n|) to the complement of the real section
@@ -285,17 +286,7 @@ def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
     first-exit construction, in R^n instead of R^2n.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    m, n = x.shape
-    if n != 2:
-        # fall back: treat section points as complex with zero imaginary part
-        out = np.empty(m)
-        dirs_out = np.empty((m, n))
-        for i in range(m):
-            t, d = _generic_distance(D, x[i].astype(complex))
-            out[i] = t
-            dirs_out[i] = d.real
-        return out, dirs_out
-
+    m = x.shape[0]
     angles = 2.0 * math.pi * (np.arange(n_angles) + 0.5) / n_angles
     base = np.stack([np.cos(angles), np.sin(angles)], axis=-1)  # (K, 2)
     # flatten points x angles
@@ -322,15 +313,19 @@ def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
 def _route(D, method, fast):
     """The distance dispatch: "fast" when method is "auto" and the domain
     has the closed form `fast` (its dist_fn or nearest_fn), "section" for
-    the moduli-section reduction of a Reinhardt domain, else "generic"."""
+    the moduli-section reduction of a Reinhardt domain in C^2, else
+    "generic"."""
     if method not in ("auto", "reinhardt", "generic"):
         raise DomainError("unknown distance method %r" % (method,))
     if method == "auto" and fast is not None:
         return "fast"
-    if method in ("auto", "reinhardt") and D.is_reinhardt:
+    if method in ("auto", "reinhardt") and D.is_reinhardt and D.dim == 2:
         return "section"
-    if method == "reinhardt":
+    if method == "reinhardt" and not D.is_reinhardt:
         raise DomainError("%s is not flagged Reinhardt" % D.name)
+    if method == "reinhardt":
+        raise DomainError("the moduli-section reduction needs C^2; %s is in C^%d"
+                          % (D.name, D.dim))
     return "generic"
 
 

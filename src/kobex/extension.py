@@ -11,17 +11,30 @@ boundary images split between two distinct points.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import ConvergenceError, DomainError, boundary_distance_batch
 from .psh import psi_tails
-from .regularity import ChartError, GraphChart
+from .regularity import ChartError, GraphChart, vertical_height
 
 
 class TailBoundError(ConvergenceError):
     pass
+
+
+CAUCHY_NODES = 32
+_CAUCHY_PHASE = np.exp(2j * math.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES)
+
+# normal-line quadrature: 16- and 8-point Gauss-Legendre nodes on [-1, 1]
+# per panel, accepted when the two rules agree within the panel tolerance
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+_GL_NODES = np.concatenate([_GL16_X, _GL8_X])
+QUAD_REL_TOL = 1e-8
+QUAD_ROUNDS = 24
+QUAD_MAX_PANELS = 1024
 
 
 def _eps_vec(n):
@@ -34,21 +47,22 @@ def _eps_vec(n):
 class HolomorphicMap:
     """A map evaluated in chart coordinates, with a vertical-derivative
     oracle.  fn maps (..., n) chart points to (..., n) target values;
-    dzn, when present, is the analytic derivative of every component with
-    respect to the last chart coordinate.  Without dzn, derivatives are
-    taken by discrete Cauchy circles of radius min(1e-3, Y/2), which stay
-    interior near the boundary where difference quotients would not.
+    dzn, when present, maps (..., n) chart points to the (..., n) analytic
+    derivatives of every component with respect to the last chart
+    coordinate.  Without dzn, derivatives are taken by discrete Cauchy
+    circles of CAUCHY_NODES nodes and radius min(1e-3, Y/2) per point,
+    which stay interior near the boundary where difference quotients
+    would not.
     """
     fn: callable
     dzn: callable = None
     chart: GraphChart = None
-    cauchy_nodes: int = 32
     name: str = ""
 
     @classmethod
     def from_ambient(cls, F, chart, jacobian=None, name=""):
-        """Wrap an ambient-coordinates map F; jacobian (optional) maps an
-        ambient point to the (n, n) matrix dF_j / dz_k."""
+        """Wrap an ambient-coordinates map F; jacobian (optional) maps
+        (..., n) ambient points to the (..., n, n) matrices dF_j / dz_k."""
         def fn(Z):
             return F(chart.from_chart(Z))
 
@@ -63,84 +77,76 @@ class HolomorphicMap:
 
         return cls(fn=fn, dzn=dzn, chart=chart, name=name)
 
-    def derivative(self, Z, radius=None):
-        """d/dZ_n of every component at a single chart point."""
+    def derivative(self, Z):
+        """d/dZ_n of every component at chart points Z (..., n) -> (..., n)."""
         Z = np.asarray(Z, dtype=complex)
         if self.dzn is not None:
             return np.asarray(self.dzn(Z), dtype=complex)
-        if radius is None:
-            radius = 1e-3
-            if self.chart is not None:
-                from .regularity import vertical_height
-                y = vertical_height(self.chart, Z)
-                if y <= 0:
-                    raise ChartError("Cauchy-circle derivative needs an interior point")
-                radius = min(1e-3, 0.5 * y)
-        k = np.arange(self.cauchy_nodes)
-        phase = np.exp(2j * math.pi * k / self.cauchy_nodes)
-        pts = Z[None, :].repeat(self.cauchy_nodes, axis=0)
-        pts[:, -1] = Z[-1] + radius * phase
+        radius = np.full(Z.shape[:-1] + (1,), 1e-3)
+        if self.chart is not None:
+            y = np.asarray(vertical_height(self.chart, Z))[..., None]
+            if np.any(y <= 0):
+                raise ChartError("Cauchy-circle derivative needs an interior point")
+            radius = np.minimum(1e-3, 0.5 * y)
+        pts = np.repeat(Z[..., None, :], CAUCHY_NODES, axis=-2)
+        pts[..., -1] = Z[..., -1:] + radius * _CAUCHY_PHASE
         vals = np.asarray(self.fn(pts), dtype=complex)
-        return (vals * np.conj(phase)[:, None]).sum(axis=0) / (self.cauchy_nodes * radius)
+        return ((vals * np.conj(_CAUCHY_PHASE)[:, None]).sum(axis=-2)
+                / (CAUCHY_NODES * radius))
 
 
-def _adaptive_simpson(g, a, b, tol, max_depth=24):
-    """Adaptive Simpson for a vector-valued integrand; returns (value, err)."""
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, S, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = g(lm), g(rm)
-        Sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        Sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = np.max(np.abs(Sl + Sr - S))
-        if err < 15.0 * tol or depth >= max_depth:
-            return Sl + Sr + (Sl + Sr - S) / 15.0, err / 15.0
-        vl, el = rec(a, m, fa, flm, fm, Sl, tol / 2.0, depth + 1)
-        vr, er = rec(m, b, fm, frm, fb, Sr, tol / 2.0, depth + 1)
-        return vl + vr, el + er
-
-    return rec(a, b, fa, fm, fb, S, tol, 0)
-
-
-def normal_line_integral(fmap, xi, t, tprime, rel_tol=1e-8, psi=None):
+def normal_line_integral(fmap, xi, t, tprime, psi=None):
     """int_t^{t'} i * d(fmap)/dZ_n (xi + x * (0, ..., 0, i)) dx.
 
-    Dyadic panels refine toward t, where the integrand may blow up like an
-    integrable rate; per-panel tolerance is proportional to panel length
-    times the local rate bound when psi is supplied.  Returns
-    (value (n,), error_estimate).
+    Dyadic panels t' 2^-m refine toward t, where the integrand may blow up
+    like an integrable rate; a panel's tolerance is QUAD_REL_TOL times
+    max(|psi(lo)| (hi - lo), 1e-12), or times 1 without psi.  Each round
+    takes one derivative call on the G16 and G8 nodes of all open panels:
+    a panel adds G16 to the value and |G16 - G8| to the error once they
+    agree within its tolerance, else it is bisected with half the
+    tolerance each.  After QUAD_ROUNDS rounds, or beyond QUAD_MAX_PANELS
+    open panels, ConvergenceError.  Returns (value (n,), error_estimate).
     """
     xi = np.asarray(xi, dtype=complex)
     if not (0.0 < t < tprime):
         raise DomainError("need 0 < t < t'")
-    if fmap.chart is not None:
-        from .regularity import vertical_height
-        for x in (t, 0.5 * (t + tprime), tprime):
-            if vertical_height(fmap.chart, xi + x * _eps_vec(xi.size)) <= 0:
-                raise DomainError("vertical segment exits the domain")
-
     ev = _eps_vec(xi.size)
-
-    def g(x):
-        return 1j * fmap.derivative(xi + x * ev)
+    if fmap.chart is not None:
+        ends = np.array([t, 0.5 * (t + tprime), tprime])
+        if np.any(vertical_height(fmap.chart, xi + ends[:, None] * ev) <= 0):
+            raise DomainError("vertical segment exits the domain")
 
     # panel breakpoints: t' * 2^-m clipped at t
     bps = [tprime]
     while bps[-1] * 0.5 > t:
         bps.append(bps[-1] * 0.5)
     bps.append(t)
+    hi, lo = np.array(bps[:-1]), np.array(bps[1:])
+    scale = np.abs(psi(lo)) * (hi - lo) if psi is not None else np.ones_like(lo)
+    tol = QUAD_REL_TOL * np.maximum(scale, 1e-12)
     total = np.zeros(xi.size, dtype=complex)
     err = 0.0
-    for hi, lo in zip(bps[:-1], bps[1:]):
-        scale = abs(psi(lo)) * (hi - lo) if psi is not None else 1.0
-        tol = rel_tol * max(scale, 1e-12)
-        v, e = _adaptive_simpson(g, lo, hi, tol)
-        total += v
-        err += e
-    return total, err
+    for rounds in range(1, QUAD_ROUNDS + 1):
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        x = mid[:, None] + half[:, None] * _GL_NODES
+        d = 1j * fmap.derivative(xi + x[..., None] * ev)
+        g16 = half[:, None] * np.einsum("k,pkn->pn", _GL16_W, d[:, :16])
+        g8 = half[:, None] * np.einsum("k,pkn->pn", _GL8_W, d[:, 16:])
+        diff = np.max(np.abs(g16 - g8), axis=-1)
+        done = diff <= tol
+        total += g16[done].sum(axis=0)
+        err += float(diff[done].sum())
+        if done.all():
+            return total, err
+        split = ~done
+        lo = np.concatenate([lo[split], mid[split]])
+        hi = np.concatenate([mid[split], hi[split]])
+        tol = np.tile(0.5 * tol[split], 2)
+        if lo.size > QUAD_MAX_PANELS:
+            break
+    raise ConvergenceError("normal-line quadrature left %d panels open after "
+                           "%d rounds" % (lo.size, rounds))
 
 
 @dataclass

@@ -59,7 +59,10 @@ def _square_first_map():
 
     def jac(z):
         z = np.asarray(z, dtype=complex)
-        return np.array([[2.0 * z[0], 0.0], [0.0, 1.0]], dtype=complex)
+        J = np.zeros(z.shape + (2,), dtype=complex)
+        J[..., 0, 0] = 2.0 * z[..., 0]
+        J[..., 1, 1] = 1.0
+        return J
 
     def fibers(w):
         w = np.asarray(w, dtype=complex)
@@ -140,7 +143,6 @@ def scenario_ball_sandwich(seed=0, tol=1e-6):
             zs.append(z)
     zs = np.array(zs)
     vs = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
-    t0 = time.time()
     deltas = domains.directional_distance_batch(B, zs, vs, n_phases=4096,
                                                 refine=False)
     exact = np.array([metrics.kob_metric_ball_exact(z, v) for z, v in zip(zs, vs)])
@@ -149,7 +151,6 @@ def scenario_ball_sandwich(seed=0, tol=1e-6):
     upper = nv / deltas
     ok_lower = bool(np.all(lower <= exact * (1.0 + tol)))
     ok_upper = bool(np.all(exact <= upper * (1.0 + tol)))
-    elapsed = time.time() - t0
     rep.add("sandwich-lower", verdict=ok_lower,
             value=float(np.max(lower / exact)),
             method="graham_lower", side="lower",
@@ -158,8 +159,17 @@ def scenario_ball_sandwich(seed=0, tol=1e-6):
             value=float(np.max(exact / upper)),
             method="graham_upper", side="upper",
             tolerances={"rel": tol}, constants={"samples": 100})
-    rep.add("runtime-budget", verdict=bool(elapsed < 10.0),
-            tolerances={"max_seconds": 10.0})
+
+    # the oracle against the closed-form disc radius r of the unit ball,
+    # r^2 + 2 r |<z, u>| + |z|^2 = 1: a sampled phase lies within pi/4096 of
+    # the worst one, so with c = cos(pi/4096) it reads at most r c / (2c - 1)
+    a = np.abs(np.sum(zs * np.conj(vs), axis=-1)) / nv
+    disc = np.sqrt(a * a + 1.0 - np.sum(np.abs(zs) ** 2, axis=-1)) - a
+    oracle_err = float(np.max(np.abs(deltas / disc - 1.0)))
+    c = math.cos(math.pi / 4096)
+    phase_tol = (1.0 - c) / (2.0 * c - 1.0)
+    rep.add("oracle", verdict=bool(oracle_err <= phase_tol), value=oracle_err,
+            tolerances={"rel": phase_tol}, constants={"phases": 4096})
     rep.add_table("sandwich", ["lower", "exact", "upper", "delta_dir"],
                   np.stack([lower, exact, upper, deltas], axis=-1).tolist())
     return rep
@@ -181,7 +191,6 @@ def scenario_example21(seed=0):
             value=Ctilde)
 
     # stage 2: nearest-point cubic beats the scaled defect on the grid
-    t0 = time.time()
     x0 = np.linspace(0.9, 1.0, 102)[1:-1]
     y0 = np.linspace(0.0, 0.1, 101)[:-1]
     X0, Y0 = np.meshgrid(x0, y0)
@@ -190,12 +199,8 @@ def scenario_example21(seed=0):
     minS = np.sqrt((X - X0[mask]) ** 2 + (Y - Y0[mask]) ** 2)
     defect = np.abs(X0[mask] ** 2 + Y0[mask] - 1.0)
     viol = int(np.sum(minS < Ctilde * defect - 1e-14))
-    elapsed = time.time() - t0
     rep.add("lagrange-cubic-grid", verdict=bool(viol == 0), value=viol,
-            constants={"grid": "100x100", "points": int(mask.sum())},
-            tolerances={"max_seconds": 5.0})
-    rep.add("lagrange-grid-runtime", verdict=bool(elapsed < 5.0),
-            tolerances={"max_seconds": 5.0})
+            constants={"grid": "100x100", "points": int(mask.sum())})
 
     # stage 3: corner-distance law delta = (1 - |z| - |w|)/sqrt(2)
     pts = []
@@ -419,7 +424,6 @@ def scenario_embedding_suite(seed=0):
     control."""
     rep = Report("embedding-suite", seed, VERSION)
     rng = np.random.default_rng(seed)
-    t0 = time.time()
     D = domains.ex22_D()
     chart = charts.ex22_chart(0.25)
     omega_p = regularity.estimate_modulus(chart, seed=seed)
@@ -458,9 +462,6 @@ def scenario_embedding_suite(seed=0):
     emb2 = regularity.verify_embedding(D, chart, pts, doubled, zetas2)
     rep.add("doubled-eps-control", verdict=bool(len(emb2.violations) >= 1),
             value=len(emb2.violations))
-    elapsed = time.time() - t0
-    rep.add("runtime-budget", verdict=bool(elapsed < 30.0),
-            tolerances={"max_seconds": 30.0})
 
     # vertical height sandwich on the bundled charts
     for name, mk_chart, mk_dom, region in (
@@ -502,7 +503,6 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
     entire map, with the ladder certificates and t'-independence holding
     at every grid point."""
     rep = Report("extension-oracle", seed, VERSION)
-    t0 = time.time()
     chart = charts.ex21_chart(0.25)
     F, jac, _ = _square_first_map()
     fmap = extension.HolomorphicMap.from_ambient(F, chart, jacobian=jac,
@@ -513,17 +513,13 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
     psi_fn = psh.make_psi(M, s=1.0, alpha_star=1.0, C=1.0)
 
     # the rate must dominate the observed vertical derivative
-    rng = np.random.default_rng(seed)
-    dominated = True
-    for _ in range(25):
-        zp = (rng.random() - 0.5) * 0.2 + 1j * (rng.random() - 0.5) * 0.2
-        x = (rng.random() - 0.5) * 0.2
-        xi = chart.boundary_point(np.array([zp]), x)
-        for t in (1e-4, 1e-3, 1e-2, 5e-3):
-            Z = xi.copy()
-            Z[-1] += 1j * t
-            if psi_fn(t) < np.max(np.abs(fmap.derivative(Z))):
-                dominated = False
+    u = (np.random.default_rng(seed).random((25, 3)) - 0.5) * 0.2
+    xis = np.array([chart.boundary_point(np.array([a + 1j * b]), x)
+                    for a, b, x in u])
+    ts = np.array([1e-4, 1e-3, 1e-2, 5e-3])
+    Z = xis[:, None, :] + ts[:, None] * np.array([0.0, 1j])
+    dzn_max = np.max(np.abs(fmap.derivative(Z)), axis=-1)
+    dominated = not np.any(psi_fn(ts) < dzn_max)
     rep.add("rate-dominates-derivative", verdict=bool(dominated), value=dominated,
             constants=psi_fn.constants)
 
@@ -568,9 +564,6 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
                     r.value[0].real, r.value[0].imag, r.value[1].real,
                     r.value[1].imag, r.tail_bound, r.err_budget]
                    for r in results])
-    elapsed = time.time() - t0
-    rep.add("runtime-budget", verdict=bool(elapsed < 60.0),
-            tolerances={"max_seconds": 60.0})
     return rep
 
 
@@ -659,7 +652,8 @@ EXPLAIN = {
     "ball-sandwich": [
         ("sandwich-lower", "|v| / (2 delta(z;v)) below the exact ball metric"),
         ("sandwich-upper", "exact ball metric below |v| / delta(z;v)"),
-        ("oracle", "4096-phase brute-force directional distance"),
+        ("oracle", "4096-phase directional distance vs the closed-form "
+                   "disc radius, within (1 - c)/(2c - 1), c = cos(pi/4096)"),
     ],
     "example21": [
         ("slope-supremum", "sup of 6x^2 + 2y - 1 over [9/10,1] x [0,1/10] = 5.2"),
@@ -719,14 +713,14 @@ EXPLAIN = {
 def run_scenario(name, seed=0, tol=None, out_dir=None, csv=False):
     if name not in SCENARIOS:
         raise KeyError("unknown scenario %r" % name)
-    t0 = time.time()
+    t0 = time.perf_counter()
     kwargs = {"seed": seed}
     if tol is not None:
         if "tol" not in inspect.signature(SCENARIOS[name]).parameters:
             raise domains.DomainError("scenario %r takes no tol" % name)
         kwargs["tol"] = tol
     report = SCENARIOS[name](**kwargs)
-    report.wall_clock = time.time() - t0   # console only, never serialized
+    report.wall_clock = time.perf_counter() - t0   # console only, never serialized
     if out_dir:
         import os
         os.makedirs(out_dir, exist_ok=True)

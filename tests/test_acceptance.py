@@ -175,7 +175,11 @@ def test_criterion_6_boundary_extension_oracle():
         return np.stack([z[..., 0] ** 2, z[..., 1]], axis=-1)
 
     def jac(z):
-        return np.array([[2.0 * z[0], 0.0], [0.0, 1.0]], dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        J = np.zeros(z.shape + (2,), dtype=complex)
+        J[..., 0, 0] = 2.0 * z[..., 0]
+        J[..., 1, 1] = 1.0
+        return J
 
     fmap = kx.HolomorphicMap.from_ambient(F, chart, jacobian=jac)
     ctilde = 2.0 * math.sqrt(2.0)

@@ -277,6 +277,20 @@ def test_nearest_point_is_on_boundary(ball2, omega21, d21, d22, rng):
             assert abs(gap - delta) <= 1e-8 * (1 + np.linalg.norm(z))
 
 
+
+def test_nearest_point_on_polydisc_in_c3():
+    # the moduli-section reduction is two-dimensional: in C^3 the nearest
+    # point comes from the generic search, not from a real-part fallback
+    P = kx.polydisc((1.0, 1.0, 1.0))
+    z = np.zeros(3, dtype=complex)
+    xi = kx.nearest_boundary_point(P, z)
+    assert abs(float(P.value(xi))) <= 1e-8
+    assert abs(np.linalg.norm(xi - z) - 1.0) <= 1e-8
+    with pytest.raises(kx.DomainError, match="needs C\\^2"):
+        kx.nearest_boundary_point(P, z, method="reinhardt")
+    with pytest.raises(kx.DomainError, match="needs C\\^2"):
+        kx.boundary_distance_batch(P, z[None, :], method="reinhardt")
+
 def test_nearest_midpoint_interior_for_strict_convexity(ball2, rng):
     for _ in range(50):
         z = (rng.random(2) - 0.5) + 1j * (rng.random(2) - 0.5)

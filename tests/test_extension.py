@@ -16,7 +16,10 @@ def square_first_map():
 
     def jac(z):
         z = np.asarray(z, dtype=complex)
-        return np.array([[2.0 * z[0], 0.0], [0.0, 1.0]], dtype=complex)
+        J = np.zeros(z.shape + (2,), dtype=complex)
+        J[..., 0, 0] = 2.0 * z[..., 0]
+        J[..., 1, 1] = 1.0
+        return J
 
     return F, jac
 
@@ -60,6 +63,17 @@ def test_derivative_matches_central_differences(corner_map):
         assert np.max(np.abs(deriv - fd)) / max(np.max(np.abs(deriv)), 1e-12) < 1e-6
 
 
+def test_derivative_is_batched_on_both_routes(corner_map):
+    chart, fmap = corner_map
+    xis = np.array([chart.boundary_point(np.array([a]), b)
+                    for a, b in ((0.04 - 0.03j, 0.02), (-0.05 + 0.01j, 0.0),
+                                 (0.01 + 0.0j, -0.03))])
+    Z = xis[:, None, :] + np.array([1e-5, 1e-3, 0.02, 0.05])[:, None] * EV
+    for m in (fmap, kx.HolomorphicMap(fn=fmap.fn, chart=chart)):
+        stacked = np.array([[m.derivative(z) for z in row] for row in Z])
+        assert np.array_equal(m.derivative(Z), stacked)
+
+
 # ---------------------------------------------------------------------------
 # vertical line integrals
 # ---------------------------------------------------------------------------
@@ -67,7 +81,7 @@ def test_derivative_matches_central_differences(corner_map):
 def test_integral_of_last_coordinate(corner_map):
     chart, _ = corner_map
     fmap = kx.HolomorphicMap(fn=lambda Z: np.asarray(Z, dtype=complex),
-                             dzn=lambda Z: np.array([0.0, 1.0], dtype=complex),
+                             dzn=lambda Z: np.zeros_like(Z) + np.array([0.0, 1.0]),
                              chart=chart)
     xi = chart.boundary_point(np.array([0.02 + 0.0j]), 0.01)
     val, err = kx.normal_line_integral(fmap, xi, 1e-4, 0.01)
@@ -79,7 +93,7 @@ def test_integral_of_constant_vanishes(corner_map):
     chart, _ = corner_map
     fmap = kx.HolomorphicMap(fn=lambda Z: np.broadcast_to(
         np.array([2.0 + 1j, -0.5]), np.asarray(Z).shape).copy(),
-        dzn=lambda Z: np.zeros(2, dtype=complex), chart=chart)
+        dzn=lambda Z: np.zeros_like(Z), chart=chart)
     val, err = kx.normal_line_integral(fmap, chart.boundary_point(
         np.array([0.0 + 0.0j]), 0.0), 1e-4, 0.01)
     assert np.max(np.abs(val)) == 0.0
@@ -96,6 +110,69 @@ def test_integral_closed_form_antiderivative(corner_map):
     assert np.max(np.abs(val - direct)) < 1e-8
     assert err < 1e-8
 
+
+XI = np.array([0.02 + 0.01j, 0.03 + 0.0j])
+
+
+def sqrt_line_map():
+    # F_1 = sqrt(-i (Z_n - xi_n)) is sqrt(x) on the line xi + x (0, i)
+    def fn(Z):
+        return np.stack([np.sqrt(-1j * (Z[..., -1] - XI[-1])), Z[..., 0]], -1)
+
+    def dzn(Z):
+        w = np.sqrt(-1j * (Z[..., -1] - XI[-1]))
+        return np.stack([-0.5j / w, np.zeros_like(w)], -1)
+
+    return kx.HolomorphicMap(fn=fn, dzn=dzn)
+
+
+def log_line_map(c):
+    # F_2 = log(Z_n - c), with its pole at c
+    def fn(Z):
+        return np.stack([Z[..., 0], np.log(Z[..., -1] - c)], -1)
+
+    def dzn(Z):
+        return np.stack([np.zeros(Z.shape[:-1]), 1.0 / (Z[..., -1] - c)], -1)
+
+    return kx.HolomorphicMap(fn=fn, dzn=dzn)
+
+
+@pytest.mark.parametrize("t", [1e-10, 1e-6, 1e-3])
+def test_integral_of_inverse_sqrt_rate(t):
+    # i dF_1/dZ_n = 1 / (2 sqrt(x)) on the line, blowing up at x = 0
+    val, err = kx.normal_line_integral(sqrt_line_map(), XI, t, 0.01,
+                                       psi=lambda y: 0.5 / np.sqrt(y))
+    exact = math.sqrt(0.01) - math.sqrt(t)
+    assert abs(val[0] - exact) <= 1e-12 * exact
+    assert abs(val[0] - exact) <= err
+
+
+@pytest.mark.parametrize("offset", [1e-4, 1e-6])
+def test_integral_next_to_a_pole(offset):
+    # the pole sits `offset` to the side of the line at height x0
+    x0 = 0.003
+    fmap = log_line_map(XI[-1] + 1j * x0 - offset)
+    val, err = kx.normal_line_integral(fmap, XI, 1e-4, 0.01)
+    exact = (np.log(offset + 1j * (0.01 - x0))
+             - np.log(offset + 1j * (1e-4 - x0)))
+    assert abs(val[1] - exact) <= max(err, 1e-12)
+
+
+def test_integral_through_a_pole_raises():
+    # int 1/(x - x0) dx diverges; the quadrature must not return a value
+    fmap = log_line_map(XI[-1] + 1j * 0.003)
+    with pytest.raises(kx.ConvergenceError, match="open after 24 rounds"):
+        kx.normal_line_integral(fmap, XI, 1e-4, 0.01)
+
+
+def test_integral_of_noise_stops_at_the_panel_cap():
+    # an integrand that never settles splits every panel in every round;
+    # the open-panel cap ends the refinement long before the round cap
+    rng = np.random.default_rng(0)
+    fmap = kx.HolomorphicMap(fn=lambda Z: Z,
+                             dzn=lambda Z: rng.standard_normal(Z.shape) + 0j)
+    with pytest.raises(kx.ConvergenceError, match="open after [0-9] rounds"):
+        kx.normal_line_integral(fmap, XI, 1e-4, 0.01)
 
 def test_integral_requires_interior_segment(corner_map):
     chart, fmap = corner_map
@@ -122,7 +199,7 @@ def test_boundary_value_constant_map(corner_map):
     cval = np.array([0.7 - 0.2j, 1.5])
     fmap = kx.HolomorphicMap(fn=lambda Z: np.broadcast_to(
         cval, np.asarray(Z).shape).copy(),
-        dzn=lambda Z: np.zeros(2, dtype=complex), chart=chart)
+        dzn=lambda Z: np.zeros_like(Z), chart=chart)
     xi = chart.boundary_point(np.array([0.0 + 0.0j]), 0.0)
     res = kx.boundary_value(fmap, xi, 0.005, 1e-8, psi=sqrt_rate_psi())
     assert np.allclose(res.value, cval)
@@ -228,7 +305,7 @@ def test_continuity_constant_map(corner_map):
     cval = np.array([0.1, 0.2 + 0.3j])
     fmap = kx.HolomorphicMap(fn=lambda Z: np.broadcast_to(
         cval, np.asarray(Z).shape).copy(),
-        dzn=lambda Z: np.zeros(2, dtype=complex), chart=chart)
+        dzn=lambda Z: np.zeros_like(Z), chart=chart)
     grid = _grid(chart, 4)
     results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-7,
                             psi=sqrt_rate_psi())
