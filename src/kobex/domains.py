@@ -205,32 +205,39 @@ def _complex_to_real(z):
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+ZOOM_K = 6
+ZOOM_ROUNDS = 11
 
 
-def _golden_min(f, a, b, iters):
-    """Golden-section search for a minimizer of f on [a, b].
+def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf):
+    """Row-wise minimization: a grid scan, then ZOOM_ROUNDS zoom rounds.
 
-    Brackets may be scalars or arrays (one independent search per element,
-    f evaluated once per round on all of them).  Scalars select with a
-    plain conditional, since np.where on 0-d values costs more than a cheap
-    f.  Ties f1 == f2 keep the right-hand interior point.  Returns the
-    midpoint of the final bracket and min(f1, f2) at its interior points.
+    grid is (K,), shared by all rows, or (m, K); f maps it, and any (m, k)
+    array of points, to (m, k) values in one call.  Each row keeps its best
+    point x; a round samples ZOOM_K evenly spaced interior points of
+    [x - step, x + step] cap [lo, hi], moves x only to a strictly better
+    point and sets step to that bracket's width / (ZOOM_K + 1), so the
+    bracket shrinks by 2/7 per round.  step (scalar or (m,)) is the first
+    half-width, passed in because a one-point grid has no spacing.
+    Returns (x, f(x)) per row.
     """
-    pick = np.where if np.ndim(a) else (lambda c, x, y: x if c else y)
-    c1 = b - _INVPHI * (b - a)
-    c2 = a + _INVPHI * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        take1 = f1 < f2
-        b = pick(take1, c2, b)
-        a = pick(take1, a, c1)
-        c1n = pick(take1, b - _INVPHI * (b - a), c2)
-        c2n = pick(take1, c1, a + _INVPHI * (b - a))
-        fnew = f(pick(take1, c1n, c2n))
-        f1, f2 = pick(take1, fnew, f2), pick(take1, f1, fnew)
-        c1, c2 = c1n, c2n
-    return 0.5 * (a + b), np.minimum(f1, f2)
+    vals = f(grid)
+    rows = np.arange(vals.shape[0])
+    k = np.argmin(vals, axis=1)
+    x = np.broadcast_to(grid, vals.shape)[rows, k]
+    best = vals[rows, k]
+    frac = np.arange(1, ZOOM_K + 1) / (ZOOM_K + 1)
+    for _ in range(ZOOM_ROUNDS):
+        a = np.maximum(x - step, lo)
+        b = np.minimum(x + step, hi)
+        pts = a[:, None] + (b - a)[:, None] * frac
+        vals = f(pts)
+        k = np.argmin(vals, axis=1)
+        better = vals[rows, k] < best
+        x = np.where(better, pts[rows, k], x)
+        best = np.where(better, vals[rows, k], best)
+        step = (b - a) / (ZOOM_K + 1)
+    return x, best
 
 
 def _generic_distance(D, z, n_dirs=512, refine_starts=3, rounds=30):
@@ -275,7 +282,7 @@ def _generic_distance(D, z, n_dirs=512, refine_starts=3, rounds=30):
     return best_t, best_dir
 
 
-def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
+def _moduli_section_distance(D, x):
     """Distance within the real moduli section, batched over rows of x
     (two columns: the section of a Reinhardt domain in C^2).
 
@@ -283,31 +290,22 @@ def _moduli_section_distance(D, x, n_angles=256, refine_iters=60):
     distance from (|z_1|, ..., |z_n|) to the complement of the real section
     { x in R^n : g(|x_1|, ..., |x_n|) < 0 }, attained at a point with the
     same coordinate phases.  The section is explored with the same
-    first-exit construction, in R^n instead of R^2n.
+    first-exit construction, in R^n instead of R^2n: 256 ray angles, then
+    zoom rounds on the angle.  Returns the distances and the unit
+    directions that attain them.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=complex))
     m = x.shape[0]
-    angles = 2.0 * math.pi * (np.arange(n_angles) + 0.5) / n_angles
-    base = np.stack([np.cos(angles), np.sin(angles)], axis=-1)  # (K, 2)
-    # flatten points x angles
-    zz = np.repeat(x, n_angles, axis=0).astype(complex)
-    dd = np.tile(base, (m, 1)).astype(complex)
-    t = _ray_exit(D, zz, dd).reshape(m, n_angles)
-    kbest = np.argmin(t, axis=1)
 
-    # golden-section refinement of the angle around each per-point minimizer
-    span = 2.0 * math.pi / n_angles
+    def exits(theta):
+        th = np.broadcast_to(theta, (m, theta.shape[-1]))
+        d = np.stack([np.cos(th), np.sin(th)], axis=-1).astype(complex)
+        return _ray_exit(D, np.repeat(x, th.shape[1], axis=0),
+                         d.reshape(-1, 2)).reshape(m, -1)
 
-    def exit_for(theta):
-        d = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
-        return _ray_exit(D, x.astype(complex), d)
-
-    theta, _ = _golden_min(exit_for, angles[kbest] - span, angles[kbest] + span,
-                           refine_iters)
-    tstar = exit_for(theta)
-    tstar = np.minimum(tstar, t[np.arange(m), kbest])
-    dstar = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return tstar, dstar
+    n = 256
+    theta, t = _zoom_min(exits, 2.0 * math.pi * (np.arange(n) + 0.5) / n, 2.0 * math.pi / n)
+    return t, np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def _route(D, method, fast):
@@ -342,19 +340,14 @@ def boundary_distance(D, z, method="auto"):
     One row of boundary_distance_batch.
     """
     z = as_point(z, D.dim)
-    if not bool(contains(D, z)):
-        raise DomainError("point is outside the closure of %s" % D.name)
     return float(boundary_distance_batch(D, z[None, :], method)[0])
 
 
 def boundary_distance_batch(D, zs, method="auto"):
-    """boundary_distance over rows of zs.
-
-    Rows are not checked to be interior: path integration calls this
-    thousands of times per path on trial points that may leave D, and a
-    membership check there costs twice the fast distance it guards.
-    """
+    """boundary_distance over rows of zs, which must all be interior."""
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+    if not np.all(contains(D, zs)):
+        raise DomainError("point is outside the closure of %s" % D.name)
     route = _route(D, method, D.dist_fn)
     if route == "fast":
         return np.asarray(D.dist_fn(zs), dtype=float)
@@ -391,20 +384,20 @@ def directional_distance(D, z, v, n_phases=256, refine=True):
     """Radius of the largest affine complex disc through z in direction v.
 
     delta_D(z; v) = sup { r > 0 : z + (r D) v/|v| is contained in D }.
-    Computed by sampling phases e^{i theta}, bisecting to the first exit
-    along each phase ray, taking the minimum, then (optionally) refining
-    the phase by golden section around the minimizer.  Oracle work uses
-    n_phases=4096 and no refinement.  One row of directional_distance_batch.
+    Computed by sampling n_phases phases e^{i theta}, bisecting to the
+    first exit along each phase ray and taking the minimum, then
+    (optionally) zoom rounds on the phase around each minimizer
+    (_zoom_min).  Oracle work uses n_phases=4096 and no refinement.  One
+    row of directional_distance_batch.
     """
     z = as_point(z, D.dim)
     v = as_point(v, D.dim)
-    return float(directional_distance_batch(D, z[None, :], v[None, :], n_phases,
-                                            refine, refine_iters=60)[0])
+    return float(directional_distance_batch(D, z[None, :], v[None, :], n_phases, refine)[0])
 
 
-def directional_distance_batch(D, zs, vs, n_phases=256, refine=True, refine_iters=50):
-    """directional_distance over paired rows of zs, vs; one big ray batch,
-    then refine_iters golden-section rounds on all rows at once."""
+def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
+    """directional_distance over paired rows of zs, vs; every phase scan
+    and zoom round is one ray batch over all rows."""
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if not np.all(contains(D, zs)):
         raise DomainError("point is outside the closure of %s" % D.name)
@@ -416,24 +409,16 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True, refine_iter
     if np.any(nv == 0):
         raise DomainError("direction v must be nonzero")
     u = vs / nv
+
+    def exits(theta):
+        dirs = np.exp(1j * theta)[..., None] * u[:, None, :]
+        k = dirs.shape[1]
+        return _ray_exit(D, np.repeat(zs, k, axis=0), dirs.reshape(m * k, -1)).reshape(m, k)
+
     theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
-    phases = np.exp(1j * theta)
-    dirs = (phases[None, :, None] * u[:, None, :]).reshape(m * n_phases, -1)
-    zz = np.repeat(zs, n_phases, axis=0)
-    t = _ray_exit(D, zz, dirs).reshape(m, n_phases)
-    best = t.min(axis=1)
     if not refine:
-        return best
-    kbest = np.argmin(t, axis=1)
-    span = 2.0 * math.pi / n_phases
-
-    def exit_for(th):
-        d = np.exp(1j * th)[:, None] * u
-        return _ray_exit(D, zs, d)
-
-    _, fmin = _golden_min(exit_for, theta[kbest] - span, theta[kbest] + span,
-                          refine_iters)
-    return np.minimum(best, fmin)
+        return exits(theta).min(axis=1)
+    return _zoom_min(exits, theta, 2.0 * math.pi / n_phases)[1]
 
 
 def inward_normal(D, xi, active_tol=1e-8, fd_step=None):
@@ -675,26 +660,21 @@ def polydisc(radii=(1.0, 1.0), name=None):
                       interior_point=np.zeros(dim, dtype=complex), dist_fn=dist)
 
 
-def _curve_nearest_1d(xy, T_grid, curve, refine_iters=80):
+def _curve_nearest_1d(xy, T_grid, curve):
     """Nearest point on a parametrized plane curve, batched over rows of xy.
 
-    curve(T) -> (X(T), Y(T)); dense grid then golden refinement.
+    curve(T) -> (X(T), Y(T)).  The shared parameter grid T_grid is the
+    first round of _zoom_min, whose brackets stay inside its ends.
+    Returns the distances and the nearest points.
     """
     xy = np.atleast_2d(xy)
-    X, Y = curve(T_grid)
-    d2 = (xy[:, 0:1] - X[None, :]) ** 2 + (xy[:, 1:2] - Y[None, :]) ** 2
-    k = np.argmin(d2, axis=1)
-    step = T_grid[1] - T_grid[0]
-    a = np.clip(T_grid[k] - step, T_grid[0], T_grid[-1])
-    b = np.clip(T_grid[k] + step, T_grid[0], T_grid[-1])
 
     def f(T):
         X, Y = curve(T)
-        return (xy[:, 0] - X) ** 2 + (xy[:, 1] - Y) ** 2
+        return (xy[:, 0:1] - X) ** 2 + (xy[:, 1:2] - Y) ** 2
 
-    T, _ = _golden_min(f, a, b, refine_iters)
-    X, Y = curve(T)
-    return np.sqrt(f(T)), np.stack([X, Y], axis=-1)
+    T, d2 = _zoom_min(f, T_grid, T_grid[1] - T_grid[0], T_grid[0], T_grid[-1])
+    return np.sqrt(d2), np.stack(curve(T), axis=-1)
 
 
 def ex21_D(name="ex21_d"):
@@ -762,31 +742,23 @@ def _wall_distance(zs, profile):
     a = Re z, t = |w|, the squared distance is
     min over s >= 0 of (a - profile(s))_+^2 + (t - s)^2.  Because the
     second term alone bounds the cost and the cost at s = t is <= a^2,
-    the minimizer satisfies |s - t| <= a; a grid on that bracket followed
-    by golden refinement is exact to solver precision.
+    the minimizer satisfies |s - t| <= a; a 2049-point grid on that
+    bracket is the first round of _zoom_min, clipped at s = 0.
     """
     zs = np.atleast_2d(zs)
     av = np.real(zs[..., 0])
     tv = np.abs(zs[..., 1])
 
-    def cost(s):  # s: (m,) or (m, K); broadcasting against av, tv columns
-        if s.ndim == 2:
-            gap = np.maximum(av[:, None] - profile(s), 0.0)
-            return gap * gap + (tv[:, None] - s) ** 2
-        gap = np.maximum(av - profile(s), 0.0)
-        return gap * gap + (tv - s) ** 2
+    def cost(s):  # s: (m, K)
+        gap = np.maximum(av[:, None] - profile(s), 0.0)
+        return gap * gap + (tv[:, None] - s) ** 2
 
     half = np.abs(av) + 1e-3
     lo0 = np.maximum(tv - half, 0.0)
     hi0 = tv + half
     S = np.linspace(0.0, 1.0, 2049)
     grid = lo0[:, None] + S[None, :] * (hi0 - lo0)[:, None]
-    vals = cost(grid)
-    rows = np.arange(zs.shape[0])
-    k = np.argmin(vals, axis=1)
-    step = (hi0 - lo0) / (S.size - 1)
-    _, fmin = _golden_min(cost, np.maximum(grid[rows, k] - step, 0.0),
-                          grid[rows, k] + step, 70)
+    _, fmin = _zoom_min(cost, grid, (hi0 - lo0) / (S.size - 1), lo=0.0)
     return np.sqrt(fmin)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainError, _golden_min, as_point, boundary_distance,
+from .domains import (DomainError, _zoom_min, as_point, boundary_distance,
                       boundary_distance_batch, contains, directional_distance,
                       hermitian_inner)
 
@@ -243,72 +243,71 @@ def pair_lower_bound(delta1, delta2, K):
 # path-integration upper estimator for the invariant distance
 # ---------------------------------------------------------------------------
 
-def path_distance_upper(D, z1, z2, segments=128, anchor=None, sweeps=1,
-                        dist_method="auto"):
+PATH_SEGMENTS = 128
+
+
+def path_distance_upper(D, z1, z2):
     """Upper estimate of the invariant distance by integrating the inscribed
     ball bound |gamma'| / delta_D(gamma) along a polygonal path (midpoint
-    rule, `segments` pieces), then shortening the path by coordinate
-    descent of the interior nodes toward an interior anchor.
+    rule, PATH_SEGMENTS pieces), a path with a midpoint outside D scoring
+    +inf.  The path is shortened toward the anchor D.interior_point (the
+    chord's midpoint when D has none): first by the best bump of the whole
+    path, then by one red-black descent that moves all odd interior nodes
+    along their anchor directions in one _zoom_min search, then all even
+    ones.  A node's cost involves only its two neighbours, which the other
+    parity holds fixed, and a node moves only if its cost falls.
     """
     z1 = as_point(z1, D.dim)
     z2 = as_point(z2, D.dim)
-    if anchor is None:
-        anchor = D.interior_point
-        if anchor is None:
-            anchor = 0.5 * (z1 + z2)
-    anchor = as_point(anchor, D.dim)
-
-    lam = np.linspace(0.0, 1.0, segments + 1)[:, None]
+    anchor = D.interior_point if D.interior_point is not None else 0.5 * (z1 + z2)
+    lam = np.linspace(0.0, 1.0, PATH_SEGMENTS + 1)[:, None]
     nodes = (1.0 - lam) * z1[None, :] + lam * z2[None, :]
+    scan = np.linspace(0.0, 1.0, 16)
 
-    def length(nodes):
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        seglen = np.linalg.norm(np.diff(nodes, axis=0), axis=-1)
-        dmid = boundary_distance_batch(D, mids, method=dist_method)
-        if np.any(dmid <= 0):
-            return np.inf
-        return float(np.sum(seglen / dmid))
+    def cost(p, q):
+        """Sum of |q - p| / delta((p + q)/2) over the segment axis -2; +inf
+        where a midpoint is outside D."""
+        mids = 0.5 * (p + q)
+        inside = contains(D, mids)
+        dmid = np.zeros(inside.shape)
+        if inside.any():
+            dmid[inside] = boundary_distance_batch(D, mids[inside])
+        seglen = np.linalg.norm(q - p, axis=-1)
+        return np.divide(seglen, dmid, out=np.full(dmid.shape, np.inf),
+                         where=dmid > 0).sum(axis=-1)
 
-    best = length(nodes)
-    # bump the whole path toward the anchor (single scalar, golden search)
+    # bump the whole path toward the anchor; t = 0 is the straight path
     bump = np.sin(math.pi * lam) ** 2
 
     def bumped(t):
-        return nodes + t * bump * (anchor[None, :] - nodes)
+        return nodes + np.reshape(t, (-1, 1, 1)) * bump * (anchor[None, :] - nodes)
 
-    t0, _ = _golden_min(lambda t: length(bumped(t)), 0.0, 1.0, 30)
-    cand = bumped(t0)
-    if length(cand) < best:
-        nodes = cand
-        best = length(nodes)
+    def length(t):
+        paths = bumped(t)
+        return cost(paths[:, :-1], paths[:, 1:]).reshape(1, -1)
 
-    # per-node descent along the anchor direction
-    for _ in range(sweeps):
-        for i in range(1, segments):
-            direction = anchor - nodes[i]
-            nd = np.linalg.norm(direction)
-            if nd < 1e-12:
-                continue
-            direction = direction / nd
+    t, best = _zoom_min(length, scan, scan[1], 0.0, 1.0)
+    nodes = bumped(t)[0]
 
-            def local(t, i=i, direction=direction):
-                trial = nodes.copy()
-                trial[i] = nodes[i] + t * direction
-                mids = 0.5 * (trial[i - 1:i + 1] + trial[i:i + 2])
-                seglen = np.array([np.linalg.norm(trial[i] - trial[i - 1]),
-                                   np.linalg.norm(trial[i + 1] - trial[i])])
-                dmid = boundary_distance_batch(D, mids, method=dist_method)
-                if np.any(dmid <= 0):
-                    return np.inf
-                return float(np.sum(seglen / dmid))
+    # red-black descent along each node's anchor direction
+    for first in (1, 2):
+        i = np.arange(first, PATH_SEGMENTS, 2)
+        d = anchor[None, :] - nodes[i]
+        nd = np.linalg.norm(d, axis=-1)
+        keep = nd >= 1e-12
+        i, nd, u = i[keep], nd[keep], d[keep] / nd[keep, None]
+        ends = np.stack([nodes[i - 1], nodes[i + 1]], axis=1)[:, None]  # (m, 1, 2, n)
 
-            tbest, _ = _golden_min(local, -0.1 * nd, min(nd, 0.5), 18)
-            if local(tbest) < local(0.0):
-                nodes[i] = nodes[i] + tbest * direction
-        newlen = length(nodes)
-        if newlen < best:
-            best = newlen
-    return best
+        def local(t):  # (m, K) offsets along u -> (m, K) costs
+            trial = nodes[i][:, None, :] + t[..., None] * u[:, None, :]
+            return cost(ends, trial[..., None, :])
+
+        lo, hi = -0.1 * nd, np.minimum(nd, 0.5)
+        t, c = _zoom_min(local, lo[:, None] + (hi - lo)[:, None] * scan,
+                         (hi - lo) * scan[1], lo, hi)
+        move = c < local(np.zeros((i.size, 1)))[:, 0]
+        nodes[i[move]] += t[move, None] * u[move]
+    return float(min(best[0], cost(nodes[:-1], nodes[1:])))
 
 
 def fit_pair_constant(D, o, vq_samples, vxi_samples, dist_estimator=None,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kobex as kx
-from kobex.domains import _bisect, _golden_min, _ray_exit
+from kobex.domains import ZOOM_K, ZOOM_ROUNDS, _bisect, _ray_exit, _zoom_min
 
 
 SQRT2 = math.sqrt(2.0)
@@ -184,6 +184,30 @@ def test_directional_batch_rejects_outside_rows(ball2):
                                       [[1.0, 0.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("n_phases", [1, 2, 3, 256])
+def test_directional_ball_matches_disc_radius_for_any_phase_count(ball2, n_phases):
+    # the zoom's first bracket is the phase spacing 2 pi / n_phases, so even
+    # one sampled phase refines to the closed-form disc radius, the root of
+    # r^2 + 2 r |<z, u>| + |z|^2 = 1
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        z = (rng.random(2) - 0.5) + 1j * (rng.random(2) - 0.5)
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        p = abs(kx.hermitian_inner(z, v / np.linalg.norm(v)))
+        exact = math.sqrt(p * p + 1.0 - np.linalg.norm(z) ** 2) - p
+        got = kx.directional_distance(ball2, z, v, n_phases=n_phases)
+        assert abs(got - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("name", ["ball2", "ex21_d"])
+def test_boundary_distance_batch_rejects_outside_rows(name):
+    D = kx.bundled_domain(name)
+    with pytest.raises(kx.DomainError, match="outside the closure"):
+        kx.boundary_distance_batch(D, [[2.0, 0.0]])
+    with pytest.raises(kx.DomainError, match="outside the closure"):
+        kx.boundary_distance_batch(D, [[0.1, 0.0], [2.0, 0.0]])
+
+
 def test_bisect_reaches_sqrt2():
     lo, hi = _bisect(lambda x: x * x < 2.0, 1.0, 2.0, 60)
     assert abs(lo - math.sqrt(2.0)) < 1e-12
@@ -208,20 +232,35 @@ def test_bisect_rows_are_independent():
         assert lo[k] == float(lk) and hi[k] == float(hk)
 
 
-def test_golden_min_scalar_and_array_brackets_agree():
-    def f(x):
-        return np.cos(3.0 * x) + 0.1 * x * x
+def test_zoom_min_finds_per_row_quadratic_minimizers():
+    centers = np.array([0.013, 0.3, 0.5, 0.777, 0.99])
+    grid = np.linspace(0.0, 1.0, 11)
+    x, fmin = _zoom_min(lambda t: (t - centers[:, None]) ** 2, grid, 0.1)
+    assert x.shape == fmin.shape == centers.shape
+    assert np.all(np.abs(x - centers) <= 0.1 * (2.0 / (ZOOM_K + 1)) ** ZOOM_ROUNDS)
+    assert np.array_equal(fmin, (x - centers) ** 2)
 
-    ts, fs = _golden_min(f, 0.2, 1.9, 40)
-    ta, fa = _golden_min(f, np.array([0.2]), np.array([1.9]), 40)
-    assert ta.shape == fa.shape == (1,)
-    assert ts == ta[0] and fs == fa[0]
+
+def test_zoom_min_shared_grid_equals_tiled_grid():
+    shifts = np.array([0.2, 1.1, 2.9, 4.0])
+
+    def f(t):
+        return np.cos(3.0 * t + shifts[:, None]) + 0.1 * t * t
+
+    grid = np.linspace(-2.0, 2.0, 33)
+    xs, fs = _zoom_min(f, grid, grid[1] - grid[0], -2.0, 2.0)
+    xt, ft = _zoom_min(f, np.tile(grid, (shifts.size, 1)), grid[1] - grid[0], -2.0, 2.0)
+    assert np.array_equal(xs, xt) and np.array_equal(fs, ft)
 
 
-def test_golden_min_finds_quadratic_minimizer():
-    t, fmin = _golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 60)
-    assert abs(t - 0.3) < 1e-9
-    assert fmin < 1e-18
+def test_zoom_min_stays_inside_its_clip_bounds():
+    centers = np.array([-0.5, 0.0004, 0.9996, 1.7])
+    lo, hi = 0.0, 1.0
+    x, _ = _zoom_min(lambda t: (t - centers[:, None]) ** 2, np.linspace(lo, hi, 9),
+                     0.125, lo, hi)
+    assert np.all((lo <= x) & (x <= hi))
+    shrink = (2.0 / (ZOOM_K + 1)) ** ZOOM_ROUNDS
+    assert np.all(np.abs(x - np.clip(centers, lo, hi)) <= 0.125 * shrink)
 
 
 def test_disc_radius_dominates_point_distance(ball2, omega21, d21, d22, rng):
