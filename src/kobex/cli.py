@@ -84,9 +84,8 @@ def cmd_distance(args):
         val = domains.directional_distance(D, z, v, n_phases=args.phases)
         print("directional distance delta(z; v) = %.12g" % val)
     else:
-        val = domains.boundary_distance(D, z, method=args.method)
+        val, xi = domains._distance_and_nearest(D, z, method=args.method)
         print("boundary distance delta(z) = %.12g" % val)
-        xi = domains.nearest_boundary_point(D, z, method=args.method)
         print("nearest boundary point: %s" % np.array2string(xi, precision=10))
     return 0
 

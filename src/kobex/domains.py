@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class DomainError(ValueError):
@@ -127,41 +126,96 @@ def contains(D, z):
 # ray casting: first exit radius along rays, fully vectorized over rays
 # ---------------------------------------------------------------------------
 
-def _ray_exit(D, z, dirs, march_steps=128, iters=64):
+# Ray exits run in chunks of RAY_CHUNK rays, which bounds the root finder's
+# live arrays; grid scans run in row blocks of about 8 * RAY_CHUNK grid
+# points (_row_blocks), the same order of memory.
+RAY_CHUNK = 1 << 15
+MARCH_STEPS = 128
+ROOT_STEPS = 128
+
+
+def _ray_exit(D, z, dirs):
     """First boundary crossing t > 0 along z + t*dirs (unit complex rows).
 
-    z: (n,) or (m, n); dirs: (m, n).  Returns t of shape (m,).
-    For convex domains the inside set along a ray is an interval, so a
-    single bisection against the bounding cap suffices; otherwise the ray
-    is marched to bracket the first exit.
+    z: (n,) or (m, n), interior; dirs: (m, n).  Returns t of shape (m,).
+    The bracket [lo, hi] with value(lo) < 0 <= value(hi) is [0, cap] for
+    a convex domain, whose inside set along a ray is an interval; otherwise
+    a fixed march of step cap/MARCH_STEPS finds the first outside point.
+    A Chandrupatla root finder on D.value along the ray then shrinks it to
+    hi - lo <= 4 eps hi and returns the midpoint.  The cap is set by the
+    whole batch and rays run in chunks of RAY_CHUNK, so a ray's exit does
+    not depend on the other rays.
     """
     dirs = np.asarray(dirs, dtype=complex)
     z = np.broadcast_to(np.asarray(z, dtype=complex), dirs.shape)
-    m = dirs.shape[0]
     if not math.isfinite(D.bounding_radius):
         raise DomainError("domain %r has no bounding radius; rays may not exit" % D.name)
-    cap = float(np.max(np.linalg.norm(z, axis=-1))) + 2.0 * D.bounding_radius + 1.0
+    cap = float(np.max(np.linalg.norm(z, axis=-1), initial=0.0)) + 2.0 * D.bounding_radius + 1.0
+    out = np.empty(dirs.shape[0])
+    for s in range(0, out.size, RAY_CHUNK):
+        rows = slice(s, s + RAY_CHUNK)
+        out[rows] = _exit_chunk(D, z[rows], dirs[rows], cap)
+    return out
 
+
+def _exit_chunk(D, z, dirs, cap):
+    """_ray_exit on one chunk of rays: bracket, then root-find."""
+    m = dirs.shape[0]
     lo = np.zeros(m)
     hi = np.full(m, cap)
+    flo, fhi = D.value(z + np.stack([lo, hi])[..., None] * dirs)
+    if np.any(flo >= 0.0) or np.any(fhi < 0.0):
+        raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
     if not D.is_convex:
-        found = np.zeros(m, dtype=bool)
-        step = cap / march_steps
-        t_prev = np.zeros(m)
-        for k in range(1, march_steps + 1):
-            t = np.full(m, k * step)
-            inside = contains(D, z + t[:, None] * dirs)
-            newly = (~inside) & (~found)
-            lo[newly] = t_prev[newly]
-            hi[newly] = t[newly]
-            found |= newly
-            t_prev = t
-            if found.all():
+        todo = np.arange(m)
+        step = cap / MARCH_STEPS
+        for k in range(1, MARCH_STEPS + 1):
+            t = k * step
+            f = D.value(z[todo] + t * dirs[todo])
+            left = f >= 0.0
+            hi[todo[left]] = t
+            fhi[todo[left]] = f[left]
+            todo = todo[~left]
+            lo[todo] = t
+            flo[todo] = f[~left]
+            if not todo.size:
                 break
-        if not found.all():
+        else:
             raise ConvergenceError("ray march found no exit within the bounding cap")
-    lo, hi = _bisect(lambda t: contains(D, z + t[:, None] * dirs), lo, hi, iters)
-    return 0.5 * (lo + hi)
+
+    # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
+    # bracket and x3 the point dropped last; each step tries inverse
+    # quadratic interpolation on the three and bisects when it is not
+    # accepted, never stepping closer than 2 eps hi to an end.
+    x1, f1, x2, f2 = lo, flo, hi, fhi
+    t = np.full(m, 0.5)
+    todo = np.arange(m)
+    res = np.empty(m)
+    for _ in range(ROOT_STEPS):
+        x = x1 + t * (x2 - x1)
+        f = D.value(z[todo] + x[:, None] * dirs[todo])
+        same = (f >= 0.0) == (f1 >= 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        dx = np.abs(x2 - x1)
+        tol = 4.0 * np.finfo(float).eps * np.maximum(x1, x2)
+        done = dx <= tol
+        res[todo[done]] = 0.5 * (x1[done] + x2[done])
+        keep = ~done
+        todo = todo[keep]
+        if not todo.size:
+            return res
+        x1, f1, x2, f2, x3, f3, dx, tol = (a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol))
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                   - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+        accept = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        tl = 0.5 * tol / dx
+        t = np.clip(np.where(accept, iqi, 0.5), tl, 1.0 - tl)
+    raise ConvergenceError("ray exit root finder did not converge in %d steps" % ROOT_STEPS)
 
 
 def _bisect(inside, lo, hi, iters):
@@ -182,15 +236,36 @@ def _bisect(inside, lo, hi, iters):
     return lo, hi
 
 
-def _sphere_directions(k, real_dim, seed=0):
+def _row_blocks(m, width):
+    """Slices cutting m rows of width numbers each into blocks of about
+    8 * RAY_CHUNK numbers."""
+    step = max(1, 8 * RAY_CHUNK // width)
+    return [slice(s, s + step) for s in range(0, m, step)]
+
+
+def _halton(k, d):
+    """Points 1..k of the unscrambled Halton sequence in d dimensions: the
+    radical inverses of the indices in the first d prime bases, summed
+    digit by digit from the lowest as scipy.stats.qmc.Halton does."""
+    primes = [p for p in range(2, 8 * d + 8) if all(p % q for q in range(2, p))][:d]
+    out = np.zeros((k, d))
+    for j, base in enumerate(primes):
+        q = np.arange(1, k + 1)
+        scale = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * scale
+            q //= base
+            scale /= base
+    return out
+
+
+def _sphere_directions(k, real_dim):
     """k deterministic low-discrepancy directions on S^(real_dim-1)."""
     if real_dim == 2:
         ang = 2.0 * math.pi * (np.arange(k) + 0.5) / k
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    halton = qmc.Halton(d=real_dim, scramble=False, seed=seed)
     from scipy.special import ndtri
-    u = halton.random(k + 1)[1:]  # drop the all-zero first sample
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    g = ndtri(np.clip(_halton(k, real_dim), 1e-12, 1 - 1e-12))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
@@ -257,7 +332,7 @@ def _generic_distance(D, z, n_dirs=512, refine_starts=3, rounds=30):
     order = np.argsort(t)[:refine_starts]
 
     fan = np.concatenate([np.eye(real_dim), -np.eye(real_dim),
-                          _sphere_directions(real_dim, real_dim, seed=1)], axis=0)
+                          _sphere_directions(real_dim, real_dim)], axis=0)
     best_t = float(t[order[0]])
     best_dir = _real_to_complex(dirs_r[order[0]])
     for idx in order:
@@ -301,7 +376,7 @@ def _moduli_section_distance(D, x):
         th = np.broadcast_to(theta, (m, theta.shape[-1]))
         d = np.stack([np.cos(th), np.sin(th)], axis=-1).astype(complex)
         return _ray_exit(D, np.repeat(x, th.shape[1], axis=0),
-                         d.reshape(-1, 2)).reshape(m, -1)
+                         d.reshape(-1, 2)).reshape(th.shape)
 
     n = 256
     theta, t = _zoom_min(exits, 2.0 * math.pi * (np.arange(n) + 0.5) / n, 2.0 * math.pi / n)
@@ -335,7 +410,8 @@ def boundary_distance(D, z, method="auto"):
                   reduction) when available, otherwise the generic search,
       "reinhardt" force the moduli-section reduction,
       "generic"   force the direction-search optimizer (multi-start
-                  first-exit minimization refined by bisection).
+                  minimization of the first-exit radius, each exit
+                  root-found by _ray_exit).
 
     One row of boundary_distance_batch.
     """
@@ -362,30 +438,43 @@ def nearest_boundary_point(D, z, method="auto"):
     Ties between equally near boundary points are broken deterministically:
     the first minimizer found under the fixed direction seeding wins.
     """
+    return _nearest(D, z, method)[1]
+
+
+def _nearest(D, z, method):
+    """(t, xi): the nearest boundary point xi and, when a search found it,
+    the distance t that search found (None on the fast route)."""
     z = as_point(z, D.dim)
     if not bool(contains(D, z)):
         raise DomainError("point is outside the closure of %s" % D.name)
     route = _route(D, method, D.nearest_fn)
     if route == "fast":
-        return D.nearest_fn(z)
+        return None, D.nearest_fn(z)
     if route == "section":
         x = np.abs(z)
         t, d = _moduli_section_distance(D, x[None, :])
         sect = x + t[0] * d[0]
         phases = np.where(np.abs(z) > 1e-14, z / np.where(np.abs(z) > 1e-14, np.abs(z), 1.0), 1.0)
-        return sect * phases
+        return t[0], sect * phases
     t, direction = _generic_distance(D, z)
-    # polish the crossing along the found direction
-    tt = _ray_exit(D, z, direction[None, :], iters=100)[0]
-    return z + tt * direction
+    return t, z + t * direction
+
+
+def _distance_and_nearest(D, z, method="auto"):
+    """(boundary_distance, nearest_boundary_point) of z, from one search when
+    both take the same search route (they do unless one is "fast")."""
+    t, xi = _nearest(D, z, method)
+    if t is None or _route(D, method, D.dist_fn) == "fast":
+        t = boundary_distance(D, z, method)
+    return float(t), xi
 
 
 def directional_distance(D, z, v, n_phases=256, refine=True):
     """Radius of the largest affine complex disc through z in direction v.
 
     delta_D(z; v) = sup { r > 0 : z + (r D) v/|v| is contained in D }.
-    Computed by sampling n_phases phases e^{i theta}, bisecting to the
-    first exit along each phase ray and taking the minimum, then
+    Computed by sampling n_phases phases e^{i theta}, root-finding the
+    first exit along each phase ray (_ray_exit) and taking the minimum, then
     (optionally) zoom rounds on the phase around each minimizer
     (_zoom_min).  Oracle work uses n_phases=4096 and no refinement.  One
     row of directional_distance_batch.
@@ -413,7 +502,7 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
     def exits(theta):
         dirs = np.exp(1j * theta)[..., None] * u[:, None, :]
         k = dirs.shape[1]
-        return _ray_exit(D, np.repeat(zs, k, axis=0), dirs.reshape(m * k, -1)).reshape(m, k)
+        return _ray_exit(D, np.repeat(zs, k, axis=0), dirs.reshape(-1, D.dim)).reshape(m, k)
 
     theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
     if not refine:
@@ -668,12 +757,17 @@ def _curve_nearest_1d(xy, T_grid, curve):
     Returns the distances and the nearest points.
     """
     xy = np.atleast_2d(xy)
+    T = np.empty(len(xy))
+    d2 = np.empty(len(xy))
+    for rows in _row_blocks(len(xy), T_grid.size):
+        x, y = xy[rows, 0:1], xy[rows, 1:2]
 
-    def f(T):
-        X, Y = curve(T)
-        return (xy[:, 0:1] - X) ** 2 + (xy[:, 1:2] - Y) ** 2
+        def f(T):
+            X, Y = curve(T)
+            return (x - X) ** 2 + (y - Y) ** 2
 
-    T, d2 = _zoom_min(f, T_grid, T_grid[1] - T_grid[0], T_grid[0], T_grid[-1])
+        T[rows], d2[rows] = _zoom_min(f, T_grid, T_grid[1] - T_grid[0],
+                                      T_grid[0], T_grid[-1])
     return np.sqrt(d2), np.stack(curve(T), axis=-1)
 
 
@@ -746,19 +840,21 @@ def _wall_distance(zs, profile):
     bracket is the first round of _zoom_min, clipped at s = 0.
     """
     zs = np.atleast_2d(zs)
-    av = np.real(zs[..., 0])
-    tv = np.abs(zs[..., 1])
-
-    def cost(s):  # s: (m, K)
-        gap = np.maximum(av[:, None] - profile(s), 0.0)
-        return gap * gap + (tv[:, None] - s) ** 2
-
-    half = np.abs(av) + 1e-3
-    lo0 = np.maximum(tv - half, 0.0)
-    hi0 = tv + half
     S = np.linspace(0.0, 1.0, 2049)
-    grid = lo0[:, None] + S[None, :] * (hi0 - lo0)[:, None]
-    _, fmin = _zoom_min(cost, grid, (hi0 - lo0) / (S.size - 1), lo=0.0)
+    fmin = np.empty(len(zs))
+    for rows in _row_blocks(len(zs), S.size):
+        av = np.real(zs[rows, 0])
+        tv = np.abs(zs[rows, 1])
+
+        def cost(s):  # s: (m, K)
+            gap = np.maximum(av[:, None] - profile(s), 0.0)
+            return gap * gap + (tv[:, None] - s) ** 2
+
+        half = np.abs(av) + 1e-3
+        lo0 = np.maximum(tv - half, 0.0)
+        hi0 = tv + half
+        grid = lo0[:, None] + S[None, :] * (hi0 - lo0)[:, None]
+        fmin[rows] = _zoom_min(cost, grid, (hi0 - lo0) / (S.size - 1), lo=0.0)[1]
     return np.sqrt(fmin)
 
 

@@ -255,10 +255,13 @@ def path_distance_upper(D, z1, z2):
     path, then by one red-black descent that moves all odd interior nodes
     along their anchor directions in one _zoom_min search, then all even
     ones.  A node's cost involves only its two neighbours, which the other
-    parity holds fixed, and a node moves only if its cost falls.
+    parity holds fixed, and a node moves only if its cost falls.  Both
+    endpoints must lie inside D.
     """
     z1 = as_point(z1, D.dim)
     z2 = as_point(z2, D.dim)
+    if not (contains(D, z1) and contains(D, z2)):
+        raise DomainError("path endpoints must lie inside %s" % D.name)
     anchor = D.interior_point if D.interior_point is not None else 0.5 * (z1 + z2)
     lam = np.linspace(0.0, 1.0, PATH_SEGMENTS + 1)[:, None]
     nodes = (1.0 - lam) * z1[None, :] + lam * z2[None, :]
@@ -270,8 +273,7 @@ def path_distance_upper(D, z1, z2):
         mids = 0.5 * (p + q)
         inside = contains(D, mids)
         dmid = np.zeros(inside.shape)
-        if inside.any():
-            dmid[inside] = boundary_distance_batch(D, mids[inside])
+        dmid[inside] = boundary_distance_batch(D, mids[inside])
         seglen = np.linalg.norm(q - p, axis=-1)
         return np.divide(seglen, dmid, out=np.full(dmid.shape, np.inf),
                          where=dmid > 0).sum(axis=-1)

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .domains import (DomainError, _bisect, as_point, boundary_distance_batch,
                       contains, inward_normal)
@@ -111,6 +110,7 @@ class DiniIntegral:
 def dyadic_panels(f, t, levels, n):
     """n-point Simpson integrals of f over the dyadic panels toward 0:
     entry k covers [t 2^-(k+1), t 2^-k]."""
+    from scipy import integrate
     c = np.empty(levels)
     for k in range(levels):
         x = np.linspace(t * 2.0 ** (-(k + 1)), t * 2.0 ** (-k), n)
@@ -345,6 +345,7 @@ def h_integral(omega, t):
         g, v = omega.grid, omega.values
         full = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
         return float(np.interp(tt, g, full))
+    from scipy import integrate
     val, _ = integrate.quad(lambda r: float(omega(r)), 0.0, tt, limit=200)
     return float(val)
 

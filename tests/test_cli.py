@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +84,32 @@ def test_distance_directional(capsys):
     assert run_cli("distance", "ball2", "--at", "0.5,0", "--dir", "0,1") == 0
     out = capsys.readouterr().out
     assert "0.866025403" in out
+
+
+@pytest.mark.parametrize("name,method", [("ex22_d", "generic"), ("ex21_d", "reinhardt")])
+def test_distance_command_runs_one_search(name, method, capsys, monkeypatch):
+    D = kx.bundled_domain(name)
+    z = kx.cpoint(0.5, 0.1)
+    delta = kx.boundary_distance(D, z, method)
+    xi = kx.nearest_boundary_point(D, z, method)
+    searches = []
+    for fn in ("_generic_distance", "_moduli_section_distance"):
+        real = getattr(kx.domains, fn)
+        monkeypatch.setattr(kx.domains, fn, lambda *a, real=real: searches.append(1) or real(*a))
+    assert run_cli("distance", name, "--at", "0.5,0.1", "--method", method) == 0
+    assert len(searches) == 1
+    out = capsys.readouterr().out
+    assert "delta(z) = %.12g" % delta in out
+    assert np.array2string(xi, precision=10) in out
+
+
+def test_import_leaves_scipy_stats_out():
+    code = ("import sys, kobex, kobex.cli, kobex.scenarios; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(kx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_distance_outside_is_config_error(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kobex as kx
-from kobex.domains import ZOOM_K, ZOOM_ROUNDS, _bisect, _ray_exit, _zoom_min
+import kobex.domains as dm
+from kobex.domains import (RAY_CHUNK, ZOOM_K, ZOOM_ROUNDS, _bisect, _halton,
+                           _ray_exit, _zoom_min)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -454,6 +456,97 @@ def test_ray_exit_matches_sphere_crossing(ball2):
         h = np.real(np.sum((z) * np.conj(d)))
         expect = -h + math.sqrt(h * h + 1 - np.linalg.norm(z) ** 2)
         assert t[k] == pytest.approx(expect, abs=1e-12)
+
+
+def _unit_rows(rng, m, dim=2):
+    g = rng.standard_normal((m, 2 * dim))
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    return g[:, :dim] + 1j * g[:, dim:]
+
+
+def test_ray_exit_within_4eps_of_sphere_crossing(ball2):
+    rng = np.random.default_rng(8)
+    m = 10_000
+    # origins in |z| <= 0.5, where the crossing is well conditioned: the
+    # oracle's rounding moves it by about eps there
+    zs = 0.5 * rng.random((m, 1)) ** 0.25 * _unit_rows(rng, m)
+    dirs = _unit_rows(rng, m)
+    t = _ray_exit(ball2, zs, dirs)
+    zl, dl = zs.astype(np.clongdouble), dirs.astype(np.clongdouble)
+    h = np.real(np.sum(zl * np.conj(dl), axis=-1))
+    c = 1 - np.sum(np.abs(zl) ** 2, axis=-1)
+    exact = c / (h + np.sqrt(h * h + c))
+    assert np.max(np.abs(t - exact) / exact) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["ex21_d", "ex22_omega"])
+def test_ray_exit_brackets_the_first_crossing(name, rng):
+    D = kx.bundled_domain(name)
+    zs = D.interior_point + 0.3 * _unit_rows(rng, 400) * rng.random((400, 1))
+    zs = zs[kx.contains(D, zs)]
+    dirs = _unit_rows(rng, len(zs))
+    t = _ray_exit(D, zs, dirs)[:, None]
+    assert np.all(kx.contains(D, zs + t * (1 - 1e-13) * dirs))
+    assert not np.any(kx.contains(D, zs + t * (1 + 1e-13) * dirs))
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_ray_exit_resolves_a_jump_by_bisection(convex):
+    # a two-valued constraint gives inverse interpolation nothing to use
+    D = kx.DomainSpec("jump", 2, [lambda z: np.where(np.linalg.norm(z, axis=-1) < 0.5,
+                                                     -1.0, 1.0)],
+                      is_convex=convex, bounding_radius=1.0)
+    t = _ray_exit(D, np.zeros(2, complex), _unit_rows(np.random.default_rng(3), 16))
+    assert np.max(np.abs(t - 0.5)) <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["ball2", "ex22_omega"])
+def test_ray_exit_does_not_depend_on_the_chunk(name):
+    D = kx.bundled_domain(name)
+    z = D.interior_point
+    dirs = _unit_rows(np.random.default_rng(4), 2 * RAY_CHUNK + 3)
+    t = _ray_exit(D, z, dirs)
+    parts = [_ray_exit(D, z, dirs[s:s + RAY_CHUNK]) for s in range(0, len(dirs), RAY_CHUNK)]
+    assert np.array_equal(t, np.concatenate(parts))
+
+
+def test_ray_exit_step_cap_raises(ball2, monkeypatch):
+    monkeypatch.setattr(dm, "ROOT_STEPS", 3)
+    with pytest.raises(kx.ConvergenceError):
+        _ray_exit(ball2, np.zeros(2, complex), _unit_rows(np.random.default_rng(5), 4))
+
+
+@pytest.mark.parametrize("name", ["ball2", "ex21_d"])
+def test_ray_exit_rejects_an_outside_origin(name):
+    # the ray crosses the domain further on, so a march alone would find an exit
+    with pytest.raises(kx.DomainError):
+        _ray_exit(kx.bundled_domain(name), kx.cpoint(-1.5, 0), np.array([[1.0, 0.0]], complex))
+
+
+def test_empty_batches_return_empty_arrays(ball2, omega21):
+    none = np.zeros((0, 2))
+    assert _ray_exit(ball2, np.zeros(2, complex), none).shape == (0,)
+    assert kx.boundary_distance_batch(omega21, none, method="reinhardt").shape == (0,)
+    assert kx.directional_distance_batch(ball2, none, none).shape == (0,)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+@pytest.mark.parametrize("k", [5, 513, 2050])
+def test_halton_matches_scipy(d, k):
+    from scipy.stats import qmc
+    expect = qmc.Halton(d, scramble=False).random(k + 1)[1:]
+    assert np.array_equal(_halton(k, d), expect)
+
+
+@pytest.mark.parametrize("name,method", [("ex22_d", "generic"), ("ex21_d", "reinhardt"),
+                                         ("polydisc", "auto"), ("ex21_omega", "auto"),
+                                         ("ball2", "auto")])
+def test_distance_and_nearest_match_their_entry_points(name, method):
+    D = kx.bundled_domain(name)
+    z = D.interior_point + kx.cpoint(0.1, 0.2j)
+    delta, xi = dm._distance_and_nearest(D, z, method)
+    assert delta == kx.boundary_distance(D, z, method)
+    assert np.array_equal(xi, kx.nearest_boundary_point(D, z, method))
 
 
 def test_unbounded_domain_rejected():

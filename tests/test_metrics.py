@@ -341,6 +341,14 @@ def test_path_estimate_dominates_exact(ball2):
         assert est >= exact - 1e-9
 
 
+@pytest.mark.parametrize("z1", [(1.2, 0), (3, 0), (1, 0)])
+def test_path_endpoint_outside_raises(ball2, z1):
+    with pytest.raises(kx.DomainError):
+        kx.path_distance_upper(ball2, z1, (0, 0))
+    with pytest.raises(kx.DomainError):
+        kx.path_distance_upper(ball2, (0, 0), z1)
+
+
 def test_fit_pair_constant_collinear(ball2):
     # anchor on the diameter: the additivity defect is pure estimator error
     K = kx.fit_pair_constant(ball2, np.zeros(2, complex),
