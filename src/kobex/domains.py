@@ -35,7 +35,10 @@ class ConvergenceError(RuntimeError):
     """An iterative geometric computation failed to converge."""
 
 
+CONE_THETA_MIN = 1e-3
+CONE_SEARCH_POINTS = 4096
 CONE_MC_POINTS = 100_000
+CONE_BISECT_ITERS = 24
 
 
 def cpoint(*coords):
@@ -83,7 +86,11 @@ class Constraint:
 
 @dataclass
 class DomainSpec:
-    """A domain in C^n: interior = { z : g_i(z) < 0 for all i }."""
+    """A domain in C^n: interior = { z : g_i(z) < 0 for all i }.
+
+    The optional fast paths map (m, n) rows of interior points to their
+    (m,) distances (dist_fn) and (m, n) nearest boundary points (nearest_fn).
+    """
     name: str
     dim: int
     constraints: list
@@ -142,9 +149,10 @@ def _ray_exit(D, z, dirs):
     a convex domain, whose inside set along a ray is an interval; otherwise
     a fixed march of step cap/MARCH_STEPS finds the first outside point.
     A Chandrupatla root finder on D.value along the ray then shrinks it to
-    hi - lo <= 4 eps hi and returns the midpoint.  The cap is set by the
-    whole batch and rays run in chunks of RAY_CHUNK, so a ray's exit does
-    not depend on the other rays.
+    hi - lo <= 4 eps hi and returns the midpoint.  The cap, and with it the
+    march grid, is set by the largest |z| in the batch, so the other rays
+    can move an exit by rounding, or by tunnelling on the march; the
+    chunks of RAY_CHUNK rays change no exit.
     """
     dirs = np.asarray(dirs, dtype=complex)
     z = np.broadcast_to(np.asarray(z, dtype=complex), dirs.shape)
@@ -315,46 +323,52 @@ def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf):
     return x, best
 
 
-def _generic_distance(D, z, n_dirs=512, refine_starts=3, rounds=30):
+GENERIC_DIRS = 512
+GENERIC_STARTS = 3
+GENERIC_ROUNDS = 30
+
+
+def _generic_distance(D, zs):
     """min over real directions of the first-exit radius = dist to complement.
 
-    Coarse low-discrepancy scan of the direction sphere, then batched
-    pattern search around the best few starts: each round evaluates a fan
-    of perturbed directions in one vectorized exit computation and halves
-    the perturbation radius.  The exit radius is quadratically flat in the
-    direction at the minimizer, so direction accuracy 1e-6 reaches
-    distance accuracy well beyond 1e-10 relative.
+    Coarse low-discrepancy scan of the direction sphere, then pattern search
+    from each row's best few starts: each round evaluates a fan of perturbed
+    directions for all live (row, start) searches in one ray batch, and a
+    search that does not improve halves its radius, stopping below 1e-7.
+    The exit radius is quadratically flat in the direction at the minimizer,
+    so direction accuracy 1e-6 reaches distance accuracy well beyond 1e-10
+    relative.  Returns per row the best start's distance and unit direction
+    (ties to the earlier start).
     """
-    z = as_point(z, D.dim)
+    m = zs.shape[0]
     real_dim = 2 * D.dim
-    dirs_r = _sphere_directions(n_dirs, real_dim)
-    t = _ray_exit(D, z, _real_to_complex(dirs_r))
-    order = np.argsort(t)[:refine_starts]
-
+    dirs_r = _sphere_directions(GENERIC_DIRS, real_dim)
+    t = _ray_exit(D, np.repeat(zs, GENERIC_DIRS, axis=0),
+                  np.tile(_real_to_complex(dirs_r), (m, 1))).reshape(m, GENERIC_DIRS)
+    order = np.argsort(t, axis=1)[:, :GENERIC_STARTS]
+    row = np.repeat(np.arange(m), GENERIC_STARTS)
+    u = dirs_r[order.ravel()]
+    tu = np.take_along_axis(t, order, axis=1).ravel()
+    rad = np.full(tu.size, 4.0 / GENERIC_DIRS ** (1.0 / (real_dim - 1)))
     fan = np.concatenate([np.eye(real_dim), -np.eye(real_dim),
                           _sphere_directions(real_dim, real_dim)], axis=0)
-    best_t = float(t[order[0]])
-    best_dir = _real_to_complex(dirs_r[order[0]])
-    for idx in order:
-        u = dirs_r[idx]
-        tu = float(t[idx])
-        rad = 4.0 / n_dirs ** (1.0 / (real_dim - 1))
-        for _ in range(rounds):
-            cand = u[None, :] + rad * fan
-            cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
-            tc = _ray_exit(D, z, _real_to_complex(cand))
-            k = int(np.argmin(tc))
-            if tc[k] < tu:
-                u = cand[k]
-                tu = float(tc[k])
-            else:
-                rad *= 0.5
-            if rad < 1e-7:
-                break
-        if tu < best_t:
-            best_t = tu
-            best_dir = _real_to_complex(u)
-    return best_t, best_dir
+    live = np.arange(tu.size)
+    for _ in range(GENERIC_ROUNDS):
+        if not live.size:
+            break
+        cand = u[live, None, :] + rad[live, None, None] * fan
+        cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
+        tc = _ray_exit(D, np.repeat(zs[row[live]], len(fan), axis=0),
+                       _real_to_complex(cand).reshape(-1, D.dim)).reshape(live.size, len(fan))
+        k = np.argmin(tc, axis=1)
+        tk = tc[np.arange(live.size), k]
+        better = tk < tu[live]
+        u[live[better]] = cand[better, k[better]]
+        tu[live[better]] = tk[better]
+        rad[live[~better]] *= 0.5
+        live = live[rad[live] >= 1e-7]
+    pick = np.arange(m) * GENERIC_STARTS + np.argmin(tu.reshape(m, GENERIC_STARTS), axis=1)
+    return tu[pick], _real_to_complex(u[pick])
 
 
 def _moduli_section_distance(D, x):
@@ -402,6 +416,32 @@ def _route(D, method, fast):
     return "generic"
 
 
+def _interior_rows(D, zs):
+    """zs as (m, n) complex rows, all interior to D."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+    if not np.all(contains(D, zs)):
+        raise DomainError("point is outside the closure of %s" % D.name)
+    return zs
+
+
+def _phases(zs):
+    """z_j / |z_j| coordinatewise, 1 where |z_j| <= 1e-14."""
+    r = np.abs(zs)
+    big = r > 1e-14
+    return np.where(big, zs / np.where(big, r, 1.0), 1.0)
+
+
+def _search(D, zs, method):
+    """(t, xi) per row of interior zs from the search method routes to: the
+    moduli-section reduction or the generic direction search."""
+    if _route(D, method, None) == "section":
+        x = np.abs(zs)
+        t, d = _moduli_section_distance(D, x)
+        return t, (x + t[:, None] * d) * _phases(zs)
+    t, dirs = _generic_distance(D, zs)
+    return t, zs + t[:, None] * dirs
+
+
 def boundary_distance(D, z, method="auto"):
     """Euclidean distance from an interior point to the boundary of D.
 
@@ -421,15 +461,10 @@ def boundary_distance(D, z, method="auto"):
 
 def boundary_distance_batch(D, zs, method="auto"):
     """boundary_distance over rows of zs, which must all be interior."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    if not np.all(contains(D, zs)):
-        raise DomainError("point is outside the closure of %s" % D.name)
-    route = _route(D, method, D.dist_fn)
-    if route == "fast":
+    zs = _interior_rows(D, zs)
+    if _route(D, method, D.dist_fn) == "fast":
         return np.asarray(D.dist_fn(zs), dtype=float)
-    if route == "section":
-        return _moduli_section_distance(D, np.abs(zs))[0]
-    return np.array([_generic_distance(D, z)[0] for z in zs])
+    return _search(D, zs, method)[0]
 
 
 def nearest_boundary_point(D, z, method="auto"):
@@ -438,35 +473,27 @@ def nearest_boundary_point(D, z, method="auto"):
     Ties between equally near boundary points are broken deterministically:
     the first minimizer found under the fixed direction seeding wins.
     """
-    return _nearest(D, z, method)[1]
-
-
-def _nearest(D, z, method):
-    """(t, xi): the nearest boundary point xi and, when a search found it,
-    the distance t that search found (None on the fast route)."""
     z = as_point(z, D.dim)
-    if not bool(contains(D, z)):
-        raise DomainError("point is outside the closure of %s" % D.name)
-    route = _route(D, method, D.nearest_fn)
-    if route == "fast":
-        return None, D.nearest_fn(z)
-    if route == "section":
-        x = np.abs(z)
-        t, d = _moduli_section_distance(D, x[None, :])
-        sect = x + t[0] * d[0]
-        phases = np.where(np.abs(z) > 1e-14, z / np.where(np.abs(z) > 1e-14, np.abs(z), 1.0), 1.0)
-        return t[0], sect * phases
-    t, direction = _generic_distance(D, z)
-    return t, z + t * direction
+    return _nearest(D, z[None, :], method)[1][0]
+
+
+def _nearest(D, zs, method):
+    """(t, xi) over interior rows zs: the nearest boundary points xi and,
+    when a search found them, its distances t (None on the fast route)."""
+    zs = _interior_rows(D, zs)
+    if _route(D, method, D.nearest_fn) == "fast":
+        return None, D.nearest_fn(zs)
+    return _search(D, zs, method)
 
 
 def _distance_and_nearest(D, z, method="auto"):
     """(boundary_distance, nearest_boundary_point) of z, from one search when
     both take the same search route (they do unless one is "fast")."""
-    t, xi = _nearest(D, z, method)
+    z = as_point(z, D.dim)
+    t, xi = _nearest(D, z[None, :], method)
     if t is None or _route(D, method, D.dist_fn) == "fast":
-        t = boundary_distance(D, z, method)
-    return float(t), xi
+        return boundary_distance(D, z, method), xi[0]
+    return float(t[0]), xi[0]
 
 
 def directional_distance(D, z, v, n_phases=256, refine=True):
@@ -487,9 +514,7 @@ def directional_distance(D, z, v, n_phases=256, refine=True):
 def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
     """directional_distance over paired rows of zs, vs; every phase scan
     and zoom round is one ray batch over all rows."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    if not np.all(contains(D, zs)):
-        raise DomainError("point is outside the closure of %s" % D.name)
+    zs = _interior_rows(D, zs)
     if n_phases < 1:
         raise DomainError("n_phases must be at least 1, got %r" % (n_phases,))
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
@@ -510,16 +535,17 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
     return _zoom_min(exits, theta, 2.0 * math.pi / n_phases)[1]
 
 
-def inward_normal(D, xi, active_tol=1e-8, fd_step=None):
+def inward_normal(D, xi):
     """Unit inward normal at a smooth boundary point.
 
     Requires exactly one active constraint with nonvanishing gradient.
     At corner points (>= 2 active constraints) or points the oracle marks
     non-differentiable, raises NonSmoothBoundaryError; gradients are never
     silently finite-differenced across a declared non-smooth point.
+    A missing gradient is replaced by central differences of step 1e-6 (1+|xi|).
     """
     xi = as_point(xi, D.dim)
-    active = D.active_constraints(xi, tol=active_tol)
+    active = D.active_constraints(xi)
     if len(active) == 0:
         raise DomainError("point is not on the boundary of %s" % D.name)
     if len(active) > 1:
@@ -531,7 +557,7 @@ def inward_normal(D, xi, active_tol=1e-8, fd_step=None):
     if c.grad is not None:
         g = np.asarray(c.grad(xi), dtype=complex)
     else:
-        h = fd_step if fd_step is not None else 1e-6 * (1.0 + np.linalg.norm(xi))
+        h = 1e-6 * (1.0 + np.linalg.norm(xi))
         g = np.zeros(D.dim, dtype=complex)
         for j in range(D.dim):
             for part, unit in ((1.0, 1.0), (1j, 1j)):
@@ -611,34 +637,30 @@ def _cone_ball_points(rng, vertex, axis, theta, r, count):
     return _real_to_complex(pts)
 
 
-def certify_cone_condition(D, W, samples, theta_min=1e-3, r_cap=None,
-                           mc_points=CONE_MC_POINTS, search_points=4096,
-                           bisect_iters=24, seed=0):
+def certify_cone_condition(D, W, samples):
     """Search for the largest (r, theta) such that for every sample w the
     truncated cone from its nearest boundary point xi_w along
     v_w = (w - xi_w)/|w - xi_w| stays inside W cap D (Monte-Carlo check,
-    zero tolerated violations), with w on the cone axis and |w - xi_w| < r.
+    zero tolerated violations), with w on the cone axis and
+    |w - xi_w| < r <= 4 max_w |w - xi_w|.
 
-    Samples admitting no cone at theta_min are recorded as violations and
-    excluded from the common certificate.
+    Samples admitting no cone at CONE_THETA_MIN are recorded as violations
+    and excluded from the common certificate.
     """
-    samples = [as_point(w, D.dim) for w in samples]
+    samples = np.array([as_point(w, D.dim) for w in samples])
+    if not (np.all(contains(D, samples)) and np.all(contains(W, samples))):
+        raise DomainError("cone samples must lie in W cap D")
     witnesses = []
-    for w in samples:
-        if not bool(contains(D, w)) or not bool(contains(W, w)):
-            raise DomainError("cone samples must lie in W cap D")
-        xi = nearest_boundary_point(D, w)
+    for w, xi in zip(samples, _nearest(D, samples, "auto")[1]):
         gap = np.linalg.norm(w - xi)
         if gap < 1e-14:
             raise DomainError("sample coincides with its boundary projection")
         witnesses.append((w, xi, (w - xi) / gap))
     r_needed = max(np.linalg.norm(w - xi) for w, xi, _ in witnesses) * (1.0 + 1e-9)
-    if r_cap is None:
-        r_cap = 4.0 * r_needed
-    r_cap = max(r_cap, r_needed)
+    r_cap = 4.0 * r_needed
 
     def feasible(theta, r, count):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         for w, xi, v in witnesses:
             pts = _cone_ball_points(rng, xi, v, theta, r, count)
             if not (np.all(contains(D, pts)) and np.all(contains(W, pts))):
@@ -648,10 +670,10 @@ def certify_cone_condition(D, W, samples, theta_min=1e-3, r_cap=None,
     violations = []
     keep = []
     for trip in witnesses:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         w, xi, v = trip
-        pts = _cone_ball_points(rng, xi, v, theta_min,
-                                np.linalg.norm(w - xi) * (1 + 1e-9), search_points)
+        pts = _cone_ball_points(rng, xi, v, CONE_THETA_MIN,
+                                np.linalg.norm(w - xi) * (1 + 1e-9), CONE_SEARCH_POINTS)
         if np.all(contains(D, pts)) and np.all(contains(W, pts)):
             keep.append(trip)
         else:
@@ -660,19 +682,19 @@ def certify_cone_condition(D, W, samples, theta_min=1e-3, r_cap=None,
         return ConeCertificate(0.0, 0.0, [], len(violations), violations)
     witnesses = keep
 
-    if not feasible(theta_min, r_needed, search_points):
+    if not feasible(CONE_THETA_MIN, r_needed, CONE_SEARCH_POINTS):
         return ConeCertificate(0.0, 0.0, witnesses, len(violations) + 1, violations)
-    theta = float(_bisect(lambda th: feasible(th, r_needed, search_points),
-                          theta_min, math.pi - 1e-6, bisect_iters)[0])
+    theta = float(_bisect(lambda th: feasible(th, r_needed, CONE_SEARCH_POINTS),
+                          CONE_THETA_MIN, math.pi - 1e-6, CONE_BISECT_ITERS)[0])
 
     r = r_cap
-    if not feasible(theta, r, search_points):
-        r = float(_bisect(lambda rr: feasible(theta, rr, search_points),
-                          r_needed, r_cap, bisect_iters)[0])
+    if not feasible(theta, r, CONE_SEARCH_POINTS):
+        r = float(_bisect(lambda rr: feasible(theta, rr, CONE_SEARCH_POINTS),
+                          r_needed, r_cap, CONE_BISECT_ITERS)[0])
 
     # final certification at full Monte-Carlo resolution, with backoff
     for _ in range(8):
-        if feasible(theta, r, mc_points):
+        if feasible(theta, r, CONE_MC_POINTS):
             break
         theta *= 0.97
         r = max(r_needed, 0.97 * r)
@@ -706,14 +728,13 @@ def ball(dim=2, center=None, radius=1.0, name=None):
     def dist(zs):
         return radius - np.linalg.norm(zs - center, axis=-1)
 
-    def nearest(z):
-        w = z - center
-        nw = np.linalg.norm(w)
-        if nw < 1e-14:
-            w = np.zeros(dim, dtype=complex)
-            w[0] = 1.0
-            nw = 1.0
-        return center + radius * w / nw
+    def nearest(zs):
+        w = zs - center
+        # each row's norm as np.linalg.norm computes it for a single point
+        nw = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))[:, None]
+        small = nw < 1e-14
+        w = np.where(small, np.eye(1, dim, dtype=complex), w)
+        return center + radius * w / np.where(small, 1.0, nw)
 
     return DomainSpec(name or "ball%d" % dim, dim,
                       [Constraint(g, grad=grad, label="|z-c|^2-r^2")],
@@ -788,16 +809,10 @@ def ex21_D(name="ex21_d"):
         return T, 1.0 - T ** 2
 
     def dist(zs):
-        xy = np.stack([np.abs(zs[..., 0]), np.abs(zs[..., 1])], axis=-1)
-        d, _ = _curve_nearest_1d(xy, T, curve)
-        return d
+        return _curve_nearest_1d(np.abs(zs), T, curve)[0]
 
-    def nearest(z):
-        xy = np.array([[abs(z[0]), abs(z[1])]])
-        _, pt = _curve_nearest_1d(xy, T, curve)
-        ph = np.array([z[0] / abs(z[0]) if abs(z[0]) > 1e-14 else 1.0,
-                       z[1] / abs(z[1]) if abs(z[1]) > 1e-14 else 1.0])
-        return pt[0] * ph
+    def nearest(zs):
+        return _curve_nearest_1d(np.abs(zs), T, curve)[1] * _phases(zs)
 
     return DomainSpec(name, 2, [Constraint(g, grad=grad, smooth=smooth,
                                            label="|z|^2+|w|-1")],
@@ -880,13 +895,12 @@ def ex22_D(name="ex22_d"):
     def dist(zs):
         zs2 = np.atleast_2d(zs)
         d1 = _wall_distance(zs2, lambda s: _phi_flat(s ** 2))
-        xy = np.stack([np.abs(zs2[..., 0]), np.abs(zs2[..., 1])], axis=-1)
         T = np.linspace(0.0, 1.0, 4097)
 
         def curve(T):
             return np.sqrt(np.maximum(1.0 - T ** 4, 0.0)), T
 
-        d2, _ = _curve_nearest_1d(xy, T, curve)
+        d2, _ = _curve_nearest_1d(np.abs(zs2), T, curve)
         return np.minimum(d1, d2)
 
     return DomainSpec(name, 2,
@@ -897,8 +911,8 @@ def ex22_D(name="ex22_d"):
                       dist_fn=dist)
 
 
-def ex22_Omega(name="ex22_omega"):
-    """{ Re z > phi(|w|) } cap B^2(0, 1), phi(x) = exp(-1/x^2)."""
+def _graph_ball_cap(name, radius, convex, interior, label):
+    """{ Re z > phi(|w|) } cap B^2(0, radius), phi(x) = exp(-1/x^2)."""
     def g1(z):
         return _phi_flat(np.abs(z[..., 1])) - np.real(z[..., 0])
 
@@ -910,23 +924,24 @@ def ex22_Omega(name="ex22_omega"):
         return out
 
     def g2(z):
-        return np.sum(np.abs(z) ** 2, axis=-1) - 1.0
-
-    def g2_grad(z):
-        return 2.0 * np.asarray(z, dtype=complex)
+        return np.sum(np.abs(z) ** 2, axis=-1) - radius * radius
 
     def dist(zs):
         zs2 = np.atleast_2d(zs)
-        d1 = _wall_distance(zs2, _phi_flat)
-        d2 = 1.0 - np.linalg.norm(zs2, axis=-1)
-        return np.minimum(d1, d2)
+        return np.minimum(_wall_distance(zs2, _phi_flat), radius - np.linalg.norm(zs2, axis=-1))
 
     return DomainSpec(name, 2,
                       [Constraint(g1, grad=g1_grad, label="phi(|w|)-Re z"),
-                       Constraint(g2, grad=g2_grad, label="|z|^2+|w|^2-1")],
-                      is_convex=False, is_reinhardt=False, bounding_radius=1.0,
-                      interior_point=np.array([0.5, 0.0], dtype=complex),
+                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex),
+                                  label=label)],
+                      is_convex=convex, is_reinhardt=False, bounding_radius=radius,
+                      interior_point=np.array([interior, 0.0], dtype=complex),
                       dist_fn=dist)
+
+
+def ex22_Omega(name="ex22_omega"):
+    """{ Re z > phi(|w|) } cap B^2(0, 1), phi(x) = exp(-1/x^2)."""
+    return _graph_ball_cap(name, 1.0, False, 0.5, "|z|^2+|w|^2-1")
 
 
 def ex22_Omega_local(radius=0.75, name="ex22_omega_local"):
@@ -935,27 +950,7 @@ def ex22_Omega_local(radius=0.75, name="ex22_omega_local"):
     Convex for radius <= 0.81: the graph constraint is convex where
     |w| <= sqrt(2/3), and the ball cap keeps |w| below that.
     """
-    base = ex22_Omega()
-    g1 = base.constraints[0]
-
-    def g2(z):
-        return np.sum(np.abs(z) ** 2, axis=-1) - radius * radius
-
-    def g2_grad(z):
-        return 2.0 * np.asarray(z, dtype=complex)
-
-    def dist(zs):
-        zs2 = np.atleast_2d(zs)
-        d1 = _wall_distance(zs2, _phi_flat)
-        d2 = radius - np.linalg.norm(zs2, axis=-1)
-        return np.minimum(d1, d2)
-
-    return DomainSpec(name, 2,
-                      [Constraint(g1.fn, grad=g1.grad, label=g1.label),
-                       Constraint(g2, grad=g2_grad, label="|z|^2-r^2")],
-                      is_convex=True, is_reinhardt=False, bounding_radius=radius,
-                      interior_point=np.array([0.3, 0.0], dtype=complex),
-                      dist_fn=dist)
+    return _graph_ball_cap(name, radius, True, 0.3, "|z|^2-r^2")
 
 
 def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):

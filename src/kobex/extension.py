@@ -35,6 +35,8 @@ _GL_NODES = np.concatenate([_GL16_X, _GL8_X])
 QUAD_REL_TOL = 1e-8
 QUAD_ROUNDS = 24
 QUAD_MAX_PANELS = 1024
+# gamma_17 = 17u/(1 - 17u), u = eps/2, bounds the rounding of half * G16 sums
+_GAMMA17 = 8.5 * np.finfo(float).eps / (1.0 - 8.5 * np.finfo(float).eps)
 
 
 def _eps_vec(n):
@@ -102,10 +104,11 @@ def normal_line_integral(fmap, xi, t, tprime, psi=None):
     like an integrable rate; a panel's tolerance is QUAD_REL_TOL times
     max(|psi(lo)| (hi - lo), 1e-12), or times 1 without psi.  Each round
     takes one derivative call on the G16 and G8 nodes of all open panels:
-    a panel adds G16 to the value and |G16 - G8| to the error once they
-    agree within its tolerance, else it is bisected with half the
-    tolerance each.  After QUAD_ROUNDS rounds, or beyond QUAD_MAX_PANELS
-    open panels, ConvergenceError.  Returns (value (n,), error_estimate).
+    a panel adds G16 to the value, and |G16 - G8| plus the rounding bound
+    gamma_17 half sum_k w_k |f_k| to the error, once they agree within its
+    tolerance, else it is bisected with half the tolerance each.  After
+    QUAD_ROUNDS rounds, or beyond QUAD_MAX_PANELS open panels,
+    ConvergenceError.  Returns (value (n,), error_estimate).
     """
     xi = np.asarray(xi, dtype=complex)
     if not (0.0 < t < tprime):
@@ -136,7 +139,9 @@ def normal_line_integral(fmap, xi, t, tprime, psi=None):
         diff = np.max(np.abs(g16 - g8), axis=-1)
         done = diff <= tol
         total += g16[done].sum(axis=0)
-        err += float(diff[done].sum())
+        rounding = _GAMMA17 * half[done] * np.max(
+            np.einsum("k,pkn->pn", _GL16_W, np.abs(d[done, :16])), axis=-1)
+        err += float((diff[done] + rounding).sum())
         if done.all():
             return total, err
         split = ~done

@@ -443,6 +443,39 @@ def test_cone_certificate_corner_stays_narrow(omega21):
     assert cert.theta < 2.0
 
 
+@pytest.mark.parametrize("case", ["sphere", "flat", "corner"])
+def test_cone_certificate_makes_one_nearest_call(case, monkeypatch):
+    # the three cases above; the certificate from one batched nearest-point
+    # call is the one built from a nearest-point call per sample
+    D, W, samples = {
+        "sphere": (kx.ball(2), kx.ball(2, center=(1.0, 0.0), radius=0.5, name="W"),
+                   [kx.cpoint(1 - 1e-3, 0), kx.cpoint(1 - 2e-3, 0)]),
+        "flat": (kx.halfspace(np.array([1.0, 0.0]), 0.0, truncate=4.0),
+                 kx.ball(2, center=(-0.05, 0.0), radius=0.3, name="W"),
+                 [kx.cpoint(-0.01, 0), kx.cpoint(-0.02, 0)]),
+        "corner": (kx.ex21_Omega(), kx.ball(2, center=(1.0, 0.0), radius=0.4, name="W"),
+                   [kx.cpoint(1 - 5e-3, 0), kx.cpoint(1 - 1e-2, 0)]),
+    }[case]
+    real = dm._nearest
+    calls = []
+    monkeypatch.setattr(dm, "_nearest", lambda *a: calls.append(1) or real(*a))
+    cert = kx.certify_cone_condition(D, W, samples)
+    assert len(calls) == 1
+
+    def per_row(D, zs, method):
+        return None, np.array([real(D, z[None, :], method)[1][0] for z in zs])
+
+    monkeypatch.setattr(dm, "_nearest", per_row)
+    ref = kx.certify_cone_condition(D, W, samples)
+    # the batch shares one ray cap: the gaps |w - xi| and r move by rounding
+    # only, xi along a flat edge within the nearest-point tolerance
+    assert (cert.theta, cert.violation_count) == (ref.theta, ref.violation_count)
+    assert cert.r == pytest.approx(ref.r, rel=1e-13, abs=0)
+    for (w, xi, _), (_, xr, _) in zip(cert.witnesses, ref.witnesses):
+        assert abs(np.linalg.norm(w - xi) - np.linalg.norm(w - xr)) <= 1e-16
+        assert np.max(np.abs(xi - xr)) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # ray casting internals
 # ---------------------------------------------------------------------------
@@ -527,6 +560,7 @@ def test_empty_batches_return_empty_arrays(ball2, omega21):
     none = np.zeros((0, 2))
     assert _ray_exit(ball2, np.zeros(2, complex), none).shape == (0,)
     assert kx.boundary_distance_batch(omega21, none, method="reinhardt").shape == (0,)
+    assert kx.boundary_distance_batch(omega21, none, method="generic").shape == (0,)
     assert kx.directional_distance_batch(ball2, none, none).shape == (0,)
 
 
@@ -553,3 +587,48 @@ def test_unbounded_domain_rejected():
     D = kx.DomainSpec("open", 1, [lambda z: -np.ones(np.asarray(z).shape[:-1])])
     with pytest.raises(kx.DomainError):
         kx.boundary_distance(D, np.zeros(1, complex), method="generic")
+
+
+# ---------------------------------------------------------------------------
+# row-batched generic search and nearest points
+# ---------------------------------------------------------------------------
+
+def _offsets(D, k):
+    return D.interior_point + np.array([[0.1, 0.2j], [-0.15j, 0.05], [0.2, -0.1 + 0.1j],
+                                        [0.05j, -0.2j]])[:k]
+
+
+def test_generic_batch_makes_one_ray_batch_per_round(monkeypatch):
+    D = kx.bundled_domain("ex22_omega")
+    calls = []
+    real = dm._ray_exit
+    monkeypatch.setattr(dm, "_ray_exit", lambda *a: calls.append(1) or real(*a))
+    kx.boundary_distance_batch(D, _offsets(D, 4), method="generic")
+    assert 1 < len(calls) <= 31    # one scan, then one ray batch per round
+
+
+@pytest.mark.parametrize("name", ["ball2", "ex21_d", "ex22_omega"])
+def test_generic_batch_rows_match_single_rows(name):
+    # rows share one ray cap in a batch, so distances agree to rounding and
+    # nearest points within the nearest-point tolerance
+    D = kx.bundled_domain(name)
+    zs = _offsets(D, 3)
+    t = kx.boundary_distance_batch(D, zs, method="generic")
+    one = np.array([kx.boundary_distance(D, z, method="generic") for z in zs])
+    assert np.all(np.abs(t - one) <= 1e-15 * one)
+    _, xi = dm._nearest(D, zs, "generic")
+    for z, x in zip(zs, xi):
+        gap = np.abs(x - kx.nearest_boundary_point(D, z, "generic"))
+        assert np.max(gap) <= 1e-8 * (1 + np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("name", ["ball2", "ex21_d"])
+def test_nearest_fn_rows_match_single_rows(name):
+    D = kx.bundled_domain(name)
+    zs = np.concatenate([_offsets(D, 4), np.zeros((1, 2), complex), [[0.3, 0.0]]])
+    xi = D.nearest_fn(zs)
+    assert xi.shape == zs.shape
+    for z, x in zip(zs, xi):
+        assert np.array_equal(x, D.nearest_fn(z[None, :])[0])
+    if name == "ball2":
+        assert np.array_equal(xi[4], [1.0, 0.0])    # the centre's zero guard

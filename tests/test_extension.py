@@ -508,3 +508,14 @@ def test_dichotomy_validates_inputs():
         kx.DichotomySequences(z1=np.zeros((3, 2)), z2=np.zeros((3, 2)),
                               w1=np.zeros((3, 2)), w2=np.zeros((3, 2)),
                               C=1.0, K=1.0, C0=0.0)
+
+
+def test_error_estimate_covers_rounding_on_a_linear_integrand(corner_map):
+    # both Gauss rules are exact for the square-first map's linear integrand,
+    # so |G16 - G8| is rounding noise and only the rounding term bounds the
+    # gap to the coordinate difference
+    chart, fmap = corner_map
+    xi = chart.boundary_point(np.array([0.04 - 0.02j]), 0.03)
+    val, err = kx.normal_line_integral(fmap, xi, 1e-4, 0.005, psi=sqrt_rate_psi(1.7))
+    direct = np.asarray(fmap.fn(xi + 0.005 * EV)) - np.asarray(fmap.fn(xi + 1e-4 * EV))
+    assert 0.0 < np.max(np.abs(val - direct)) <= err
