@@ -133,88 +133,127 @@ def contains(D, z):
 # ray casting: first exit radius along rays, fully vectorized over rays
 # ---------------------------------------------------------------------------
 
-# Ray exits run in chunks of RAY_CHUNK rays, which bounds the root finder's
-# live arrays; grid scans run in row blocks of about 8 * RAY_CHUNK grid
-# points (_row_blocks), the same order of memory.
+# Ray exits run in chunks of whole rows, at most RAY_CHUNK rays unless one
+# row has more, which bounds the root finder's live arrays; grid scans run
+# in row blocks of about 8 * RAY_CHUNK grid points (_row_blocks), the same
+# order of memory.
 RAY_CHUNK = 1 << 15
 MARCH_STEPS = 128
 ROOT_STEPS = 128
 
 
-def _ray_exit(D, z, dirs):
-    """First boundary crossing t > 0 along z + t*dirs (unit complex rows).
+def _ray_exit(D, z, dirs, bound=None):
+    """First boundary crossings t > 0 along z_i + t*dirs_ij, by rows.
 
-    z: (n,) or (m, n), interior; dirs: (m, n).  Returns t of shape (m,).
-    The bracket [lo, hi] with value(lo) < 0 <= value(hi) is [0, cap] for
-    a convex domain, whose inside set along a ray is an interval; otherwise
-    a fixed march of step cap/MARCH_STEPS finds the first outside point.
-    A Chandrupatla root finder on D.value along the ray then shrinks it to
-    hi - lo <= 4 eps hi and returns the midpoint.  The cap, and with it the
-    march grid, is set by the largest |z| in the batch, so the other rays
-    can move an exit by rounding, or by tunnelling on the march; the
-    chunks of RAY_CHUNK rays change no exit.
+    z: (m, n) interior rows; dirs: (m, k, n) unit complex directions (a
+    broadcast view is fine: each chunk materializes only its own rows).
+    Returns (m, k).  The bracket [lo, hi] with value(lo) < 0 <= value(hi)
+    is [0, cap] for a convex domain, whose inside set along a ray is an
+    interval; otherwise a fixed march of step cap/MARCH_STEPS finds the
+    first outside point.  A Chandrupatla root finder on D.value along the
+    ray then shrinks it to hi - lo <= 4 eps hi and returns the midpoint.
+    The cap, and with it the march grid, is set by the largest |z| in the
+    batch, so the other rows can move an exit by rounding, or by tunnelling
+    on the march; the chunks of whole rows change no exit.
+
+    Without a bound every entry is the exact exit.  With one (scalar or
+    (m,), inf for none), each row keeps best = min(bound, least upper
+    bracket end of its rays), and a ray whose lower end exceeds best stops
+    there (branch and bound).  An entry is then the exact exit, or a lower
+    bound on it that exceeds min(bound, the row's least exit).  So only a
+    row's min and argmin, and the strict test min < bound, may use the
+    entries; those come out as from exact exits.
     """
+    z = np.asarray(z, dtype=complex)
     dirs = np.asarray(dirs, dtype=complex)
-    z = np.broadcast_to(np.asarray(z, dtype=complex), dirs.shape)
     if not math.isfinite(D.bounding_radius):
         raise DomainError("domain %r has no bounding radius; rays may not exit" % D.name)
     cap = float(np.max(np.linalg.norm(z, axis=-1), initial=0.0)) + 2.0 * D.bounding_radius + 1.0
-    out = np.empty(dirs.shape[0])
-    for s in range(0, out.size, RAY_CHUNK):
-        rows = slice(s, s + RAY_CHUNK)
-        out[rows] = _exit_chunk(D, z[rows], dirs[rows], cap)
+    m, k = dirs.shape[:2]
+    # NaN never compares true and stays NaN under np.minimum, so without a
+    # bound no ray stops early
+    best = np.broadcast_to(np.nan if bound is None else bound, (m,)).astype(float)
+    out = np.empty((m, k))
+    step = max(1, RAY_CHUNK // k)
+    for s in range(0, m, step):
+        rows = slice(s, s + step)
+        out[rows] = _exit_chunk(D, z[rows], dirs[rows], cap, best[rows])
     return out
 
 
-def _exit_chunk(D, z, dirs, cap):
-    """_ray_exit on one chunk of rays: bracket, then root-find."""
-    m = dirs.shape[0]
+def _exit_chunk(D, z, dirs, cap, best):
+    """_ray_exit on one chunk of whole rows, with best a writable copy of
+    their bounds.  Live rays and their state are compacted only on steps
+    where some ray stops."""
+    mc, k, n = dirs.shape
+    m = mc * k
+    z = np.repeat(z, k, axis=0)
+    dirs = dirs.reshape(m, n)
+    row = np.repeat(np.arange(mc), k)
     lo = np.zeros(m)
     hi = np.full(m, cap)
     flo, fhi = D.value(z + np.stack([lo, hi])[..., None] * dirs)
     if np.any(flo >= 0.0) or np.any(fhi < 0.0):
         raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
+    res, todo = np.full(m, np.nan), np.arange(m)
     if not D.is_convex:
-        todo = np.arange(m)
         step = cap / MARCH_STEPS
-        for k in range(1, MARCH_STEPS + 1):
-            t = k * step
-            f = D.value(z[todo] + t * dirs[todo])
+        zt, dt, rt, fl = z, dirs, row, flo
+        for j in range(1, MARCH_STEPS + 1):
+            t = j * step
+            f = D.value(zt + t * dt)
             left = f >= 0.0
-            hi[todo[left]] = t
-            fhi[todo[left]] = f[left]
-            todo = todo[~left]
-            lo[todo] = t
-            flo[todo] = f[~left]
-            if not todo.size:
-                break
+            best[rt[left]] = np.minimum(best[rt[left]], t)
+            cut = ~left & (t > best[rt])
+            stop = left | cut
+            if stop.any():
+                out = todo[left]
+                lo[out], flo[out], hi[out], fhi[out] = (j - 1) * step, fl[left], t, f[left]
+                res[todo[cut]] = t
+                keep = ~stop
+                todo, zt, dt, rt, f = todo[keep], zt[keep], dt[keep], rt[keep], f[keep]
+                if not todo.size:
+                    break
+            fl = f
         else:
             raise ConvergenceError("ray march found no exit within the bounding cap")
+        todo = np.flatnonzero(np.isnan(res))    # the rays that left, to root-find
+        if not todo.size:
+            return res.reshape(mc, k)
+        z, dirs, row = z[todo], dirs[todo], row[todo]
 
     # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
     # bracket and x3 the point dropped last; each step tries inverse
     # quadratic interpolation on the three and bisects when it is not
-    # accepted, never stepping closer than 2 eps hi to an end.
-    x1, f1, x2, f2 = lo, flo, hi, fhi
-    t = np.full(m, 0.5)
-    todo = np.arange(m)
-    res = np.empty(m)
+    # accepted, never stepping closer than 2 eps hi to an end.  upper
+    # views hi by rows: every ray's least upper bracket end, kept after
+    # the ray stops, for the row minima.
+    x1, f1, x2, f2 = lo[todo], flo[todo], hi[todo], fhi[todo]
+    upper = hi.reshape(mc, k)
+    t = np.full(todo.size, 0.5)
     for _ in range(ROOT_STEPS):
         x = x1 + t * (x2 - x1)
-        f = D.value(z[todo] + x[:, None] * dirs[todo])
+        f = D.value(z + x[:, None] * dirs)
         same = (f >= 0.0) == (f1 >= 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, f
         dx = np.abs(x2 - x1)
-        tol = 4.0 * np.finfo(float).eps * np.maximum(x1, x2)
+        up = np.maximum(x1, x2)
+        tol = 4.0 * np.finfo(float).eps * up
         done = dx <= tol
-        res[todo[done]] = 0.5 * (x1[done] + x2[done])
-        keep = ~done
-        todo = todo[keep]
-        if not todo.size:
-            return res
-        x1, f1, x2, f2, x3, f3, dx, tol = (a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol))
+        hi[todo] = up
+        best = np.minimum(best, upper.min(axis=1))
+        low = np.minimum(x1, x2)
+        stop = done | (low > best[row])
+        if stop.any():
+            res[todo[stop]] = np.where(done, 0.5 * (x1 + x2), low)[stop]
+            keep = ~stop
+            todo = todo[keep]
+            if not todo.size:
+                return res.reshape(mc, k)
+            x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row = (
+                a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row))
         xi = (x1 - x2) / (x3 - x2)
         phi = (f1 - f2) / (f3 - f2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -295,16 +334,20 @@ ZOOM_ROUNDS = 11
 def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf):
     """Row-wise minimization: a grid scan, then ZOOM_ROUNDS zoom rounds.
 
-    grid is (K,), shared by all rows, or (m, K); f maps it, and any (m, k)
-    array of points, to (m, k) values in one call.  Each row keeps its best
-    point x; a round samples ZOOM_K evenly spaced interior points of
+    grid is (K,), shared by all rows, or (m, K); f(points, incumbent) maps
+    it, and any (m, k) array of points, to (m, k) values in one call.  The
+    incumbent is inf for the scan, then each row's best value so far.  In
+    place of a value v, f may return any w with min(incumbent, the row's
+    least value) < w <= v, because a row's values are used only through
+    their min, argmin and the strict test min < incumbent.  Each row keeps
+    its best point x; a round samples ZOOM_K evenly spaced interior points of
     [x - step, x + step] cap [lo, hi], moves x only to a strictly better
     point and sets step to that bracket's width / (ZOOM_K + 1), so the
     bracket shrinks by 2/7 per round.  step (scalar or (m,)) is the first
     half-width, passed in because a one-point grid has no spacing.
     Returns (x, f(x)) per row.
     """
-    vals = f(grid)
+    vals = f(grid, math.inf)
     rows = np.arange(vals.shape[0])
     k = np.argmin(vals, axis=1)
     x = np.broadcast_to(grid, vals.shape)[rows, k]
@@ -314,7 +357,7 @@ def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf):
         a = np.maximum(x - step, lo)
         b = np.minimum(x + step, hi)
         pts = a[:, None] + (b - a)[:, None] * frac
-        vals = f(pts)
+        vals = f(pts, best)
         k = np.argmin(vals, axis=1)
         better = vals[rows, k] < best
         x = np.where(better, pts[rows, k], x)
@@ -343,8 +386,8 @@ def _generic_distance(D, zs):
     m = zs.shape[0]
     real_dim = 2 * D.dim
     dirs_r = _sphere_directions(GENERIC_DIRS, real_dim)
-    t = _ray_exit(D, np.repeat(zs, GENERIC_DIRS, axis=0),
-                  np.tile(_real_to_complex(dirs_r), (m, 1))).reshape(m, GENERIC_DIRS)
+    # no bound: the GENERIC_STARTS best exits of the scan must be exact
+    t = _ray_exit(D, zs, np.broadcast_to(_real_to_complex(dirs_r), (m, GENERIC_DIRS, D.dim)))
     order = np.argsort(t, axis=1)[:, :GENERIC_STARTS]
     row = np.repeat(np.arange(m), GENERIC_STARTS)
     u = dirs_r[order.ravel()]
@@ -358,8 +401,7 @@ def _generic_distance(D, zs):
             break
         cand = u[live, None, :] + rad[live, None, None] * fan
         cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
-        tc = _ray_exit(D, np.repeat(zs[row[live]], len(fan), axis=0),
-                       _real_to_complex(cand).reshape(-1, D.dim)).reshape(live.size, len(fan))
+        tc = _ray_exit(D, zs[row[live]], _real_to_complex(cand), tu[live])
         k = np.argmin(tc, axis=1)
         tk = tc[np.arange(live.size), k]
         better = tk < tu[live]
@@ -386,11 +428,9 @@ def _moduli_section_distance(D, x):
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     m = x.shape[0]
 
-    def exits(theta):
-        th = np.broadcast_to(theta, (m, theta.shape[-1]))
-        d = np.stack([np.cos(th), np.sin(th)], axis=-1).astype(complex)
-        return _ray_exit(D, np.repeat(x, th.shape[1], axis=0),
-                         d.reshape(-1, 2)).reshape(th.shape)
+    def exits(theta, best):
+        d = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
+        return _ray_exit(D, x, np.broadcast_to(d, (m,) + d.shape[-2:]), best)
 
     n = 256
     theta, t = _zoom_min(exits, 2.0 * math.pi * (np.arange(n) + 0.5) / n, 2.0 * math.pi / n)
@@ -518,20 +558,17 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
     if n_phases < 1:
         raise DomainError("n_phases must be at least 1, got %r" % (n_phases,))
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
-    m = zs.shape[0]
     nv = np.linalg.norm(vs, axis=-1, keepdims=True)
     if np.any(nv == 0):
         raise DomainError("direction v must be nonzero")
     u = vs / nv
 
-    def exits(theta):
-        dirs = np.exp(1j * theta)[..., None] * u[:, None, :]
-        k = dirs.shape[1]
-        return _ray_exit(D, np.repeat(zs, k, axis=0), dirs.reshape(-1, D.dim)).reshape(m, k)
+    def exits(theta, best):
+        return _ray_exit(D, zs, np.exp(1j * theta)[..., None] * u[:, None, :], best)
 
     theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
     if not refine:
-        return exits(theta).min(axis=1)
+        return exits(theta, math.inf).min(axis=1)
     return _zoom_min(exits, theta, 2.0 * math.pi / n_phases)[1]
 
 
@@ -783,7 +820,7 @@ def _curve_nearest_1d(xy, T_grid, curve):
     for rows in _row_blocks(len(xy), T_grid.size):
         x, y = xy[rows, 0:1], xy[rows, 1:2]
 
-        def f(T):
+        def f(T, _):
             X, Y = curve(T)
             return (x - X) ** 2 + (y - Y) ** 2
 
@@ -861,7 +898,7 @@ def _wall_distance(zs, profile):
         av = np.real(zs[rows, 0])
         tv = np.abs(zs[rows, 1])
 
-        def cost(s):  # s: (m, K)
+        def cost(s, _):  # s: (m, K)
             gap = np.maximum(av[:, None] - profile(s), 0.0)
             return gap * gap + (tv[:, None] - s) ** 2
 

@@ -284,7 +284,7 @@ def path_distance_upper(D, z1, z2):
     def bumped(t):
         return nodes + np.reshape(t, (-1, 1, 1)) * bump * (anchor[None, :] - nodes)
 
-    def length(t):
+    def length(t, _):
         paths = bumped(t)
         return cost(paths[:, :-1], paths[:, 1:]).reshape(1, -1)
 
@@ -300,14 +300,14 @@ def path_distance_upper(D, z1, z2):
         i, nd, u = i[keep], nd[keep], d[keep] / nd[keep, None]
         ends = np.stack([nodes[i - 1], nodes[i + 1]], axis=1)[:, None]  # (m, 1, 2, n)
 
-        def local(t):  # (m, K) offsets along u -> (m, K) costs
+        def local(t, _):  # (m, K) offsets along u -> (m, K) costs
             trial = nodes[i][:, None, :] + t[..., None] * u[:, None, :]
             return cost(ends, trial[..., None, :])
 
         lo, hi = -0.1 * nd, np.minimum(nd, 0.5)
         t, c = _zoom_min(local, lo[:, None] + (hi - lo)[:, None] * scan,
                          (hi - lo) * scan[1], lo, hi)
-        move = c < local(np.zeros((i.size, 1)))[:, 0]
+        move = c < local(np.zeros((i.size, 1)), None)[:, 0]
         nodes[i[move]] += t[move, None] * u[move]
     return float(min(best[0], cost(nodes[:-1], nodes[1:])))
 

@@ -249,16 +249,14 @@ def scenario_example21(seed=0):
             method="sibony", side="lower", constants={"alpha": alpha, "beta": beta})
 
     # stage 6: corner-direction bound via rotation invariance
-    worst_ratio = 0.0
-    for _ in range(50):
-        x = rng.random() * 0.6 + 0.2
-        z = np.array([x * np.exp(2j * math.pi * rng.random()), 0.0], dtype=complex)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vabs = np.abs(v)
-        dd = domains.directional_distance(Om, np.array([x, 0.0], dtype=complex),
-                                          vabs.astype(complex))
-        delta = domains.boundary_distance(Om, z)
-        worst_ratio = max(worst_ratio, dd / (math.sqrt(2.0) * delta))
+    xs, zs, vabs = np.empty(50), np.zeros((50, 2), dtype=complex), np.empty((50, 2))
+    for i in range(50):
+        xs[i] = rng.random() * 0.6 + 0.2
+        zs[i, 0] = xs[i] * np.exp(2j * math.pi * rng.random())
+        vabs[i] = np.abs(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    dd = domains.directional_distance_batch(Om, np.stack([xs, np.zeros(50)], axis=-1), vabs)
+    delta = domains.boundary_distance_batch(Om, zs)
+    worst_ratio = max(0.0, float(np.max(dd / (math.sqrt(2.0) * delta))))
     rep.add("corner-direction-bound", verdict=bool(worst_ratio <= 1.0 + 1e-9),
             value=worst_ratio, method="graham_lower", side="lower",
             constants={"rate": "1/(2 sqrt(2) delta)"})

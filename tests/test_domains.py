@@ -237,7 +237,7 @@ def test_bisect_rows_are_independent():
 def test_zoom_min_finds_per_row_quadratic_minimizers():
     centers = np.array([0.013, 0.3, 0.5, 0.777, 0.99])
     grid = np.linspace(0.0, 1.0, 11)
-    x, fmin = _zoom_min(lambda t: (t - centers[:, None]) ** 2, grid, 0.1)
+    x, fmin = _zoom_min(lambda t, _: (t - centers[:, None]) ** 2, grid, 0.1)
     assert x.shape == fmin.shape == centers.shape
     assert np.all(np.abs(x - centers) <= 0.1 * (2.0 / (ZOOM_K + 1)) ** ZOOM_ROUNDS)
     assert np.array_equal(fmin, (x - centers) ** 2)
@@ -246,7 +246,7 @@ def test_zoom_min_finds_per_row_quadratic_minimizers():
 def test_zoom_min_shared_grid_equals_tiled_grid():
     shifts = np.array([0.2, 1.1, 2.9, 4.0])
 
-    def f(t):
+    def f(t, _):
         return np.cos(3.0 * t + shifts[:, None]) + 0.1 * t * t
 
     grid = np.linspace(-2.0, 2.0, 33)
@@ -258,7 +258,7 @@ def test_zoom_min_shared_grid_equals_tiled_grid():
 def test_zoom_min_stays_inside_its_clip_bounds():
     centers = np.array([-0.5, 0.0004, 0.9996, 1.7])
     lo, hi = 0.0, 1.0
-    x, _ = _zoom_min(lambda t: (t - centers[:, None]) ** 2, np.linspace(lo, hi, 9),
+    x, _ = _zoom_min(lambda t, _: (t - centers[:, None]) ** 2, np.linspace(lo, hi, 9),
                      0.125, lo, hi)
     assert np.all((lo <= x) & (x <= hi))
     shrink = (2.0 / (ZOOM_K + 1)) ** ZOOM_ROUNDS
@@ -483,7 +483,7 @@ def test_cone_certificate_makes_one_nearest_call(case, monkeypatch):
 def test_ray_exit_matches_sphere_crossing(ball2):
     z = kx.cpoint(0.2, 0.1)
     dirs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    t = _ray_exit(ball2, z, dirs)
+    t = _ray_exit(ball2, z[None], dirs[None])[0]
     # solve |z + t d| = 1 per direction
     for k, d in enumerate(dirs):
         h = np.real(np.sum((z) * np.conj(d)))
@@ -504,7 +504,7 @@ def test_ray_exit_within_4eps_of_sphere_crossing(ball2):
     # oracle's rounding moves it by about eps there
     zs = 0.5 * rng.random((m, 1)) ** 0.25 * _unit_rows(rng, m)
     dirs = _unit_rows(rng, m)
-    t = _ray_exit(ball2, zs, dirs)
+    t = _ray_exit(ball2, zs, dirs[:, None])[:, 0]
     zl, dl = zs.astype(np.clongdouble), dirs.astype(np.clongdouble)
     h = np.real(np.sum(zl * np.conj(dl), axis=-1))
     c = 1 - np.sum(np.abs(zl) ** 2, axis=-1)
@@ -518,7 +518,7 @@ def test_ray_exit_brackets_the_first_crossing(name, rng):
     zs = D.interior_point + 0.3 * _unit_rows(rng, 400) * rng.random((400, 1))
     zs = zs[kx.contains(D, zs)]
     dirs = _unit_rows(rng, len(zs))
-    t = _ray_exit(D, zs, dirs)[:, None]
+    t = _ray_exit(D, zs, dirs[:, None])
     assert np.all(kx.contains(D, zs + t * (1 - 1e-13) * dirs))
     assert not np.any(kx.contains(D, zs + t * (1 + 1e-13) * dirs))
 
@@ -529,36 +529,121 @@ def test_ray_exit_resolves_a_jump_by_bisection(convex):
     D = kx.DomainSpec("jump", 2, [lambda z: np.where(np.linalg.norm(z, axis=-1) < 0.5,
                                                      -1.0, 1.0)],
                       is_convex=convex, bounding_radius=1.0)
-    t = _ray_exit(D, np.zeros(2, complex), _unit_rows(np.random.default_rng(3), 16))
+    t = _ray_exit(D, np.zeros((1, 2), complex), _unit_rows(np.random.default_rng(3), 16)[None])
     assert np.max(np.abs(t - 0.5)) <= 2 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("name", ["ball2", "ex22_omega"])
 def test_ray_exit_does_not_depend_on_the_chunk(name):
+    # chunks hold RAY_CHUNK // k whole rows; all rows share one origin, so
+    # one cap, and a call per row gives the same exits as the chunked call
     D = kx.bundled_domain(name)
-    z = D.interior_point
-    dirs = _unit_rows(np.random.default_rng(4), 2 * RAY_CHUNK + 3)
+    k = 1000
+    m = 2 * (RAY_CHUNK // k) + 3
+    z = np.tile(D.interior_point, (m, 1))
+    dirs = _unit_rows(np.random.default_rng(4), m * k).reshape(m, k, 2)
     t = _ray_exit(D, z, dirs)
-    parts = [_ray_exit(D, z, dirs[s:s + RAY_CHUNK]) for s in range(0, len(dirs), RAY_CHUNK)]
-    assert np.array_equal(t, np.concatenate(parts))
+    rows = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1]) for i in range(m)]
+    assert np.array_equal(t, np.concatenate(rows))
+
+
+def _slab2():
+    # the unit ball minus the slab |Re z1 - 0.5| <= 0.005, which the march
+    # steps over from the origin
+    return kx.DomainSpec("slab2", 2, [lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0,
+                                      lambda z: 0.005 - np.abs(z[..., 0].real - 0.5)],
+                         bounding_radius=1.0, interior_point=np.zeros(2))
+
+
+def _counting(D, monkeypatch):
+    points = [0]
+    real = D.value
+
+    def value(z):
+        points[0] += int(np.prod(np.shape(z)[:-1]))
+        return real(z)
+
+    monkeypatch.setattr(D, "value", value)
+    return points
+
+
+@pytest.mark.parametrize("name,rows,phases,radius", [
+    ("ball2", 64, 4096, 0.95), ("ex21_d", 8, 256, 0.3), ("ex22_omega", 8, 256, 0.3),
+    ("slab2", 8, 256, 0.3)])
+def test_pruned_ray_exits_keep_row_minima(name, rows, phases, radius, monkeypatch):
+    # a pruned entry is a lower bound on its exit above min(bound, row minimum),
+    # so row minima, argmins and strict incumbent tests equal the exact ones
+    D = _slab2() if name == "slab2" else kx.bundled_domain(name)
+    rng = np.random.default_rng(11)
+    # uniform in a ball about the interior point; on ball2 these are the
+    # rows of the 4096-phase oracle, uniform in the domain
+    zs = D.interior_point + radius * _unit_rows(rng, rows) * rng.random((rows, 1)) ** 0.25
+    zs = np.concatenate([D.interior_point[None], zs[kx.contains(D, zs)]])[:rows]
+    theta = 2.0 * math.pi * np.arange(phases) / phases
+    dirs = np.exp(1j * theta)[:, None] * _unit_rows(rng, len(zs))[:, None, :]
+    points = _counting(D, monkeypatch)
+    exact = _ray_exit(D, zs, dirs)
+    exact_points = points[0]
+    lo = exact.min(axis=1)
+    for bound in (math.inf, lo * (1 + 1e-3), np.where(np.arange(len(zs)) % 2, lo, 0.99 * lo)):
+        points[0] = 0
+        t = _ray_exit(D, zs, dirs, bound)
+        assert np.array_equal(t.min(axis=1) < bound, lo < bound)
+        hit = lo < bound
+        assert np.array_equal(t.argmin(axis=1)[hit], exact.argmin(axis=1)[hit])
+        assert np.array_equal(t.min(axis=1)[hit], lo[hit])
+        cut = t != exact
+        floor = np.broadcast_to(np.minimum(bound, lo)[:, None], t.shape)
+        assert np.all(t[cut] <= exact[cut]) and np.all(t[cut] > floor[cut])
+        if bound is math.inf:
+            assert cut.any()
+            if name == "ball2":
+                assert points[0] <= 0.6 * exact_points
+    # every phase ties at the centre of the ball, in exact arithmetic
+    if name == "ball2":
+        assert np.all(np.abs(exact[0] - 1.0) <= 4 * np.finfo(float).eps)
+
+
+def test_generic_scan_memory_does_not_grow_with_the_ray_count(monkeypatch):
+    # each chunk materializes only its own rows of the 512-direction scan: an
+    # added row costs its output and sort order, well under one complex copy
+    # of its rays (GENERIC_DIRS * dim * 16 bytes)
+    import tracemalloc
+    D = kx.bundled_domain("ex22_omega")
+    monkeypatch.setattr(dm, "GENERIC_ROUNDS", 0)
+    monkeypatch.setattr(dm, "RAY_CHUNK", 4096)
+    rng = np.random.default_rng(12)
+    g = rng.random((160, 2, 2)) - 0.5
+    zs = D.interior_point + 0.3 * (g[..., 0] + 1j * g[..., 1])
+    kx.boundary_distance_batch(D, zs[:1], method="generic")
+    peaks = []
+    for m in (40, 160):
+        tracemalloc.start()
+        try:
+            kx.boundary_distance_batch(D, zs[:m], method="generic")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 120 * dm.GENERIC_DIRS * D.dim * 16
 
 
 def test_ray_exit_step_cap_raises(ball2, monkeypatch):
     monkeypatch.setattr(dm, "ROOT_STEPS", 3)
     with pytest.raises(kx.ConvergenceError):
-        _ray_exit(ball2, np.zeros(2, complex), _unit_rows(np.random.default_rng(5), 4))
+        _ray_exit(ball2, np.zeros((1, 2), complex), _unit_rows(np.random.default_rng(5), 4)[None])
 
 
 @pytest.mark.parametrize("name", ["ball2", "ex21_d"])
 def test_ray_exit_rejects_an_outside_origin(name):
     # the ray crosses the domain further on, so a march alone would find an exit
     with pytest.raises(kx.DomainError):
-        _ray_exit(kx.bundled_domain(name), kx.cpoint(-1.5, 0), np.array([[1.0, 0.0]], complex))
+        _ray_exit(kx.bundled_domain(name), np.array([[-1.5, 0.0]], complex),
+                  np.array([[[1.0, 0.0]]], complex))
 
 
 def test_empty_batches_return_empty_arrays(ball2, omega21):
     none = np.zeros((0, 2))
-    assert _ray_exit(ball2, np.zeros(2, complex), none).shape == (0,)
+    assert _ray_exit(ball2, none, np.zeros((0, 3, 2))).shape == (0, 3)
     assert kx.boundary_distance_batch(omega21, none, method="reinhardt").shape == (0,)
     assert kx.boundary_distance_batch(omega21, none, method="generic").shape == (0,)
     assert kx.directional_distance_batch(ball2, none, none).shape == (0,)
