@@ -178,6 +178,21 @@ def test_directional_zero_direction_raises(ball2):
         kx.directional_distance(ball2, kx.cpoint(0, 0), kx.cpoint(0, 0))
 
 
+@pytest.mark.parametrize("v", [(math.inf, 0.0), (math.nan, 0.0), (0.3, -math.inf)])
+def test_directional_rejects_a_non_finite_direction(ball2, v):
+    # the ray kernel would otherwise return its cap as a distance
+    with pytest.raises(kx.DomainError, match="finite"):
+        kx.directional_distance(ball2, (0.1, 0.2), v)
+    with pytest.raises(kx.DomainError, match="finite"):
+        kx.directional_distance_batch(ball2, [[0.1, 0.2], [0.0, 0.1]], [[1.0, 0.0], v])
+
+
+@pytest.mark.parametrize("n_phases", [2.5, 4.0, 0, -3])
+def test_directional_rejects_a_bad_phase_count(ball2, n_phases):
+    with pytest.raises(kx.DomainError, match="n_phases"):
+        kx.directional_distance(ball2, (0.1, 0.2), (1.0, 0.0), n_phases=n_phases)
+
+
 def test_directional_batch_rejects_outside_rows(ball2):
     with pytest.raises(kx.DomainError, match="outside the closure"):
         kx.directional_distance_batch(ball2, [[2.0, 0.0]], [[1.0, 0.0]])
@@ -547,6 +562,18 @@ def test_ray_exit_does_not_depend_on_the_chunk(name):
     assert np.array_equal(t, np.concatenate(rows))
 
 
+def _triangle2():
+    # the README's text-spec domain: convex, with no interior point declared
+    D = kx.textspec.loads("""domain triangle2
+  dim 2
+  flags convex reinhardt
+  radius 1.0
+  constraint abs(z1) + abs(z2) - 1
+end""")["triangle2"]
+    D.interior_point = np.zeros(2, dtype=complex)
+    return D
+
+
 def _slab2():
     # the unit ball minus the slab |Re z1 - 0.5| <= 0.005, which the march
     # steps over from the origin
@@ -569,11 +596,14 @@ def _counting(D, monkeypatch):
 
 @pytest.mark.parametrize("name,rows,phases,radius", [
     ("ball2", 64, 4096, 0.95), ("ex21_d", 8, 256, 0.3), ("ex22_omega", 8, 256, 0.3),
-    ("slab2", 8, 256, 0.3)])
+    ("slab2", 8, 256, 0.3), ("polydisc", 8, 256, 0.6), ("ex22_omega_local", 8, 256, 0.2),
+    ("ex21_omega", 8, 256, 0.6), ("triangle2", 8, 256, 0.6)])
 def test_pruned_ray_exits_keep_row_minima(name, rows, phases, radius, monkeypatch):
     # a pruned entry is a lower bound on its exit above min(bound, row minimum),
-    # so row minima, argmins and strict incumbent tests equal the exact ones
-    D = _slab2() if name == "slab2" else kx.bundled_domain(name)
+    # so row minima, argmins and strict incumbent tests equal the exact ones;
+    # on the convex domains the bound inf runs the coarse pass and the finite
+    # bounds the probes
+    D = {"slab2": _slab2, "triangle2": _triangle2}.get(name, lambda: kx.bundled_domain(name))()
     rng = np.random.default_rng(11)
     # uniform in a ball about the interior point; on ball2 these are the
     # rows of the 4096-phase oracle, uniform in the domain
@@ -599,6 +629,8 @@ def test_pruned_ray_exits_keep_row_minima(name, rows, phases, radius, monkeypatc
             assert cut.any()
             if name == "ball2":
                 assert points[0] <= 0.6 * exact_points
+                # the coarse pass and the probes settle most rays with one point
+                assert points[0] <= 0.4 * exact_points
     # every phase ties at the centre of the ball, in exact arithmetic
     if name == "ball2":
         assert np.all(np.abs(exact[0] - 1.0) <= 4 * np.finfo(float).eps)
@@ -625,6 +657,29 @@ def test_generic_scan_memory_does_not_grow_with_the_ray_count(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 120 * dm.GENERIC_DIRS * D.dim * 16
+
+
+def test_unbounded_scan_memory_does_not_grow_by_a_copy_of_the_rays(ball2, monkeypatch):
+    # the coarse pass splits each chunk's rays, not the batch's: an added row
+    # of a 256-phase scan at bound inf costs its output and chunk-sized
+    # temporaries, well under a copy of its rays (256 * dim * 16 bytes)
+    import tracemalloc
+    monkeypatch.setattr(dm, "RAY_CHUNK", 4096)
+    rng = np.random.default_rng(13)
+    m, k = 160, 256
+    zs = 0.5 * _unit_rows(rng, m) * rng.random((m, 1))
+    theta = 2.0 * math.pi * np.arange(k) / k
+    dirs = np.exp(1j * theta)[:, None] * _unit_rows(rng, m)[:, None, :]
+    _ray_exit(ball2, zs[:1], dirs[:1], math.inf)
+    peaks = []
+    for rows in (40, 160):
+        tracemalloc.start()
+        try:
+            _ray_exit(ball2, zs[:rows], dirs[:rows], math.inf)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * 120 * k * ball2.dim * 16
 
 
 def test_ray_exit_step_cap_raises(ball2, monkeypatch):
