@@ -95,7 +95,7 @@ def cmd_metric(args):
     z = _parse_point(args.at)
     v = _parse_point(args.dir)
     if args.method == "exact":
-        if not args.domain.startswith("ball"):
+        if args.domain.lower() != "ball2":
             print("error: exact values exist only for the ball", file=sys.stderr)
             return 3
         print("exact ball metric k(z; v) = %.12g"

@@ -114,11 +114,12 @@ class DomainSpec:
         vals = np.stack([c(z) for c in self.constraints], axis=0)
         return np.max(vals, axis=0)
 
-    def active_constraints(self, z, tol=1e-8):
+    def active_constraints(self, z):
+        """Indices of the constraints within 1e-8 (1 + |z|) of 0 at z."""
         z = as_point(z, self.dim)
         scale = 1.0 + np.linalg.norm(z)
         return [i for i, c in enumerate(self.constraints)
-                if abs(float(c(z))) <= tol * scale]
+                if abs(float(c(z))) <= 1e-8 * scale]
 
 
 def contains(D, z):
@@ -1014,13 +1015,12 @@ def ex22_Omega(name="ex22_omega"):
     return _graph_ball_cap(name, 1.0, False, 0.5, "|z|^2+|w|^2-1")
 
 
-def ex22_Omega_local(radius=0.75, name="ex22_omega_local"):
-    """The convex localization B^2(0, radius) cap ex22_Omega.
-
-    Convex for radius <= 0.81: the graph constraint is convex where
-    |w| <= sqrt(2/3), and the ball cap keeps |w| below that.
+def ex22_Omega_local(name="ex22_omega_local"):
+    """The convex localization B^2(0, 0.75) cap ex22_Omega: the graph
+    constraint is convex where |w| <= sqrt(2/3) ~ 0.816, and the ball
+    keeps |w| below that.
     """
-    return _graph_ball_cap(name, radius, True, 0.3, "|z|^2-r^2")
+    return _graph_ball_cap(name, 0.75, True, 0.3, "|z|^2-r^2")
 
 
 def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):

@@ -35,6 +35,7 @@ _GL_NODES = np.concatenate([_GL16_X, _GL8_X])
 QUAD_REL_TOL = 1e-8
 QUAD_ROUNDS = 24
 QUAD_MAX_PANELS = 1024
+LADDER_MAX_LEVELS = 60   # rungs boundary_value descends before TailBoundError
 # gamma_17 = 17u/(1 - 17u), u = eps/2, bounds the rounding of half * G16 sums
 _GAMMA17 = 8.5 * np.finfo(float).eps / (1.0 - 8.5 * np.finfo(float).eps)
 
@@ -191,11 +192,12 @@ class PsiLadder:
 
 
 def boundary_value(fmap, xi, tprime, tol, psi=None, ladder=None,
-                   max_levels=60, consistency=True):
+                   consistency=True):
     """Boundary value of the map at a chart boundary point xi.
 
-    Descends the geometric ladder t_k = t' 2^-k until the rate tail
-    int_0^{t_k} psi falls below tol, and reports the map's value at that
+    Descends the geometric ladder t_k = t' 2^-k, at most
+    LADDER_MAX_LEVELS rungs, until the rate tail int_0^{t_k} psi falls
+    below tol, and reports the map's value at that
     rung.  The vertical-line integral certifies the telescoping identity
     between the top of the ladder and the rung used (quadrature_error).
     The result does not depend on t' beyond 2 tol.
@@ -207,13 +209,13 @@ def boundary_value(fmap, xi, tprime, tol, psi=None, ladder=None,
         ladder = PsiLadder(psi, tprime)
     ev = _eps_vec(xi.size)
     kstar = None
-    for k in range(max_levels + 1):
+    for k in range(LADDER_MAX_LEVELS + 1):
         if ladder.tail(k) < tol:
             kstar = k
             break
     if kstar is None:
         raise TailBoundError("rate tail stayed above tol for %d ladder levels"
-                             % max_levels)
+                             % LADDER_MAX_LEVELS)
     t_used = ladder.rung(kstar)
     value = np.asarray(fmap.fn(xi + t_used * ev), dtype=complex)
     quad_err = 0.0
@@ -241,7 +243,7 @@ def grid_safety_margin(chart, grid_points):
 
 
 def extend_map(fmap, chart, grid_points, tprime=None, tol=1e-7, psi=None,
-               consistency=True, max_levels=60):
+               consistency=True):
     """Boundary values on a grid of chart boundary points, under a single
     tolerance; interior evaluation passes through the map unchanged.
 
@@ -260,7 +262,7 @@ def extend_map(fmap, chart, grid_points, tprime=None, tol=1e-7, psi=None,
     out = []
     for xi in grid_points:
         out.append(boundary_value(fmap, xi, tprime, tol, ladder=ladder,
-                                  max_levels=max_levels, consistency=consistency))
+                                  consistency=consistency))
     return out
 
 
@@ -285,7 +287,7 @@ class ContinuityReport:
         return self.empirical[0] <= self.empirical[-1] + 1e-15
 
 
-def continuity_modulus(results, fmap, ladder, n_bins=8):
+def continuity_modulus(results, fmap, ladder):
     """Empirical modulus of the recovered boundary values against the
     three-term certificate: two rate tails plus the oscillation of the
     map on the lifted slice at each candidate lift height."""
@@ -298,11 +300,11 @@ def continuity_modulus(results, fmap, ladder, n_bins=8):
     iu = np.triu_indices(n, k=1)
     d = np.linalg.norm(xi[iu[0]] - xi[iu[1]], axis=-1)
     dev = np.max(np.abs(vals[iu[0]] - vals[iu[1]]), axis=-1)
-    radii = np.quantile(d, np.linspace(0.15, 1.0, n_bins))
+    radii = np.quantile(d, np.linspace(0.15, 1.0, 8))
     empirical = np.array([dev[d <= r].max() if np.any(d <= r) else 0.0
                           for r in radii])
     # certificate: minimize over lift heights on the ladder
-    certified = np.full(n_bins, math.inf)
+    certified = np.full(radii.size, math.inf)
     for k in range(0, ladder.levels, 4):
         t = ladder.rung(k)
         lifted = np.asarray(fmap.fn(xi + t * ev[None, :]), dtype=complex)
@@ -327,15 +329,16 @@ def project_to_boundary(chart, Z):
     return out
 
 
-def cluster_set_sample(F, p, sequences, radius=1e-3, approach_tol=1e-2):
+def cluster_set_sample(F, p, sequences, radius=1e-3):
     """Representatives of the accumulation set of F along sequences that
-    approach p: single-linkage clustering of the per-sequence image limits
-    at the given linkage radius; a map continuous at p yields one cluster."""
+    end within 1e-2 of p: single-linkage clustering of the per-sequence
+    image limits at the given linkage radius; a map continuous at p yields
+    one cluster."""
     p = np.asarray(p, dtype=complex)
     limits = []
     for seq in sequences:
         seq = np.atleast_2d(np.asarray(seq, dtype=complex))
-        if np.linalg.norm(seq[-1] - p) > approach_tol:
+        if np.linalg.norm(seq[-1] - p) > 1e-2:
             raise DomainError("sequence does not approach the base point")
         img = np.asarray(F(seq[-2:]), dtype=complex)
         limits.append(img[-1])
@@ -388,13 +391,13 @@ class DichotomySequences:
         if self.C0 <= 0:
             raise DomainError("C0 must be positive")
 
-    def domain_cauchy_ok(self, tol=1e-6):
+    def domain_cauchy_ok(self):
         """Both source sequences converge to one boundary point: their
         mutual separation and their tail increments all go to 0."""
         sep = np.linalg.norm(self.z1 - self.z2, axis=-1)
         inc1 = np.linalg.norm(np.diff(self.z1, axis=0), axis=-1)
         inc2 = np.linalg.norm(np.diff(self.z2, axis=0), axis=-1)
-        return bool(sep[-1] < max(tol, 1e3 * np.finfo(float).eps)
+        return bool(sep[-1] < 1e-6
                     or (sep[-1] < 0.01 * sep[0]
                         and inc1[-1] < 0.01 * inc1[0]
                         and inc2[-1] < 0.01 * inc2[0]))

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainError, _zoom_min, as_point, boundary_distance,
-                      boundary_distance_batch, contains, directional_distance,
+from .domains import (DomainError, _interior_rows, _zoom_min, as_point,
+                      boundary_distance, boundary_distance_batch, contains,
+                      directional_distance, directional_distance_batch,
                       hermitian_inner)
 
 METHODS = ("graham_lower", "graham_upper", "sibony", "inscribed_ball",
@@ -35,45 +36,49 @@ class MetricBound:
             raise ValueError("unknown method tag %r" % self.method)
         if self.value < 0:
             raise ValueError("metric bounds are nonnegative")
+        if math.isnan(self.value):
+            raise DomainError("metric bound is NaN")
+        if self.side == "lower" and math.isinf(self.value):
+            raise DomainError("a lower metric bound must be finite")
 
 
-def kob_metric_ball_exact(z, v, radius=1.0):
-    """Invariant metric of the ball B^n(0, radius), normalized k(0; v) = |v|.
-
-    sqrt((r^2 - |z|^2) |v|^2 + |<v, z>|^2) * r / (r^2 - |z|^2), written here
-    for radius r; the unit-ball case is the usual Bergman-normalized form.
-    """
+def kob_metric_ball_exact(z, v):
+    """Invariant metric of the unit ball B^n, normalized k(0; v) = |v|:
+    sqrt((1 - |z|^2) |v|^2 + |<v, z>|^2) / (1 - |z|^2)."""
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    r2 = radius * radius
     nz2 = np.sum(np.abs(z) ** 2, axis=-1)
-    if np.any(nz2 >= r2):
+    if np.any(nz2 >= 1.0):
         raise DomainError("point outside the ball")
     nv2 = np.sum(np.abs(v) ** 2, axis=-1)
     ip = np.abs(hermitian_inner(v, z)) ** 2
-    return radius * np.sqrt((r2 - nz2) * nv2 + ip) / (r2 - nz2)
+    return np.sqrt((1.0 - nz2) * nv2 + ip) / (1.0 - nz2)
 
 
-def kob_distance_ball_exact(z1, z2, radius=1.0):
-    """Invariant distance of the ball, arctanh of the Mobius invariant."""
-    z1 = np.asarray(z1, dtype=complex) / radius
-    z2 = np.asarray(z2, dtype=complex) / radius
+def kob_distance_ball_exact(z1, z2):
+    """Invariant distance of the unit ball, arctanh of the Mobius invariant."""
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
     num = (1.0 - np.sum(np.abs(z1) ** 2)) * (1.0 - np.sum(np.abs(z2) ** 2))
     den = np.abs(1.0 - hermitian_inner(z1, z2)) ** 2
     rho = math.sqrt(max(0.0, 1.0 - float(num / den)))
     return float(np.arctanh(min(rho, 1.0 - 1e-16)))
 
 
-def graham_bounds(D, z, v, delta_dir=None, n_phases=256):
+def graham_bounds(D, z, v, delta_dir=None):
     """Convex-domain sandwich |v|/(2 delta(z;v)) <= k(z;v) <= |v|/delta(z;v)."""
     if not D.is_convex:
         raise DomainError("directional-distance sandwich requires a convex domain")
     z = as_point(z, D.dim)
     v = as_point(v, D.dim)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("direction must be finite")
     nv = np.linalg.norm(v)
     if nv == 0:
         raise DomainError("direction must be nonzero")
-    d = delta_dir if delta_dir is not None else directional_distance(D, z, v, n_phases=n_phases)
+    if delta_dir is not None and not (math.isfinite(delta_dir) and delta_dir > 0):
+        raise DomainError("delta_dir must be finite and positive")
+    d = delta_dir if delta_dir is not None else directional_distance(D, z, v)
     lower = MetricBound(nv / (2.0 * d), "lower", "graham_lower", at=(z, v),
                         constants={"delta_dir": d})
     upper = MetricBound(nv / d, "upper", "graham_upper", at=(z, v),
@@ -99,14 +104,17 @@ def sibony_lower_bound(u, z, v, c, alpha=4.0):
                        constants={"c": c, "alpha": alpha, "u(z)": uz})
 
 
-def inscribed_ball_upper_bound(D, z, v, delta=None):
+def inscribed_ball_upper_bound(D, z, v):
     """|v| / delta_D(z): the inclusion of the inscribed ball is
     distance-decreasing, so the ball's metric dominates the domain's."""
-    z = as_point(z, D.dim)
-    nv = np.linalg.norm(np.asarray(v, dtype=complex))
+    z = _interior_rows(D, as_point(z, D.dim))[0]
+    v = np.asarray(v, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("direction must be finite")
+    nv = np.linalg.norm(v)
     if nv == 0.0:
         return MetricBound(0.0, "upper", "inscribed_ball", at=(z, v))
-    d = delta if delta is not None else boundary_distance(D, z)
+    d = boundary_distance(D, z)
     return MetricBound(nv / d, "upper", "inscribed_ball", at=(z, v),
                        constants={"delta": d})
 
@@ -114,6 +122,9 @@ def inscribed_ball_upper_bound(D, z, v, delta=None):
 # ---------------------------------------------------------------------------
 # log-type convexity fit: delta(z; v) <= C / |log delta(z)|^(1+nu)
 # ---------------------------------------------------------------------------
+
+LTC_NU_GRID = np.arange(0.05, 5.0 + 1e-9, 0.05)
+LTC_MIN_BANDS = 4
 
 @dataclass
 class LtcFit:
@@ -135,37 +146,33 @@ class NotLogTypeConvex(DomainError):
     pass
 
 
-def ltc_fit(D, samples, nu_grid=None, safety=1.25, nu_margin=0.25,
-            min_bands=4):
+def ltc_fit(D, samples):
     """Envelope fit of the log-type convexity inequality from samples.
 
     samples: sequence of (z, v) with interior z and delta_D(z) < 1.
     The samples are stratified into dyadic bands of delta_D(z); for each
     band the envelope sup of delta(z; v) is regressed (log-log) against
     log|log delta|; the slope gives the largest admissible exponent, and
-    nu is snapped down to the grid after subtracting nu_margin.  C is the
-    envelope maximum of delta(z;v) |log delta(z)|^(1+nu) times a safety
-    factor.  Both margins push the certified envelope up, so the fitted
-    inequality generalizes to held-out samples from the same region
-    (lowering nu enlarges the bound wherever delta < 1/e).
+    nu is snapped down to LTC_NU_GRID after subtracting a margin of 0.25.
+    C is the envelope maximum of delta(z;v) |log delta(z)|^(1+nu) times a
+    safety factor of 1.25.  Both margins push the certified envelope up,
+    so the fitted inequality generalizes to held-out samples from the same
+    region (lowering nu enlarges the bound wherever delta < 1/e).
     """
     if not D.is_convex:
         raise DomainError("log-type convexity is defined for convex domains")
-    if nu_grid is None:
-        nu_grid = np.arange(0.05, 5.0 + 1e-9, 0.05)
     zs = np.array([as_point(z, D.dim) for z, _ in samples])
     vs = np.array([as_point(v, D.dim) for _, v in samples])
     deltas = boundary_distance_batch(D, zs)
     if np.any(deltas >= 1.0):
         raise DomainError("fit requires delta_D(z) < 1 on all samples")
-    from .domains import directional_distance_batch
     ddirs = directional_distance_batch(D, zs, vs)
 
     bands = np.floor(-np.log2(deltas)).astype(int)
     uniq = np.unique(bands)
-    if uniq.size < min_bands:
+    if uniq.size < LTC_MIN_BANDS:
         raise DomainError("need samples across >= %d dyadic bands of delta, got %d"
-                          % (min_bands, uniq.size))
+                          % (LTC_MIN_BANDS, uniq.size))
     env_delta = []
     env_dir = []
     for b in uniq:
@@ -179,14 +186,14 @@ def ltc_fit(D, samples, nu_grid=None, safety=1.25, nu_margin=0.25,
     y = np.log(env_dir)
     slope = np.polyfit(x, y, 1)[0]
     nu_hat = -slope - 1.0
-    admissible = nu_grid[nu_grid <= nu_hat - nu_margin + 1e-12]
+    admissible = LTC_NU_GRID[LTC_NU_GRID <= nu_hat - 0.25 + 1e-12]
     if admissible.size == 0:
         raise NotLogTypeConvex(
             "not log-type convex at sampled resolution (fitted exponent %.3f < %.2f)"
-            % (nu_hat, nu_grid[0]))
+            % (nu_hat, LTC_NU_GRID[0]))
     nu = float(admissible[-1])
     C_env = float(np.max(ddirs * np.abs(np.log(deltas)) ** (1.0 + nu)))
-    C = C_env * safety
+    C = C_env * 1.25
     viol = float(np.max(ddirs - C / np.abs(np.log(deltas)) ** (1.0 + nu)))
     return LtcFit(C=C, nu=nu, sample_count=len(samples), max_violation=viol,
                   band_envelopes=np.stack([env_delta, env_dir], axis=-1))
@@ -312,35 +319,29 @@ def path_distance_upper(D, z1, z2):
     return float(min(best[0], cost(nodes[:-1], nodes[1:])))
 
 
-def fit_pair_constant(D, o, vq_samples, vxi_samples, dist_estimator=None,
-                      delta_o=None):
+def fit_pair_constant(D, o, vq_samples, vxi_samples):
     """Smallest K' with est(w1, o) + est(o, w2) - est(w1, w2) <= K' over the
     sample clouds (whose closures must be disjoint), returned as
-    K = max(0, K' - log delta_D(o)).
-
-    dist_estimator(w1, w2) defaults to path_distance_upper on D.
-    """
+    K = max(0, K' - log delta_D(o)); est is path_distance_upper on D."""
     o = as_point(o, D.dim)
     vq = [as_point(w, D.dim) for w in vq_samples]
     vx = [as_point(w, D.dim) for w in vxi_samples]
     gap = min(np.linalg.norm(a - b) for a in vq for b in vx)
     if gap <= 0:
         raise DomainError("sample clouds must have disjoint closures")
-    est = dist_estimator or (lambda a, b: path_distance_upper(D, a, b))
     to_o = {}
     kprime = -math.inf
     for w1 in vq:
         k1 = tuple(np.round(w1, 12))
         if k1 not in to_o:
-            to_o[k1] = est(w1, o)
+            to_o[k1] = path_distance_upper(D, w1, o)
         for w2 in vx:
             k2 = tuple(np.round(w2, 12))
             if k2 not in to_o:
-                to_o[k2] = est(w2, o)
-            val = to_o[k1] + to_o[k2] - est(w1, w2)
+                to_o[k2] = path_distance_upper(D, w2, o)
+            val = to_o[k1] + to_o[k2] - path_distance_upper(D, w1, w2)
             kprime = max(kprime, val)
-    d_o = delta_o if delta_o is not None else boundary_distance(D, o)
-    return max(0.0, kprime - math.log(d_o))
+    return max(0.0, kprime - math.log(boundary_distance(D, o)))
 
 
 def goldilocks_M(D, r, metric_lower_source, samples):

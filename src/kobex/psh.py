@@ -19,6 +19,12 @@ class SmoothnessError(DomainError):
     pass
 
 
+PSH_FLOOR = -1e-8      # least Levi form check_psh accepts
+HOPF_MIN_BANDS = 4     # dyadic bands of delta a Hopf fit must span
+CUBIC_ITERS = 90       # bisection steps of nearest_point_cubic
+PSI_TAIL_LEVELS = 80   # dyadic panels of psi_tail
+
+
 @dataclass
 class PshWitness:
     """A candidate negative plurisubharmonic function.
@@ -37,14 +43,13 @@ class PshWitness:
         return self.fn(np.asarray(z, dtype=complex))
 
 
-def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False,
-              check_tol=1e-4):
+def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False):
     """<v, H_C u(z) v>: the complex Hessian quadratic form along v.
 
     Uses the analytic Hessian oracle when present, otherwise second-order
     central differences along the real directions spanned by v and iv,
     Richardson-extrapolated from steps h and h/2.  With cross_check=True
-    and both routes available, they must agree to check_tol relative.
+    and both routes available, they must agree to 1e-4 relative.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -76,7 +81,7 @@ def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False,
     fd *= nv * nv
     if analytic is not None:
         scale = max(abs(analytic), abs(fd), 1e-12)
-        if abs(analytic - fd) / scale > check_tol:
+        if abs(analytic - fd) / scale > 1e-4:
             raise SmoothnessError(
                 "analytic and finite-difference Levi forms disagree: %g vs %g"
                 % (analytic, fd))
@@ -97,9 +102,9 @@ class PshReport:
         return self.violations == 0
 
 
-def check_psh(u, D, samples, dirs_per_sample=4, tol=-1e-8, seed=0, **levi_kw):
-    """Sampled plurisubharmonicity check: Levi form >= tol at every sampled
-    point/direction.  Violations are counted, never raised."""
+def check_psh(u, D, samples, dirs_per_sample=4, seed=0, **levi_kw):
+    """Sampled plurisubharmonicity check: Levi form >= PSH_FLOOR at every
+    sampled point/direction.  Violations are counted, never raised."""
     rng = np.random.default_rng(seed)
     worst = math.inf
     arg = None
@@ -119,10 +124,10 @@ def check_psh(u, D, samples, dirs_per_sample=4, tol=-1e-8, seed=0, **levi_kw):
             if val < worst:
                 worst = val
                 arg = (z, v)
-            if val < tol:
+            if val < PSH_FLOOR:
                 violations += 1
     return PshReport(min_value=worst, argmin=arg, n_checked=n,
-                     violations=violations, tol=tol)
+                     violations=violations, tol=PSH_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +146,7 @@ class HopfFit:
         return self.residual <= 0.0
 
 
-def hopf_fit(phi, D, samples, alpha=None, eval_samples=None, min_bands=4,
-             dist_method="auto"):
+def hopf_fit(phi, D, samples, alpha=None):
     """Fit the boundary decay inequality phi <= -C delta_D^alpha.
 
     alpha=None fits the exponent as the least-squares slope of
@@ -152,33 +156,25 @@ def hopf_fit(phi, D, samples, alpha=None, eval_samples=None, min_bands=4,
     infimum of |phi| / delta^alpha over the fitting samples, so the fitted
     inequality is tight with residual exactly 0 at the binding sample.
 
-    The samples must spread over at least `min_bands` dyadic bands of
-    delta_D; the residual is reported on eval_samples when given, else on
-    the fitting set.
+    The samples must spread over at least HOPF_MIN_BANDS dyadic bands of
+    delta_D; the residual is reported on the fitting set.
     """
     zs = np.atleast_2d(np.asarray([as_point(z, D.dim) for z in samples]))
-    deltas = boundary_distance_batch(D, zs, method=dist_method)
+    deltas = boundary_distance_batch(D, zs)
     vals = np.asarray(phi(zs), dtype=float)
     if np.any(vals >= 0):
         raise DomainError("witness must be negative on the fitting samples")
     bands = np.unique(np.floor(-np.log2(deltas)).astype(int))
-    if bands.size < min_bands:
+    if bands.size < HOPF_MIN_BANDS:
         raise DomainError("samples span %d dyadic bands of delta; need >= %d"
-                          % (bands.size, min_bands))
+                          % (bands.size, HOPF_MIN_BANDS))
     if alpha is None:
         slope = np.polyfit(np.log(deltas), np.log(-vals), 1)[0]
         alpha = max(1.0, float(slope))
     C = float(np.min(-vals / deltas ** alpha))
-    if eval_samples is not None:
-        ez = np.atleast_2d(np.asarray([as_point(z, D.dim) for z in eval_samples]))
-        ed = boundary_distance_batch(D, ez, method=dist_method)
-        ev = np.asarray(phi(ez), dtype=float)
-        residual = float(np.max(ev + C * ed ** alpha))
-        count = len(samples) + len(eval_samples)
-    else:
-        residual = float(np.max(vals + C * deltas ** alpha))
-        count = len(samples)
-    return HopfFit(C=C, alpha=float(alpha), sample_count=count, residual=residual)
+    residual = float(np.max(vals + C * deltas ** alpha))
+    return HopfFit(C=C, alpha=float(alpha), sample_count=len(samples),
+                   residual=residual)
 
 
 def step1_constant_ex21():
@@ -204,17 +200,14 @@ def lagrange_residuals(x0, y0, X, Y):
     return float(r1), float(r2)
 
 
-def nearest_point_cubic(x0, y0, lo=None, hi=1.0, iters=90):
+def nearest_point_cubic(x0, y0):
     """Root of 2X^3 + (2y0 - 1)X - x0 = 0 by bisection on [x0, 1]; valid in
     the region 9/10 < x0 < 1, 0 <= y0 < 1/10, x0^2 + y0 < 1 where the
     nearest curve point has X between x0 and 1.  Vectorized."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-
-    lo = np.broadcast_to(x0 if lo is None else lo, x0.shape).astype(float)
-    hi = np.broadcast_to(hi, x0.shape).astype(float)
     lo, hi = _bisect(lambda X: 2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0 < 0,
-                     lo, hi, iters)
+                     x0.copy(), np.ones_like(x0), CUBIC_ITERS)
     X = 0.5 * (lo + hi)
     return X, 1.0 - X ** 2
 
@@ -235,11 +228,11 @@ class FiberMap:
     jacobian: callable = None
     name: str = ""
 
-    def check_fiber(self, w, tol=1e-10):
+    def check_fiber(self, w):
         w = np.asarray(w, dtype=complex)
         pts = np.atleast_2d(self.fibers(w))
         resid = np.max(np.abs(self.forward(pts) - w[None, :]))
-        return float(resid) <= tol * (1.0 + np.linalg.norm(w))
+        return float(resid) <= 1e-10 * (1.0 + np.linalg.norm(w))
 
 
 def pushforward_tau(F, rho, w):
@@ -301,8 +294,8 @@ def psi_tails(psi, t, levels):
     return np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]]) + below
 
 
-def psi_tail(psi, t, levels=80):
+def psi_tail(psi, t):
     """int_0^t psi(x) dx; finite exactly when psi is integrable at 0."""
     if t <= 0:
         return 0.0
-    return float(psi_tails(psi, t, levels)[0])
+    return float(psi_tails(psi, t, PSI_TAIL_LEVELS)[0])

@@ -18,6 +18,20 @@ class ChartError(DomainError):
     pass
 
 
+DINI_LEVELS = 60          # dyadic panels of the rate integral
+DINI_ABS_FLOOR = 1e-13    # tail contributions below this count as converged
+HINV_ITERS = 80           # bisection steps of HFunction.inv
+EMBED_GRID = 1000         # eps candidates per refinement of the embedding
+EMBED_EPS_FLOOR = 1e-12   # smallest eps the embedding refinement tries
+MODULUS_PAIRS = 6000      # sampled pairs of estimate_modulus
+MODULUS_BINS = 64         # radius bins of estimate_modulus
+
+
+def _cumulative_trapezoid(x, y):
+    """Running trapezoid integral of the samples y over x, from 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
 # ---------------------------------------------------------------------------
 # moduli of continuity
 # ---------------------------------------------------------------------------
@@ -61,13 +75,12 @@ class ModulusOfContinuity:
             out = np.interp(rr, self.grid, self.values)
         return out if out.shape else float(out)
 
-    def to_csv(self, path=None, n_grid=256):
+    def to_csv(self, path=None):
         """Tabulate the rate (and its integral h) as CSV for plotting."""
         from .reports import export_csv_text
-        r = np.linspace(0.0, self.domain_end, n_grid)
+        r = np.linspace(0.0, self.domain_end, 256)
         vals = np.atleast_1d(self(r))
-        h = np.concatenate([[0.0],
-                            np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(r))])
+        h = _cumulative_trapezoid(r, vals)
         text = export_csv_text(["r", "omega", "h"],
                                np.stack([r, vals, h], axis=-1).tolist())
         if path is not None:
@@ -75,10 +88,10 @@ class ModulusOfContinuity:
                 fh.write(text)
         return text
 
-    def subadditive_envelope(self, n_grid=513):
+    def subadditive_envelope(self):
         """Least concave majorant on [0, domain_end]; concave with value 0
         at 0, hence subadditive, and it dominates the original rate."""
-        r = np.linspace(0.0, self.domain_end, n_grid)
+        r = np.linspace(0.0, self.domain_end, 513)
         v = np.atleast_1d(self(r)).astype(float)
         # upper convex hull of (r, v) scanned left to right
         hull = [(r[0], 0.0)]
@@ -118,37 +131,38 @@ def dyadic_panels(f, t, levels, n):
     return c
 
 
-def dini_integral(omega, eps, levels=60, decay_cutoff=0.97, abs_floor=1e-13):
+def dini_integral(omega, eps):
     """Integrate omega(r)/r over (0, eps] on dyadic panels toward 0.
 
     Panel k covers [eps 2^-(k+1), eps 2^-k].  The partial sums pass a
-    Cauchy test when the per-level contributions keep decaying; a stalled
-    ratio over `levels` dyadic levels with non-negligible contributions is
-    declared DIVERGENT.  For decaying contributions the geometric tail is
-    extrapolated from the last ratio.
+    Cauchy test when the per-level contributions keep decaying.  Over
+    DINI_LEVELS panels, a median ratio of at least 0.97 between successive
+    contributions of the last ten, some above DINI_ABS_FLOOR, is declared
+    DIVERGENT.  For decaying contributions the geometric tail is
+    extrapolated from that median ratio.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     if eps > omega.domain_end * (1 + 1e-12):
         raise DomainError("eps exceeds the modulus domain")
 
-    contributions = dyadic_panels(lambda r: omega(r) / r, eps, levels, 33)
+    contributions = dyadic_panels(lambda r: omega(r) / r, eps, DINI_LEVELS, 33)
     total = float(np.cumsum(contributions)[-1])   # in panel order, not pairwise
     tail = contributions[-10:]
-    if np.all(tail <= abs_floor):
-        return DiniIntegral(total, False, levels, 0.0)
+    if np.all(tail <= DINI_ABS_FLOOR):
+        return DiniIntegral(total, False, DINI_LEVELS, 0.0)
     ratios = tail[1:] / np.where(tail[:-1] > 0, tail[:-1], np.inf)
     rho = float(np.median(ratios))
-    if rho >= decay_cutoff:
-        return DiniIntegral(math.inf, True, levels, math.inf)
+    if rho >= 0.97:
+        return DiniIntegral(math.inf, True, DINI_LEVELS, math.inf)
     tail_est = contributions[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-    return DiniIntegral(total + tail_est, False, levels, tail_est)
+    return DiniIntegral(total + tail_est, False, DINI_LEVELS, tail_est)
 
 
-def composed_rate(omega, kappa, m, domain_end=None):
+def composed_rate(omega, kappa, m):
     """The rate t -> omega(kappa * t^m); preserves Dini integrability for
     fixed kappa, m > 0 (substitute u = kappa t^m in the rate integral)."""
-    end = domain_end if domain_end is not None else (omega.domain_end / kappa) ** (1.0 / m)
+    end = (omega.domain_end / kappa) ** (1.0 / m)
 
     def fn(t):
         return omega(kappa * np.asarray(t, dtype=float) ** m)
@@ -227,14 +241,15 @@ class GraphChart:
         return np.concatenate([np.atleast_1d(zprime),
                                np.atleast_1d(x + 1j * val)])
 
-    def lipschitz_estimate(self, n_samples=4000, seed=0):
-        """Empirical Lipschitz constant of phi over the chart box."""
+    def lipschitz_estimate(self):
+        """Empirical Lipschitz constant of phi over the chart box, from
+        4000 seeded pairs."""
         if self.lip is not None:
             return self.lip
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         d = 2 * self.dim - 1
-        x = (rng.random((n_samples, d)) - 0.5) * (1.2 * self.radius)
-        y = x + (rng.random((n_samples, d)) - 0.5) * (0.2 * self.radius)
+        x = (rng.random((4000, d)) - 0.5) * (1.2 * self.radius)
+        y = x + (rng.random((4000, d)) - 0.5) * (0.2 * self.radius)
         fx = np.atleast_1d(self.phi(x))
         fy = np.atleast_1d(self.phi(y))
         dist = np.linalg.norm(x - y, axis=-1)
@@ -254,11 +269,10 @@ def vertical_height(chart, Z):
     return out if out.shape else float(out)
 
 
-def chart_consistency(D, chart, n_boundary=200, n_interior=200, seed=0,
-                      boundary_tol=1e-8):
-    """Sampled check that the chart realizes the domain locally: interior
-    samples map to Y > 0, boundary graph points map to the boundary within
-    tolerance, and the matrix is an isometry on test vectors."""
+def chart_consistency(D, chart, seed=0):
+    """Sampled check that the chart realizes the domain locally: 200
+    interior samples map to Y > 0, 200 boundary graph points map to the
+    boundary within 1e-8, and the matrix is an isometry on test vectors."""
     rng = np.random.default_rng(seed)
     n = chart.dim
     # isometry on random vectors
@@ -266,17 +280,17 @@ def chart_consistency(D, chart, n_boundary=200, n_interior=200, seed=0,
     iso = np.max(np.abs(np.linalg.norm(v @ chart.unitary.T, axis=-1) -
                         np.linalg.norm(v, axis=-1)))
     # boundary graph points are boundary points of D
-    zp = (rng.random((n_boundary, n - 1)) - 0.5) * chart.radius \
-        + 1j * (rng.random((n_boundary, n - 1)) - 0.5) * chart.radius
-    xx = (rng.random(n_boundary) - 0.5) * chart.radius
+    zp = (rng.random((200, n - 1)) - 0.5) * chart.radius \
+        + 1j * (rng.random((200, n - 1)) - 0.5) * chart.radius
+    xx = (rng.random(200) - 0.5) * chart.radius
     coords = np.concatenate([zp.real, zp.imag, xx[:, None]], axis=-1)
     vals = np.atleast_1d(chart.phi(coords))
     Zb = np.concatenate([zp, (xx + 1j * vals)[:, None]], axis=-1)
     amb = chart.from_chart(Zb)
     bd_resid = float(np.max(np.abs(D.value(amb))))
     # interior points near the base map to Y > 0
-    lift = rng.random(n_interior) * 0.25 * chart.radius
-    Zi = Zb[:n_interior].copy()
+    lift = rng.random(200) * 0.25 * chart.radius
+    Zi = Zb.copy()
     Zi[:, -1] = Zi[:, -1] + 1j * lift
     inside = contains(D, chart.from_chart(Zi))
     ypos = Zi[:, -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Zi)))
@@ -285,16 +299,16 @@ def chart_consistency(D, chart, n_boundary=200, n_interior=200, seed=0,
         "boundary_residual": bd_resid,
         "interior_ok": bool(np.all(inside)),
         "height_positive": bool(np.all(ypos > 0)),
-        "passes": bool(iso < 1e-12 and bd_resid < boundary_tol
+        "passes": bool(iso < 1e-12 and bd_resid < 1e-8
                        and np.all(inside) and np.all(ypos > 0)),
     }
 
 
-def estimate_modulus(chart, n_samples=6000, r_grid_size=64, seed=0,
-                     pair_samples=None):
+def estimate_modulus(chart, seed=0, pair_samples=None):
     """Tabulated gradient modulus of continuity of the chart graph:
     r -> max { |grad phi(x) - grad phi(y)| : |x - y| <= r }, computed on
-    sampled pairs and closed to a monotone envelope.
+    MODULUS_PAIRS sampled pairs, binned on MODULUS_BINS radii and closed
+    to a monotone envelope.
     """
     if chart.regularity != "c1_dini":
         raise ChartError("gradient modulus needs a C^1 chart")
@@ -303,15 +317,16 @@ def estimate_modulus(chart, n_samples=6000, r_grid_size=64, seed=0,
     d = 2 * chart.dim - 1
     if pair_samples is None:
         rng = np.random.default_rng(seed)
-        x = (rng.random((4 * n_samples, d)) - 0.5) * (2.0 * chart.radius)
-        scale = rng.random(4 * n_samples) ** 2
-        y = x + (rng.random((4 * n_samples, d)) - 0.5) * (2.0 * chart.radius) * scale[:, None]
+        x = (rng.random((4 * MODULUS_PAIRS, d)) - 0.5) * (2.0 * chart.radius)
+        scale = rng.random(4 * MODULUS_PAIRS) ** 2
+        y = x + ((rng.random((4 * MODULUS_PAIRS, d)) - 0.5) * (2.0 * chart.radius)
+                 * scale[:, None])
         y = np.clip(y, -chart.radius, chart.radius)
         # keep pairs whose tangential part lies in the chart base ball
         okx = np.linalg.norm(x[:, :-1], axis=-1) < chart.radius
         oky = np.linalg.norm(y[:, :-1], axis=-1) < chart.radius
         keep = okx & oky
-        x, y = x[keep][:n_samples], y[keep][:n_samples]
+        x, y = x[keep][:MODULUS_PAIRS], y[keep][:MODULUS_PAIRS]
     else:
         x, y = pair_samples
     gx = np.asarray(chart.grad_phi(x), dtype=float)
@@ -319,9 +334,9 @@ def estimate_modulus(chart, n_samples=6000, r_grid_size=64, seed=0,
     dist = np.linalg.norm(x - y, axis=-1)
     jump = np.linalg.norm(gx - gy, axis=-1)
     end = 2.0 * math.sqrt(2.0) * chart.radius
-    grid = np.linspace(0.0, end, r_grid_size + 1)
-    idx = np.clip(np.searchsorted(grid, dist, side="left"), 0, r_grid_size)
-    vals = np.zeros(r_grid_size + 1)
+    grid = np.linspace(0.0, end, MODULUS_BINS + 1)
+    idx = np.clip(np.searchsorted(grid, dist, side="left"), 0, MODULUS_BINS)
+    vals = np.zeros(MODULUS_BINS + 1)
     np.maximum.at(vals, idx, jump)
     vals = np.maximum.accumulate(vals)
     return ModulusOfContinuity.from_table(grid, vals,
@@ -342,9 +357,8 @@ def h_integral(omega, t):
         raise DomainError("|t| outside the modulus domain")
     if omega.grid is not None:
         # exact integral of the piecewise-linear table
-        g, v = omega.grid, omega.values
-        full = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
-        return float(np.interp(tt, g, full))
+        full = _cumulative_trapezoid(omega.grid, omega.values)
+        return float(np.interp(tt, omega.grid, full))
     from scipy import integrate
     val, _ = integrate.quad(lambda r: float(omega(r)), 0.0, tt, limit=200)
     return float(val)
@@ -353,13 +367,10 @@ def h_integral(omega, t):
 class HFunction:
     """Dense cached version of h with a bisection inverse on t >= 0."""
 
-    def __init__(self, omega, n_grid=4096):
+    def __init__(self, omega):
         self.omega = omega
-        end = omega.domain_end
-        self.t = np.linspace(0.0, end, n_grid)
-        vals = np.atleast_1d(omega(self.t))
-        self.h = np.concatenate([[0.0],
-                                 np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(self.t))])
+        self.t = np.linspace(0.0, omega.domain_end, 4096)
+        self.h = _cumulative_trapezoid(self.t, np.atleast_1d(omega(self.t)))
         self.hmax = float(self.h[-1])
         self.flat = self.hmax <= 0.0
 
@@ -368,7 +379,7 @@ class HFunction:
         out = np.interp(t, self.t, self.h)
         return out if out.shape else float(out)
 
-    def inv(self, x, iters=80):
+    def inv(self, x):
         """Smallest t >= 0 with h(t) = x; +inf where h never reaches x
         (in particular everywhere when h vanishes identically)."""
         x = np.asarray(x, dtype=float)
@@ -377,7 +388,7 @@ class HFunction:
             return out if out.shape else float(out)
         lo, hi = _bisect(lambda t: np.interp(t, self.t, self.h) < x,
                          np.zeros_like(x, dtype=float),
-                         np.full_like(x, self.t[-1], dtype=float), iters)
+                         np.full_like(x, self.t[-1], dtype=float), HINV_ITERS)
         out = np.where(x > self.hmax, math.inf, 0.5 * (lo + hi))
         return out if out.shape else float(out)
 
@@ -409,7 +420,7 @@ def model_domain_contains(params, zeta):
     return ok if ok.shape else bool(ok)
 
 
-def sample_model_domain(params, n=400, seed=0, margin=0.0):
+def sample_model_domain(params, n=400, seed=0):
     """Deterministic interior samples of the model domain, biased to cover
     the attachment corner at 0 and the far edge (rejection on a grid plus
     seeded jitter)."""
@@ -425,22 +436,19 @@ def sample_model_domain(params, n=400, seed=0, margin=0.0):
     if cand.size > n:
         idx = rng.permutation(cand.size)[:n]
         cand = cand[idx]
-    if margin > 0:
-        shrink = 1.0 - margin
-        cand = cand * shrink
-        cand = cand[model_domain_contains(params, cand)]
     return cand
 
 
-def select_embedding_params(chart, m, r_V, omega=None, grid=1000,
-                            eps_floor=1e-12):
+def select_embedding_params(chart, m, r_V, omega=None):
     """Choose (beta, eps) so the affine normal embeddings of the model
     domain from every nearby boundary point stay inside the chart patch of
     the domain:
 
       beta = max(1 + 1e-9, 4 sqrt(2) / m),
-      eps  = the largest grid value with sqrt(2) eps < r_V and
-             x / h^{-1}(x) < 1/beta for all grid x in (0, eps].
+      eps  = the largest value on a grid of EMBED_GRID points with
+             sqrt(2) eps < r_V and x / h^{-1}(x) < 1/beta for all grid
+             x in (0, eps]; the grid refines below its first point while
+             that point fails, down to EMBED_EPS_FLOOR.
 
     m is the caller-supplied infimum of the defining-function gradient norm
     over the boundary patch; r_V < chart radius controls how far the patch
@@ -459,7 +467,7 @@ def select_embedding_params(chart, m, r_V, omega=None, grid=1000,
     binding = "patch-clearance"
     cap = eps_cap
     while True:
-        xs = np.linspace(cap / grid, cap, grid)
+        xs = np.linspace(cap / EMBED_GRID, cap, EMBED_GRID)
         hinv = h.inv(xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(np.isfinite(hinv),
@@ -474,12 +482,12 @@ def select_embedding_params(chart, m, r_V, omega=None, grid=1000,
             binding = "modulus-growth"
             break
         # even the smallest grid value failed; refine below it
-        if xs[0] <= eps_floor:
-            raise DomainError("no admissible eps at the grid floor %g" % eps_floor)
+        if xs[0] <= EMBED_EPS_FLOOR:
+            raise DomainError("no admissible eps at the grid floor %g" % EMBED_EPS_FLOOR)
         cap = xs[0]
     return ModelDomainParams(beta=beta, eps=eps, h=h, omega=omega,
                              provenance={"m": m, "r_V": r_V, "binding": binding,
-                                         "eps_cap": eps_cap, "grid": grid})
+                                         "eps_cap": eps_cap, "grid": EMBED_GRID})
 
 
 @dataclass
@@ -493,8 +501,7 @@ class EmbeddingReport:
         return len(self.violations) == 0
 
 
-def verify_embedding(D, chart, boundary_points, params, zetas,
-                     require_box=True):
+def verify_embedding(D, chart, boundary_points, params, zetas):
     """Check that xi + zeta * eta_xi lies in the chart patch of D for every
     listed boundary point xi and every model-domain sample zeta, where
     eta_xi is the unit inward normal.  Reports violating pairs and the
@@ -508,15 +515,12 @@ def verify_embedding(D, chart, boundary_points, params, zetas,
         eta = inward_normal(D, xi)
         pts = xi[None, :] + zetas[:, None] * eta[None, :]
         gvals = D.value(pts)
-        inside = gvals < 0.0
-        ok = inside.copy()
-        if require_box:
-            Z = chart.to_chart(pts)
-            inb = chart.in_box(Z)
-            ypos = np.where(inb,
-                            Z[..., -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Z))),
-                            -1.0)
-            ok &= inb & (ypos > 0.0)
+        Z = chart.to_chart(pts)
+        inb = chart.in_box(Z)
+        ypos = np.where(inb,
+                        Z[..., -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Z))),
+                        -1.0)
+        ok = (gvals < 0.0) & inb & (ypos > 0.0)
         worst = max(worst, float(np.max(gvals)))
         for j in np.nonzero(~ok)[0]:
             violations.append((xi, complex(zetas[j]), float(gvals[j])))
@@ -524,8 +528,7 @@ def verify_embedding(D, chart, boundary_points, params, zetas,
     return EmbeddingReport(n_pairs=total, violations=violations, worst_margin=worst)
 
 
-def verify_lipschitz_sandwich(D, chart, samples, dist_method="auto",
-                              first_tol=1e-9):
+def verify_lipschitz_sandwich(D, chart, samples):
     """Assert dist(z, bd D) <= Y(chart(z)) on the samples and return the
     smallest empirical C with Y <= C dist; C is at least 1 and at most the
     Lipschitz constant of Y, sqrt(1 + Lip(phi)^2), up to sampling slack."""
@@ -534,9 +537,9 @@ def verify_lipschitz_sandwich(D, chart, samples, dist_method="auto",
     if not np.all(chart.in_box(Z)):
         raise ChartError("sample outside the chart box")
     Y = Z[..., -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Z)))
-    delta = boundary_distance_batch(D, zs, method=dist_method)
+    delta = boundary_distance_batch(D, zs)
     scale = 1.0 + np.max(np.linalg.norm(zs, axis=-1))
-    if np.min(Y - delta) < -first_tol * scale:
+    if np.min(Y - delta) < -1e-9 * scale:
         raise ChartError("vertical height fell below the boundary distance: "
                          "chart inconsistent with the domain")
     C = float(np.max(Y / delta))

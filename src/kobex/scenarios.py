@@ -22,16 +22,16 @@ except Exception:  # pragma: no cover
     VERSION = "0.1.0"
 
 
-def infinite_type_check(phi, orders, xs=(1e-1, 1e-2, 1e-3), ratio_floor=1e-8):
+def infinite_type_check(phi, orders):
     """Certify that phi vanishes at 0 faster than every tested power.
 
-    For each order k the ratios phi(x)/x^k over the decade grid must be
-    nonincreasing with the final ratio at most ratio_floor; an order that
+    For each order k the ratios phi(x)/x^k over x = 1e-1, 1e-2, 1e-3 must
+    be nonincreasing with the final ratio at most 1e-8; an order that
     fails yields the verdict "finite type <= k".
     """
     if abs(float(phi(np.array(0.0)))) > 0.0:
         raise domains.DomainError("profile must vanish at 0")
-    xs = np.asarray(xs, dtype=float)
+    xs = np.array([1e-1, 1e-2, 1e-3])
     results = {}
     verdict = True
     failed_order = None
@@ -40,7 +40,7 @@ def infinite_type_check(phi, orders, xs=(1e-1, 1e-2, 1e-3), ratio_floor=1e-8):
             ratios = np.asarray(phi(xs), dtype=float) / xs ** k
         decreasing = bool(np.all(np.diff(ratios) <= 1e-300 + 0.0 * ratios[1:])
                           or np.all(ratios[1:] <= ratios[:-1]))
-        ok = decreasing and ratios[-1] <= ratio_floor
+        ok = decreasing and ratios[-1] <= 1e-8
         results[int(k)] = {"ratios": [float(r) for r in ratios], "ok": ok}
         if not ok and verdict:
             verdict = False
@@ -98,11 +98,9 @@ def _u21_witness():
 
 def _rho22_witness():
     """phi(|w|^2) - Re z with its analytic w-Levi coefficient."""
-    from .domains import _phi_flat
-
     def fn(z):
         z = np.asarray(z, dtype=complex)
-        return _phi_flat(np.abs(z[..., 1]) ** 2) - np.real(z[..., 0])
+        return domains._phi_flat(np.abs(z[..., 1]) ** 2) - np.real(z[..., 0])
 
     def levi_w(aw):
         # displayed in terms of |w|: 4 |w|^-6 exp(-1/|w|^4) (1/|w|^4 - 1)
@@ -118,11 +116,12 @@ def _rho22_witness():
     return w
 
 
-def _sibony_rate_constant(alpha=4.0, c=0.25):
-    """Lower-rate constant for the corner-sum witness: sqrt(c/alpha) shrunk
-    by the factor relating the witness value to boundary distance,
-    |u| = sqrt(2) * delta, giving beta = sqrt(c/alpha) / 2^(1/4)."""
-    return math.sqrt(c / alpha) / 2.0 ** 0.25
+def _sibony_rate_constant(alpha=4.0):
+    """Lower-rate constant for the corner-sum witness, whose Hessian bound
+    is c = 1/4: sqrt(c/alpha) shrunk by the factor relating the witness
+    value to boundary distance, |u| = sqrt(2) * delta, giving
+    beta = sqrt(c/alpha) / 2^(1/4)."""
+    return math.sqrt(0.25 / alpha) / 2.0 ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,6 @@ def scenario_example22(seed=0):
     rng = np.random.default_rng(seed)
     D = domains.ex22_D()
     rho = _rho22_witness()
-    from .domains import _phi_flat
 
     # (a) finite differences against the displayed w-Levi coefficient.
     # Sampled where the coefficient is O(0.1) or larger so the quotient is
@@ -308,7 +306,7 @@ def scenario_example22(seed=0):
     while n_done < 1000:
         aw = 0.65 + 0.3 * rng.random()
         w = aw * np.exp(2j * math.pi * rng.random())
-        s = _phi_flat(np.array(aw ** 2)) + 0.05 + 0.4 * rng.random()
+        s = domains._phi_flat(np.array(aw ** 2)) + 0.05 + 0.4 * rng.random()
         z = np.array([s + 0.1j * (rng.random() - 0.5), w])
         if not bool(domains.contains(D, z)):
             continue
@@ -325,7 +323,7 @@ def scenario_example22(seed=0):
     samples = []
     while len(samples) < 250:
         w = (rng.random() - 0.5) * 1.4 + 1j * (rng.random() - 0.5) * 1.4
-        s = _phi_flat(np.array(abs(w) ** 2)) + rng.random() * 0.6 + 1e-3
+        s = domains._phi_flat(np.array(abs(w) ** 2)) + rng.random() * 0.6 + 1e-3
         z = np.array([s + 0.2j * (rng.random() - 0.5), w])
         if bool(domains.contains(D, z)):
             samples.append(z)
@@ -334,8 +332,7 @@ def scenario_example22(seed=0):
             tolerances={"min": -1e-8}, constants={"points": psh_rep.n_checked})
 
     # (c) flatness to all tested orders at the origin
-    flat = infinite_type_check(lambda x: _phi_flat(np.asarray(x, dtype=float)),
-                               orders=range(1, 21))
+    flat = infinite_type_check(domains._phi_flat, orders=range(1, 21))
     rep.add("flatness-orders", verdict=bool(flat["passes"]),
             value=flat["finite_type_at"], constants={"orders": 20})
 
@@ -345,7 +342,7 @@ def scenario_example22(seed=0):
         for _ in range(12):
             d = 2.0 ** -k * (0.75 + 0.5 * rng.random())
             w = 0.15 * (rng.random() + 1j * rng.random() - 0.5 - 0.5j)
-            z = np.array([d + _phi_flat(np.array(abs(w) ** 2))
+            z = np.array([d + domains._phi_flat(np.array(abs(w) ** 2))
                           + 0.02j * (rng.random() - 0.5), w])
             if bool(domains.contains(D, z)) and np.linalg.norm(z) < 0.2:
                 hopf_samples.append(z)
@@ -479,12 +476,12 @@ def scenario_embedding_suite(seed=0):
     return rep
 
 
-def _chart_interior_samples(D, chart, rng, count, pull=0.35):
+def _chart_interior_samples(D, chart, rng, count):
     out = []
     while len(out) < count:
-        c = (rng.random(3) - 0.5) * (2 * pull * chart.radius)
+        c = (rng.random(3) - 0.5) * (0.7 * chart.radius)
         zp = c[0] + 1j * c[1]
-        if abs(zp) >= chart.radius * pull:
+        if abs(zp) >= 0.35 * chart.radius:
             continue
         val = float(chart.phi(np.array([c[0], c[1], c[2]])))
         lift = rng.random() * 0.3 * chart.radius + 1e-6

@@ -165,9 +165,18 @@ def test_metric_commands(capsys):
     assert "1.33333333333" in capsys.readouterr().out
 
 
-def test_metric_exact_requires_ball(capsys):
+def test_metric_exact_requires_ball(tmp_path, monkeypatch, capsys):
     assert run_cli("metric", "ex21_omega", "--at", "0.1,0", "--dir", "1,0",
                    "--method", "exact") == 3
+    # a definition file named like the ball is not the ball
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ballish.kx").write_text(
+        "domain slab2\n  dim 2\n  radius 1.0\n"
+        "  constraint abs(z1)^2 + abs(z2)^2 - 1\n"
+        "  constraint 0.005 - abs(re(z1) - 0.5)\nend\n")
+    assert run_cli("metric", "ballish.kx", "--at", "0.1,0", "--dir", "1,0",
+                   "--method", "exact") == 3
+    assert "exact" not in capsys.readouterr().out
 
 
 def test_distance_from_definition_file(tmp_path, capsys):

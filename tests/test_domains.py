@@ -126,6 +126,32 @@ def test_distance_generic_agrees_with_fast_paths(ball2, omega21, d22, rng):
         assert slow == pytest.approx(fast, abs=1e-8 * (1 + np.linalg.norm(z)))
 
 
+# Points of the point-queries benchmark (seeds 7, 61 and 64) where the
+# generic search stops at its round cap above the true distance.
+GENERIC_OVERSHOOT_POINTS = [
+    ("ex21_omega", (-0.020941722439156978 - 0.001546772404501031j,
+                    0.08316921866364173 - 0.158506536909752j)),
+    ("ex21_omega", (-0.06671492806127634 - 0.013378375063176122j,
+                    0.06958843802880972 - 0.1121163436751587j)),
+    ("ball2", (0.004464462410943745 - 0.19745013222137014j,
+               -0.028164060798966162 - 0.014152722015799807j)),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="the generic search overshoots at its "
+                   "round cap; ROADMAP item 1 (a generic boundary search that "
+                   "converges)")
+@pytest.mark.parametrize("name,z", GENERIC_OVERSHOOT_POINTS)
+def test_generic_distance_does_not_overshoot(name, z):
+    z = np.array(z)
+    if name == "ball2":
+        ref = 1.0 - np.linalg.norm(z)
+    else:  # corner law of ex21_omega
+        ref = (1.0 - np.abs(z[0]) - np.abs(z[1])) / SQRT2
+    got = kx.boundary_distance(kx.bundled_domain(name), z, method="generic")
+    assert got - ref <= 1e-8 * (1 + np.linalg.norm(z))
+
+
 # ---------------------------------------------------------------------------
 # directional distance
 # ---------------------------------------------------------------------------

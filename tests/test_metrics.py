@@ -136,6 +136,27 @@ def test_metric_bound_validation():
         kx.MetricBound(1.0, "lower", "mystery")
     with pytest.raises(ValueError):
         kx.MetricBound(-1.0, "lower", "sibony")
+    with pytest.raises(kx.DomainError):
+        kx.MetricBound(math.nan, "upper", "inscribed_ball")
+    with pytest.raises(kx.DomainError):
+        kx.MetricBound(math.inf, "lower", "graham_lower")
+    assert kx.MetricBound(math.inf, "upper", "fr_dist_upper").value == math.inf
+
+
+@pytest.mark.parametrize("v, delta_dir", [
+    ((math.inf, 0), 0.5), ((math.nan, 0), 0.5), ((1, 0), 0.0),
+    ((1, 0), -0.5), ((1, 0), math.inf), ((1, 0), math.nan)])
+def test_graham_bounds_reject_bad_direction_data(ball2, v, delta_dir):
+    with pytest.raises(kx.DomainError):
+        kx.graham_bounds(ball2, (0.1, 0.2), v, delta_dir=delta_dir)
+
+
+@pytest.mark.parametrize("z, v", [
+    ((0.1, 0.2), (math.nan, 0)), ((0.1, 0.2), (math.inf, 0)),
+    ((2, 0), (0, 0))])
+def test_inscribed_ball_bound_rejects_bad_input(ball2, z, v):
+    with pytest.raises(kx.DomainError):
+        kx.inscribed_ball_upper_bound(ball2, z, v)
 
 
 # ---------------------------------------------------------------------------
