@@ -111,8 +111,11 @@ class DomainSpec:
     def value(self, z):
         """max_i g_i, batched over leading axes."""
         z = np.asarray(z, dtype=complex)
-        vals = np.stack([c(z) for c in self.constraints], axis=0)
-        return np.max(vals, axis=0)
+        first, *rest = self.constraints
+        out = first(z)
+        for c in rest:
+            out = np.maximum(out, c(z))
+        return out
 
     def active_constraints(self, z):
         """Indices of the constraints within 1e-8 (1 + |z|) of 0 at z."""
@@ -157,9 +160,12 @@ def _ray_exit(D, z, dirs, bound=None):
     interval; otherwise a fixed march of step cap/MARCH_STEPS finds the
     first outside point.  A Chandrupatla root finder on D.value along the
     ray then shrinks it to hi - lo <= 4 eps hi and returns the midpoint.
-    The cap, and with it the march grid, is set by the largest |z| in the
-    batch, so the other rows can move an exit by rounding, or by tunnelling
-    on the march; the chunks of whole rows change no exit.
+    Where D.value is exactly 0, interpolation has no slope to use, so the
+    finder steps just inside a new zero, doubles that step while zeros
+    repeat and bisects once it is past them.  The cap, and with it the
+    march grid, is set by the largest |z| in the batch, so the other rows
+    can move an exit by rounding, or by tunnelling on the march; the chunks
+    of whole rows change no exit.
 
     Without a bound every entry is the exact exit.  With one (scalar or
     (m,), inf for none), each row keeps best = min(bound, least upper
@@ -169,14 +175,16 @@ def _ray_exit(D, z, dirs, bound=None):
     row's min and argmin, and the strict test min < bound, may use the
     entries; those come out as from exact exits.
 
-    On a convex domain two more steps use the bound.  Each ray of a row
+    Two more steps use the bound.  On a convex domain each ray of a row
     with 0 < best < cap is probed once, at p = best (1 + PROBE_MARGIN); a
     ray inside at p exits beyond it, since the inside set is an interval,
     and returns p.  And when some row is unbounded, each chunk first finds
     the exits of every s-th ray, s = isqrt(k), then bounds the other rays
-    by min(bound, those rays' row minima).  Both only stop rays early; a
-    ray that is not stopped runs the same bracket and root steps, so every
-    exact entry is bitwise the exit the plain search finds.
+    by min(bound, those rays' row minima); on a non-convex domain the march
+    stops those rays once t exceeds that bound, as the root finder does.
+    Both only stop rays early; a ray that is not stopped runs the same
+    bracket and root steps, so every exact entry is bitwise the exit the
+    plain search finds.
     """
     z = np.asarray(z, dtype=complex)
     dirs = np.asarray(dirs, dtype=complex)
@@ -188,7 +196,7 @@ def _ray_exit(D, z, dirs, bound=None):
     # bound no ray stops early
     best = np.broadcast_to(np.nan if bound is None else bound, (m,)).astype(float)
     s = math.isqrt(k)
-    coarse = D.is_convex and s > 1 and np.any(best == math.inf)
+    coarse = s > 1 and np.any(best == math.inf)
     rest = np.arange(k) % s > 0
     out = np.empty((m, k))
     step = max(1, RAY_CHUNK // k)
@@ -205,29 +213,38 @@ def _ray_exit(D, z, dirs, bound=None):
 
 def _exit_chunk(D, z, dirs, cap, best):
     """_ray_exit on one chunk of whole rows, with best a writable copy of
-    their bounds.  One oracle call takes the row origins, every ray's cap
-    point and the convex probes.  Live rays and their state are compacted
-    only on steps where some ray stops."""
+    their bounds.  Without probes one oracle call takes the row origins and
+    every ray's cap point.  With probes one call takes the origins and the
+    probes, and a second the cap points of the rays the probes did not
+    stop, the only ones whose [0, cap] bracket is used.  Live rays and
+    their state are compacted only on steps where some ray stops."""
     mc, k, n = dirs.shape
     m = mc * k
-    zr = np.repeat(z, k, axis=0)
-    dirs = dirs.reshape(m, n)
     row = np.repeat(np.arange(mc), k)
-    lo = np.zeros(m)
-    hi = np.full(m, cap)
-    probe = np.flatnonzero(D.is_convex & (best[row] > 0.0) & (best[row] < cap))
-    p = best[row[probe]] * (1.0 + PROBE_MARGIN)
-    f0, fhi, fp = np.split(D.value(np.concatenate(
-        [z, zr + cap * dirs, zr[probe] + p[:, None] * dirs[probe]])), [mc, mc + m])
-    flo = f0[row]
-    if np.any(f0 >= 0.0) or np.any(fhi < 0.0):
-        raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
     res = np.full(m, np.nan)
-    res[probe[fp < 0.0]] = p[fp < 0.0]
-    todo = np.flatnonzero(np.isnan(res))
+    # a probed row has every ray probed
+    pr = np.flatnonzero(D.is_convex & (best > 0.0) & (best < cap))
+    if pr.size:
+        p = best[pr, None] * (1.0 + PROBE_MARGIN)
+        probes = (z[pr, None] + p[..., None] * dirs[pr]).reshape(-1, n)
+        f0, fp = np.split(D.value(np.concatenate([z, probes])), [mc])
+        res.reshape(mc, k)[pr] = np.where(fp.reshape(-1, k) < 0.0, p, np.nan)
+        todo = np.flatnonzero(np.isnan(res))
+        dirs = dirs.reshape(m, n)
+        fcap = D.value(z[row[todo]] + cap * dirs[todo]) if todo.size else np.empty(0)
+    else:
+        todo = np.arange(m)
+        caps = (z[:, None] + cap * dirs).reshape(m, n)
+        f0, fcap = np.split(D.value(np.concatenate([z, caps])), [mc])
+        dirs = dirs.reshape(m, n)
+    if np.any(f0 >= 0.0) or np.any(fcap < 0.0):
+        raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
+    lo, flo = np.zeros(m), f0[row]
+    hi, fhi = np.full(m, cap), np.empty(m)
+    fhi[todo] = fcap
     if not D.is_convex:
         step = cap / MARCH_STEPS
-        zt, dt, rt, fl = zr, dirs, row, flo
+        zt, dt, rt, fl = z[row], dirs, row, flo
         for j in range(1, MARCH_STEPS + 1):
             t = j * step
             f = D.value(zt + t * dt)
@@ -249,17 +266,27 @@ def _exit_chunk(D, z, dirs, cap, best):
         todo = np.flatnonzero(np.isnan(res))    # the rays that left, to root-find
     if not todo.size:
         return res.reshape(mc, k)
-    z, dirs, row = zr[todo], dirs[todo], row[todo]
+    z, dirs, row = z[row[todo]], dirs[todo], row[todo]
 
     # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
     # bracket and x3 the point dropped last; each step tries inverse
     # quadratic interpolation on the three and bisects when it is not
-    # accepted, never stepping closer than 2 eps hi to an end.  Given a
-    # bound, each step folds the live rays' upper ends into their rows'
-    # best; a stopped ray's last upper end is already in it.
+    # accepted, never stepping closer than 2 eps hi to an end.  An exact
+    # zero counts as outside but gives interpolation no slope (it returns 0
+    # for f1 = 0 and 1 for f2 = 0), so zeros take their own steps.  A new
+    # zero x1 asks for half the least step, so it steps 2 eps hi inside it.
+    # While the outside end it replaced was a zero too (f3 = 0), the step
+    # asked for doubles, up to a bisection.  So the second step is 2 eps hi
+    # again, which ends a run of zeros as wide as the oracle's rounding with
+    # the 2 eps bracket the plain finder gets there, and a wide run is
+    # crossed in a few steps.  Once the newest point is inside and the
+    # outside end a zero (f2 = 0), the search bisects.  want is the step
+    # fraction asked for, t the one taken.
+    # Given a bound, each step folds the live rays' upper ends into their
+    # rows' best; a stopped ray's last upper end is already in it.
     x1, f1, x2, f2 = lo[todo], flo[todo], hi[todo], fhi[todo]
     bounded = not np.isnan(best).any()
-    t = np.full(todo.size, 0.5)
+    want = t = np.full(todo.size, 0.5)
     for _ in range(ROOT_STEPS):
         x = x1 + t * (x2 - x1)
         f = D.value(z + x[:, None] * dirs)
@@ -281,8 +308,8 @@ def _exit_chunk(D, z, dirs, cap, best):
             todo = todo[keep]
             if not todo.size:
                 return res.reshape(mc, k)
-            x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row = (
-                a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row))
+            x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row, want = (
+                a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row, want))
         xi = (x1 - x2) / (x3 - x2)
         phi = (f1 - f2) / (f3 - f2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -290,7 +317,9 @@ def _exit_chunk(D, z, dirs, cap, best):
                    - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
         accept = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
         tl = 0.5 * tol / dx
-        t = np.clip(np.where(accept, iqi, 0.5), tl, 1.0 - tl)
+        want = np.where(f1 == 0.0, np.where(f3 == 0.0, np.minimum(2.0 * want, 0.5), 0.5 * tl),
+                        np.where(accept & (f2 != 0.0), iqi, 0.5))
+        t = np.clip(want, tl, 1.0 - tl)
     raise ConvergenceError("ray exit root finder did not converge in %d steps" % ROOT_STEPS)
 
 

@@ -56,10 +56,14 @@ def kob_metric_ball_exact(z, v):
 
 
 def kob_distance_ball_exact(z1, z2):
-    """Invariant distance of the unit ball, arctanh of the Mobius invariant."""
+    """Invariant distance of the unit ball, arctanh of the Mobius invariant.
+    Both points must lie in the open ball."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    num = (1.0 - np.sum(np.abs(z1) ** 2)) * (1.0 - np.sum(np.abs(z2) ** 2))
+    n1, n2 = np.sum(np.abs(z1) ** 2), np.sum(np.abs(z2) ** 2)
+    if not (n1 < 1.0 and n2 < 1.0):
+        raise DomainError("point outside the ball")
+    num = (1.0 - n1) * (1.0 - n2)
     den = np.abs(1.0 - hermitian_inner(z1, z2)) ** 2
     rho = math.sqrt(max(0.0, 1.0 - float(num / den)))
     return float(np.arctanh(min(rho, 1.0 - 1e-16)))

@@ -574,6 +574,51 @@ def test_ray_exit_resolves_a_jump_by_bisection(convex):
     assert np.max(np.abs(t - 0.5)) <= 2 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("convex", [True, False])
+def test_ray_exit_crosses_a_plateau_of_exact_zeros(convex):
+    # every outside point reads exactly 0, so each step that lands outside
+    # gives interpolation nothing to use and the bracket must keep halving
+    D = kx.DomainSpec("plateau", 2, [lambda z: np.minimum(np.sum(np.abs(z) ** 2, axis=-1) - 1.0,
+                                                          0.0)],
+                      is_convex=convex, bounding_radius=1.0)
+    zs = np.array([[0.5, 0.2j]])
+    dirs = _unit_rows(np.random.default_rng(6), 64)
+    t = _ray_exit(D, zs, dirs[None])[0][:, None]
+    assert np.all(kx.contains(D, zs + t * (1 - 1e-13) * dirs))
+    assert not np.any(kx.contains(D, zs + t * (1 + 1e-13) * dirs))
+
+
+def test_ray_exit_through_exact_zeros_keeps_its_step_budget(ball2, monkeypatch):
+    # a phase ray of a 4096-phase ball2 scan whose oracle reads exactly 0 over
+    # a stretch of its bracket; stepping just inside each new zero and
+    # doubling that step while zeros repeat settles it in 20 oracle calls,
+    # where alternating 2-eps steps with bisections took 75
+    z = np.array([0.00076562999162499 - 0.436303450737775j, 0.6409706006342057 + 0.5967190862968792j])
+    d = np.array([0.8698100981751579 + 0.11548386310287943j,
+                  0.4791400632452546 - 0.02277433355097045j])
+    calls = []
+    real = ball2.value
+    monkeypatch.setattr(ball2, "value", lambda x: calls.append(1) or real(x))
+    t = _ray_exit(ball2, z[None], d[None, None])[0, 0]
+    assert len(calls) <= 24
+    assert kx.contains(ball2, z + t * (1 - 1e-13) * d)
+    assert not kx.contains(ball2, z + t * (1 + 1e-13) * d)
+
+
+def test_convex_exits_reject_a_short_bounding_radius():
+    # the cap |z| + 2 R + 1 stays inside the disc of radius 5, so the rays do
+    # not leave within it; both scans start unbounded, where every ray's cap
+    # point is checked
+    D = kx.DomainSpec("big", 2, [lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 25.0],
+                      is_convex=True, bounding_radius=0.2)
+    z = np.zeros(2, complex)
+    v = kx.cpoint(1, 0.5j)
+    with pytest.raises(kx.DomainError):
+        kx.directional_distance(D, z, v)
+    with pytest.raises(kx.DomainError):
+        kx.directional_distance_batch(D, z[None], v[None], n_phases=4096, refine=False)
+
+
 @pytest.mark.parametrize("name", ["ball2", "ex22_omega"])
 def test_ray_exit_does_not_depend_on_the_chunk(name):
     # chunks hold RAY_CHUNK // k whole rows; all rows share one origin, so
@@ -657,6 +702,9 @@ def test_pruned_ray_exits_keep_row_minima(name, rows, phases, radius, monkeypatc
                 assert points[0] <= 0.6 * exact_points
                 # the coarse pass and the probes settle most rays with one point
                 assert points[0] <= 0.4 * exact_points
+            if name == "ex21_d":
+                # the coarse pass runs on non-convex domains too
+                assert points[0] <= 0.75 * exact_points
     # every phase ties at the centre of the ball, in exact arithmetic
     if name == "ball2":
         assert np.all(np.abs(exact[0] - 1.0) <= 4 * np.finfo(float).eps)

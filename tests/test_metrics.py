@@ -40,6 +40,14 @@ def test_ball_distance_on_diameter():
         == pytest.approx(math.atanh(0.5), abs=1e-12)
 
 
+@pytest.mark.parametrize("z1", [(2, 0), (1, 0), (0.6, 0.8j)])
+def test_ball_distance_rejects_points_outside_the_ball(z1):
+    # the distance to a boundary or outside point is not a finite number
+    for a, b in ((z1, (0, 0)), ((0, 0), z1)):
+        with pytest.raises(kx.DomainError):
+            kx.kob_distance_ball_exact(kx.cpoint(*a), kx.cpoint(*b))
+
+
 # ---------------------------------------------------------------------------
 # one-sided bounds
 # ---------------------------------------------------------------------------
