@@ -30,15 +30,15 @@ from .regularity import (ChartError, DiniIntegral, GraphChart, HFunction,
                          vertical_height)
 from .psh import (FiberMap, HopfFit, PshReport, PshWitness, SmoothnessError,
                   check_psh, hopf_fit, lagrange_residuals, levi_form,
-                  make_psi, nearest_point_cubic, psi_bound, psi_tail,
-                  pushforward_tau, step1_constant_ex21)
+                  make_psi, nearest_point_cubic, psi_bound, pushforward_tau,
+                  step1_constant_ex21)
 from .extension import (ContinuityReport, DichotomyReport,
                         DichotomySequences, ExtensionResult, HolomorphicMap,
                         PsiLadder, TailBoundError, boundary_value,
                         cluster_set_sample, continuity_modulus,
                         dichotomy_report, evaluate_extension, extend_map,
                         grid_safety_margin, normal_line_integral,
-                        project_to_boundary)
+                        project_to_boundary, psi_tail)
 from .charts import (BUNDLED_CHARTS, ball_chart, ex21_chart, ex22_chart,
                      flat_chart, flat_domain, tilted_chart, tilted_domain)
 from .reports import Record, Report

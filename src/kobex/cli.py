@@ -8,7 +8,8 @@ geometric primitives directly.
     kobex metric <domain> --at Z --dir V [--method graham|inscribed|exact]
     kobex extend [--grid N] [--tol X] [--out DIR]
 
-Exit codes: 0 all verdicts pass, 2 a verdict failed, 3 configuration error.
+Exit codes: 0 all verdicts pass, 2 a verdict failed or a solver did not
+converge, 3 configuration error (such as a tol no ladder rung certifies).
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import domains, metrics, scenarios
+from . import domains, extension, metrics, scenarios
 
 
 def _parse_point(text):
@@ -175,9 +176,12 @@ def main(argv=None):
         if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise domains.DomainError("--tol must be finite and nonnegative, got %r" % tol)
         return args.fn(args)
-    except domains.DomainError as exc:
+    except (domains.DomainError, extension.TailBoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except domains.ConvergenceError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

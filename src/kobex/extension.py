@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ConvergenceError, DomainError, boundary_distance_batch
-from .psh import psi_tails
-from .regularity import ChartError, GraphChart, vertical_height
+from .domains import (ConvergenceError, DomainError, _row_blocks,
+                      boundary_distance_batch)
+from .regularity import ChartError, GraphChart, dyadic_panels, vertical_height
 
 
 class TailBoundError(ConvergenceError):
@@ -35,6 +35,7 @@ _GL_NODES = np.concatenate([_GL16_X, _GL8_X])
 QUAD_REL_TOL = 1e-8
 QUAD_ROUNDS = 24
 QUAD_MAX_PANELS = 1024
+LADDER_LEVELS = 70       # dyadic rate-tail panels of PsiLadder and psi_tail
 LADDER_MAX_LEVELS = 60   # rungs boundary_value descends before TailBoundError
 # gamma_17 = 17u/(1 - 17u), u = eps/2, bounds the rounding of half * G16 sums
 _GAMMA17 = 8.5 * np.finfo(float).eps / (1.0 - 8.5 * np.finfo(float).eps)
@@ -99,25 +100,31 @@ class HolomorphicMap:
 
 
 def normal_line_integral(fmap, xi, t, tprime, psi=None):
-    """int_t^{t'} i * d(fmap)/dZ_n (xi + x * (0, ..., 0, i)) dx.
+    """int_t^{t'} i * d(fmap)/dZ_n (xi + x * (0, ..., 0, i)) dx for lines xi
+    (..., n), batched over the leading axes: returns ((..., n) values,
+    (...) error estimates).
 
     Dyadic panels t' 2^-m refine toward t, where the integrand may blow up
     like an integrable rate; a panel's tolerance is QUAD_REL_TOL times
     max(|psi(lo)| (hi - lo), 1e-12), or times 1 without psi.  Each round
-    takes one derivative call on the G16 and G8 nodes of all open panels:
-    a panel adds G16 to the value, and |G16 - G8| plus the rounding bound
-    gamma_17 half sum_k w_k |f_k| to the error, once they agree within its
-    tolerance, else it is bisected with half the tolerance each.  After
-    QUAD_ROUNDS rounds, or beyond QUAD_MAX_PANELS open panels,
-    ConvergenceError.  Returns (value (n,), error_estimate).
+    evaluates the derivative on the G16 and G8 nodes of the open panels of
+    all lines, in row blocks of panels (domains._row_blocks) that bound
+    what one derivative call holds: a panel adds G16 to its line's value,
+    and |G16 - G8| plus the rounding bound gamma_17 half sum_k w_k |f_k| to
+    its line's error, once they agree within its tolerance, else it is
+    bisected with half the tolerance each.  After QUAD_ROUNDS rounds, or
+    beyond QUAD_MAX_PANELS open panels on one line, ConvergenceError.
     """
     xi = np.asarray(xi, dtype=complex)
     if not (0.0 < t < tprime):
         raise DomainError("need 0 < t < t'")
-    ev = _eps_vec(xi.size)
+    lead, n = xi.shape[:-1], xi.shape[-1]
+    xi = xi.reshape(-1, n)
+    ev = _eps_vec(n)
     if fmap.chart is not None:
         ends = np.array([t, 0.5 * (t + tprime), tprime])
-        if np.any(vertical_height(fmap.chart, xi + ends[:, None] * ev) <= 0):
+        if np.any(vertical_height(fmap.chart,
+                                  xi[:, None] + ends[:, None] * ev) <= 0):
             raise DomainError("vertical segment exits the domain")
 
     # panel breakpoints: t' * 2^-m clipped at t
@@ -128,28 +135,40 @@ def normal_line_integral(fmap, xi, t, tprime, psi=None):
     hi, lo = np.array(bps[:-1]), np.array(bps[1:])
     scale = np.abs(psi(lo)) * (hi - lo) if psi is not None else np.ones_like(lo)
     tol = QUAD_REL_TOL * np.maximum(scale, 1e-12)
-    total = np.zeros(xi.size, dtype=complex)
-    err = 0.0
+    line = np.repeat(np.arange(len(xi)), lo.size)
+    lo, hi, tol = (np.tile(a, len(xi)) for a in (lo, hi, tol))
+    total = np.zeros(xi.shape, dtype=complex)
+    err = np.zeros(len(xi))
+    # numbers per panel in a derivative call: n-by-n Jacobians or Cauchy circles
+    width = _GL_NODES.size * n * (n if fmap.dzn is not None else CAUCHY_NODES)
     for rounds in range(1, QUAD_ROUNDS + 1):
         half = 0.5 * (hi - lo)
         mid = lo + half
-        x = mid[:, None] + half[:, None] * _GL_NODES
-        d = 1j * fmap.derivative(xi + x[..., None] * ev)
-        g16 = half[:, None] * np.einsum("k,pkn->pn", _GL16_W, d[:, :16])
-        g8 = half[:, None] * np.einsum("k,pkn->pn", _GL8_W, d[:, 16:])
+        parts = []
+        for c in _row_blocks(lo.size, width):
+            x = mid[c, None] + half[c, None] * _GL_NODES
+            d = 1j * fmap.derivative(xi[line[c], None] + x[..., None] * ev)
+            parts.append((
+                half[c, None] * np.einsum("k,pkn->pn", _GL16_W, d[:, :16]),
+                half[c, None] * np.einsum("k,pkn->pn", _GL8_W, d[:, 16:]),
+                np.max(np.einsum("k,pkn->pn", _GL16_W, np.abs(d[:, :16])), axis=-1)))
+        g16, g8, g16abs = (np.concatenate(a) for a in zip(*parts))
         diff = np.max(np.abs(g16 - g8), axis=-1)
         done = diff <= tol
-        total += g16[done].sum(axis=0)
-        rounding = _GAMMA17 * half[done] * np.max(
-            np.einsum("k,pkn->pn", _GL16_W, np.abs(d[done, :16])), axis=-1)
-        err += float((diff[done] + rounding).sum())
+        accepted = np.zeros(xi.shape, dtype=complex)
+        np.add.at(accepted, line[done], g16[done])
+        total += accepted
+        rounding = _GAMMA17 * half[done] * g16abs[done]
+        err += np.bincount(line[done], weights=diff[done] + rounding,
+                           minlength=len(xi))
         if done.all():
-            return total, err
+            return total.reshape(lead + (n,)), err.reshape(lead)[()]
         split = ~done
+        line = np.tile(line[split], 2)
         lo = np.concatenate([lo[split], mid[split]])
         hi = np.concatenate([mid[split], hi[split]])
         tol = np.tile(0.5 * tol[split], 2)
-        if lo.size > QUAD_MAX_PANELS:
+        if np.bincount(line).max() > QUAD_MAX_PANELS:
             break
     raise ConvergenceError("normal-line quadrature left %d panels open after "
                            "%d rounds" % (lo.size, rounds))
@@ -175,60 +194,68 @@ class ExtensionResult:
 
 
 class PsiLadder:
-    """Cached tail integrals of psi at the geometric rungs t' 2^-k."""
+    """Rate tails int_0^{t' 2^-k} psi for k = 0, ..., LADDER_LEVELS: dyadic
+    panels toward 0, the part below the last one extrapolated from the ratio
+    of the last two (+inf when they stop decaying)."""
 
-    def __init__(self, psi, tprime, levels=70):
-        self.psi = psi
+    def __init__(self, psi, tprime):
         self.tprime = float(tprime)
-        self.levels = levels
-        # tails[k] = int_0^{t' 2^-k} psi
-        self.tails = psi_tails(psi, tprime, levels)
+        c = dyadic_panels(psi, tprime, LADDER_LEVELS, 17)
+        below = 0.0
+        if c[-2] > 0 and c[-1] / c[-2] < 0.999:
+            rho = c[-1] / c[-2]
+            below = c[-1] * rho / (1.0 - rho)
+        elif c[-1] > 1e-300:
+            below = math.inf
+        self.tails = np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]]) + below
 
     def rung(self, k):
         return self.tprime * 2.0 ** (-k)
 
     def tail(self, k):
-        return float(self.tails[min(k, self.levels)])
+        return float(self.tails[min(k, LADDER_LEVELS)])
 
 
-def boundary_value(fmap, xi, tprime, tol, psi=None, ladder=None,
-                   consistency=True):
-    """Boundary value of the map at a chart boundary point xi.
+def psi_tail(psi, t):
+    """int_0^t psi, the top of the ladder: finite iff psi is integrable at 0."""
+    return PsiLadder(psi, t).tail(0) if t > 0 else 0.0
 
-    Descends the geometric ladder t_k = t' 2^-k, at most
-    LADDER_MAX_LEVELS rungs, until the rate tail int_0^{t_k} psi falls
-    below tol, and reports the map's value at that
-    rung.  The vertical-line integral certifies the telescoping identity
-    between the top of the ladder and the rung used (quadrature_error).
-    The result does not depend on t' beyond 2 tol.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    if ladder is None:
-        if psi is None:
-            raise DomainError("need either psi or a prebuilt ladder")
-        ladder = PsiLadder(psi, tprime)
-    ev = _eps_vec(xi.size)
-    kstar = None
-    for k in range(LADDER_MAX_LEVELS + 1):
-        if ladder.tail(k) < tol:
-            kstar = k
-            break
-    if kstar is None:
+
+def _ladder_values(fmap, xis, tprime, tol, psi):
+    """ExtensionResult of every row of xis (m, n), all on one ladder rung."""
+    ladder = PsiLadder(psi, tprime)
+    below = np.flatnonzero(ladder.tails[:LADDER_MAX_LEVELS + 1] < tol)
+    if below.size == 0:
         raise TailBoundError("rate tail stayed above tol for %d ladder levels"
                              % LADDER_MAX_LEVELS)
+    kstar = int(below[0])
     t_used = ladder.rung(kstar)
-    value = np.asarray(fmap.fn(xi + t_used * ev), dtype=complex)
-    quad_err = 0.0
-    if consistency and kstar > 0:
-        integral, ierr = normal_line_integral(fmap, xi, t_used, tprime,
-                                              psi=ladder.psi)
-        top = np.asarray(fmap.fn(xi + tprime * ev), dtype=complex)
-        resid = float(np.max(np.abs(top - integral - value)))
-        quad_err = resid + ierr
-    return ExtensionResult(xi=xi, value=value, t_prime=float(tprime),
-                           t_used=float(t_used), tail_bound=ladder.tail(0),
-                           err_budget=ladder.tail(kstar),
-                           quadrature_error=quad_err, levels=kstar)
+    ev = _eps_vec(xis.shape[-1])
+    values = np.asarray(fmap.fn(xis + t_used * ev), dtype=complex)
+    quad_err = np.zeros(len(xis))
+    if kstar > 0:
+        integral, ierr = normal_line_integral(fmap, xis, t_used, tprime, psi=psi)
+        top = np.asarray(fmap.fn(xis + tprime * ev), dtype=complex)
+        quad_err = np.max(np.abs(top - integral - values), axis=-1) + ierr
+    return [ExtensionResult(xi=xi, value=value, t_prime=float(tprime),
+                            t_used=float(t_used), tail_bound=ladder.tail(0),
+                            err_budget=ladder.tail(kstar),
+                            quadrature_error=float(q), levels=kstar)
+            for xi, value, q in zip(xis, values, quad_err)]
+
+
+def boundary_value(fmap, xi, tprime, tol, psi):
+    """Boundary value of the map at a chart boundary point xi: the one-row
+    case of extend_map, without its grid-margin check.
+
+    Descends the geometric ladder t_k = t' 2^-k, at most LADDER_MAX_LEVELS
+    rungs, until the rate tail int_0^{t_k} psi falls below tol, and reports
+    the map's value at that rung.  The vertical-line integral certifies the
+    telescoping identity between the top of the ladder and the rung used
+    (quadrature_error).  The result does not depend on t' beyond 2 tol.
+    """
+    return _ladder_values(fmap, np.asarray(xi, dtype=complex)[None], tprime,
+                          tol, psi)[0]
 
 
 def grid_safety_margin(chart, grid_points):
@@ -242,28 +269,20 @@ def grid_safety_margin(chart, grid_points):
     return 0.5 * float(clearance)
 
 
-def extend_map(fmap, chart, grid_points, tprime=None, tol=1e-7, psi=None,
-               consistency=True):
+def extend_map(fmap, chart, grid_points, tprime, tol, psi):
     """Boundary values on a grid of chart boundary points, under a single
     tolerance; interior evaluation passes through the map unchanged.
 
+    t' stays within grid_safety_margin.  One ladder gives every point the
+    same rung, so the whole grid takes one batched boundary_value pass.
     Returns the list of ExtensionResult in grid order.
     """
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=complex))
     margin = grid_safety_margin(chart, grid_points)
-    if tprime is None:
-        tprime = margin
     if tprime > margin * (1 + 1e-12):
         raise ChartError("t' = %g exceeds the grid safety margin %g"
                          % (tprime, margin))
-    if psi is None:
-        raise DomainError("extension needs the derivative rate psi")
-    ladder = PsiLadder(psi, tprime)
-    out = []
-    for xi in grid_points:
-        out.append(boundary_value(fmap, xi, tprime, tol, ladder=ladder,
-                                  consistency=consistency))
-    return out
+    return _ladder_values(fmap, grid_points, tprime, tol, psi)
 
 
 def evaluate_extension(fmap, results, Z):
@@ -305,7 +324,7 @@ def continuity_modulus(results, fmap, ladder):
                           for r in radii])
     # certificate: minimize over lift heights on the ladder
     certified = np.full(radii.size, math.inf)
-    for k in range(0, ladder.levels, 4):
+    for k in range(0, LADDER_LEVELS, 4):
         t = ladder.rung(k)
         lifted = np.asarray(fmap.fn(xi + t * ev[None, :]), dtype=complex)
         osc = np.max(np.abs(lifted[iu[0]] - lifted[iu[1]]), axis=-1)

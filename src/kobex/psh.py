@@ -12,7 +12,6 @@ import numpy as np
 
 from .domains import (DomainError, _bisect, as_point, boundary_distance_batch,
                       contains)
-from .regularity import dyadic_panels
 
 
 class SmoothnessError(DomainError):
@@ -22,7 +21,6 @@ class SmoothnessError(DomainError):
 PSH_FLOOR = -1e-8      # least Levi form check_psh accepts
 HOPF_MIN_BANDS = 4     # dyadic bands of delta a Hopf fit must span
 CUBIC_ITERS = 90       # bisection steps of nearest_point_cubic
-PSI_TAIL_LEVELS = 80   # dyadic panels of psi_tail
 
 
 @dataclass
@@ -278,24 +276,3 @@ def make_psi(M, s, alpha_star, C):
     psi.constants = {"s": s, "alpha_star": alpha_star, "C": C,
                      "M": getattr(M, "name", "M")}
     return psi
-
-
-def psi_tails(psi, t, levels):
-    """Tail integrals int_0^{t 2^-k} psi for k = 0, ..., levels: dyadic
-    panels toward 0, with the part below the last panel extrapolated from
-    the ratio of the last two (+inf when they stop decaying)."""
-    c = dyadic_panels(psi, t, levels, 17)
-    below = 0.0
-    if c[-2] > 0 and c[-1] / c[-2] < 0.999:
-        rho = c[-1] / c[-2]
-        below = c[-1] * rho / (1.0 - rho)
-    elif c[-1] > 1e-300:
-        below = math.inf
-    return np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]]) + below
-
-
-def psi_tail(psi, t):
-    """int_0^t psi(x) dx; finite exactly when psi is integrable at 0."""
-    if t <= 0:
-        return 0.0
-    return float(psi_tails(psi, t, PSI_TAIL_LEVELS)[0])

@@ -408,7 +408,7 @@ def scenario_dini_suite(seed=0):
     ok = True
     for (s, a_star) in [(1.0, 1.0), (1.0, 2.0), (0.5, 1.5)]:
         psi_fn = psh.make_psi(w_sqrt, s=s, alpha_star=a_star, C=1.0)
-        ok = ok and math.isfinite(psh.psi_tail(psi_fn, 0.5))
+        ok = ok and math.isfinite(extension.psi_tail(psi_fn, 0.5))
     rep.add("derivative-rate-integrable", verdict=bool(ok), value=ok)
     return rep
 

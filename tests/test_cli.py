@@ -230,3 +230,19 @@ def test_failed_verdict_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(scenarios, "run_scenario", fake)
     monkeypatch.setattr(cli.scenarios, "run_scenario", fake)
     assert run_cli("run", "whatever") == 2
+
+
+def test_uncertifiable_tol_is_config_error(capsys):
+    # the rate tail stays above 1e-12 over all LADDER_MAX_LEVELS rungs
+    assert run_cli("extend", "--tol", "1e-12") == 3
+    assert "error: rate tail stayed above tol" in capsys.readouterr().err
+
+
+def test_unconverged_solver_exits_two(monkeypatch, capsys):
+    def stalls(seed=0):
+        raise kx.ConvergenceError("normal-line quadrature left 3 panels open "
+                                  "after 24 rounds")
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "dini-suite", stalls)
+    assert run_cli("run", "dini-suite") == 2
+    assert "error: normal-line quadrature" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kobex as kx
-from kobex import charts
+from kobex import charts, scenarios
 
 EV = np.array([0.0, 1j])
 
@@ -174,6 +174,64 @@ def test_integral_of_noise_stops_at_the_panel_cap():
     with pytest.raises(kx.ConvergenceError, match="open after [0-9] rounds"):
         kx.normal_line_integral(fmap, XI, 1e-4, 0.01)
 
+
+def test_integral_is_batched_over_lines():
+    lines = np.array([[XI, XI + np.array([0.02, 0.0])],
+                      [XI + np.array([0.0, 0.002]), XI - np.array([0.01j, 0.0])]])
+    fmap = log_line_map(XI[-1] + 1j * 0.003 - 1e-4)
+    val, err = kx.normal_line_integral(fmap, lines, 1e-4, 0.01)
+    assert val.shape == lines.shape and err.shape == lines.shape[:-1]
+    for idx in np.ndindex(lines.shape[:-1]):
+        v1, e1 = kx.normal_line_integral(fmap, lines[idx], 1e-4, 0.01)
+        assert np.array_equal(val[idx], v1)
+        assert abs(err[idx] - e1) <= 1e-12 * e1
+
+
+def test_panel_cap_counts_per_line():
+    # 40 lines of exp(w (Z_n - xi_n)): about 64 open panels each, 2,560 in
+    # all, far above QUAD_MAX_PANELS, yet every line resolves
+    w = 4e4
+
+    def fn(Z):
+        return np.stack([Z[..., 0], np.exp(w * (Z[..., -1] - XI[-1]))], -1)
+
+    def dzn(Z):
+        return np.stack([np.zeros(Z.shape[:-1]),
+                         w * np.exp(w * (Z[..., -1] - XI[-1]))], -1)
+
+    lines = XI + np.arange(40)[:, None] * np.array([0.001, 0.0])
+    val, err = kx.normal_line_integral(kx.HolomorphicMap(fn=fn, dzn=dzn),
+                                       lines, 1e-4, 0.01)
+    exact = np.exp(1j * w * 0.01) - np.exp(1j * w * 1e-4)
+    assert np.all(np.abs(val[:, 1] - exact) <= np.maximum(err, 1e-12))
+
+
+def test_open_panels_are_evaluated_in_bounded_blocks():
+    # 20 lines of noise open 35,840 panels before the per-line cap stops
+    # them; no derivative call holds more than one row block of panels
+    rng = np.random.default_rng(0)
+    panels = []
+
+    def dzn(Z):
+        panels.append(Z.shape[0])
+        return rng.standard_normal(Z.shape) + 0j
+
+    lines = XI + np.arange(20)[:, None] * np.array([0.001, 0.0])
+    with pytest.raises(kx.ConvergenceError, match="35840 panels open"):
+        kx.normal_line_integral(kx.HolomorphicMap(fn=lambda Z: Z, dzn=dzn),
+                                lines, 1e-4, 0.01)
+    assert max(panels) * 24 * 2 * 2 <= 8 * kx.domains.RAY_CHUNK
+
+
+def test_one_unresolved_line_fails_the_batch():
+    # the second line passes 0.01 beside the pole; the first runs through it
+    fmap = log_line_map(XI[-1] + 1j * 0.003)
+    lines = np.array([XI, XI + np.array([0.0, 0.01])])
+    kx.normal_line_integral(fmap, lines[1], 1e-4, 0.01)
+    with pytest.raises(kx.ConvergenceError, match="open after 24 rounds"):
+        kx.normal_line_integral(fmap, lines, 1e-4, 0.01)
+
+
 def test_integral_requires_interior_segment(corner_map):
     chart, fmap = corner_map
     xi = chart.boundary_point(np.array([0.0 + 0.0j]), 0.0)
@@ -281,10 +339,46 @@ def test_extend_map_tol_shrink_never_worse(corner_map):
 
     def worst(tol):
         rs = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=tol,
-                           psi=sqrt_rate_psi(), consistency=False)
+                           psi=sqrt_rate_psi())
         return max(np.max(np.abs(r.value - d)) for r, d in zip(rs, direct))
 
     assert worst(1e-7) <= worst(1e-6) + 1e-12
+
+
+def test_extend_map_is_boundary_value_per_point(corner_map):
+    chart, fmap = corner_map
+    grid = _grid(chart, 8)
+    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=2.5e-7,
+                            psi=sqrt_rate_psi())
+    for xi, r in zip(grid, results):
+        one = kx.boundary_value(fmap, xi, 0.004, 2.5e-7, psi=sqrt_rate_psi())
+        assert np.array_equal(r.value, one.value)
+        assert (r.t_used, r.tail_bound, r.err_budget, r.levels) == \
+            (one.t_used, one.tail_bound, one.err_budget, one.levels)
+        # per-line error sums may round differently in a larger block
+        assert abs(r.quadrature_error - one.quadrature_error) \
+            <= 1e-12 * one.quadrature_error
+
+
+def test_extend_map_shares_derivative_calls_across_lines(corner_map):
+    # the extension-oracle grid: 400 lines share each round's derivative
+    # calls, a few row blocks of panels, instead of one call per line
+    chart, fmap = corner_map
+    calls = []
+    counted = kx.HolomorphicMap(fn=fmap.fn, dzn=lambda Z: calls.append(1)
+                                or fmap.dzn(Z), chart=chart)
+    kx.extend_map(counted, chart, _grid(chart, 20, 0.1), tprime=0.005,
+                  tol=2.5e-7, psi=sqrt_rate_psi())
+    assert 0 < len(calls) <= 30
+
+
+def test_extension_oracle_pass_makes_few_derivative_calls(monkeypatch):
+    calls = []
+    derivative = kx.HolomorphicMap.derivative
+    monkeypatch.setattr(kx.HolomorphicMap, "derivative",
+                        lambda self, Z: calls.append(1) or derivative(self, Z))
+    assert scenarios.run_scenario("extension-oracle").passed
+    assert len(calls) <= 30
 
 
 def test_extend_map_respects_safety_margin(corner_map):

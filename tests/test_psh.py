@@ -398,7 +398,7 @@ def test_psi_tail_is_the_top_of_the_ladder():
     for psi in (kx.make_psi(M, s=0.5, alpha_star=2.0, C=0.7),
                 lambda y: 0.5 / np.sqrt(np.asarray(y, dtype=float))):
         for t in (0.004, 0.5):
-            assert kx.psi_tail(psi, t) == kx.PsiLadder(psi, t, levels=80).tail(0)
+            assert kx.psi_tail(psi, t) == kx.PsiLadder(psi, t).tail(0)
 
 
 def test_psi_tail_diverges_for_critical_rate():
