@@ -77,6 +77,16 @@ def test_dyadic_panels_sum_to_sqrt_integral():
     assert np.sum(panels) == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [17, 33])
+def test_dyadic_panels_match_one_simpson_call_per_level(n):
+    # the (levels, n) grid must not change how any level's terms are summed
+    from scipy import integrate
+    f = lambda r: np.sqrt(r) / r + np.log1p(r)
+    ref = [integrate.simpson(f(x), x=x) for x in
+           (np.linspace(0.3 * 2.0 ** -(k + 1), 0.3 * 2.0 ** -k, n) for k in range(60))]
+    assert np.array_equal(dyadic_panels(f, 0.3, 60, n), ref)
+
+
 def test_composed_rate_preserves_integrability():
     comp = kx.composed_rate(sqrt_rate(), 3.0, 0.5)
     res = kx.dini_integral(comp, comp.domain_end)
