@@ -15,10 +15,9 @@ from .domains import (BUNDLED, Constraint, ConeCertificate, ConeSpec,
                       inward_normal, nearest_boundary_point, polydisc)
 from .metrics import (LtcFit, MetricBound, NotLogTypeConvex,
                       convex_distance_lower_bound, fit_pair_constant,
-                      fr_distance_upper_bound, goldilocks_M,
-                      goldilocks_profile, graham_bounds,
+                      fr_distance_upper_bound, graham_bounds,
                       inscribed_ball_upper_bound, kob_distance_ball_exact,
-                      kob_metric_ball_exact, localization_gap, ltc_fit,
+                      kob_metric_ball_exact, ltc_fit,
                       ltc_metric_lower_bound, pair_lower_bound,
                       path_distance_upper, sibony_lower_bound)
 from .regularity import (ChartError, DiniIntegral, GraphChart, HFunction,

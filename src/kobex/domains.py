@@ -148,6 +148,7 @@ ROOT_STEPS = 128
 # from the boundary the oracle's sign is rounding noise, and a ray found
 # inside there may have a root-found exit at or below the bound.
 PROBE_MARGIN = 2.0 ** -40
+_FOUR_EPS = 4.0 * np.finfo(float).eps
 
 
 def _ray_exit(D, z, dirs, bound=None):
@@ -158,8 +159,11 @@ def _ray_exit(D, z, dirs, bound=None):
     Returns (m, k).  The bracket [lo, hi] with value(lo) < 0 <= value(hi)
     is [0, cap] for a convex domain, whose inside set along a ray is an
     interval; otherwise a fixed march of step cap/MARCH_STEPS finds the
-    first outside point.  A Chandrupatla root finder on D.value along the
-    ray then shrinks it to hi - lo <= 4 eps hi and returns the midpoint.
+    first outside point.  The march goes on evaluating the rays that have
+    stopped, masked out, until half of the rays it carries have, so a ray
+    sees the same grid points and values whatever the other rays do.  A
+    Chandrupatla root finder on D.value along the ray then shrinks the
+    bracket to hi - lo <= 4 eps hi and returns the midpoint.
     Where D.value is exactly 0, interpolation has no slope to use, so the
     finder steps just inside a new zero, doubles that step while zeros
     repeat and bisects once it is past them.  The cap, and with it the
@@ -216,8 +220,10 @@ def _exit_chunk(D, z, dirs, cap, best):
     their bounds.  Without probes one oracle call takes the row origins and
     every ray's cap point.  With probes one call takes the origins and the
     probes, and a second the cap points of the rays the probes did not
-    stop, the only ones whose [0, cap] bracket is used.  Live rays and
-    their state are compacted only on steps where some ray stops."""
+    stop, the only ones whose [0, cap] bracket is used.  The march keeps a
+    stopped ray in its arrays, masked out, until half of the rays it
+    carries have stopped; the root finder keeps its state in three arrays
+    and compacts them with one take each on steps where some ray stops."""
     mc, k, n = dirs.shape
     m = mc * k
     row = np.repeat(np.arange(mc), k)
@@ -231,7 +237,8 @@ def _exit_chunk(D, z, dirs, cap, best):
         res.reshape(mc, k)[pr] = np.where(fp.reshape(-1, k) < 0.0, p, np.nan)
         todo = np.flatnonzero(np.isnan(res))
         dirs = dirs.reshape(m, n)
-        fcap = D.value(z[row[todo]] + cap * dirs[todo]) if todo.size else np.empty(0)
+        fcap = (D.value(np.take(z, row[todo], axis=0) + cap * np.take(dirs, todo, axis=0))
+                if todo.size else np.empty(0))
     else:
         todo = np.arange(m)
         caps = (z[:, None] + cap * dirs).reshape(m, n)
@@ -244,29 +251,35 @@ def _exit_chunk(D, z, dirs, cap, best):
     fhi[todo] = fcap
     if not D.is_convex:
         step = cap / MARCH_STEPS
-        zt, dt, rt, fl = z[row], dirs, row, flo
+        zt, dt, rt, fl = np.take(z, row, axis=0), dirs, row, flo
+        live = np.ones(m, dtype=bool)
         for j in range(1, MARCH_STEPS + 1):
             t = j * step
             f = D.value(zt + t * dt)
-            left = f >= 0.0
+            outside = f >= 0.0
+            left = outside & live
             best[rt[left]] = np.minimum(best[rt[left]], t)
-            cut = ~left & (t > best[rt])
+            cut = (t > best[rt]) & live & ~outside
             stop = left | cut
             if stop.any():
-                out = todo[left]
-                lo[out], flo[out], hi[out], fhi[out] = (j - 1) * step, fl[left], t, f[left]
+                ray = todo[left]
+                lo[ray], flo[ray], hi[ray], fhi[ray] = (j - 1) * step, fl[left], t, f[left]
                 res[todo[cut]] = t
-                keep = ~stop
-                todo, zt, dt, rt, f = todo[keep], zt[keep], dt[keep], rt[keep], f[keep]
-                if not todo.size:
+                live &= ~stop
+                kept = np.count_nonzero(live)
+                if not kept:
                     break
+                if 2 * kept <= live.size:
+                    keep = np.flatnonzero(live)
+                    todo, zt, dt, rt, f = (np.take(a, keep, axis=0)
+                                           for a in (todo, zt, dt, rt, f))
+                    live = live[keep]
             fl = f
         else:
             raise ConvergenceError("ray march found no exit within the bounding cap")
         todo = np.flatnonzero(np.isnan(res))    # the rays that left, to root-find
     if not todo.size:
         return res.reshape(mc, k)
-    z, dirs, row = z[row[todo]], dirs[todo], row[todo]
 
     # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
     # bracket and x3 the point dropped last; each step tries inverse
@@ -284,42 +297,63 @@ def _exit_chunk(D, z, dirs, cap, best):
     # fraction asked for, t the one taken.
     # Given a bound, each step folds the live rays' upper ends into their
     # rows' best; a stopped ray's last upper end is already in it.
-    x1, f1, x2, f2 = lo[todo], flo[todo], hi[todo], fhi[todo]
+    # A live ray's state is a column of s (x1, f1, x2, f2, x3, f3, want,
+    # x21 = x2 - x1, tol), of zd (origin, direction) and of ids (ray, row),
+    # so a stopping step compacts it with three takes; the (x, f) pairs of
+    # s are updated as (2, live) blocks.
+    s = np.empty((9, todo.size))
+    s[0], s[1], s[2], s[3], s[6] = lo[todo], flo[todo], hi[todo], fhi[todo], 0.5
+    zd = np.empty((2, todo.size, n), dtype=complex)
+    np.take(z, row[todo], axis=0, out=zd[0])
+    np.take(dirs, todo, axis=0, out=zd[1])
+    ids = np.stack([todo, row[todo]])
+    pts = np.empty((todo.size, n), dtype=complex)
     bounded = not np.isnan(best).any()
-    want = t = np.full(todo.size, 0.5)
+    x1, f1, x2, f2, x3, f3, want, x21, tol = s
+    np.subtract(x2, x1, out=x21)
+    t = 0.5
     for _ in range(ROOT_STEPS):
-        x = x1 + t * (x2 - x1)
-        f = D.value(z + x[:, None] * dirs)
+        x = x1 + t * x21
+        np.multiply(x[:, None], zd[1], out=pts)
+        pts += zd[0]
+        f = D.value(pts)
         same = (f >= 0.0) == (f1 >= 0.0)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
-        dx = np.abs(x2 - x1)
+        s[4:6] = np.where(same, s[0:2], s[2:4])
+        s[2:4] = np.where(same, s[2:4], s[0:2])
+        x1[:], f1[:] = x, f
+        dx = np.abs(np.subtract(x2, x1, out=x21))
         up = np.maximum(x1, x2)
-        tol = 4.0 * np.finfo(float).eps * up
+        np.multiply(_FOUR_EPS, up, out=tol)
         done = dx <= tol
         if bounded:
-            np.minimum.at(best, row, up)
+            np.minimum.at(best, ids[1], up)
         low = np.minimum(x1, x2)
-        stop = done | (low > best[row])
+        stop = done | (low > best[ids[1]])
         if stop.any():
-            res[todo[stop]] = np.where(done, 0.5 * (x1 + x2), low)[stop]
-            keep = ~stop
-            todo = todo[keep]
-            if not todo.size:
+            res[ids[0, stop]] = np.where(done, 0.5 * (x1 + x2), low)[stop]
+            keep = np.flatnonzero(~stop)
+            if not keep.size:
                 return res.reshape(mc, k)
-            x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row, want = (
-                a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol, z, dirs, row, want))
-        xi = (x1 - x2) / (x3 - x2)
-        phi = (f1 - f2) / (f3 - f2)
+            s, zd, ids = (np.take(a, keep, axis=1) for a in (s, zd, ids))
+            pts = pts[:keep.size]
+            x1, f1, x2, f2, x3, f3, want, x21, tol = s
+            dx = np.abs(x21)
+        # num = (x1 - x2, f1 - f2) and den = (x3 - x2, f3 - f2)
+        num, den = s[0:2] - s[2:4], s[4:6] - s[2:4]
+        xi, phi = num / den
+        f12, f32 = num[1], den[1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
-                   - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+            iqi = (f1 / f12 * f3 / f32
+                   - (x3 - x1) / x21 * f1 / (f3 - f1) * f2 / (f2 - f3))
         accept = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
         tl = 0.5 * tol / dx
-        want = np.where(f1 == 0.0, np.where(f3 == 0.0, np.minimum(2.0 * want, 0.5), 0.5 * tl),
-                        np.where(accept & (f2 != 0.0), iqi, 0.5))
-        t = np.clip(want, tl, 1.0 - tl)
+        new = np.where(accept & (f2 != 0.0), iqi, 0.5)
+        zero = np.flatnonzero(f1 == 0.0)
+        if zero.size:
+            new[zero] = np.where(f3[zero] == 0.0, np.minimum(2.0 * want[zero], 0.5),
+                                 0.5 * tl[zero])
+        want[:] = new
+        t = np.minimum(np.maximum(new, tl), 1.0 - tl)
     raise ConvergenceError("ray exit root finder did not converge in %d steps" % ROOT_STEPS)
 
 

@@ -346,45 +346,3 @@ def fit_pair_constant(D, o, vq_samples, vxi_samples):
             val = to_o[k1] + to_o[k2] - path_distance_upper(D, w1, w2)
             kprime = max(kprime, val)
     return max(0.0, kprime - math.log(boundary_distance(D, o)))
-
-
-def goldilocks_M(D, r, metric_lower_source, samples):
-    """Upper estimate of sup { 1/k(w; v) : delta_D(w) <= r, |v| = 1 } via the
-    reciprocal of a pointwise metric lower bound, maximized over samples.
-
-    metric_lower_source(w, v) -> MetricBound (side "lower") or float > 0.
-    Directions need not be unit: the metric is homogeneous in v, so the
-    unit-direction reciprocal is |v| / bound(w, v).
-    """
-    worst = 0.0
-    for w, v in samples:
-        w = as_point(w, D.dim)
-        if boundary_distance(D, w) > r * (1 + 1e-9):
-            raise DomainError("sample with delta_D(w) > r")
-        lb = metric_lower_source(w, v)
-        val = lb.value if isinstance(lb, MetricBound) else float(lb)
-        if val <= 0:
-            raise DomainError("metric lower bound vanished at a sample")
-        worst = max(worst, float(np.linalg.norm(np.asarray(v, dtype=complex))) / val)
-    return worst
-
-
-def goldilocks_profile(D, r_grid, metric_lower_source, sampler):
-    """Tabulate r -> goldilocks_M(D, r, ...) with sampler(r) supplying the
-    (w, v) samples per radius; returns a ModulusOfContinuity for the
-    reciprocal-metric rate, ready for the Dini integrability check."""
-    from .regularity import ModulusOfContinuity
-    r_grid = np.asarray(sorted(r_grid), dtype=float)
-    vals = np.array([goldilocks_M(D, r, metric_lower_source, sampler(r))
-                     for r in r_grid])
-    vals = np.maximum.accumulate(vals)  # M is monotone in r
-    return ModulusOfContinuity.from_table(np.concatenate([[0.0], r_grid]),
-                                          np.concatenate([[0.0], vals]),
-                                          name="goldilocks")
-
-
-def localization_gap(K_local, K_global):
-    """K_local - K_global; for admissible estimates of the same pair this
-    lies in [0, K] with K the localization constant.  A negative value
-    flags estimator inconsistency."""
-    return float(K_local) - float(K_global)

@@ -619,11 +619,11 @@ def test_convex_exits_reject_a_short_bounding_radius():
         kx.directional_distance_batch(D, z[None], v[None], n_phases=4096, refine=False)
 
 
-@pytest.mark.parametrize("name", ["ball2", "ex22_omega"])
+@pytest.mark.parametrize("name", ["ball2", "ex22_omega", "ex21_d", "slab2"])
 def test_ray_exit_does_not_depend_on_the_chunk(name):
     # chunks hold RAY_CHUNK // k whole rows; all rows share one origin, so
     # one cap, and a call per row gives the same exits as the chunked call
-    D = kx.bundled_domain(name)
+    D = {"slab2": _slab2}.get(name, lambda: kx.bundled_domain(name))()
     k = 1000
     m = 2 * (RAY_CHUNK // k) + 3
     z = np.tile(D.interior_point, (m, 1))
@@ -631,6 +631,38 @@ def test_ray_exit_does_not_depend_on_the_chunk(name):
     t = _ray_exit(D, z, dirs)
     rows = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1]) for i in range(m)]
     assert np.array_equal(t, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("bound", [None, 0.3])
+def test_marched_rays_match_single_ray_calls(bound):
+    # one ray per row from one origin near the corner circle of ex21_d: the
+    # rays leave on march steps far apart, so the march carries rays that
+    # stopped long ago and compacts several times; a row's bound stops only
+    # its own ray, so each row is bitwise the exit of its ray alone
+    D = kx.bundled_domain("ex21_d")
+    m = 64
+    z = np.tile(kx.cpoint(0.85, 0.05), (m, 1))
+    dirs = _unit_rows(np.random.default_rng(17), m)[:, None, :]
+    t = _ray_exit(D, z, dirs, bound)
+    alone = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1], bound) for i in range(m)]
+    assert np.array_equal(t, np.concatenate(alone))
+    step = (np.linalg.norm(z[0]) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
+    marched = np.ceil(_ray_exit(D, z, dirs) / step)
+    assert marched.max() - marched.min() >= 40
+    if bound is not None:
+        assert np.any(t > bound)    # rays the bound stopped on the march
+
+
+@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 534),
+                                          ("ball2", (0.3, 0.2j), 72)])
+def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
+    # masked march rays add oracle points, never oracle calls
+    D = kx.bundled_domain(name)
+    seen = []
+    real = D.value
+    monkeypatch.setattr(D, "value", lambda x: seen.append(1) or real(x))
+    kx.directional_distance(D, kx.cpoint(*z), kx.cpoint(1, 0.5j))
+    assert len(seen) <= calls
 
 
 def _triangle2():

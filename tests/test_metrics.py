@@ -416,49 +416,8 @@ def test_pair_bound_stays_below_path_estimate(ball2):
 
 
 # ---------------------------------------------------------------------------
-# reciprocal-metric profile
+# report records
 # ---------------------------------------------------------------------------
-
-def test_goldilocks_reciprocal_bound(ball2, rng):
-    r = 0.1
-    samples = []
-    while len(samples) < 60:
-        d = r * rng.random()
-        u = rng.standard_normal(4)
-        u /= np.linalg.norm(u)
-        z = (1.0 - d) * (u[:2] + 1j * u[2:])
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        samples.append((z, v))
-
-    def lower(w, v):
-        return kx.graham_bounds(ball2, w, v)[0]
-
-    M = kx.goldilocks_M(ball2, r, lower, samples)
-    worst_disc = max(kx.directional_distance(ball2, w, v) for w, v in samples)
-    assert M == pytest.approx(2.0 * worst_disc, rel=1e-6)
-    # monotone: a subset cannot increase the supremum
-    M_sub = kx.goldilocks_M(ball2, r, lower, samples[:20])
-    assert M_sub <= M + 1e-12
-
-
-def test_goldilocks_profile_is_dini(ball2, rng):
-    def lower(w, v):
-        return kx.graham_bounds(ball2, w, v)[0]
-
-    def sampler(r):
-        out = []
-        while len(out) < 25:
-            d = r * (0.2 + 0.8 * rng.random())
-            u = rng.standard_normal(4)
-            u /= np.linalg.norm(u)
-            out.append(((1.0 - d) * (u[:2] + 1j * u[2:]),
-                        rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-        return out
-
-    prof = kx.goldilocks_profile(ball2, np.geomspace(1e-4, 0.2, 10), lower, sampler)
-    res = kx.dini_integral(prof, prof.domain_end)
-    assert not res.divergent
-
 
 def test_bound_serializes_to_report_record():
     from kobex.reports import bound_record
@@ -468,12 +427,6 @@ def test_bound_serializes_to_report_record():
     assert '"method": "cvx_dist_lower"' in blob
     assert '"side": "lower"' in blob
     assert '"verdict": true' in blob
-
-
-def test_localization_gap():
-    assert kx.localization_gap(2.0, 2.0) == 0.0
-    assert kx.localization_gap(3.0, 2.5) == pytest.approx(0.5)
-    assert kx.localization_gap(2.0, 2.5) < 0.0  # flags estimator inconsistency
 
 
 # ---------------------------------------------------------------------------

@@ -34,3 +34,18 @@ def test_reports_are_deterministic_per_seed():
     c = scenarios.run_scenario("ball-sandwich", seed=8).to_jsonl()
     assert a == b
     assert a != c
+
+
+def test_extension_oracle_calls_the_map_in_batches(monkeypatch):
+    # the ladder-certificate check takes the top values of all 400 grid
+    # lines in one map call, not one call per grid point
+    real = scenarios._square_first_map
+    calls = []
+
+    def counted():
+        F, jac, fibers = real()
+        return (lambda z: calls.append(1) or F(z)), jac, fibers
+
+    monkeypatch.setattr(scenarios, "_square_first_map", counted)
+    assert scenarios.run_scenario("extension-oracle").passed
+    assert 0 < len(calls) <= 26
