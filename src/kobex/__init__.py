@@ -4,18 +4,16 @@ verification for domains in C^n, with a scenario-driven verification CLI.
 
 __version__ = "0.1.0"
 
-from .domains import (BUNDLED, Constraint, ConeCertificate, ConeSpec,
-                      ConvergenceError, DomainError, DomainSpec,
-                      NonSmoothBoundaryError, ball, boundary_distance,
-                      boundary_distance_batch, bundled_domain,
-                      cone_contains, certify_cone_condition, contains, cpoint,
+from .domains import (BUNDLED, Constraint, ConeCertificate, ConvergenceError,
+                      DomainError, DomainSpec, NonSmoothBoundaryError, ball,
+                      boundary_distance, boundary_distance_batch,
+                      bundled_domain, certify_cone_condition, contains, cpoint,
                       directional_distance, directional_distance_batch,
                       ex21_D, ex21_Omega, ex22_D, ex22_Omega,
                       ex22_Omega_local, halfspace, hermitian_inner,
                       inward_normal, nearest_boundary_point, polydisc)
 from .metrics import (LtcFit, MetricBound, NotLogTypeConvex,
-                      convex_distance_lower_bound, fit_pair_constant,
-                      fr_distance_upper_bound, graham_bounds,
+                      fit_pair_constant, graham_bounds,
                       inscribed_ball_upper_bound, kob_distance_ball_exact,
                       kob_metric_ball_exact, ltc_fit,
                       ltc_metric_lower_bound, pair_lower_bound,
@@ -35,9 +33,8 @@ from .extension import (ContinuityReport, DichotomyReport,
                         DichotomySequences, ExtensionResult, HolomorphicMap,
                         PsiLadder, TailBoundError, boundary_value,
                         cluster_set_sample, continuity_modulus,
-                        dichotomy_report, evaluate_extension, extend_map,
-                        grid_safety_margin, normal_line_integral,
-                        project_to_boundary, psi_tail)
+                        dichotomy_report, extend_map, grid_safety_margin,
+                        normal_line_integral, psi_tail)
 from .charts import (BUNDLED_CHARTS, ball_chart, ex21_chart, ex22_chart,
                      flat_chart, flat_domain, tilted_chart, tilted_domain)
 from .reports import Record, Report

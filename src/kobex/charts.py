@@ -63,7 +63,7 @@ def ex22_chart(radius=0.25):
                       regularity="c1_dini", name="ex22@(0,0)")
 
 
-def ball_chart(radius=0.25):
+def ball_chart():
     """Chart for the unit ball at (1, 0): phi = 1 - sqrt(1 - X^2 - |Z1|^2)."""
     U = np.array([[0.0, 1.0], [-1j, 0.0]], dtype=complex)
 
@@ -79,11 +79,11 @@ def ball_chart(radius=0.25):
         return coords / s[..., None]
 
     return GraphChart(base=np.array([1.0, 0.0], dtype=complex), unitary=U,
-                      radius=radius, phi=phi, grad_phi=grad_phi,
+                      radius=0.25, phi=phi, grad_phi=grad_phi,
                       regularity="c1_dini", name="ball@(1,0)")
 
 
-def flat_chart(radius=0.5):
+def flat_chart():
     """Identity chart for the flat half-space { Im w > 0 } (truncated)."""
     def phi(coords):
         coords = np.asarray(coords, dtype=float)
@@ -93,17 +93,17 @@ def flat_chart(radius=0.5):
         return np.zeros(np.asarray(coords, dtype=float).shape)
 
     return GraphChart(base=np.zeros(2, dtype=complex),
-                      unitary=np.eye(2, dtype=complex), radius=radius,
+                      unitary=np.eye(2, dtype=complex), radius=0.5,
                       phi=phi, grad_phi=grad_phi, regularity="c1_dini",
                       lip=0.0, name="flat")
 
 
-def flat_domain(truncate=4.0):
+def flat_domain():
     """{ Im w > 0 } truncated to a ball, matching flat_chart."""
-    return halfspace(np.array([0.0, -1j]), 0.0, truncate=truncate, name="flat_half")
+    return halfspace(np.array([0.0, -1j]), 0.0, name="flat_half")
 
 
-def tilted_chart(radius=0.5):
+def tilted_chart():
     """Identity chart for { Im w > Re z }: phi(Z1, X) = Re Z1, slope one."""
     def phi(coords):
         coords = np.asarray(coords, dtype=float)
@@ -115,14 +115,14 @@ def tilted_chart(radius=0.5):
         return out
 
     return GraphChart(base=np.zeros(2, dtype=complex),
-                      unitary=np.eye(2, dtype=complex), radius=radius,
+                      unitary=np.eye(2, dtype=complex), radius=0.5,
                       phi=phi, grad_phi=grad_phi, regularity="c1_dini",
                       lip=1.0, name="tilted45")
 
 
-def tilted_domain(truncate=4.0):
+def tilted_domain():
     """{ Im w > Re z } truncated to a ball, matching tilted_chart."""
-    return halfspace(np.array([1.0, -1j]), 0.0, truncate=truncate, name="tilted_half")
+    return halfspace(np.array([1.0, -1j]), 0.0, name="tilted_half")
 
 
 BUNDLED_CHARTS = {

@@ -36,7 +36,7 @@ def _get_domain(name):
             doms = {k: v for k, v in objs.items()
                     if isinstance(v, domains.DomainSpec)}
             if len(doms) != 1:
-                raise SystemExit("file %r must define exactly one domain" % name)
+                raise domains.DomainError("file %r must define exactly one domain" % name)
             return next(iter(doms.values()))
         return domains.bundled_domain(name)
     except (domains.DomainError, OSError) as exc:

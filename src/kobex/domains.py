@@ -201,7 +201,7 @@ def _ray_exit(D, z, dirs, bound=None):
     best = np.broadcast_to(np.nan if bound is None else bound, (m,)).astype(float)
     s = math.isqrt(k)
     coarse = s > 1 and np.any(best == math.inf)
-    rest = np.arange(k) % s > 0
+    rest = np.flatnonzero(np.arange(k) % s)
     out = np.empty((m, k))
     step = max(1, RAY_CHUNK // k)
     for r in range(0, m, step):
@@ -210,8 +210,8 @@ def _ray_exit(D, z, dirs, bound=None):
             out[rows] = _exit_chunk(D, z[rows], dirs[rows], cap, best[rows])
             continue
         first = out[rows, ::s] = _exit_chunk(D, z[rows], dirs[rows, ::s], cap, best[rows])
-        out[rows, rest] = _exit_chunk(D, z[rows], dirs[rows][:, rest], cap,
-                                      np.minimum(best[rows], first.min(axis=1)))
+        out[rows, rest] = _exit_chunk(D, z[rows], np.take(dirs[rows], rest, axis=1),
+                                      cap, np.minimum(best[rows], first.min(axis=1)))
     return out
 
 
@@ -710,36 +710,6 @@ def inward_normal(D, xi):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ConeSpec:
-    """Open right circular cone: vertex + { z : Re<z, axis> > cos(theta/2)|z| },
-    truncated to |z - vertex| < radius."""
-    vertex: np.ndarray
-    axis: np.ndarray
-    aperture: float
-    radius: float = math.inf
-
-    def __post_init__(self):
-        self.vertex = np.asarray(self.vertex, dtype=complex)
-        self.axis = np.asarray(self.axis, dtype=complex)
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
-            raise DomainError("cone axis must be a unit vector")
-        if not (0.0 < self.aperture < math.pi):
-            raise DomainError("aperture must lie in (0, pi)")
-
-
-def cone_contains(cone, z):
-    """Strict membership in the (truncated) cone.  Batched over z."""
-    z = np.asarray(z, dtype=complex)
-    w = z - cone.vertex
-    r = np.linalg.norm(w, axis=-1)
-    lhs = np.real(hermitian_inner(w, cone.axis))
-    ok = lhs > math.cos(cone.aperture / 2.0) * r
-    if math.isfinite(cone.radius):
-        ok = ok & (r < cone.radius)
-    return ok
-
-
-@dataclass
 class ConeCertificate:
     r: float
     theta: float
@@ -877,7 +847,7 @@ def ball(dim=2, center=None, radius=1.0, name=None):
                       interior_point=center, dist_fn=dist, nearest_fn=nearest)
 
 
-def polydisc(radii=(1.0, 1.0), name=None):
+def polydisc(radii=(1.0, 1.0)):
     radii = tuple(float(r) for r in radii)
     dim = len(radii)
     cons = []
@@ -898,7 +868,7 @@ def polydisc(radii=(1.0, 1.0), name=None):
     def dist(zs):
         return np.min(np.array(radii)[None, :] - np.abs(zs), axis=-1)
 
-    return DomainSpec(name or "polydisc", dim, cons, is_convex=True,
+    return DomainSpec("polydisc", dim, cons, is_convex=True,
                       is_reinhardt=True,
                       bounding_radius=float(np.linalg.norm(radii)),
                       interior_point=np.zeros(dim, dtype=complex), dist_fn=dist)
@@ -926,7 +896,7 @@ def _curve_nearest_1d(xy, T_grid, curve):
     return np.sqrt(d2), np.stack(curve(T), axis=-1)
 
 
-def ex21_D(name="ex21_d"):
+def ex21_D():
     """{ (z, w) : |z|^2 + |w| < 1 }; Lipschitz corner circle at |z| = 1, w = 0."""
     def g(z):
         return np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) - 1.0
@@ -948,14 +918,14 @@ def ex21_D(name="ex21_d"):
     def nearest(zs):
         return _curve_nearest_1d(np.abs(zs), T, curve)[1] * _phases(zs)
 
-    return DomainSpec(name, 2, [Constraint(g, grad=grad, smooth=smooth,
-                                           label="|z|^2+|w|-1")],
+    return DomainSpec("ex21_d", 2,
+                      [Constraint(g, grad=grad, smooth=smooth, label="|z|^2+|w|-1")],
                       is_convex=False, is_reinhardt=True, bounding_radius=1.0,
                       interior_point=np.zeros(2, dtype=complex),
                       dist_fn=dist, nearest_fn=nearest)
 
 
-def ex21_Omega(name="ex21_omega"):
+def ex21_Omega():
     """{ (z, w) : |z| + |w| < 1 }; convex Reinhardt, corners on both axes."""
     def g(z):
         return np.abs(z[..., 0]) + np.abs(z[..., 1]) - 1.0
@@ -972,8 +942,8 @@ def ex21_Omega(name="ex21_omega"):
         y = np.abs(zs[..., 1])
         return (1.0 - x - y) / math.sqrt(2.0)
 
-    return DomainSpec(name, 2, [Constraint(g, grad=grad, smooth=smooth,
-                                           label="|z|+|w|-1")],
+    return DomainSpec("ex21_omega", 2,
+                      [Constraint(g, grad=grad, smooth=smooth, label="|z|+|w|-1")],
                       is_convex=True, is_reinhardt=True, bounding_radius=1.0,
                       interior_point=np.zeros(2, dtype=complex), dist_fn=dist)
 
@@ -1007,7 +977,7 @@ def _wall_distance(zs, profile):
     return np.sqrt(fmin)
 
 
-def ex22_D(name="ex22_d"):
+def ex22_D():
     """{ Re z > phi(|w|^2) } cap { |z|^2 + |w|^4 < 1 }, phi(x) = exp(-1/x^2)."""
     def g1(z):
         return _phi_flat(np.abs(z[..., 1]) ** 2) - np.real(z[..., 0])
@@ -1037,7 +1007,7 @@ def ex22_D(name="ex22_d"):
         d2, _ = _curve_nearest_1d(np.abs(zs2), T, curve)
         return np.minimum(d1, d2)
 
-    return DomainSpec(name, 2,
+    return DomainSpec("ex22_d", 2,
                       [Constraint(g1, grad=g1_grad, label="phi(|w|^2)-Re z"),
                        Constraint(g2, grad=g2_grad, label="|z|^2+|w|^4-1")],
                       is_convex=False, is_reinhardt=False, bounding_radius=1.0,
@@ -1073,17 +1043,17 @@ def _graph_ball_cap(name, radius, convex, interior, label):
                       dist_fn=dist)
 
 
-def ex22_Omega(name="ex22_omega"):
+def ex22_Omega():
     """{ Re z > phi(|w|) } cap B^2(0, 1), phi(x) = exp(-1/x^2)."""
-    return _graph_ball_cap(name, 1.0, False, 0.5, "|z|^2+|w|^2-1")
+    return _graph_ball_cap("ex22_omega", 1.0, False, 0.5, "|z|^2+|w|^2-1")
 
 
-def ex22_Omega_local(name="ex22_omega_local"):
+def ex22_Omega_local():
     """The convex localization B^2(0, 0.75) cap ex22_Omega: the graph
     constraint is convex where |w| <= sqrt(2/3) ~ 0.816, and the ball
     keeps |w| below that.
     """
-    return _graph_ball_cap(name, 0.75, True, 0.3, "|z|^2-r^2")
+    return _graph_ball_cap("ex22_omega_local", 0.75, True, 0.3, "|z|^2-r^2")
 
 
 def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):

@@ -270,8 +270,7 @@ def grid_safety_margin(chart, grid_points):
 
 
 def extend_map(fmap, chart, grid_points, tprime, tol, psi):
-    """Boundary values on a grid of chart boundary points, under a single
-    tolerance; interior evaluation passes through the map unchanged.
+    """Boundary values on a grid of chart boundary points, under one tolerance.
 
     t' stays within grid_safety_margin.  One ladder gives every point the
     same rung, so the whole grid takes one batched boundary_value pass.
@@ -285,25 +284,11 @@ def extend_map(fmap, chart, grid_points, tprime, tol, psi):
     return _ladder_values(fmap, grid_points, tprime, tol, psi)
 
 
-def evaluate_extension(fmap, results, Z):
-    """The extended map: boundary grid points take their recovered values,
-    interior points evaluate through the map directly."""
-    Z = np.asarray(Z, dtype=complex)
-    for res in results:
-        if np.allclose(res.xi, Z, rtol=0, atol=1e-14):
-            return res.value
-    return np.asarray(fmap.fn(Z), dtype=complex)
-
-
 @dataclass
 class ContinuityReport:
     radii: np.ndarray
     empirical: np.ndarray
     certified: np.ndarray
-
-    @property
-    def decays(self):
-        return self.empirical[0] <= self.empirical[-1] + 1e-15
 
 
 def continuity_modulus(results, fmap, ladder):
@@ -334,18 +319,6 @@ def continuity_modulus(results, fmap, ladder):
                 bound = 2.0 * ladder.tail(k) + float(osc[sel].max())
                 certified[i] = min(certified[i], bound)
     return ContinuityReport(radii=radii, empirical=empirical, certified=certified)
-
-
-def project_to_boundary(chart, Z):
-    """pi(Z) = (Z', Re Z_n + i phi(Z', Re Z_n)): vertical projection onto
-    the chart boundary graph; idempotent."""
-    Z = np.asarray(Z, dtype=complex)
-    if not np.all(chart.in_box(Z, slack=1e-12)):
-        raise ChartError("point outside the chart box")
-    vals = np.atleast_1d(chart.phi(chart.base_coords(Z)))
-    out = Z.copy()
-    out[..., -1] = Z[..., -1].real + 1j * vals.reshape(Z[..., -1].shape)
-    return out
 
 
 def cluster_set_sample(F, p, sequences, radius=1e-3):

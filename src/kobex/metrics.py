@@ -136,7 +136,6 @@ class LtcFit:
     nu: float
     sample_count: int
     max_violation: float
-    band_envelopes: np.ndarray = None
 
     def bound(self, delta):
         return self.C / np.abs(np.log(delta)) ** (1.0 + self.nu)
@@ -199,8 +198,7 @@ def ltc_fit(D, samples):
     C_env = float(np.max(ddirs * np.abs(np.log(deltas)) ** (1.0 + nu)))
     C = C_env * 1.25
     viol = float(np.max(ddirs - C / np.abs(np.log(deltas)) ** (1.0 + nu)))
-    return LtcFit(C=C, nu=nu, sample_count=len(samples), max_violation=viol,
-                  band_envelopes=np.stack([env_delta, env_dir], axis=-1))
+    return LtcFit(C=C, nu=nu, sample_count=len(samples), max_violation=viol)
 
 
 def ltc_metric_lower_bound(fit, w, v, delta, c=None):
@@ -214,29 +212,6 @@ def ltc_metric_lower_bound(fit, w, v, delta, c=None):
     val = cc * nv * math.log(1.0 / delta) ** (1.0 + fit.nu)
     return MetricBound(val, "lower", "ltc_lower", at=(np.asarray(w, dtype=complex), v),
                        constants={"c": cc, "nu": fit.nu, "C": fit.C, "delta": delta})
-
-
-def convex_distance_lower_bound(delta_w, delta_wp):
-    """(1/2) |log(delta_w / delta_wp)|: valid lower bound for the invariant
-    distance of a convex domain between points at those boundary distances."""
-    if delta_w <= 0 or delta_wp <= 0:
-        raise DomainError("distances must be positive")
-    val = 0.5 * abs(math.log(delta_w / delta_wp))
-    return MetricBound(val, "lower", "cvx_dist_lower",
-                       constants={"delta_w": delta_w, "delta_wp": delta_wp})
-
-
-def fr_distance_upper_bound(delta1, delta2, sep, C):
-    """sum_j (1/2) log(1/delta_j) - sum_j (1/2) log(1/(delta_j + sep)) + C."""
-    if delta1 <= 0 or delta2 <= 0 or sep < 0:
-        raise DomainError("need positive distances and nonnegative separation")
-    val = 0.0
-    for d in (delta1, delta2):
-        val += 0.5 * math.log(1.0 / d) - 0.5 * math.log(1.0 / (d + sep))
-    val += C
-    return MetricBound(val, "upper", "fr_dist_upper",
-                       constants={"delta1": delta1, "delta2": delta2,
-                                  "sep": sep, "C": C})
 
 
 def pair_lower_bound(delta1, delta2, K):

@@ -139,10 +139,6 @@ class HopfFit:
     sample_count: int
     residual: float        # max of phi + C delta^alpha over the eval set
 
-    @property
-    def holds(self):
-        return self.residual <= 0.0
-
 
 def hopf_fit(phi, D, samples, alpha=None):
     """Fit the boundary decay inequality phi <= -C delta_D^alpha.
@@ -225,12 +221,6 @@ class FiberMap:
     fibers: callable
     jacobian: callable = None
     name: str = ""
-
-    def check_fiber(self, w):
-        w = np.asarray(w, dtype=complex)
-        pts = np.atleast_2d(self.fibers(w))
-        resid = np.max(np.abs(self.forward(pts) - w[None, :]))
-        return float(resid) <= 1e-10 * (1.0 + np.linalg.norm(w))
 
 
 def pushforward_tau(F, rho, w):

@@ -75,49 +75,13 @@ class ModulusOfContinuity:
             out = np.interp(rr, self.grid, self.values)
         return out if out.shape else float(out)
 
-    def to_csv(self, path=None):
-        """Tabulate the rate (and its integral h) as CSV for plotting."""
-        from .reports import export_csv_text
-        r = np.linspace(0.0, self.domain_end, 256)
-        vals = np.atleast_1d(self(r))
-        h = _cumulative_trapezoid(r, vals)
-        text = export_csv_text(["r", "omega", "h"],
-                               np.stack([r, vals, h], axis=-1).tolist())
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
-
-    def subadditive_envelope(self):
-        """Least concave majorant on [0, domain_end]; concave with value 0
-        at 0, hence subadditive, and it dominates the original rate."""
-        r = np.linspace(0.0, self.domain_end, 513)
-        v = np.atleast_1d(self(r)).astype(float)
-        # upper convex hull of (r, v) scanned left to right
-        hull = [(r[0], 0.0)]
-        for x, y in zip(r[1:], v[1:]):
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1):
-                    hull.pop()
-                else:
-                    break
-            hull.append((x, y))
-        hr = np.array([p[0] for p in hull])
-        hv = np.array([p[1] for p in hull])
-        return ModulusOfContinuity.from_table(hr, hv, name=self.name + "_subadd")
-
 
 @dataclass
 class DiniIntegral:
     """Outcome of the endpoint-singular rate integral int_0^eps omega(r)/r dr."""
     value: float
     divergent: bool
-    levels: int
     tail_estimate: float
-
-    def __float__(self):
-        return self.value
 
 
 def dyadic_panels(f, t, levels, n):
@@ -149,13 +113,13 @@ def dini_integral(omega, eps):
     total = float(np.cumsum(contributions)[-1])   # in panel order, not pairwise
     tail = contributions[-10:]
     if np.all(tail <= DINI_ABS_FLOOR):
-        return DiniIntegral(total, False, DINI_LEVELS, 0.0)
+        return DiniIntegral(total, False, 0.0)
     ratios = tail[1:] / np.where(tail[:-1] > 0, tail[:-1], np.inf)
     rho = float(np.median(ratios))
     if rho >= 0.97:
-        return DiniIntegral(math.inf, True, DINI_LEVELS, math.inf)
+        return DiniIntegral(math.inf, True, math.inf)
     tail_est = contributions[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-    return DiniIntegral(total + tail_est, False, DINI_LEVELS, tail_est)
+    return DiniIntegral(total + tail_est, False, tail_est)
 
 
 def composed_rate(omega, kappa, m):

@@ -8,7 +8,6 @@ wall-clock timing is printed to the console, never written to the file.
 """
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -118,17 +117,3 @@ class Report:
             lines.append("  [%s] %s" % ("PASS" if r.verdict else "FAIL", r.op))
         return "\n".join(lines)
 
-
-def bound_record(bound, op, verdict=None, **tolerances):
-    """Serialize a MetricBound into a Record."""
-    return Record(op=op, verdict=verdict, value=bound.value, method=bound.method,
-                  side=bound.side, constants=dict(bound.constants),
-                  tolerances=dict(tolerances))
-
-
-def export_csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()

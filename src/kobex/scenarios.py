@@ -77,12 +77,7 @@ def _square_second_map():
         z = np.asarray(z, dtype=complex)
         return np.stack([z[..., 0], z[..., 1] ** 2], axis=-1)
 
-    def fibers(w):
-        w = np.asarray(w, dtype=complex)
-        root = np.sqrt(complex(w[1]))
-        return np.array([[w[0], root], [w[0], -root]], dtype=complex)
-
-    return F, fibers
+    return F
 
 
 def _u21_witness():
@@ -359,7 +354,7 @@ def scenario_example22(seed=0):
             value=cons["boundary_residual"])
 
     # (f) the square-second map clusters to the single value (0, 0)
-    F, fibers = _square_second_map()
+    F = _square_second_map()
     p = np.zeros(2, dtype=complex)
     seqs = [np.array([[4.0 ** -k, 0.0] for k in range(1, 16)], dtype=complex),
             np.array([[4.0 ** -k, 4.0 ** -k] for k in range(1, 16)], dtype=complex)]

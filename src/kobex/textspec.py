@@ -39,11 +39,11 @@ import math
 
 import numpy as np
 
-from .domains import Constraint, DomainSpec
+from .domains import Constraint, DomainError, DomainSpec
 from .regularity import GraphChart, ModulusOfContinuity
 
 
-class ParseError(ValueError):
+class ParseError(DomainError):
     pass
 
 

@@ -188,6 +188,23 @@ def test_distance_from_definition_file(tmp_path, capsys):
     assert "0.35355339" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "domain tri\n  dim 2\n  constraint abs(z1) +\nend\n",     # syntax error
+    "modulus m\n  domain_end 1.0\n  expr r\nend\n",          # no domain
+])
+def test_bad_definition_file_is_config_error(text, tmp_path):
+    path = tmp_path / "bad.kx"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(kx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kobex.cli", "distance", str(path),
+                           "--at", "0.1,0"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _exp_flat(power):
     def phi(x):
         x = np.asarray(x, dtype=float)

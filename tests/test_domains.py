@@ -426,36 +426,6 @@ def test_inward_normal_fd_matches_analytic(ball2):
 # cones
 # ---------------------------------------------------------------------------
 
-def test_cone_contains_basic():
-    cone = kx.ConeSpec(vertex=np.zeros(2, complex),
-                       axis=np.array([1, 0], complex), aperture=math.pi / 2)
-    assert bool(kx.cone_contains(cone, kx.cpoint(1, 0)))     # 1 > cos(pi/4)
-    assert not bool(kx.cone_contains(cone, kx.cpoint(0, 1)))  # orthogonal
-
-
-def test_cone_scale_invariance():
-    cone = kx.ConeSpec(vertex=np.zeros(2, complex),
-                       axis=np.array([1, 0], complex), aperture=2.0)
-    z = kx.cpoint(0.9, 0.3 + 0.2j)
-    assert bool(kx.cone_contains(cone, z)) == bool(kx.cone_contains(cone, 2 * z))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.1, math.pi - 0.1), st.integers(0, 2 ** 31 - 1))
-def test_cone_unitary_invariance(theta, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    U, _ = np.linalg.qr(a)
-    axis = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    axis /= np.linalg.norm(axis)
-    vertex = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    z = vertex + rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    cone = kx.ConeSpec(vertex=vertex, axis=axis, aperture=theta)
-    cone_rot = kx.ConeSpec(vertex=U @ vertex, axis=U @ axis, aperture=theta)
-    assert bool(kx.cone_contains(cone, z)) == \
-        bool(kx.cone_contains(cone_rot, U @ z))
-
-
 def test_cone_certificate_sphere_tangency(ball2):
     # interior tangent cones of a sphere open up as the sample approaches
     # the boundary

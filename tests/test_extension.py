@@ -320,18 +320,6 @@ def test_extend_map_oracle_equivalence_cauchy_route(corner_map):
         assert np.max(np.abs(r.value - d)) <= 1e-6 + r.quadrature_error + 1e-9
 
 
-def test_extend_map_interior_passthrough(corner_map):
-    chart, fmap = corner_map
-    grid = _grid(chart, 3)
-    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-6,
-                            psi=sqrt_rate_psi())
-    Z = grid[0] + 0.05 * EV
-    assert np.allclose(kx.evaluate_extension(fmap, results, Z),
-                       np.asarray(fmap.fn(Z)))
-    assert np.allclose(kx.evaluate_extension(fmap, results, grid[0]),
-                       results[0].value)
-
-
 def test_extend_map_tol_shrink_never_worse(corner_map):
     chart, fmap = corner_map
     grid = _grid(chart, 4)
@@ -430,37 +418,6 @@ def test_continuity_bounded_by_map_modulus(corner_map):
     # the entire map is 3-Lipschitz on the patch in ambient coordinates
     assert np.all(rep.empirical <= 3.0 * rep.radii + 1e-9)
     assert np.all(rep.empirical <= rep.certified + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# boundary projection
-# ---------------------------------------------------------------------------
-
-def test_projection_flat_chart():
-    ch = charts.flat_chart()
-    Z = np.array([0.0 + 0j, 0.2 + 0.3j])
-    P = kx.project_to_boundary(ch, Z)
-    assert np.allclose(P, [0.0, 0.2])
-
-
-def test_projection_idempotent(corner_map):
-    chart, _ = corner_map
-    Z = chart.boundary_point(np.array([0.05 - 0.02j]), 0.04) + 0.07 * EV
-    P = kx.project_to_boundary(chart, Z)
-    P2 = kx.project_to_boundary(chart, P)
-    assert np.allclose(P, P2, atol=1e-14)
-    assert kx.vertical_height(chart, P) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_projection_continuous(corner_map):
-    chart, _ = corner_map
-    base = chart.boundary_point(np.array([0.03 + 0.01j]), 0.02) + 0.05 * EV
-    for h in (1e-3, 1e-5):
-        shifted = base.copy()
-        shifted[0] += h
-        gap = np.linalg.norm(kx.project_to_boundary(chart, shifted)
-                             - kx.project_to_boundary(chart, base))
-        assert gap <= 3.0 * h
 
 
 # ---------------------------------------------------------------------------

@@ -309,39 +309,6 @@ def test_ltc_lower_bound_monotone(d1, d2):
 # distance-bound formulas
 # ---------------------------------------------------------------------------
 
-def test_convex_distance_lower_bound():
-    assert kx.convex_distance_lower_bound(0.01, 0.1).value == \
-        pytest.approx(0.5 * math.log(10.0))
-    assert kx.convex_distance_lower_bound(0.3, 0.3).value == 0.0
-    assert kx.convex_distance_lower_bound(0.01, 0.1).value == \
-        pytest.approx(kx.convex_distance_lower_bound(0.1, 0.01).value)
-
-
-def test_fr_distance_upper_bound_values():
-    b = kx.fr_distance_upper_bound(0.01, 0.01, 0.1, 1.0)
-    want = math.log(100.0) - math.log(1.0 / 0.11) + 1.0
-    assert b.value == pytest.approx(want, abs=1e-5)
-    assert abs(want - 3.39790) < 1e-4
-    assert kx.fr_distance_upper_bound(0.2, 0.05, 0.0, 2.5).value == \
-        pytest.approx(2.5)
-
-
-def test_fr_distance_upper_bound_symmetry():
-    a = kx.fr_distance_upper_bound(0.01, 0.2, 0.3, 0.7).value
-    b = kx.fr_distance_upper_bound(0.2, 0.01, 0.3, 0.7).value
-    assert a == pytest.approx(b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(1e-4, 0.5), st.floats(1e-4, 0.5),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_fr_distance_monotone_in_separation(d1, d2, s1, s2):
-    lo, hi = min(s1, s2), max(s1, s2)
-    blo = kx.fr_distance_upper_bound(d1, d2, lo, 0.0).value
-    bhi = kx.fr_distance_upper_bound(d1, d2, hi, 0.0).value
-    assert bhi >= blo - 1e-12
-
-
 def test_pair_lower_bound_values():
     d = math.exp(-2.0)
     assert kx.pair_lower_bound(d, d, 1.0).value == pytest.approx(1.0)
@@ -413,20 +380,6 @@ def test_pair_bound_stays_below_path_estimate(ball2):
             lb = kx.pair_lower_bound(kx.boundary_distance(ball2, w1),
                                      kx.boundary_distance(ball2, w2), K)
             assert lb.value <= est + 1e-6
-
-
-# ---------------------------------------------------------------------------
-# report records
-# ---------------------------------------------------------------------------
-
-def test_bound_serializes_to_report_record():
-    from kobex.reports import bound_record
-    b = kx.convex_distance_lower_bound(0.01, 0.1)
-    rec = bound_record(b, op="pair-distance-check", verdict=True, rel=1e-6)
-    blob = rec.to_json()
-    assert '"method": "cvx_dist_lower"' in blob
-    assert '"side": "lower"' in blob
-    assert '"verdict": true' in blob
 
 
 # ---------------------------------------------------------------------------

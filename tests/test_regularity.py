@@ -104,30 +104,6 @@ def test_table_modulus_monotone_envelope():
     assert w(0.0) == 0.0
 
 
-def test_modulus_csv_export(tmp_path):
-    w = sqrt_rate()
-    text = w.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "r,omega,h"
-    assert len(lines) == 257
-    path = tmp_path / "rate.csv"
-    w.to_csv(str(path))
-    assert path.read_text() == text
-    # the h column integrates the rate: final value ~ (2/3) end^(3/2)
-    last = [float(tok) for tok in lines[-1].split(",")]
-    assert last[2] == pytest.approx(2.0 / 3.0, abs=1e-4)
-
-
-def test_subadditive_envelope():
-    w = kx.ModulusOfContinuity.from_function(lambda r: r ** 2, 1.0)
-    env = w.subadditive_envelope()
-    grid = np.linspace(0.0, 0.5, 21)
-    for s in grid:
-        for t in grid:
-            assert env(s + t) <= env(s) + env(t) + 1e-12
-    assert np.all(np.atleast_1d(env(grid)) >= np.atleast_1d(w(grid)) - 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # gradient modulus of a chart graph
 # ---------------------------------------------------------------------------
