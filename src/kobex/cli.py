@@ -29,19 +29,15 @@ def _parse_point(text):
 
 
 def _get_domain(name):
-    try:
-        if name.endswith(".kx") or "/" in name:
-            from . import textspec
-            objs = textspec.load(name)
-            doms = {k: v for k, v in objs.items()
-                    if isinstance(v, domains.DomainSpec)}
-            if len(doms) != 1:
-                raise domains.DomainError("file %r must define exactly one domain" % name)
-            return next(iter(doms.values()))
-        return domains.bundled_domain(name)
-    except (domains.DomainError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(3)
+    if name.endswith(".kx") or "/" in name:
+        from . import textspec
+        objs = textspec.load(name)
+        doms = {k: v for k, v in objs.items()
+                if isinstance(v, domains.DomainSpec)}
+        if len(doms) != 1:
+            raise domains.DomainError("file %r must define exactly one domain" % name)
+        return next(iter(doms.values()))
+    return domains.bundled_domain(name)
 
 
 def cmd_list(args):
@@ -52,8 +48,7 @@ def cmd_list(args):
 
 def cmd_explain(args):
     if args.scenario not in scenarios.EXPLAIN:
-        print("error: unknown scenario %r" % args.scenario, file=sys.stderr)
-        return 3
+        raise domains.DomainError("unknown scenario %r" % args.scenario)
     print(args.scenario)
     for stage, anchor in scenarios.EXPLAIN[args.scenario]:
         print("  %-34s %s" % (stage, anchor))
@@ -61,13 +56,8 @@ def cmd_explain(args):
 
 
 def cmd_run(args):
-    try:
-        report = scenarios.run_scenario(args.scenario, seed=args.seed,
-                                        tol=args.tol, out_dir=args.out,
-                                        csv=args.csv)
-    except KeyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+    report = scenarios.run_scenario(args.scenario, seed=args.seed, tol=args.tol,
+                                    out_dir=args.out, csv=args.csv)
     print(report.summary())
     print("wall clock: %.2f s" % report.wall_clock)
     if args.out:
@@ -97,8 +87,7 @@ def cmd_metric(args):
     v = _parse_point(args.dir)
     if args.method == "exact":
         if args.domain.lower() != "ball2":
-            print("error: exact values exist only for the ball", file=sys.stderr)
-            return 3
+            raise domains.DomainError("exact values exist only for the ball")
         print("exact ball metric k(z; v) = %.12g"
               % metrics.kob_metric_ball_exact(z, v))
         return 0
@@ -176,7 +165,7 @@ def main(argv=None):
         if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise domains.DomainError("--tol must be finite and nonnegative, got %r" % tol)
         return args.fn(args)
-    except (domains.DomainError, extension.TailBoundError) as exc:
+    except (domains.DomainError, extension.TailBoundError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except domains.ConvergenceError as exc:

@@ -66,6 +66,12 @@ def hermitian_inner(a, b):
     return np.sum(np.asarray(a, dtype=complex) * np.conj(b), axis=-1)
 
 
+def row_norms(z):
+    """Norms of (..., n) points, bitwise as ``np.linalg.norm`` of one point."""
+    z = np.asarray(z, dtype=complex)
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
 @dataclass
 class Constraint:
     """One scalar defining inequality g < 0.
@@ -834,8 +840,7 @@ def ball(dim=2, center=None, radius=1.0, name=None):
 
     def nearest(zs):
         w = zs - center
-        # each row's norm as np.linalg.norm computes it for a single point
-        nw = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))[:, None]
+        nw = row_norms(w)[:, None]
         small = nw < 1e-14
         w = np.where(small, np.eye(1, dim, dtype=complex), w)
         return center + radius * w / np.where(small, 1.0, nw)

@@ -17,8 +17,7 @@ from .domains import (DomainError, _interior_rows, _zoom_min, as_point,
                       hermitian_inner)
 
 METHODS = ("graham_lower", "graham_upper", "sibony", "inscribed_ball",
-           "ltc_lower", "cvx_dist_lower", "fr_dist_upper", "pair_lower",
-           "exact_oracle")
+           "ltc_lower", "pair_lower")
 
 
 @dataclass

@@ -35,10 +35,12 @@ def test_explain_prints_anchors(capsys):
 
 def test_explain_unknown_is_config_error(capsys):
     assert run_cli("explain", "nope") == 3
+    assert capsys.readouterr().err == "error: unknown scenario 'nope'\n"
 
 
 def test_run_unknown_is_config_error(capsys):
     assert run_cli("run", "nope") == 3
+    assert capsys.readouterr().err == "error: unknown scenario 'nope'\n"
 
 
 def test_run_dini_suite_passes(capsys):
@@ -203,6 +205,14 @@ def test_bad_definition_file_is_config_error(text, tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("domain", ["nope", "missing/file.kx"])
+def test_unknown_domain_returns_config_error_in_process(domain, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("distance", domain, "--at", "0.1,0") == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _exp_flat(power):

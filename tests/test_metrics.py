@@ -148,7 +148,7 @@ def test_metric_bound_validation():
         kx.MetricBound(math.nan, "upper", "inscribed_ball")
     with pytest.raises(kx.DomainError):
         kx.MetricBound(math.inf, "lower", "graham_lower")
-    assert kx.MetricBound(math.inf, "upper", "fr_dist_upper").value == math.inf
+    assert kx.MetricBound(math.inf, "upper", "inscribed_ball").value == math.inf
 
 
 @pytest.mark.parametrize("v, delta_dir", [

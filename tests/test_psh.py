@@ -90,6 +90,73 @@ def test_levi_rejects_non_smooth_point():
         kx.levi_form(u, kx.cpoint(0.5, 0), kx.cpoint(1, 0))
 
 
+def _corner_rows(rng, m):
+    r = 0.15 + 0.3 * rng.random((m, 2))
+    zs = r * np.exp(2j * math.pi * rng.random((m, 2)))
+    vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    return zs, vs
+
+
+@pytest.mark.parametrize("use_hessian", [True, False])
+def test_levi_rows_equal_one_row_calls(use_hessian, rng):
+    zs, vs = _corner_rows(rng, 40)
+    vs[3] = 0.0
+    for u in (corner_sum_witness(), flat_graph_witness()):
+        rows = kx.levi_form(u, zs, vs, use_hessian=use_hessian)
+        one = [kx.levi_form(u, z, v, use_hessian=use_hessian) for z, v in zip(zs, vs)]
+        assert rows.shape == (40,)
+        assert all(type(x) is float for x in one)
+        assert np.array_equal(rows, one)
+        assert rows[3] == 0.0
+        # one direction for all rows
+        assert np.array_equal(kx.levi_form(u, zs, vs[0], use_hessian=use_hessian),
+                              kx.levi_form(u, zs, np.tile(vs[0], (40, 1)),
+                                           use_hessian=use_hessian))
+
+
+def test_levi_fd_rows_sum_in_scalar_order(rng):
+    # the difference quotient of one point at a time, term by term
+    u = corner_sum_witness()
+    zs, vs = _corner_rows(rng, 200)
+
+    def scalar_fd(z, v):
+        nv = np.linalg.norm(v)
+        vhat = v / nv
+        h = 1e-5 * (1.0 + np.linalg.norm(z))
+
+        def quarter_laplacian(hh):
+            acc = -4.0 * float(u(z))
+            for d in (vhat, 1j * vhat):
+                acc += float(u(z + hh * d)) + float(u(z - hh * d))
+            return acc / (4.0 * hh * hh)
+
+        return (4.0 * quarter_laplacian(h / 2.0) - quarter_laplacian(h)) / 3.0 * (nv * nv)
+
+    want = [scalar_fd(z, v) for z, v in zip(zs, vs)]
+    assert np.array_equal(kx.levi_form(u, zs, vs, use_hessian=False), want)
+
+
+def test_levi_cross_check_catches_one_wrong_row(rng):
+    def hess(z):
+        return (3.0 if z[0].real > 0.5 else 1.0) * np.eye(2, dtype=complex)
+
+    u = kx.PshWitness(fn=lambda z: np.sum(np.abs(z) ** 2, axis=-1), hess=hess)
+    zs, vs = _corner_rows(rng, 5)
+    assert np.allclose(kx.levi_form(u, zs, vs, cross_check=True),
+                       np.sum(np.abs(vs) ** 2, axis=-1))
+    zs[2, 0] = 0.6
+    with pytest.raises(kx.SmoothnessError):
+        kx.levi_form(u, zs, vs, cross_check=True)
+
+
+def test_levi_rejects_one_non_smooth_row(rng):
+    zs, vs = _corner_rows(rng, 5)
+    zs[4, 1] = 0.0
+    for use_hessian in (True, False):
+        with pytest.raises(kx.SmoothnessError):
+            kx.levi_form(corner_sum_witness(), zs, vs, use_hessian=use_hessian)
+
+
 # ---------------------------------------------------------------------------
 # psh verification
 # ---------------------------------------------------------------------------
@@ -116,6 +183,26 @@ def test_check_psh_pluriharmonic_is_flat(ball2, rng):
     rep = kx.check_psh(u, ball2, samples, use_hessian=False, seed=1, step=0.05)
     assert rep.passes
     assert abs(rep.min_value) < 1e-10
+
+
+def test_check_psh_skips_axis_sample_without_drawing(ball2):
+    u = corner_sum_witness()
+    smooth = [np.array([0.3, 0.2j]), np.array([-0.1, 0.4 - 0.1j])]
+    rep = kx.check_psh(u, ball2, [smooth[0], np.array([0.3, 0.0]), smooth[1]], seed=2)
+    assert rep.n_checked == 4 * len(smooth)
+    # the loop it replaces: four directions per smooth sample, drawn in turn
+    rng = np.random.default_rng(2)
+    vals = []
+    for z in smooth:
+        for _ in range(4):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            vals.append((kx.levi_form(u, z, v), z, v))
+    want = min(vals, key=lambda t: t[0])
+    assert rep.min_value == want[0]
+    assert np.array_equal(rep.argmin[0], want[1])
+    assert np.array_equal(rep.argmin[1], want[2])
+    assert rep.violations == 0
 
 
 def test_check_psh_flags_concave(ball2):

@@ -1,8 +1,9 @@
 """Every bundled scenario must pass end to end and stay deterministic."""
 
+import numpy as np
 import pytest
 
-from kobex import scenarios
+from kobex import domains, scenarios
 
 
 @pytest.mark.parametrize("name", scenarios.list_scenarios())
@@ -49,3 +50,27 @@ def test_extension_oracle_calls_the_map_in_batches(monkeypatch):
     monkeypatch.setattr(scenarios, "_square_first_map", counted)
     assert scenarios.run_scenario("extension-oracle").passed
     assert 0 < len(calls) <= 26
+
+
+def test_block_sampler_matches_one_candidate_at_a_time():
+    # 9 % of the candidates lie inside: the first block of 2k holds too few
+    D = domains.ball(1, radius=0.17)
+    blocks = []
+
+    def build(r):
+        blocks.append(len(r))
+        return (r[:, :1] - 0.5) + 1j * (r[:, 1:2] - 0.5)
+
+    rng = np.random.default_rng(11)
+    kept, pts = scenarios._first_accepted(rng, 25, build, D)
+    assert len(blocks) > 1
+
+    ref = np.random.default_rng(11)
+    want = []
+    while len(want) < 25:
+        r = [ref.random() for _ in range(4)]
+        if domains.contains(D, np.array([complex(r[0] - 0.5, r[1] - 0.5)])):
+            want.append(r)
+    assert np.array_equal(kept, want)
+    assert np.array_equal(pts[:, 0], [complex(a - 0.5, b - 0.5) for a, b, _, _ in want])
+    assert rng.random() == ref.random()
