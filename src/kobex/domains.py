@@ -9,12 +9,13 @@ Conventions used throughout the package:
   batches of points are arrays of shape (..., n),
 * the norm of a point is the Euclidean norm of the corresponding real
   2n-vector, which is exactly ``np.linalg.norm`` on the complex vector,
-* a constraint oracle maps an (..., n) complex array to an (...,) real
-  array; the domain interior is where every constraint is < 0,
+* every oracle takes (..., n) batches: a constraint maps them to (...,)
+  reals, its gradient to (..., n) complex and its smoothness flag to (...,)
+  booleans; the domain interior is where every constraint is < 0,
 * the Hermitian inner product is ``<a, b> = sum_j a_j * conj(b_j)``.
 
-Constraint oracles for the bundled domains are vectorized numpy code.
-User-supplied oracles must accept batched input in the same way.
+Oracles for the bundled domains are vectorized numpy code.  User-supplied
+oracles must accept batched input in the same way.
 """
 
 import math
@@ -72,14 +73,19 @@ def row_norms(z):
     return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
+def _moduli(z):
+    """|z_j| entrywise, bitwise as Python's abs of each complex (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
+
+
 @dataclass
 class Constraint:
     """One scalar defining inequality g < 0.
 
-    ``grad`` (optional) returns the real gradient encoded as a complex
-    vector, ``grad_j = dg/dx_j + i dg/dy_j`` for z_j = x_j + i y_j.
-    ``smooth`` (optional) reports whether g is differentiable at a point;
-    when it returns False the gradient is *never* finite-differenced.
+    ``fn`` maps (..., n) complex arrays to (...,) values, ``grad`` (optional)
+    to (..., n) real gradients, ``grad_j = dg/dx_j + i dg/dy_j`` for
+    z_j = x_j + i y_j, and ``smooth`` (optional) to (...,) flags marking where
+    g is differentiable; where one is False no gradient is finite-differenced.
     """
     fn: callable
     grad: callable = None
@@ -122,13 +128,6 @@ class DomainSpec:
         for c in rest:
             out = np.maximum(out, c(z))
         return out
-
-    def active_constraints(self, z):
-        """Indices of the constraints within 1e-8 (1 + |z|) of 0 at z."""
-        z = as_point(z, self.dim)
-        scale = 1.0 + np.linalg.norm(z)
-        return [i for i, c in enumerate(self.constraints)
-                if abs(float(c(z))) <= 1e-8 * scale]
 
 
 def contains(D, z):
@@ -602,7 +601,11 @@ def boundary_distance(D, z, method="auto"):
 
 def boundary_distance_batch(D, zs, method="auto"):
     """boundary_distance over rows of zs, which must all be interior."""
-    zs = _interior_rows(D, zs)
+    return _distances(D, _interior_rows(D, zs), method)
+
+
+def _distances(D, zs, method):
+    """boundary_distance_batch on (m, n) rows already known to be interior."""
     if _route(D, method, D.dist_fn) == "fast":
         return np.asarray(D.dist_fn(zs), dtype=float)
     return _search(D, zs, method)[0]
@@ -633,7 +636,7 @@ def _distance_and_nearest(D, z, method="auto"):
     z = as_point(z, D.dim)
     t, xi = _nearest(D, z[None, :], method)
     if t is None or _route(D, method, D.dist_fn) == "fast":
-        return boundary_distance(D, z, method), xi[0]
+        t = _distances(D, z[None, :], method)
     return float(t[0]), xi[0]
 
 
@@ -676,39 +679,47 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
 
 
 def inward_normal(D, xi):
-    """Unit inward normal at a smooth boundary point.
+    """Unit inward normal at a smooth boundary point (n,), or at each of
+    (m, n) rows (an (m, n) array).
 
-    Requires exactly one active constraint with nonvanishing gradient.
-    At corner points (>= 2 active constraints) or points the oracle marks
-    non-differentiable, raises NonSmoothBoundaryError; gradients are never
-    silently finite-differenced across a declared non-smooth point.
-    A missing gradient is replaced by central differences of step 1e-6 (1+|xi|).
+    Each point needs exactly one active constraint, |g| <= 1e-8 (1 + |xi|),
+    with nonvanishing gradient.  At a corner point (>= 2 active
+    constraints) or a point the oracle marks non-differentiable, raises
+    NonSmoothBoundaryError; gradients are never silently finite-differenced
+    across a declared non-smooth point.  A missing gradient is replaced by
+    central differences of step 1e-6 (1+|xi|).  One bad row fails the call.
     """
-    xi = as_point(xi, D.dim)
-    active = D.active_constraints(xi)
-    if len(active) == 0:
+    xi = np.asarray(xi, dtype=complex)
+    xs = np.atleast_2d(xi)
+    if xs.ndim != 2 or xs.shape[1] != D.dim:
+        raise DomainError("expected (n,) or (m, n) points, n = %d: got %s" % (D.dim, xi.shape))
+    scale = 1.0 + row_norms(xs)
+    active = np.array([np.abs(c(xs)) <= 1e-8 * scale for c in D.constraints])
+    count = np.sum(active, axis=0)
+    if np.any(count == 0):
         raise DomainError("point is not on the boundary of %s" % D.name)
-    if len(active) > 1:
+    if np.any(count > 1):
         raise NonSmoothBoundaryError("non-smooth boundary point: %d active constraints"
-                                     % len(active))
-    c = D.constraints[active[0]]
-    if c.smooth is not None and not bool(c.smooth(xi)):
-        raise NonSmoothBoundaryError("non-smooth boundary point (oracle-declared)")
-    if c.grad is not None:
-        g = np.asarray(c.grad(xi), dtype=complex)
-    else:
-        h = 1e-6 * (1.0 + np.linalg.norm(xi))
-        g = np.zeros(D.dim, dtype=complex)
-        for j in range(D.dim):
-            for part, unit in ((1.0, 1.0), (1j, 1j)):
-                e = np.zeros(D.dim, dtype=complex)
-                e[j] = unit * h
-                der = (float(c(xi + e)) - float(c(xi - e))) / (2.0 * h)
-                g[j] += der * part
-    norm = np.linalg.norm(g)
-    if norm < 1e-8:
+                                     % np.max(count))
+    g = np.empty(xs.shape, dtype=complex)
+    for c, rows in zip(D.constraints, active):
+        p = xs[rows]
+        if c.smooth is not None and not np.all(c.smooth(p)):
+            raise NonSmoothBoundaryError("non-smooth boundary point (oracle-declared)")
+        if c.grad is not None:
+            g[rows] = c.grad(p)
+            continue
+        # the stencil z +- h e_j, z +- i h e_j of every row in one call
+        h = 1e-6 * (1.0 + row_norms(p))
+        e = h[:, None, None] * np.concatenate([np.eye(D.dim), 1j * np.eye(D.dim)])
+        f = c(p[:, None, None] + np.stack([e, -e], axis=1))
+        der = (f[:, 0] - f[:, 1]) / (2.0 * h)[:, None]
+        g[rows] = der[:, :D.dim] + 1j * der[:, D.dim:]
+    norm = row_norms(g)
+    if np.any(norm < 1e-8):
         raise NonSmoothBoundaryError("vanishing constraint gradient at boundary point")
-    return -g / norm
+    eta = -g / norm[:, None]
+    return eta if xi.ndim == 2 else eta[0]
 
 
 # ---------------------------------------------------------------------------
@@ -861,12 +872,12 @@ def polydisc(radii=(1.0, 1.0)):
             return np.abs(z[..., j]) - r
 
         def grad(z, j=j):
-            out = np.zeros(dim, dtype=complex)
-            out[j] = z[j] / abs(z[j])
+            out = np.zeros(z.shape, dtype=complex)
+            out[..., j] = z[..., j] / _moduli(z[..., j])
             return out
 
         def smooth(z, j=j):
-            return abs(z[j]) > 1e-12
+            return _moduli(z[..., j]) > 1e-12
 
         cons.append(Constraint(g, grad=grad, smooth=smooth, label="|z%d|-r" % (j + 1)))
 
@@ -907,10 +918,10 @@ def ex21_D():
         return np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) - 1.0
 
     def grad(z):
-        return np.array([z[0], 0.5 * z[1] / abs(z[1])], dtype=complex)
+        return np.stack([2.0 * z[..., 0], z[..., 1] / _moduli(z[..., 1])], axis=-1)
 
     def smooth(z):
-        return abs(z[1]) > 1e-12
+        return _moduli(z[..., 1]) > 1e-12
 
     T = np.linspace(0.0, 1.0, 4097)
 
@@ -936,11 +947,10 @@ def ex21_Omega():
         return np.abs(z[..., 0]) + np.abs(z[..., 1]) - 1.0
 
     def grad(z):
-        return np.array([0.5 * z[0] / abs(z[0]), 0.5 * z[1] / abs(z[1])],
-                        dtype=complex)
+        return z / _moduli(z)
 
     def smooth(z):
-        return abs(z[0]) > 1e-12 and abs(z[1]) > 1e-12
+        return np.all(_moduli(z) > 1e-12, axis=-1)
 
     def dist(zs):
         x = np.abs(zs[..., 0])
@@ -988,18 +998,17 @@ def ex22_D():
         return _phi_flat(np.abs(z[..., 1]) ** 2) - np.real(z[..., 0])
 
     def g1_grad(z):
-        t = abs(z[1]) ** 2
-        out = np.array([-1.0, 0.0], dtype=complex)
-        if t > 0:
-            # d/dw phi(|w|^2) as a real gradient: phi'(t) * 2w
-            out[1] = _phi_flat(np.array(t)) * (2.0 / t ** 3) * 2.0 * z[1]
-        return out
+        t = _moduli(z[..., 1]) ** 2
+        # d/dw phi(|w|^2) as a real gradient: phi'(t) * 2w, and 0 at w = 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dw = np.where(t > 0, _phi_flat(t) * (2.0 / t ** 3) * 2.0 * z[..., 1], 0.0)
+        return np.stack([np.full(t.shape, -1.0 + 0j), dw], axis=-1)
 
     def g2(z):
         return np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** 4 - 1.0
 
     def g2_grad(z):
-        return np.array([2.0 * z[0], 4.0 * abs(z[1]) ** 2 * z[1]], dtype=complex)
+        return np.stack([2.0 * z[..., 0], 4.0 * _moduli(z[..., 1]) ** 2 * z[..., 1]], axis=-1)
 
     def dist(zs):
         zs2 = np.atleast_2d(zs)
@@ -1026,11 +1035,10 @@ def _graph_ball_cap(name, radius, convex, interior, label):
         return _phi_flat(np.abs(z[..., 1])) - np.real(z[..., 0])
 
     def g1_grad(z):
-        t = abs(z[1])
-        out = np.array([-1.0, 0.0], dtype=complex)
-        if t > 0:
-            out[1] = _phi_flat(np.array(t)) * (2.0 / t ** 3) * z[1] / t
-        return out
+        t = _moduli(z[..., 1])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dw = np.where(t > 0, _phi_flat(t) * (2.0 / t ** 3) * z[..., 1] / t, 0.0)
+        return np.stack([np.full(t.shape, -1.0 + 0j), dw], axis=-1)
 
     def g2(z):
         return np.sum(np.abs(z) ** 2, axis=-1) - radius * radius
@@ -1079,7 +1087,8 @@ def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):
         return np.minimum(to_plane, to_sphere)
 
     return DomainSpec(name, normal.size,
-                      [Constraint(g1, grad=lambda z: nn, label="Re<z,n> - c"),
+                      [Constraint(g1, grad=lambda z: np.broadcast_to(nn, np.shape(z)),
+                                  label="Re<z,n> - c"),
                        Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex),
                                   label="|z|^2-R^2")],
                       is_convex=True, bounding_radius=truncate,

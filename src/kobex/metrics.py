@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainError, _interior_rows, _zoom_min, as_point,
+from .domains import (DomainError, _distances, _interior_rows, _zoom_min, as_point,
                       boundary_distance, boundary_distance_batch, contains,
                       directional_distance, directional_distance_batch,
                       hermitian_inner)
@@ -258,7 +258,7 @@ def path_distance_upper(D, z1, z2):
         mids = 0.5 * (p + q)
         inside = contains(D, mids)
         dmid = np.zeros(inside.shape)
-        dmid[inside] = boundary_distance_batch(D, mids[inside])
+        dmid[inside] = _distances(D, mids[inside], "auto")
         seglen = np.linalg.norm(q - p, axis=-1)
         return np.divide(seglen, dmid, out=np.full(dmid.shape, np.inf),
                          where=dmid > 0).sum(axis=-1)

@@ -27,10 +27,11 @@ CUBIC_ITERS = 90       # bisection steps of nearest_point_cubic
 class PshWitness:
     """A candidate negative plurisubharmonic function.
 
-    fn: vectorized value oracle, (..., n) complex -> (...,) real.
-    hess: optional complex-Hessian oracle, z (n,) -> (n, n) Hermitian matrix
-          of mixed second derivatives d^2 u / dz_j dzbar_k.
-    smooth: optional predicate marking where fn is twice differentiable.
+    fn: value oracle, (..., n) complex -> (...,) real.
+    hess: optional complex-Hessian oracle, (..., n) -> (..., n, n) Hermitian
+          matrices of mixed second derivatives d^2 u / dz_j dzbar_k.
+    smooth: optional predicate, (..., n) -> (...,), true where fn is twice
+          differentiable.
     """
     fn: callable
     hess: callable = None
@@ -46,21 +47,21 @@ def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False):
     (n,) point and direction (a float) or (m, n) rows of them (an (m,)
     array; either side may be one (n,) vector for all rows).
 
-    Uses the analytic Hessian oracle when present, otherwise central
-    differences along v and iv, Richardson-extrapolated from steps h and
-    h/2, in one call of u over all rows' 9-point stencils.  With
+    Uses one call of the analytic Hessian oracle when present, otherwise
+    central differences along v and iv, Richardson-extrapolated from steps h
+    and h/2, in one call of u over all rows' 9-point stencils.  With
     cross_check=True both routes must agree to 1e-4 relative at every row.
     """
     z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
     zs, vs = np.broadcast_arrays(np.atleast_2d(z), np.atleast_2d(v))
     one = z.ndim == v.ndim == 1
-    if u.smooth is not None and not all(bool(u.smooth(p)) for p in zs):
+    if u.smooth is not None and not np.all(u.smooth(zs)):
         raise SmoothnessError("Levi form requested at a non-smooth point")
 
     analytic = None
     if u.hess is not None and use_hessian:
-        analytic = np.array([np.real(np.conj(b) @ np.asarray(u.hess(a), dtype=complex) @ b)
-                             for a, b in zip(zs, vs)])
+        H = np.asarray(u.hess(zs), dtype=complex)
+        analytic = np.real(np.conj(vs)[:, None] @ H @ vs[..., None])[:, 0, 0]
         if not cross_check:
             return float(analytic[0]) if one else analytic
 
@@ -109,7 +110,7 @@ def check_psh(u, D, samples, dirs_per_sample=4, seed=0, **levi_kw):
     if not np.all(contains(D, zs)):
         raise DomainError("psh samples must be interior")
     if u.smooth is not None:
-        zs = zs[[bool(u.smooth(z)) for z in zs]]
+        zs = zs[np.asarray(u.smooth(zs), dtype=bool)]
     if len(zs) == 0:
         return PshReport(math.inf, None, 0, 0, PSH_FLOOR)
     g = np.random.default_rng(seed).standard_normal((len(zs), dirs_per_sample, 2, D.dim))
@@ -209,25 +210,26 @@ class FiberMap:
     """A holomorphic map with a user-supplied finite fiber enumerator.
 
     forward: vectorized map oracle, (..., n) -> (..., n).
-    fibers:  w (n,) -> (k, n) array of the preimages of w.
+    fibers:  (..., n) -> (..., k, n) arrays of the k preimages of each w.
     """
     forward: callable
     fibers: callable
-    jacobian: callable = None
     name: str = ""
 
 
 def pushforward_tau(F, rho, w):
     """tau(w) = max of rho over the fiber of w: the barrier on the target
     that a negative psh function on the source induces through a proper
-    map.  Invariant under permutations of the fiber list."""
+    map, for one (n,) point (a float) or (m, n) rows (an (m,) array).
+    Invariant under permutations of the fiber list."""
     w = np.asarray(w, dtype=complex)
-    pts = np.atleast_2d(F.fibers(w))
-    if pts.shape[0] == 0:
+    pts = np.asarray(F.fibers(w), dtype=complex)
+    if pts.shape[-2] == 0:
         raise DomainError("empty fiber")
     vals = np.asarray(rho.fn(pts) if isinstance(rho, PshWitness) else rho(pts),
                       dtype=float)
-    return float(np.max(vals))
+    tau = np.max(vals, axis=-1)
+    return float(tau) if w.ndim == 1 else tau
 
 
 # ---------------------------------------------------------------------------

@@ -195,14 +195,12 @@ class GraphChart:
         return self.phi(self.base_coords(Z))
 
     def boundary_point(self, zprime, x):
-        """Chart boundary point (Z', x + i phi(Z', x))."""
+        """Chart boundary points (Z', x + i phi(Z', x)), from (..., n-1)
+        tangential coordinates Z' and (...,) reals x, in one phi call."""
         zprime = np.asarray(zprime, dtype=complex)
-        coords = np.concatenate([np.atleast_1d(zprime).real,
-                                 np.atleast_1d(zprime).imag,
-                                 np.atleast_1d(float(x))])
-        val = float(self.phi(coords))
-        return np.concatenate([np.atleast_1d(zprime),
-                               np.atleast_1d(x + 1j * val)])
+        x = np.asarray(x, dtype=float)
+        val = self.phi(np.concatenate([zprime.real, zprime.imag, x[..., None]], axis=-1))
+        return np.concatenate([zprime, (x + 1j * val)[..., None]], axis=-1)
 
     def lipschitz_estimate(self):
         """Empirical Lipschitz constant of phi over the chart box, from
@@ -245,10 +243,7 @@ def chart_consistency(D, chart, seed=0):
     # boundary graph points are boundary points of D
     zp = (rng.random((200, n - 1)) - 0.5) * chart.radius \
         + 1j * (rng.random((200, n - 1)) - 0.5) * chart.radius
-    xx = (rng.random(200) - 0.5) * chart.radius
-    coords = np.concatenate([zp.real, zp.imag, xx[:, None]], axis=-1)
-    vals = np.atleast_1d(chart.phi(coords))
-    Zb = np.concatenate([zp, (xx + 1j * vals)[:, None]], axis=-1)
+    Zb = chart.boundary_point(zp, (rng.random(200) - 0.5) * chart.radius)
     amb = chart.from_chart(Zb)
     bd_resid = float(np.max(np.abs(D.value(amb))))
     # interior points near the base map to Y > 0
@@ -256,7 +251,7 @@ def chart_consistency(D, chart, seed=0):
     Zi = Zb.copy()
     Zi[:, -1] = Zi[:, -1] + 1j * lift
     inside = contains(D, chart.from_chart(Zi))
-    ypos = Zi[:, -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Zi)))
+    ypos = Zi[:, -1].imag - chart.phi_at(Zi)
     return {
         "isometry_defect": float(iso),
         "boundary_residual": bd_resid,
@@ -468,27 +463,22 @@ def verify_embedding(D, chart, boundary_points, params, zetas):
     """Check that xi + zeta * eta_xi lies in the chart patch of D for every
     listed boundary point xi and every model-domain sample zeta, where
     eta_xi is the unit inward normal.  Reports violating pairs and the
-    worst defining-function margin seen (negative margins are good)."""
+    worst defining-function margin seen (negative margins are good); one
+    normal, oracle and chart call over all pairs, violations by point, then
+    by sample."""
     zetas = np.asarray(zetas, dtype=complex)
-    violations = []
-    worst = -math.inf
-    total = 0
-    for xi in boundary_points:
-        xi = as_point(xi, D.dim)
-        eta = inward_normal(D, xi)
-        pts = xi[None, :] + zetas[:, None] * eta[None, :]
-        gvals = D.value(pts)
-        Z = chart.to_chart(pts)
-        inb = chart.in_box(Z)
-        ypos = np.where(inb,
-                        Z[..., -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Z))),
-                        -1.0)
-        ok = (gvals < 0.0) & inb & (ypos > 0.0)
-        worst = max(worst, float(np.max(gvals)))
-        for j in np.nonzero(~ok)[0]:
-            violations.append((xi, complex(zetas[j]), float(gvals[j])))
-        total += zetas.size
-    return EmbeddingReport(n_pairs=total, violations=violations, worst_margin=worst)
+    xis = np.array([as_point(xi, D.dim) for xi in boundary_points]).reshape(-1, D.dim)
+    eta = inward_normal(D, xis)
+    pts = xis[:, None, :] + zetas[:, None] * eta[:, None, :]
+    gvals = D.value(pts)
+    Z = chart.to_chart(pts)
+    inb = chart.in_box(Z)
+    ypos = np.where(inb, Z[..., -1].imag - chart.phi_at(Z), -1.0)
+    ok = (gvals < 0.0) & inb & (ypos > 0.0)
+    violations = [(xis[p], complex(zetas[j]), float(gvals[p, j]))
+                  for p, j in zip(*np.nonzero(~ok))]
+    return EmbeddingReport(n_pairs=gvals.size, violations=violations,
+                           worst_margin=float(np.max(gvals, initial=-math.inf)))
 
 
 def verify_lipschitz_sandwich(D, chart, samples):
@@ -499,7 +489,7 @@ def verify_lipschitz_sandwich(D, chart, samples):
     Z = chart.to_chart(zs)
     if not np.all(chart.in_box(Z)):
         raise ChartError("sample outside the chart box")
-    Y = Z[..., -1].imag - np.atleast_1d(chart.phi(chart.base_coords(Z)))
+    Y = Z[..., -1].imag - chart.phi_at(Z)
     delta = boundary_distance_batch(D, zs)
     scale = 1.0 + np.max(np.linalg.norm(zs, axis=-1))
     if np.min(Y - delta) < -1e-9 * scale:

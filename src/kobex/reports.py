@@ -40,7 +40,6 @@ class Record:
     value: object = None
     method: str = None
     side: str = None
-    inputs: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
@@ -50,7 +49,7 @@ class Record:
             v = getattr(self, key)
             if v is not None:
                 payload[key] = _plain(v)
-        for key in ("inputs", "constants", "tolerances"):
+        for key in ("constants", "tolerances"):
             v = getattr(self, key)
             if v:
                 payload[key] = _plain(v)

@@ -11,7 +11,7 @@ import pytest
 
 import kobex as kx
 from kobex import charts
-from kobex.domains import _phi_flat
+from kobex.domains import _moduli, _phi_flat
 from kobex.scenarios import infinite_type_check
 
 from conftest import record_criterion
@@ -82,9 +82,8 @@ def test_criterion_4_levi_quarter_bound():
     u = kx.PshWitness(
         fn=lambda z: np.abs(np.asarray(z, dtype=complex)[..., 0])
         + np.abs(np.asarray(z, dtype=complex)[..., 1]) - 1.0,
-        hess=lambda z: np.diag([1.0 / (4.0 * abs(z[0])),
-                                1.0 / (4.0 * abs(z[1]))]).astype(complex),
-        smooth=lambda z: abs(z[0]) > 1e-9 and abs(z[1]) > 1e-9)
+        hess=lambda z: np.eye(2) / (4.0 * _moduli(z))[..., None],
+        smooth=lambda z: np.all(_moduli(z) > 1e-9, axis=-1))
     worst = math.inf
     n = 0
     while n < 1000:
@@ -109,11 +108,16 @@ def test_criterion_5_flat_graph_example(d22):
             return 0.0
         return 4.0 * aw ** -6 * math.exp(-1.0 / aw ** 4) * (1.0 / aw ** 4 - 1.0)
 
+    def hess(z):
+        aw = _moduli(z[..., 1])
+        H = np.zeros(aw.shape + (2, 2))
+        H[..., 1, 1] = np.reshape([levi_w(a) for a in aw.ravel().tolist()], aw.shape)
+        return H
+
     rho = kx.PshWitness(
         fn=lambda z: _phi_flat(np.abs(np.asarray(z, dtype=complex)[..., 1]) ** 2)
         - np.real(np.asarray(z, dtype=complex)[..., 0]),
-        hess=lambda z: np.array([[0.0, 0.0], [0.0, levi_w(abs(z[1]))]],
-                                dtype=complex))
+        hess=hess)
 
     # (a) finite differences against the displayed coefficient
     worst_rel = 0.0

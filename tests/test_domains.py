@@ -422,6 +422,63 @@ def test_inward_normal_fd_matches_analytic(ball2):
     assert np.allclose(eta, eta_fd, atol=1e-8)
 
 
+def _bundled_constraints():
+    doms = [kx.bundled_domain(name) for name in sorted(kx.BUNDLED)]
+    doms.append(kx.halfspace(np.array([1.0, -1j]), 0.2))
+    return [pytest.param(c, id="%s-%d" % (D.name, i))
+            for D in doms for i, c in enumerate(D.constraints)]
+
+
+@pytest.mark.parametrize("c", _bundled_constraints())
+def test_bundled_gradients_and_smooth_flags_take_rows(c):
+    rng = np.random.default_rng(7)
+    zs = (rng.random((400, 2)) - 0.5) * 1.6 + 1j * (rng.random((400, 2)) - 0.5) * 1.6
+    zs = zs[np.all(np.abs(zs) > 0.05, axis=-1)]
+    if c.smooth is not None:
+        flags = c.smooth(zs)
+        assert flags.shape == zs.shape[:1] and flags.dtype == bool
+        zs = zs[flags]
+    g = c.grad(zs)
+    assert g.shape == zs.shape
+    h = 1e-6
+    e = h * np.concatenate([np.eye(2), 1j * np.eye(2)])
+    der = (c(zs[:, None] + e) - c(zs[:, None] - e)) / (2.0 * h)
+    fd = der[:, :2] + 1j * der[:, 2:]
+    assert np.all(np.linalg.norm(g - fd, axis=-1) <= 1e-6 * np.linalg.norm(g, axis=-1))
+    for k in (0, len(zs) // 2, len(zs) - 1):
+        assert np.array_equal(c.grad(zs[k]), g[k])
+        assert np.array_equal(c.grad(zs[k:k + 1])[0], g[k])
+        if c.smooth is not None:
+            assert bool(c.smooth(zs[k])) and c.smooth(zs[k:k + 1]).tolist() == [True]
+
+
+def test_inward_normal_rows_equal_one_row_calls(ball2, d22, rng):
+    u = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+    on_sphere = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    w = (0.5 + 0.4 * rng.random(20)) * np.exp(2j * math.pi * rng.random(20))
+    on_graph = np.stack([dm._phi_flat(np.abs(w) ** 2) + 0.2j * (rng.random(20) - 0.5), w],
+                        axis=-1)
+    for D, xis in ((ball2, on_sphere), (d22, on_graph)):
+        rows = kx.inward_normal(D, xis)
+        assert rows.shape == xis.shape
+        for xi, eta in zip(xis, rows):
+            assert np.array_equal(kx.inward_normal(D, xi), eta)
+    assert np.max(np.abs(kx.inward_normal(d22, on_graph)[:, 1])) > 0.1
+
+
+def test_inward_normal_one_bad_row_fails_the_call(ball2, omega21, rng):
+    a = 0.2 + 0.6 * rng.random(5)
+    smooth = np.stack([a * np.exp(2j * math.pi * rng.random(5)),
+                       (1.0 - a) * np.exp(2j * math.pi * rng.random(5))], axis=-1)
+    assert kx.inward_normal(omega21, smooth).shape == (5, 2)
+    with pytest.raises(kx.NonSmoothBoundaryError):
+        kx.inward_normal(omega21, np.insert(smooth, 2, [1.0, 0.0], axis=0))
+    on_sphere = np.array([[1.0, 0.0], [0.0, 1j], [0.6, 0.8]], dtype=complex)
+    assert kx.inward_normal(ball2, on_sphere).shape == (3, 2)
+    with pytest.raises(kx.DomainError, match="not on the boundary"):
+        kx.inward_normal(ball2, np.insert(on_sphere, 1, [0.5, 0.0], axis=0))
+
+
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------

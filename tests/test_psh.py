@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 import kobex as kx
-from kobex.domains import _phi_flat
+from kobex.domains import _moduli, _phi_flat
+from kobex.scenarios import _square_first_map
 
 
 def corner_sum_witness():
     return kx.PshWitness(
         fn=lambda z: np.abs(np.asarray(z, dtype=complex)[..., 0])
         + np.abs(np.asarray(z, dtype=complex)[..., 1]) - 1.0,
-        hess=lambda z: np.diag([1.0 / (4.0 * abs(z[0])),
-                                1.0 / (4.0 * abs(z[1]))]).astype(complex),
-        smooth=lambda z: abs(z[0]) > 1e-9 and abs(z[1]) > 1e-9)
+        hess=lambda z: np.eye(2) / (4.0 * _moduli(z))[..., None],
+        smooth=lambda z: np.all(_moduli(z) > 1e-9, axis=-1))
 
 
 def flat_graph_witness():
@@ -27,7 +27,10 @@ def flat_graph_witness():
         return 4.0 * aw ** -6 * math.exp(-1.0 / aw ** 4) * (1.0 / aw ** 4 - 1.0)
 
     def hess(z):
-        return np.array([[0.0, 0.0], [0.0, levi_w(abs(z[1]))]], dtype=complex)
+        aw = _moduli(z[..., 1])
+        H = np.zeros(aw.shape + (2, 2))
+        H[..., 1, 1] = np.reshape([levi_w(a) for a in aw.ravel().tolist()], aw.shape)
+        return H
 
     w = kx.PshWitness(fn=fn, hess=hess)
     w.levi_w = levi_w
@@ -138,7 +141,7 @@ def test_levi_fd_rows_sum_in_scalar_order(rng):
 
 def test_levi_cross_check_catches_one_wrong_row(rng):
     def hess(z):
-        return (3.0 if z[0].real > 0.5 else 1.0) * np.eye(2, dtype=complex)
+        return np.where(z[..., 0].real > 0.5, 3.0, 1.0)[..., None, None] * np.eye(2)
 
     u = kx.PshWitness(fn=lambda z: np.sum(np.abs(z) ** 2, axis=-1), hess=hess)
     zs, vs = _corner_rows(rng, 5)
@@ -155,6 +158,26 @@ def test_levi_rejects_one_non_smooth_row(rng):
     for use_hessian in (True, False):
         with pytest.raises(kx.SmoothnessError):
             kx.levi_form(corner_sum_witness(), zs, vs, use_hessian=use_hessian)
+
+
+def test_levi_form_makes_one_hess_and_one_smooth_call(ball2, rng):
+    u = corner_sum_witness()
+    calls = {"hess": 0, "smooth": 0}
+
+    def counted(name, fn):
+        def oracle(z):
+            calls[name] += 1
+            return fn(z)
+        return oracle
+
+    u.hess, u.smooth = counted("hess", u.hess), counted("smooth", u.smooth)
+    zs, vs = _corner_rows(rng, 50)
+    kx.levi_form(u, zs, vs)
+    assert calls == {"hess": 1, "smooth": 1}
+    kx.levi_form(u, zs, vs, cross_check=True)
+    assert calls == {"hess": 2, "smooth": 2}
+    kx.check_psh(u, ball2, zs)   # its own smooth call, then levi_form's
+    assert calls == {"hess": 3, "smooth": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +453,20 @@ def test_pushforward_empty_fiber_errors():
     rho = kx.PshWitness(fn=lambda zs: -np.ones(np.atleast_2d(zs).shape[0]))
     with pytest.raises(kx.DomainError):
         kx.pushforward_tau(Fm, rho, kx.cpoint(0, 0))
+
+
+def test_pushforward_rows_equal_one_point_calls(rng):
+    F, _, fibers = _square_first_map()
+    Fm = kx.FiberMap(forward=F, fibers=fibers)
+    rho = kx.PshWitness(fn=lambda zs: np.abs(zs[..., 0]) ** 2 + np.abs(zs[..., 1]) - 1.0)
+    ws = (rng.random((40, 2)) - 0.5) + 1j * (rng.random((40, 2)) - 0.5)
+    assert np.allclose(F(fibers(ws)), np.stack([ws, ws], axis=1), rtol=0.0, atol=1e-15)
+    taus = kx.pushforward_tau(Fm, rho, ws)
+    assert taus.shape == (40,)
+    assert taus.tolist() == [kx.pushforward_tau(Fm, rho, w) for w in ws]
+    empty = kx.FiberMap(forward=F, fibers=lambda w: np.zeros(w.shape[:-1] + (0, 2), complex))
+    with pytest.raises(kx.DomainError):
+        kx.pushforward_tau(empty, rho, ws)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kobex as kx
-from kobex import charts
+from kobex import charts, regularity, scenarios
 from kobex.regularity import dyadic_panels
 
 
@@ -270,6 +270,51 @@ def test_verify_embedding_doubled_eps_breaks(d22):
     bad = kx.verify_embedding(d22, ch, xis, doubled,
                               kx.sample_model_domain(doubled, 60, seed=2))
     assert len(bad.violations) >= 1
+
+
+def test_verify_embedding_equals_the_per_point_loop(monkeypatch):
+    # the embedding-suite calls, the doubled-eps control among them
+    calls = []
+    real = regularity.verify_embedding
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(regularity, "verify_embedding", spy)
+    scenarios.scenario_embedding_suite(seed=0)
+    assert len(calls) == 2 and calls[1][1].violations
+    for (D, chart, points, _, zetas), rep in calls:
+        total, violations, worst = 0, [], -math.inf
+        for xi in points:
+            pts = xi[None, :] + zetas[:, None] * kx.inward_normal(D, xi)[None, :]
+            g = D.value(pts)
+            Z = chart.to_chart(pts)
+            inb = chart.in_box(Z)
+            y = np.where(inb, Z[..., -1].imag - chart.phi_at(Z), -1.0)
+            bad = np.flatnonzero(~((g < 0.0) & inb & (y > 0.0)))
+            violations += [(xi, complex(zetas[j]), float(g[j])) for j in bad]
+            worst = max(worst, float(np.max(g)))
+            total += zetas.size
+        assert rep.n_pairs == total
+        assert rep.worst_margin == worst
+        assert len(rep.violations) == len(violations)
+        for got, want in zip(rep.violations, violations):
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("name", sorted(charts.BUNDLED_CHARTS))
+def test_boundary_point_rows_equal_one_point_calls(name, rng):
+    ch = charts.BUNDLED_CHARTS[name]()
+    u = (rng.random((30, 3)) - 0.5) * 0.2
+    zp = (u[:, 0] + 1j * u[:, 1])[:, None]
+    rows = ch.boundary_point(zp, u[:, 2])
+    assert rows.shape == (30, 2)
+    for k in range(30):
+        assert np.array_equal(ch.boundary_point(zp[k], u[k, 2]), rows[k])
+    assert np.array_equal(ch.boundary_point(zp.reshape(5, 6, 1), u[:, 2].reshape(5, 6)),
+                          rows.reshape(5, 6, 2))
+    assert np.all(np.abs(kx.vertical_height(ch, rows)) <= 1e-15)
 
 
 # ---------------------------------------------------------------------------
