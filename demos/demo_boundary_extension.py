@@ -22,7 +22,7 @@ def main():
     print("HARDY-LITTLEWOOD BOUNDARY EXTENSION AT THE CORNER CHART")
     print("=" * 70)
 
-    chart = charts.ex21_chart(0.25)
+    chart = charts.ex21_chart()
 
     def F(z):
         z = np.asarray(z, dtype=complex)

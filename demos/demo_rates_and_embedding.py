@@ -50,7 +50,7 @@ def main():
 
     print("\nEmbedding at the infinitely flat boundary point (0, 0):")
     D = kx.ex22_D()
-    chart = charts.ex22_chart(0.25)
+    chart = charts.ex22_chart()
     omega_p = kx.estimate_modulus(chart)
     print("  estimated gradient modulus at full separation: %.3e"
           % float(omega_p(omega_p.domain_end)))

@@ -12,7 +12,7 @@ from .domains import _phi_flat, halfspace
 from .regularity import GraphChart
 
 
-def ex21_chart(radius=0.25):
+def ex21_chart():
     """Chart for { |z|^2 + |w| < 1 } at the non-smooth boundary point (1, 0).
 
     Z1 = w, Z2 = -i (z - 1); the boundary graph is
@@ -28,11 +28,11 @@ def ex21_chart(radius=0.25):
         return 1.0 - np.sqrt(rad)
 
     return GraphChart(base=np.array([1.0, 0.0], dtype=complex), unitary=U,
-                      radius=radius, phi=phi, regularity="lipschitz",
+                      radius=0.25, phi=phi, regularity="lipschitz",
                       name="ex21@(1,0)")
 
 
-def ex22_chart(radius=0.25):
+def ex22_chart():
     """Chart for { Re z > phi(|w|^2) } cap { |z|^2 + |w|^4 < 1 } at (0, 0).
 
     Z1 = w, Z2 = i z; the graph is phi(Z1, X) = exp(-1/|Z1|^4), flat to all
@@ -59,7 +59,7 @@ def ex22_chart(radius=0.25):
         return out
 
     return GraphChart(base=np.zeros(2, dtype=complex), unitary=U,
-                      radius=radius, phi=phi, grad_phi=grad_phi,
+                      radius=0.25, phi=phi, grad_phi=grad_phi,
                       regularity="c1_dini", name="ex22@(0,0)")
 
 
@@ -72,15 +72,8 @@ def ball_chart():
         q = coords[..., 0] ** 2 + coords[..., 1] ** 2 + coords[..., -1] ** 2
         return 1.0 - np.sqrt(np.maximum(1.0 - q, 0.0))
 
-    def grad_phi(coords):
-        coords = np.asarray(coords, dtype=float)
-        q = coords[..., 0] ** 2 + coords[..., 1] ** 2 + coords[..., -1] ** 2
-        s = np.sqrt(np.maximum(1.0 - q, 1e-300))
-        return coords / s[..., None]
-
     return GraphChart(base=np.array([1.0, 0.0], dtype=complex), unitary=U,
-                      radius=0.25, phi=phi, grad_phi=grad_phi,
-                      regularity="c1_dini", name="ball@(1,0)")
+                      radius=0.25, phi=phi, regularity="c1_dini", name="ball@(1,0)")
 
 
 def flat_chart():
@@ -109,15 +102,9 @@ def tilted_chart():
         coords = np.asarray(coords, dtype=float)
         return coords[..., 0]
 
-    def grad_phi(coords):
-        out = np.zeros(np.asarray(coords, dtype=float).shape)
-        out[..., 0] = 1.0
-        return out
-
     return GraphChart(base=np.zeros(2, dtype=complex),
                       unitary=np.eye(2, dtype=complex), radius=0.5,
-                      phi=phi, grad_phi=grad_phi, regularity="c1_dini",
-                      lip=1.0, name="tilted45")
+                      phi=phi, regularity="c1_dini", lip=1.0, name="tilted45")
 
 
 def tilted_domain():

@@ -4,9 +4,10 @@ geometric primitives directly.
     kobex list
     kobex explain <scenario>
     kobex run <scenario> [--seed N] [--tol X] [--out DIR] [--csv]
-    kobex distance <domain> --at Z [--dir V] [--method auto|generic|reinhardt]
+    kobex distance <domain> --at Z [--method auto|generic|reinhardt]
+    kobex distance <domain> --at Z --dir V [--phases K]
     kobex metric <domain> --at Z --dir V [--method graham|inscribed|exact]
-    kobex extend [--grid N] [--tol X] [--out DIR]
+    kobex extend [--seed N] [--tol X] [--out DIR]
 
 Exit codes: 0 all verdicts pass, 2 a verdict failed or a solver did not
 converge, 3 configuration error (such as a tol no ladder rung certifies).
@@ -31,9 +32,7 @@ def _parse_point(text):
 def _get_domain(name):
     if name.endswith(".kx") or "/" in name:
         from . import textspec
-        objs = textspec.load(name)
-        doms = {k: v for k, v in objs.items()
-                if isinstance(v, domains.DomainSpec)}
+        doms = textspec.load(name)
         if len(doms) != 1:
             raise domains.DomainError("file %r must define exactly one domain" % name)
         return next(iter(doms.values()))
@@ -71,11 +70,17 @@ def cmd_distance(args):
     D = _get_domain(args.domain)
     z = _parse_point(args.at)
     if args.dir is not None:
+        if args.method is not None:
+            raise domains.DomainError("--method chooses the search for delta(z); "
+                                      "it does not apply with --dir")
         v = _parse_point(args.dir)
-        val = domains.directional_distance(D, z, v, n_phases=args.phases)
+        kw = {} if args.phases is None else {"n_phases": args.phases}
+        val = domains.directional_distance(D, z, v, **kw)
         print("directional distance delta(z; v) = %.12g" % val)
     else:
-        val, xi = domains._distance_and_nearest(D, z, method=args.method)
+        if args.phases is not None:
+            raise domains.DomainError("--phases applies only with --dir")
+        val, xi = domains._distance_and_nearest(D, z, method=args.method or "auto")
         print("boundary distance delta(z) = %.12g" % val)
         print("nearest boundary point: %s" % np.array2string(xi, precision=10))
     return 0
@@ -137,9 +142,10 @@ def build_parser():
     sp.add_argument("domain", help="bundled name or a .kx definition file")
     sp.add_argument("--at", required=True, help="point, e.g. 0.5,0")
     sp.add_argument("--dir", default=None, help="direction for delta(z;v)")
-    sp.add_argument("--method", default="auto",
-                    choices=["auto", "generic", "reinhardt"])
-    sp.add_argument("--phases", type=int, default=256)
+    sp.add_argument("--method", default=None, choices=["auto", "generic", "reinhardt"],
+                    help="search for delta(z) (default auto)")
+    sp.add_argument("--phases", type=int, default=None,
+                    help="sampled phases of delta(z;v) (default 256)")
     sp.set_defaults(fn=cmd_distance)
 
     sp = sub.add_parser("metric", help="one-sided metric bounds at (z, v)")

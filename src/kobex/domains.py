@@ -1069,8 +1069,12 @@ def ex22_Omega_local():
     return _graph_ball_cap("ex22_omega_local", 0.75, True, 0.3, "|z|^2-r^2")
 
 
-def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):
-    """{ z : Re<z, normal> < offset } truncated to a bounding ball."""
+HALFSPACE_RADIUS = 4.0   # radius of the ball that truncates halfspace()
+
+
+def halfspace(normal, offset=0.0, name="halfspace"):
+    """{ z : Re<z, normal> < offset } truncated to the ball of radius
+    HALFSPACE_RADIUS."""
     normal = np.asarray(normal, dtype=complex)
     nn = normal / np.linalg.norm(normal)
 
@@ -1078,12 +1082,12 @@ def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):
         return np.real(hermitian_inner(z, nn)) - offset
 
     def g2(z):
-        return np.linalg.norm(z, axis=-1) ** 2 - truncate ** 2
+        return np.linalg.norm(z, axis=-1) ** 2 - HALFSPACE_RADIUS ** 2
 
     def dist(zs):
         zs = np.atleast_2d(zs)
         to_plane = offset - np.real(hermitian_inner(zs, nn))
-        to_sphere = truncate - np.linalg.norm(zs, axis=-1)
+        to_sphere = HALFSPACE_RADIUS - np.linalg.norm(zs, axis=-1)
         return np.minimum(to_plane, to_sphere)
 
     return DomainSpec(name, normal.size,
@@ -1091,7 +1095,7 @@ def halfspace(normal, offset=0.0, truncate=4.0, name="halfspace"):
                                   label="Re<z,n> - c"),
                        Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex),
                                   label="|z|^2-R^2")],
-                      is_convex=True, bounding_radius=truncate,
+                      is_convex=True, bounding_radius=HALFSPACE_RADIUS,
                       interior_point=(offset - 1.0) * nn, dist_fn=dist)
 
 

@@ -24,9 +24,6 @@ class TailBoundError(ConvergenceError):
     pass
 
 
-CAUCHY_NODES = 32
-_CAUCHY_PHASE = np.exp(2j * math.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES)
-
 # normal-line quadrature: 16- and 8-point Gauss-Legendre nodes on [-1, 1]
 # per panel, accepted when the two rules agree within the panel tolerance
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
@@ -37,6 +34,7 @@ QUAD_ROUNDS = 24
 QUAD_MAX_PANELS = 1024
 LADDER_LEVELS = 70       # dyadic rate-tail panels of PsiLadder and psi_tail
 LADDER_MAX_LEVELS = 60   # rungs boundary_value descends before TailBoundError
+CLUSTER_RADIUS = 1e-3    # single-linkage radius of cluster_set_sample
 # gamma_17 = 17u/(1 - 17u), u = eps/2, bounds the rounding of half * G16 sums
 _GAMMA17 = 8.5 * np.finfo(float).eps / (1.0 - 8.5 * np.finfo(float).eps)
 
@@ -50,53 +48,32 @@ def _eps_vec(n):
 @dataclass
 class HolomorphicMap:
     """A map evaluated in chart coordinates, with a vertical-derivative
-    oracle.  fn maps (..., n) chart points to (..., n) target values;
-    dzn, when present, maps (..., n) chart points to the (..., n) analytic
-    derivatives of every component with respect to the last chart
-    coordinate.  Without dzn, derivatives are taken by discrete Cauchy
-    circles of CAUCHY_NODES nodes and radius min(1e-3, Y/2) per point,
-    which stay interior near the boundary where difference quotients
-    would not.
+    oracle.  fn maps (..., n) chart points to (..., n) target values; dzn
+    maps (..., n) chart points to the (..., n) analytic derivatives of
+    every component with respect to the last chart coordinate.
     """
     fn: callable
-    dzn: callable = None
+    dzn: callable
     chart: GraphChart = None
     name: str = ""
 
     @classmethod
-    def from_ambient(cls, F, chart, jacobian=None, name=""):
-        """Wrap an ambient-coordinates map F; jacobian (optional) maps
-        (..., n) ambient points to the (..., n, n) matrices dF_j / dz_k."""
+    def from_ambient(cls, F, chart, jacobian, name=""):
+        """Wrap an ambient-coordinates map F; jacobian maps (..., n)
+        ambient points to the (..., n, n) matrices dF_j / dz_k."""
+        uvec = np.conj(chart.unitary)[chart.dim - 1, :]
+
         def fn(Z):
             return F(chart.from_chart(Z))
 
-        dzn = None
-        if jacobian is not None:
-            uvec = np.conj(chart.unitary)[chart.dim - 1, :]
-
-            def dzn(Z):
-                amb = chart.from_chart(Z)
-                J = np.asarray(jacobian(amb), dtype=complex)
-                return J @ uvec
+        def dzn(Z):
+            return np.asarray(jacobian(chart.from_chart(Z)), dtype=complex) @ uvec
 
         return cls(fn=fn, dzn=dzn, chart=chart, name=name)
 
     def derivative(self, Z):
         """d/dZ_n of every component at chart points Z (..., n) -> (..., n)."""
-        Z = np.asarray(Z, dtype=complex)
-        if self.dzn is not None:
-            return np.asarray(self.dzn(Z), dtype=complex)
-        radius = np.full(Z.shape[:-1] + (1,), 1e-3)
-        if self.chart is not None:
-            y = np.asarray(vertical_height(self.chart, Z))[..., None]
-            if np.any(y <= 0):
-                raise ChartError("Cauchy-circle derivative needs an interior point")
-            radius = np.minimum(1e-3, 0.5 * y)
-        pts = np.repeat(Z[..., None, :], CAUCHY_NODES, axis=-2)
-        pts[..., -1] = Z[..., -1:] + radius * _CAUCHY_PHASE
-        vals = np.asarray(self.fn(pts), dtype=complex)
-        return ((vals * np.conj(_CAUCHY_PHASE)[:, None]).sum(axis=-2)
-                / (CAUCHY_NODES * radius))
+        return np.asarray(self.dzn(np.asarray(Z, dtype=complex)), dtype=complex)
 
 
 def normal_line_integral(fmap, xi, t, tprime, psi=None):
@@ -139,8 +116,8 @@ def normal_line_integral(fmap, xi, t, tprime, psi=None):
     lo, hi, tol = (np.tile(a, len(xi)) for a in (lo, hi, tol))
     total = np.zeros(xi.shape, dtype=complex)
     err = np.zeros(len(xi))
-    # numbers per panel in a derivative call: n-by-n Jacobians or Cauchy circles
-    width = _GL_NODES.size * n * (n if fmap.dzn is not None else CAUCHY_NODES)
+    # numbers per panel in a derivative call: n-by-n Jacobians
+    width = _GL_NODES.size * n * n
     for rounds in range(1, QUAD_ROUNDS + 1):
         half = 0.5 * (hi - lo)
         mid = lo + half
@@ -321,11 +298,11 @@ def continuity_modulus(results, fmap, ladder):
     return ContinuityReport(radii=radii, empirical=empirical, certified=certified)
 
 
-def cluster_set_sample(F, p, sequences, radius=1e-3):
+def cluster_set_sample(F, p, sequences):
     """Representatives of the accumulation set of F along sequences that
     end within 1e-2 of p: single-linkage clustering of the per-sequence
-    image limits at the given linkage radius; a map continuous at p yields
-    one cluster."""
+    image limits at linkage radius CLUSTER_RADIUS; a map continuous at p
+    yields one cluster."""
     p = np.asarray(p, dtype=complex)
     limits = []
     for seq in sequences:
@@ -346,7 +323,7 @@ def cluster_set_sample(F, p, sequences, radius=1e-3):
 
     for i in range(m):
         for j in range(i + 1, m):
-            if np.linalg.norm(limits[i] - limits[j]) <= radius:
+            if np.linalg.norm(limits[i] - limits[j]) <= CLUSTER_RADIUS:
                 parent[find(i)] = find(j)
     reps = {}
     for i in range(m):

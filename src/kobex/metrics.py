@@ -136,13 +136,6 @@ class LtcFit:
     sample_count: int
     max_violation: float
 
-    def bound(self, delta):
-        return self.C / np.abs(np.log(delta)) ** (1.0 + self.nu)
-
-    def violation(self, delta, delta_dir):
-        """delta_dir - bound(delta); <= 0 where the fitted inequality holds."""
-        return delta_dir - self.bound(delta)
-
 
 class NotLogTypeConvex(DomainError):
     pass

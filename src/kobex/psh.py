@@ -19,6 +19,7 @@ class SmoothnessError(DomainError):
 
 
 PSH_FLOOR = -1e-8      # least Levi form check_psh accepts
+PSH_DIRS = 4           # random unit directions per sample of check_psh
 HOPF_MIN_BANDS = 4     # dyadic bands of delta a Hopf fit must span
 CUBIC_ITERS = 90       # bisection steps of nearest_point_cubic
 
@@ -102,9 +103,9 @@ class PshReport:
         return self.violations == 0
 
 
-def check_psh(u, D, samples, dirs_per_sample=4, seed=0, **levi_kw):
+def check_psh(u, D, samples, seed=0):
     """Sampled plurisubharmonicity check: Levi form >= PSH_FLOOR along
-    dirs_per_sample random unit directions at each smooth sample, in one
+    PSH_DIRS random unit directions at each smooth sample, in one
     Levi-form call.  Violations are counted, never raised."""
     zs = np.array([as_point(z, D.dim) for z in samples]).reshape(-1, D.dim)
     if not np.all(contains(D, zs)):
@@ -113,37 +114,33 @@ def check_psh(u, D, samples, dirs_per_sample=4, seed=0, **levi_kw):
         zs = zs[np.asarray(u.smooth(zs), dtype=bool)]
     if len(zs) == 0:
         return PshReport(math.inf, None, 0, 0, PSH_FLOOR)
-    g = np.random.default_rng(seed).standard_normal((len(zs), dirs_per_sample, 2, D.dim))
+    g = np.random.default_rng(seed).standard_normal((len(zs), PSH_DIRS, 2, D.dim))
     vs = (g[:, :, 0] + 1j * g[:, :, 1]).reshape(-1, D.dim)
     vs = vs / row_norms(vs)[:, None]
-    zs = np.repeat(zs, dirs_per_sample, axis=0)
-    vals = levi_form(u, zs, vs, **levi_kw)
+    zs = np.repeat(zs, PSH_DIRS, axis=0)
+    vals = levi_form(u, zs, vs)
     i = int(np.argmin(vals))
     return PshReport(min_value=vals[i], argmin=(zs[i], vs[i]), n_checked=len(vals),
                      violations=int(np.sum(vals < PSH_FLOOR)), tol=PSH_FLOOR)
 
 
 # ---------------------------------------------------------------------------
-# Hopf-type decay fitting: phi(w) <= -C * delta(w)^alpha
+# Hopf-type decay fitting: phi(w) <= -C * delta(w)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class HopfFit:
     C: float
-    alpha: float
+    alpha: float           # the decay exponent, one
     sample_count: int
-    residual: float        # max of phi + C delta^alpha over the eval set
+    residual: float        # max of phi + C delta over the eval set
 
 
-def hopf_fit(phi, D, samples, alpha=None):
-    """Fit the boundary decay inequality phi <= -C delta_D^alpha.
-
-    alpha=None fits the exponent as the least-squares slope of
-    log|phi| against log delta, clamped to >= 1 (cone geometry gives an
-    exponent above 1; the classical twice-differentiable case pins it at
-    exactly 1, which is what alpha=1.0 requests).  C is then the envelope
-    infimum of |phi| / delta^alpha over the fitting samples, so the fitted
-    inequality is tight with residual exactly 0 at the binding sample.
+def hopf_fit(phi, D, samples):
+    """Fit the boundary decay inequality phi <= -C delta_D at exponent one,
+    the classical twice-differentiable case.  C is the envelope infimum of
+    |phi| / delta over the fitting samples, so the fitted inequality is
+    tight with residual exactly 0 at the binding sample.
 
     The samples must spread over at least HOPF_MIN_BANDS dyadic bands of
     delta_D; the residual is reported on the fitting set.
@@ -157,13 +154,9 @@ def hopf_fit(phi, D, samples, alpha=None):
     if bands.size < HOPF_MIN_BANDS:
         raise DomainError("samples span %d dyadic bands of delta; need >= %d"
                           % (bands.size, HOPF_MIN_BANDS))
-    if alpha is None:
-        slope = np.polyfit(np.log(deltas), np.log(-vals), 1)[0]
-        alpha = max(1.0, float(slope))
-    C = float(np.min(-vals / deltas ** alpha))
-    residual = float(np.max(vals + C * deltas ** alpha))
-    return HopfFit(C=C, alpha=float(alpha), sample_count=len(samples),
-                   residual=residual)
+    C = float(np.min(-vals / deltas))
+    residual = float(np.max(vals + C * deltas))
+    return HopfFit(C=C, alpha=1.0, sample_count=len(samples), residual=residual)
 
 
 def step1_constant_ex21():

@@ -397,7 +397,7 @@ def sample_model_domain(params, n=400, seed=0):
     return cand
 
 
-def select_embedding_params(chart, m, r_V, omega=None):
+def select_embedding_params(chart, m, r_V, omega):
     """Choose (beta, eps) so the affine normal embeddings of the model
     domain from every nearby boundary point stay inside the chart patch of
     the domain:
@@ -410,14 +410,13 @@ def select_embedding_params(chart, m, r_V, omega=None):
 
     m is the caller-supplied infimum of the defining-function gradient norm
     over the boundary patch; r_V < chart radius controls how far the patch
-    sits from the chart box edge.
+    sits from the chart box edge; omega is the chart's gradient modulus
+    (estimate_modulus).
     """
     if m <= 0:
         raise DomainError("gradient infimum m must be positive")
     if not (0 < r_V < chart.radius):
         raise DomainError("need 0 < r_V < chart radius")
-    if omega is None:
-        omega = estimate_modulus(chart)
     h = HFunction(omega)
     beta = max(1.0 + 1e-9, 4.0 * math.sqrt(2.0) / m)
     eps_cap = (r_V / math.sqrt(2.0)) * (1.0 - 1e-12)

@@ -18,14 +18,6 @@ def _plain(obj):
     import numpy as np
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_plain(x) for x in obj]
     if isinstance(obj, dict):
@@ -36,7 +28,7 @@ def _plain(obj):
 @dataclass
 class Record:
     op: str
-    verdict: bool = None          # None for informational records
+    verdict: bool
     value: object = None
     method: str = None
     side: str = None
@@ -64,7 +56,7 @@ class Report:
     records: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)   # name -> (header, rows) for CSV
 
-    def add(self, op, verdict=None, **kw):
+    def add(self, op, verdict, **kw):
         rec = Record(op=op, verdict=verdict, **kw)
         self.records.append(rec)
         return rec
@@ -74,12 +66,11 @@ class Report:
 
     @property
     def passed(self):
-        return all(r.verdict for r in self.records if r.verdict is not None)
+        return all(r.verdict for r in self.records)
 
     @property
     def tally(self):
-        checked = [r for r in self.records if r.verdict is not None]
-        return sum(1 for r in checked if r.verdict), len(checked)
+        return sum(1 for r in self.records if r.verdict), len(self.records)
 
     def to_jsonl(self):
         head = json.dumps({"schema": SCHEMA_VERSION, "scenario": self.scenario,
@@ -111,8 +102,6 @@ class Report:
         lines = ["scenario %s: %d/%d checks passed"
                  % (self.scenario, n_pass, n_total)]
         for r in self.records:
-            if r.verdict is None:
-                continue
             lines.append("  [%s] %s" % ("PASS" if r.verdict else "FAIL", r.op))
         return "\n".join(lines)
 

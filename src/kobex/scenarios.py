@@ -301,7 +301,7 @@ def scenario_example21(seed=0):
     seqs = [np.array([[(1 - 4.0 ** -k), 0.0] for k in range(1, 16)], dtype=complex),
             np.array([[(1 - 4.0 ** -k) * np.exp(1j * 4.0 ** -k), 4.0 ** -k * 0.5]
                       for k in range(1, 16)], dtype=complex)]
-    reps_pts = extension.cluster_set_sample(F, p, seqs, radius=1e-3)
+    reps_pts = extension.cluster_set_sample(F, p, seqs)
     rep.add("single-cluster", verdict=bool(len(reps_pts) == 1),
             value=len(reps_pts))
     return rep
@@ -341,7 +341,7 @@ def scenario_example22(seed=0):
         return np.stack([s + 0.2j * (r[:, 3] - 0.5), w], axis=-1)
 
     samples = _first_accepted(rng, 250, build_b, D)[1]
-    psh_rep = psh.check_psh(rho, D, samples, dirs_per_sample=4, seed=seed)
+    psh_rep = psh.check_psh(rho, D, samples, seed=seed)
     rep.add("psh-check", verdict=bool(psh_rep.passes), value=psh_rep.min_value,
             tolerances={"min": -1e-8}, constants={"points": psh_rep.n_checked})
 
@@ -356,7 +356,7 @@ def scenario_example22(seed=0):
     w = 0.15 * (r[:, 1] + 1j * r[:, 2] - 0.5 - 0.5j)
     z = np.stack([d + domains._phi_flat(_scalar_sq(w)) + 0.02j * (r[:, 3] - 0.5), w], axis=-1)
     hopf_samples = z[domains.contains(D, z) & (domains.row_norms(z) < 0.2)]
-    fit = psh.hopf_fit(rho.fn, D, hopf_samples, alpha=1.0)
+    fit = psh.hopf_fit(rho.fn, D, hopf_samples)
     rep.add("decay-constant-exponent-one",
             verdict=bool(fit.residual <= 0.0 and fit.C > 0.0),
             value=fit.C, constants={"alpha": fit.alpha, "residual": fit.residual,
@@ -373,7 +373,7 @@ def scenario_example22(seed=0):
     p = np.zeros(2, dtype=complex)
     seqs = [np.array([[4.0 ** -k, 0.0] for k in range(1, 16)], dtype=complex),
             np.array([[4.0 ** -k, 4.0 ** -k] for k in range(1, 16)], dtype=complex)]
-    reps_pts = extension.cluster_set_sample(F, p, seqs, radius=1e-3)
+    reps_pts = extension.cluster_set_sample(F, p, seqs)
     q_ok = len(reps_pts) == 1 and np.linalg.norm(reps_pts[0]) < 1e-3
     rep.add("single-cluster-at-origin", verdict=bool(q_ok), value=len(reps_pts))
     return rep
@@ -430,7 +430,7 @@ def scenario_embedding_suite(seed=0):
     rep = Report("embedding-suite", seed, VERSION)
     rng = np.random.default_rng(seed)
     D = domains.ex22_D()
-    chart = charts.ex22_chart(0.25)
+    chart = charts.ex22_chart()
     omega_p = regularity.estimate_modulus(chart, seed=seed)
 
     pts = []
@@ -504,7 +504,7 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
     entire map, with the ladder certificates and t'-independence holding
     at every grid point."""
     rep = Report("extension-oracle", seed, VERSION)
-    chart = charts.ex21_chart(0.25)
+    chart = charts.ex21_chart()
     F, jac, _ = _square_first_map()
     fmap = extension.HolomorphicMap.from_ambient(F, chart, jacobian=jac,
                                                  name="square-first")
@@ -702,10 +702,14 @@ EXPLAIN = {
     "dichotomy-demo": [
         ("pair-constant", "Gromov-product fit K over disjoint clouds"),
         ("separation-constant", "source distance bound constant C"),
+        ("domain-sequences-cauchy", "both source sequences converge to one "
+                                    "boundary point"),
         ("diverging-quantity-monotone", "l = sum half-logs of 1/(delta+sep)"),
         ("consistency-fails-at-finite-index", "(K + C - log C0) - l < 0 "
                                               "eventually"),
         ("barrier-bridge-slack", "half-log sum of delta_D/(C0 delta_Omega)"),
+        ("same-limit-control", "images with one limit stay consistent at "
+                               "every index"),
     ],
 }
 

@@ -1,14 +1,11 @@
-"""Structured-text definitions for domains, rate functions, and charts.
+"""Structured-text definitions of domains.
 
-The format is line oriented.  A definition opens with ``<kind> <name>``
-(kind one of ``domain``, ``modulus``, ``chart``), continues with indented
-or plain ``key value`` lines, and closes with ``end``.  ``#`` starts a
-comment.  Expressions use a small grammar over +, -, *, /, ^ (or **),
-parentheses, numeric literals (including complex like ``1j``), the
-constants pi and e, and the functions abs, re, im, exp, log, sqrt, sin,
-cos.  Domain constraints see the variables z1..zn; modulus expressions
-see r; chart graph expressions see u1..u_{n-1} (complex tangential
-coordinates) and x (the real last coordinate).
+The format is line oriented.  A definition opens with ``domain <name>``,
+continues with indented or plain ``key value`` lines, and closes with
+``end``.  ``#`` starts a comment.  Expressions use a small grammar over
++, -, *, /, ^ (or **), parentheses, numeric literals (including complex
+like ``1j``), the constants pi and e, and the functions abs, re, im, exp,
+log, sqrt, sin, cos.  Constraints see the variables z1..zn.
 
 Example::
 
@@ -18,20 +15,6 @@ Example::
       radius 1.0
       constraint abs(z1) + abs(z2) - 1
     end
-
-    modulus sqrt_rate
-      domain_end 1.0
-      expr sqrt(r)
-    end
-
-    chart flat2
-      dim 2
-      base 0 0
-      unitary 1 0 ; 0 1
-      radius 0.5
-      regularity c1_dini
-      phi 0 * x
-    end
 """
 
 import ast
@@ -40,7 +23,6 @@ import math
 import numpy as np
 
 from .domains import Constraint, DomainError, DomainSpec
-from .regularity import GraphChart, ModulusOfContinuity
 
 
 class ParseError(DomainError):
@@ -110,10 +92,9 @@ def _split_blocks(text):
             continue
         if current is None:
             parts = line.split(None, 1)
-            if parts[0] not in ("domain", "modulus", "chart") or len(parts) != 2:
-                raise ParseError("line %d: expected 'domain|modulus|chart <name>'"
-                                 % lineno)
-            current = {"kind": parts[0], "name": parts[1].strip(), "items": []}
+            if parts[0] != "domain" or len(parts) != 2:
+                raise ParseError("line %d: expected 'domain <name>'" % lineno)
+            current = {"name": parts[1].strip(), "items": []}
         elif line == "end":
             blocks.append(current)
             current = None
@@ -123,7 +104,7 @@ def _split_blocks(text):
                 raise ParseError("line %d: expected 'key value'" % lineno)
             current["items"].append((parts[0], parts[1].strip()))
     if current is not None:
-        raise ParseError("unterminated %s block %r" % (current["kind"], current["name"]))
+        raise ParseError("unterminated domain block %r" % current["name"])
     return blocks
 
 
@@ -167,82 +148,17 @@ def _build_domain(name, items):
                       if interior else None)
 
 
-def _build_modulus(name, items):
-    end = None
-    expr = None
-    for key, val in items:
-        if key in ("domain_end", "end"):
-            end = float(val)
-        elif key == "expr":
-            expr = val
-        else:
-            raise ParseError("unknown modulus key %r" % key)
-    if end is None or expr is None:
-        raise ParseError("modulus %r needs 'domain_end' and 'expr'" % name)
-    fn = compile_expr(expr, ["r"])
-
-    def omega(r):
-        return np.real(fn({"r": np.asarray(r, dtype=float)}))
-
-    return ModulusOfContinuity.from_function(omega, domain_end=end, name=name)
-
-
-def _build_chart(name, items):
-    dim = None
-    base = None
-    unitary = None
-    radius = None
-    regularity = "lipschitz"
-    phi_expr = None
-    for key, val in items:
-        if key == "dim":
-            dim = int(val)
-        elif key == "base":
-            base = [complex(tok) for tok in val.split()]
-        elif key == "unitary":
-            rows = [row.strip() for row in val.split(";")]
-            unitary = [[complex(tok) for tok in row.split()] for row in rows]
-        elif key == "radius":
-            radius = float(val)
-        elif key == "regularity":
-            regularity = val
-        elif key == "phi":
-            phi_expr = val
-        else:
-            raise ParseError("unknown chart key %r" % key)
-    if None in (dim, base, unitary, radius, phi_expr):
-        raise ParseError("chart %r needs dim, base, unitary, radius, phi" % name)
-    variables = ["u%d" % (j + 1) for j in range(dim - 1)] + ["x"]
-    fn = compile_expr(phi_expr, variables)
-
-    def phi(coords):
-        coords = np.asarray(coords, dtype=float)
-        k = dim - 1
-        env = {"u%d" % (j + 1): coords[..., j] + 1j * coords[..., k + j]
-               for j in range(k)}
-        env["x"] = coords[..., -1]
-        out = fn(env)
-        return np.real(out) + 0.0 * env["x"]
-
-    return GraphChart(base=np.asarray(base, dtype=complex),
-                      unitary=np.asarray(unitary, dtype=complex),
-                      radius=radius, phi=phi, regularity=regularity, name=name)
-
-
 def loads(text):
-    """Parse definitions from a string; returns {name: object}."""
+    """Parse domain definitions from a string; returns {name: DomainSpec}."""
     out = {}
     for block in _split_blocks(text):
-        builder = {"domain": _build_domain, "modulus": _build_modulus,
-                   "chart": _build_chart}[block["kind"]]
-        obj = builder(block["name"], block["items"])
         if block["name"] in out:
             raise ParseError("duplicate definition %r" % block["name"])
-        out[block["name"]] = obj
+        out[block["name"]] = _build_domain(block["name"], block["items"])
     return out
 
 
 def load(path):
-    """Parse definitions from a file path; returns {name: object}."""
+    """Parse domain definitions from a file path; returns {name: DomainSpec}."""
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())

@@ -160,7 +160,7 @@ def test_criterion_5_flat_graph_example(d22):
                           + 0.02j * (rng.random() - 0.5), w])
             if bool(kx.contains(d22, z)) and np.linalg.norm(z) < 0.2:
                 pts.append(z)
-    fit = kx.hopf_fit(rho.fn, d22, pts, alpha=1.0)
+    fit = kx.hopf_fit(rho.fn, d22, pts)
     part_d = fit.residual <= 0.0 and fit.C > 0.0
 
     record_criterion(
@@ -172,7 +172,7 @@ def test_criterion_5_flat_graph_example(d22):
 
 def test_criterion_6_boundary_extension_oracle():
     t0 = time.time()
-    chart = charts.ex21_chart(0.25)
+    chart = charts.ex21_chart()
 
     def F(z):
         z = np.asarray(z, dtype=complex)
@@ -242,7 +242,7 @@ def test_criterion_7_rate_integral_suite():
 def test_criterion_8_embedding_suite(d22):
     t0 = time.time()
     rng = np.random.default_rng(4)
-    chart = charts.ex22_chart(0.25)
+    chart = charts.ex22_chart()
     omega_p = kx.estimate_modulus(chart, seed=4)
     pts = []
     while len(pts) < 98:

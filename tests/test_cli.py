@@ -105,9 +105,10 @@ def test_distance_command_runs_one_search(name, method, capsys, monkeypatch):
     assert np.array2string(xi, precision=10) in out
 
 
-def test_import_leaves_scipy_stats_out():
+def test_import_loads_no_scipy():
+    # scipy loads on first use only, so start-up pays no scipy import
     code = ("import sys, kobex, kobex.cli, kobex.scenarios; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.dirname(os.path.dirname(kx.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -130,6 +131,15 @@ def test_distance_zero_phases_is_config_error(capsys):
     assert run_cli("distance", "ball2", "--at=0.1,0", "--dir=1,0",
                    "--phases", "0") == 3
     assert "error: n_phases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--dir", "0,1", "--method", "reinhardt"],
+                                   ["--dir", "0,1", "--method", "auto"],
+                                   ["--phases", "0"], ["--phases", "64"]])
+def test_distance_flag_it_would_ignore_is_config_error(flags, capsys):
+    # --method picks the delta(z) search and --phases the delta(z; v) phases
+    assert run_cli("distance", "ball2", "--at", "0.3,0", *flags) == 3
+    assert capsys.readouterr().err.startswith("error: --")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
@@ -192,7 +202,7 @@ def test_distance_from_definition_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "domain tri\n  dim 2\n  constraint abs(z1) +\nend\n",     # syntax error
-    "modulus m\n  domain_end 1.0\n  expr r\nend\n",          # no domain
+    "modulus m\n  domain_end 1.0\n  expr r\nend\n",          # not a domain block
 ])
 def test_bad_definition_file_is_config_error(text, tmp_path):
     path = tmp_path / "bad.kx"

@@ -495,7 +495,7 @@ def test_cone_certificate_sphere_tangency(ball2):
 
 
 def test_cone_certificate_flat_boundary():
-    H = kx.halfspace(np.array([1.0, 0.0]), 0.0, truncate=4.0)
+    H = kx.halfspace(np.array([1.0, 0.0]), 0.0)
     W = kx.ball(2, center=(-0.05, 0.0), radius=0.3, name="W")
     samples = [kx.cpoint(-0.01, 0), kx.cpoint(-0.02, 0)]
     cert = kx.certify_cone_condition(H, W, samples)
@@ -518,7 +518,7 @@ def test_cone_certificate_makes_one_nearest_call(case, monkeypatch):
     D, W, samples = {
         "sphere": (kx.ball(2), kx.ball(2, center=(1.0, 0.0), radius=0.5, name="W"),
                    [kx.cpoint(1 - 1e-3, 0), kx.cpoint(1 - 2e-3, 0)]),
-        "flat": (kx.halfspace(np.array([1.0, 0.0]), 0.0, truncate=4.0),
+        "flat": (kx.halfspace(np.array([1.0, 0.0]), 0.0),
                  kx.ball(2, center=(-0.05, 0.0), radius=0.3, name="W"),
                  [kx.cpoint(-0.01, 0), kx.cpoint(-0.02, 0)]),
         "corner": (kx.ex21_Omega(), kx.ball(2, center=(1.0, 0.0), radius=0.4, name="W"),

@@ -199,11 +199,12 @@ def test_check_psh_flat_graph(d22, rng):
 
 
 def test_check_psh_pluriharmonic_is_flat(ball2, rng):
-    # a linear function has exactly vanishing second differences; the wide
-    # step keeps the floating-point cancellation below the tolerance
-    u = kx.PshWitness(fn=lambda z: -np.real(np.asarray(z, dtype=complex)[..., 0]) - 2.0)
+    # a linear function has a vanishing complex Hessian, so every sampled
+    # Levi form reads exactly zero, which the floor accepts
+    u = kx.PshWitness(fn=lambda z: -np.real(np.asarray(z, dtype=complex)[..., 0]) - 2.0,
+                      hess=lambda z: np.zeros(np.shape(z) + np.shape(z)[-1:]))
     samples = [np.array([0.1 * k, 0.05j * k]) for k in range(1, 6)]
-    rep = kx.check_psh(u, ball2, samples, use_hessian=False, seed=1, step=0.05)
+    rep = kx.check_psh(u, ball2, samples, seed=1)
     assert rep.passes
     assert abs(rep.min_value) < 1e-10
 
@@ -231,7 +232,7 @@ def test_check_psh_skips_axis_sample_without_drawing(ball2):
 def test_check_psh_flags_concave(ball2):
     u = kx.PshWitness(fn=lambda z: -np.sum(np.abs(z) ** 2, axis=-1) - 1.0)
     samples = [np.array([0.1, 0.1j]), np.array([0.2, 0.0])]
-    rep = kx.check_psh(u, ball2, samples, use_hessian=False, seed=1)
+    rep = kx.check_psh(u, ball2, samples, seed=1)
     assert not rep.passes
     assert rep.violations > 0
 
@@ -255,7 +256,7 @@ def test_hopf_fit_ball_bracket(ball2, rng):
     # |phi| = 1 - |w|^2 = delta (1 + |w|), so the envelope constant sits
     # in [1, 2] at exponent one
     phi = lambda zs: np.sum(np.abs(np.atleast_2d(zs)) ** 2, axis=-1) - 1.0
-    fit = kx.hopf_fit(phi, ball2, _ball_band_points(rng, range(2, 10)), alpha=1.0)
+    fit = kx.hopf_fit(phi, ball2, _ball_band_points(rng, range(2, 10)))
     assert 1.0 <= fit.C <= 2.0
     assert fit.residual <= 0.0
     assert fit.alpha == 1.0
@@ -272,7 +273,7 @@ def test_hopf_fit_needs_bands(ball2):
     pts = [np.array([0.5, 0.0]), np.array([0.52, 0.0])]
     with pytest.raises(kx.DomainError):
         kx.hopf_fit(lambda zs: -np.ones(np.atleast_2d(zs).shape[0]),
-                    ball2, pts, alpha=1.0)
+                    ball2, pts)
 
 
 def test_hopf_fit_step1_region(d21, rng):
@@ -291,7 +292,7 @@ def test_hopf_fit_step1_region(d21, rng):
             if x * x + y < 1.0 - d:
                 pts.append(np.array([x * np.exp(2j * math.pi * rng.random()),
                                      y * np.exp(2j * math.pi * rng.random())]))
-    fit = kx.hopf_fit(rho, d21, pts, alpha=1.0)
+    fit = kx.hopf_fit(rho, d21, pts)
     assert fit.residual <= 0.0
     assert fit.C >= Ctilde - 1e-9
 
@@ -332,7 +333,7 @@ def test_barrier_chain_through_the_fibers(d21, omega21, rng):
     taus = np.array([kx.pushforward_tau(Fm, rho, w) for w in ws])
     C0 = kx.hopf_fit(lambda q: np.array([kx.pushforward_tau(Fm, rho, w)
                                          for w in np.atleast_2d(q)]),
-                     omega21, list(ws), alpha=1.0).C
+                     omega21, list(ws)).C
     dD = kx.boundary_distance_batch(d21, zs)
     dOm = kx.boundary_distance_batch(omega21, ws)
     rhos = rho_fn(zs)

@@ -255,7 +255,7 @@ def test_verify_embedding_flat_halfspace():
 
 
 def test_verify_embedding_doubled_eps_breaks(d22):
-    ch = charts.ex22_chart(0.25)
+    ch = charts.ex22_chart()
     omega_p = kx.estimate_modulus(ch)
     xis = []
     for xedge in np.linspace(-0.15, 0.15, 7):

@@ -1,14 +1,21 @@
 """Every bundled scenario must pass end to end and stay deterministic."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from kobex import domains, scenarios
 
 
+@functools.lru_cache(maxsize=None)
+def seed0_report(name):
+    return scenarios.run_scenario(name)
+
+
 @pytest.mark.parametrize("name", scenarios.list_scenarios())
 def test_scenario_passes(name):
-    report = scenarios.run_scenario(name)
+    report = seed0_report(name)
     n_pass, n_total = report.tally
     assert report.passed, report.summary()
     assert n_total >= 3
@@ -27,6 +34,11 @@ def test_explain_covers_every_scenario():
         assert len(stages) >= 3
         for stage, anchor in stages:
             assert stage and anchor
+        # every recorded op has an anchor; "x-*" anchors every op named x-...
+        for rec in seed0_report(name).records:
+            assert any(rec.op == stage or (stage.endswith("*")
+                                           and rec.op.startswith(stage[:-1]))
+                       for stage, _ in stages), (name, rec.op)
 
 
 def test_reports_are_deterministic_per_seed():

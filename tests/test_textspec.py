@@ -7,7 +7,7 @@ import kobex as kx
 from kobex import textspec
 
 SAMPLE = """
-# the corner-sum pair and a rate function
+# the corner-sum pair
 domain triangle2
   dim 2
   flags convex reinhardt
@@ -21,29 +21,13 @@ domain curve_cap
   radius 1.0
   constraint abs(z1)^2 + abs(z2) - 1
 end
-
-modulus sqrt_rate
-  domain_end 1.0
-  expr sqrt(r)
-end
-
-chart flat2
-  dim 2
-  base 0 0
-  unitary 1 0 ; 0 1
-  radius 0.5
-  regularity c1_dini
-  phi 0 * x
-end
 """
 
 
 def test_loads_all_kinds():
     objs = textspec.loads(SAMPLE)
-    assert set(objs) == {"triangle2", "curve_cap", "sqrt_rate", "flat2"}
-    assert isinstance(objs["triangle2"], kx.DomainSpec)
-    assert isinstance(objs["sqrt_rate"], kx.ModulusOfContinuity)
-    assert isinstance(objs["flat2"], kx.GraphChart)
+    assert set(objs) == {"triangle2", "curve_cap"}
+    assert all(isinstance(D, kx.DomainSpec) for D in objs.values())
 
 
 def test_loaded_domain_matches_bundled(omega21):
@@ -53,18 +37,6 @@ def test_loaded_domain_matches_bundled(omega21):
     assert bool(kx.contains(D, z)) == bool(kx.contains(omega21, z))
     got = kx.boundary_distance(D, z, method="reinhardt")
     assert got == pytest.approx((1 - 0.5) / math.sqrt(2.0), abs=1e-8)
-
-
-def test_loaded_modulus_integrates():
-    w = textspec.loads(SAMPLE)["sqrt_rate"]
-    res = kx.dini_integral(w, 1.0)
-    assert res.value == pytest.approx(2.0, abs=1e-6)
-
-
-def test_loaded_chart_is_consistent():
-    ch = textspec.loads(SAMPLE)["flat2"]
-    rep = kx.chart_consistency(kx.halfspace(np.array([0.0, -1j]), 0.0), ch)
-    assert rep["passes"]
 
 
 def test_expression_powers_and_functions():
@@ -91,7 +63,7 @@ def test_unterminated_block():
 
 
 def test_duplicate_names_rejected():
-    text = SAMPLE + "\nmodulus sqrt_rate\n  domain_end 1.0\n  expr r\nend\n"
+    text = SAMPLE + "\ndomain curve_cap\n  dim 2\n  constraint abs(z1) - 1\nend\n"
     with pytest.raises(textspec.ParseError):
         textspec.loads(text)
 
@@ -99,6 +71,13 @@ def test_duplicate_names_rejected():
 def test_bad_key_rejected():
     with pytest.raises(textspec.ParseError):
         textspec.loads("domain d\n  dim 2\n  color red\nend\n")
+
+
+@pytest.mark.parametrize("block", ["modulus m\n  domain_end 1.0\n  expr r\nend\n",
+                                   "chart c\n  dim 2\n  phi 0 * x\nend\n"])
+def test_only_domain_blocks_parse(block):
+    with pytest.raises(textspec.ParseError, match="expected 'domain <name>'"):
+        textspec.loads(SAMPLE + block)
 
 
 def test_load_from_file(tmp_path):
