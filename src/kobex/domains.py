@@ -18,6 +18,7 @@ Oracles for the bundled domains are vectorized numpy code.  User-supplied
 oracles must accept batched input in the same way.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -403,14 +404,20 @@ def _halton(k, d):
     return out
 
 
+@functools.cache
 def _sphere_directions(k, real_dim):
-    """k deterministic low-discrepancy directions on S^(real_dim-1)."""
+    """k deterministic low-discrepancy directions on S^(real_dim-1), built once
+    per (k, real_dim), read-only: Halton points through the normal quantile."""
     if real_dim == 2:
         ang = 2.0 * math.pi * (np.arange(k) + 0.5) / k
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    from scipy.special import ndtri
-    g = ndtri(np.clip(_halton(k, real_dim), 1e-12, 1 - 1e-12))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        out = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    else:   # imported here, off the set-up path: only generic searches get here
+        from statistics import NormalDist
+        p = np.clip(_halton(k, real_dim), 1e-12, 1 - 1e-12)
+        g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(p)
+        out = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    out.flags.writeable = False
+    return out
 
 
 def _real_to_complex(x):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .domains import (ConvergenceError, DomainError, _row_blocks,
                       boundary_distance_batch)
-from .regularity import ChartError, GraphChart, dyadic_panels, vertical_height
+from .regularity import (GL16_W, GL16_X, ChartError, GraphChart, dyadic_panels,
+                         vertical_height)
 
 
 class TailBoundError(ConvergenceError):
@@ -26,9 +27,8 @@ class TailBoundError(ConvergenceError):
 
 # normal-line quadrature: 16- and 8-point Gauss-Legendre nodes on [-1, 1]
 # per panel, accepted when the two rules agree within the panel tolerance
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL_NODES = np.concatenate([_GL16_X, _GL8_X])
+_GL_NODES = np.concatenate([GL16_X, _GL8_X])
 QUAD_REL_TOL = 1e-8
 QUAD_ROUNDS = 24
 QUAD_MAX_PANELS = 1024
@@ -126,9 +126,9 @@ def normal_line_integral(fmap, xi, t, tprime, psi=None):
             x = mid[c, None] + half[c, None] * _GL_NODES
             d = 1j * fmap.derivative(xi[line[c], None] + x[..., None] * ev)
             parts.append((
-                half[c, None] * np.einsum("k,pkn->pn", _GL16_W, d[:, :16]),
+                half[c, None] * np.einsum("k,pkn->pn", GL16_W, d[:, :16]),
                 half[c, None] * np.einsum("k,pkn->pn", _GL8_W, d[:, 16:]),
-                np.max(np.einsum("k,pkn->pn", _GL16_W, np.abs(d[:, :16])), axis=-1)))
+                np.max(np.einsum("k,pkn->pn", GL16_W, np.abs(d[:, :16])), axis=-1)))
         g16, g8, g16abs = (np.concatenate(a) for a in zip(*parts))
         diff = np.max(np.abs(g16 - g8), axis=-1)
         done = diff <= tol
@@ -347,9 +347,9 @@ class DichotomySequences:
     C: float
     K: float
     C0: float
-    q: np.ndarray = None
-    xi: np.ndarray = None
-    sep_radius: float = None
+    q: np.ndarray
+    xi: np.ndarray
+    sep_radius: float
 
     def __post_init__(self):
         for name in ("z1", "z2", "w1", "w2"):
@@ -375,7 +375,6 @@ class DichotomySequences:
 @dataclass
 class DichotomyReport:
     rows: list
-    constants: dict
 
     @property
     def l_values(self):
@@ -409,7 +408,7 @@ class DichotomyReport:
         return "\n".join(lines)
 
 
-def dichotomy_report(seqs, D=None, Omega=None, delta_D=None, delta_Omega=None):
+def dichotomy_report(seqs, D, Omega):
     """Per-index evaluation of the paired-sequence distance bounds.
 
     For each index nu the report evaluates the source-side upper value
@@ -422,15 +421,12 @@ def dichotomy_report(seqs, D=None, Omega=None, delta_D=None, delta_Omega=None):
     sequences.  The margin applies only while both images sit inside the
     declared disjoint neighborhoods of q and xi.
     """
-    dD = delta_D if delta_D is not None else (lambda zs: boundary_distance_batch(D, zs))
-    dO = delta_Omega if delta_Omega is not None else (lambda ws: boundary_distance_batch(Omega, ws))
-    dD1 = np.asarray(dD(seqs.z1), dtype=float)
-    dD2 = np.asarray(dD(seqs.z2), dtype=float)
-    dO1 = np.asarray(dO(seqs.w1), dtype=float)
-    dO2 = np.asarray(dO(seqs.w2), dtype=float)
+    dD1, dD2 = (boundary_distance_batch(D, zs) for zs in (seqs.z1, seqs.z2))
+    dO1, dO2 = (boundary_distance_batch(Omega, ws) for ws in (seqs.w1, seqs.w2))
     sepD = np.linalg.norm(seqs.z1 - seqs.z2, axis=-1)
-    sepO = np.linalg.norm(seqs.w1 - seqs.w2, axis=-1)
     C, K, C0 = seqs.C, seqs.K, seqs.C0
+    # the pair bound needs disjoint closed neighborhoods of q and xi
+    disjoint = np.linalg.norm(seqs.q - seqs.xi) > 2.0 * seqs.sep_radius
     rows = []
     for nu in range(len(dD1)):
         U = (0.5 * math.log(1.0 / dD1[nu]) + 0.5 * math.log(1.0 / dD2[nu])
@@ -442,20 +438,15 @@ def dichotomy_report(seqs, D=None, Omega=None, delta_D=None, delta_Omega=None):
         bridge = (0.5 * math.log(dD1[nu] / (C0 * dO1[nu]))
                   + 0.5 * math.log(dD2[nu] / (C0 * dO2[nu])))
         margin = (K + C - math.log(C0)) - l
-        if seqs.q is not None and seqs.xi is not None and seqs.sep_radius:
-            # the pair bound needs disjoint closed neighborhoods of q and xi
-            disjoint = np.linalg.norm(seqs.q - seqs.xi) > 2.0 * seqs.sep_radius
-            applicable = (disjoint
-                          and np.linalg.norm(seqs.w1[nu] - seqs.q) < seqs.sep_radius
-                          and np.linalg.norm(seqs.w2[nu] - seqs.xi) < seqs.sep_radius)
-        else:
-            applicable = True
+        applicable = (disjoint
+                      and np.linalg.norm(seqs.w1[nu] - seqs.q) < seqs.sep_radius
+                      and np.linalg.norm(seqs.w2[nu] - seqs.xi) < seqs.sep_radius)
         rows.append({
             "nu": nu, "dD1": float(dD1[nu]), "dD2": float(dD2[nu]),
             "sepD": float(sepD[nu]), "dO1": float(dO1[nu]), "dO2": float(dO2[nu]),
-            "sepO": float(sepO[nu]), "U": U, "L": L, "l": l,
+            "U": U, "L": L, "l": l,
             "bridge_slack": bridge, "margin": margin,
             "applicable": bool(applicable),
             "consistent": bool(margin >= 0.0) if applicable else True,
         })
-    return DichotomyReport(rows=rows, constants={"C": C, "K": K, "C0": C0})
+    return DichotomyReport(rows=rows)

@@ -68,20 +68,14 @@ def kob_distance_ball_exact(z1, z2):
     return float(np.arctanh(min(rho, 1.0 - 1e-16)))
 
 
-def graham_bounds(D, z, v, delta_dir=None):
+def graham_bounds(D, z, v):
     """Convex-domain sandwich |v|/(2 delta(z;v)) <= k(z;v) <= |v|/delta(z;v)."""
     if not D.is_convex:
         raise DomainError("directional-distance sandwich requires a convex domain")
     z = as_point(z, D.dim)
     v = as_point(v, D.dim)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("direction must be finite")
+    d = directional_distance(D, z, v)
     nv = np.linalg.norm(v)
-    if nv == 0:
-        raise DomainError("direction must be nonzero")
-    if delta_dir is not None and not (math.isfinite(delta_dir) and delta_dir > 0):
-        raise DomainError("delta_dir must be finite and positive")
-    d = delta_dir if delta_dir is not None else directional_distance(D, z, v)
     lower = MetricBound(nv / (2.0 * d), "lower", "graham_lower", at=(z, v),
                         constants={"delta_dir": d})
     upper = MetricBound(nv / d, "upper", "graham_upper", at=(z, v),

@@ -25,6 +25,7 @@ EMBED_GRID = 1000         # eps candidates per refinement of the embedding
 EMBED_EPS_FLOOR = 1e-12   # smallest eps the embedding refinement tries
 MODULUS_PAIRS = 6000      # sampled pairs of estimate_modulus
 MODULUS_BINS = 64         # radius bins of estimate_modulus
+GL16_X, GL16_W = np.polynomial.legendre.leggauss(16)   # Gauss-Legendre on [-1, 1]
 
 
 def _cumulative_trapezoid(x, y):
@@ -86,12 +87,19 @@ class DiniIntegral:
 
 def dyadic_panels(f, t, levels, n):
     """n-point Simpson integrals of f over the dyadic panels toward 0:
-    entry k covers [t 2^-(k+1), t 2^-k], from one call of f on all nodes."""
-    from scipy import integrate
+    entry k covers [t 2^-(k+1), t 2^-k], from one call of f on all nodes.
+    n is odd; the composite rule is written for unequal node gaps h0, h1 as
+    scipy.integrate.simpson evaluates it, term by term."""
     k = np.arange(levels)
     # a C-order copy, so numpy sums each row as it sums one panel's nodes
     x = np.linspace(t * 2.0 ** (-(k + 1)), t * 2.0 ** (-k), n).T.copy()
-    return integrate.simpson(f(x), x=x, axis=-1)
+    y = f(x)
+    h = np.diff(x, axis=-1)
+    h0, h1 = h[:, 0::2], h[:, 1::2]
+    hsum, r = h0 + h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[:, :-2:2] * (2.0 - 1.0 / r)
+                                + y[:, 1::2] * (hsum * (hsum / (h0 * h1)))
+                                + y[:, 2::2] * (2.0 - r)), axis=-1)
 
 
 def dini_integral(omega, eps):
@@ -317,9 +325,9 @@ def h_integral(omega, t):
         # exact integral of the piecewise-linear table
         full = _cumulative_trapezoid(omega.grid, omega.values)
         return float(np.interp(tt, omega.grid, full))
-    from scipy import integrate
-    val, _ = integrate.quad(lambda r: float(omega(r)), 0.0, tt, limit=200)
-    return float(val)
+    # GL16 on DINI_LEVELS dyadic panels toward 0, centre 3 half, half-width half
+    half = tt * 2.0 ** (-np.arange(DINI_LEVELS)[:, None] - 2)
+    return float(np.sum(half[:, 0] * (omega(3.0 * half + half * GL16_X) @ GL16_W)))
 
 
 class HFunction:

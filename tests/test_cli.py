@@ -106,13 +106,21 @@ def test_distance_command_runs_one_search(name, method, capsys, monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # scipy loads on first use only, so start-up pays no scipy import
-    code = ("import sys, kobex, kobex.cli, kobex.scenarios; "
+    # kobex runs on numpy alone: importing it, every scenario, the generic
+    # boundary search and a directional query load no scipy module
+    code = ("import sys, kobex, kobex.cli, kobex.scenarios\n"
+            "for name in kobex.scenarios.list_scenarios():\n"
+            "    assert kobex.scenarios.run_scenario(name, seed=0).passed\n"
+            "assert kobex.cli.main(['distance', 'ball2', '--at', '0.3,0.1',"
+            " '--method', 'generic']) == 0\n"
+            "assert kobex.cli.main(['distance', 'ball2', '--at', '0.3,0.1',"
+            " '--dir', '1,0.5j']) == 0\n"
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.dirname(os.path.dirname(kx.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          stdout=subprocess.DEVNULL).returncode == 0
 
 
 def test_distance_outside_is_config_error(capsys):

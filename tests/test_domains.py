@@ -845,6 +845,17 @@ def test_halton_matches_scipy(d, k):
     assert np.array_equal(_halton(k, d), expect)
 
 
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_sphere_directions_match_scipy_quantile(d):
+    from scipy.special import ndtri
+    for k in (512, d):
+        g = ndtri(np.clip(_halton(k, d), 1e-12, 1 - 1e-12))
+        expect = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        got = dm._sphere_directions(k, d)
+        assert np.max(np.abs(got - expect)) <= 1e-15
+        assert not got.flags.writeable and dm._sphere_directions(k, d) is got
+
+
 @pytest.mark.parametrize("name,method", [("ex22_d", "generic"), ("ex21_d", "reinhardt"),
                                          ("polydisc", "auto"), ("ex21_omega", "auto"),
                                          ("ball2", "auto")])

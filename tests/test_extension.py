@@ -491,20 +491,21 @@ def test_dichotomy_same_limit_consistent(ball2):
     assert rep.first_failure is None
 
 
-def test_dichotomy_degenerate_flat():
+def test_dichotomy_degenerate_flat(ball2):
     # all distances equal and zero separation: l stays constant
     N = 10
     z = np.stack([np.full(N, 0.5), np.zeros(N)], axis=-1).astype(complex)
     seqs = kx.DichotomySequences(z1=z, z2=z.copy(), w1=z.copy(), w2=z.copy(),
-                                 C=1.0, K=1.0, C0=1.0)
-    const = lambda zs: np.full(len(np.atleast_2d(zs)), 0.25)
-    rep = kx.dichotomy_report(seqs, delta_D=const, delta_Omega=const)
+                                 C=1.0, K=1.0, C0=1.0, q=z[0],
+                                 xi=np.array([0, 0.5], dtype=complex),
+                                 sep_radius=0.1)
+    rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
     l = rep.l_values
     assert np.allclose(l, l[0])
     assert rep.l_monotone
 
 
-def test_dichotomy_l_monotone_under_decreasing_inputs():
+def test_dichotomy_l_monotone_under_decreasing_inputs(ball2):
     # once the distances and the separation both decrease, l increases
     N = 15
     d = np.geomspace(0.2, 1e-4, N)
@@ -513,30 +514,36 @@ def test_dichotomy_l_monotone_under_decreasing_inputs():
     z2 = z1.copy()
     z2[:, 1] = sep
     seqs = kx.DichotomySequences(z1=z1, z2=z2, w1=z1.copy(), w2=z1.copy(),
-                                 C=1.0, K=1.0, C0=1.0)
-    dd = lambda zs: 1.0 - np.abs(np.atleast_2d(zs)[:, 0])
-    rep = kx.dichotomy_report(seqs, delta_D=dd, delta_Omega=dd)
+                                 C=1.0, K=1.0, C0=1.0,
+                                 q=np.array([1, 0], dtype=complex),
+                                 xi=np.array([0, 1], dtype=complex),
+                                 sep_radius=0.5)
+    rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
     assert rep.l_monotone
 
 
 def test_dichotomy_table_renders(ball2):
     z1, z2, w1, w2 = _ball_sequences(6)
     seqs = kx.DichotomySequences(z1=z1, z2=z2, w1=w1, w2=w2, C=1.0, K=1.0,
-                                 C0=1.0)
+                                 C0=1.0, q=np.array([1, 0], dtype=complex),
+                                 xi=np.array([0, 1], dtype=complex),
+                                 sep_radius=0.5)
     rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
     text = rep.table()
     assert "margin" in text and len(text.splitlines()) == 7
 
 
 def test_dichotomy_validates_inputs():
+    hoods = dict(q=np.array([1, 0], dtype=complex),
+                 xi=np.array([0, 1], dtype=complex), sep_radius=0.5)
     with pytest.raises(kx.DomainError):
         kx.DichotomySequences(z1=np.zeros((3, 2)), z2=np.zeros((4, 2)),
                               w1=np.zeros((3, 2)), w2=np.zeros((3, 2)),
-                              C=1.0, K=1.0, C0=1.0)
+                              C=1.0, K=1.0, C0=1.0, **hoods)
     with pytest.raises(kx.DomainError):
         kx.DichotomySequences(z1=np.zeros((3, 2)), z2=np.zeros((3, 2)),
                               w1=np.zeros((3, 2)), w2=np.zeros((3, 2)),
-                              C=1.0, K=1.0, C0=0.0)
+                              C=1.0, K=1.0, C0=0.0, **hoods)
 
 
 def test_error_estimate_covers_rounding_on_a_linear_integrand(corner_map):

@@ -158,6 +158,7 @@ def test_h_integral_values():
     assert kx.h_integral(linear_rate(), 0.3) == pytest.approx(0.045, abs=1e-12)
     assert kx.h_integral(linear_rate(), 0.0) == 0.0
     assert kx.h_integral(sqrt_rate(), 0.09) == pytest.approx(0.018, abs=1e-9)
+    assert kx.h_integral(sqrt_rate(), 0.09) == pytest.approx(0.018, abs=1e-15)
     # even in t
     assert kx.h_integral(linear_rate(), -0.3) == pytest.approx(0.045, abs=1e-12)
 
