@@ -80,9 +80,10 @@ def cmd_distance(args):
     else:
         if args.phases is not None:
             raise domains.DomainError("--phases applies only with --dir")
-        val, xi = domains._distance_and_nearest(D, z, method=args.method or "auto")
-        print("boundary distance delta(z) = %.12g" % val)
-        print("nearest boundary point: %s" % np.array2string(xi, precision=10))
+        zs = domains._interior_rows(D, domains.as_point(z, D.dim))
+        t, xi = domains._boundary(D, zs, args.method or "auto", nearest=True)
+        print("boundary distance delta(z) = %.12g" % t[0])
+        print("nearest boundary point: %s" % np.array2string(xi[0], precision=10))
     return 0
 
 

@@ -544,25 +544,6 @@ def _moduli_section_distance(D, x):
     return t, np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def _route(D, method, fast):
-    """The distance dispatch: "fast" when method is "auto" and the domain
-    has the closed form `fast` (its dist_fn or nearest_fn), "section" for
-    the moduli-section reduction of a Reinhardt domain in C^2, else
-    "generic"."""
-    if method not in ("auto", "reinhardt", "generic"):
-        raise DomainError("unknown distance method %r" % (method,))
-    if method == "auto" and fast is not None:
-        return "fast"
-    if method in ("auto", "reinhardt") and D.is_reinhardt and D.dim == 2:
-        return "section"
-    if method == "reinhardt" and not D.is_reinhardt:
-        raise DomainError("%s is not flagged Reinhardt" % D.name)
-    if method == "reinhardt":
-        raise DomainError("the moduli-section reduction needs C^2; %s is in C^%d"
-                          % (D.name, D.dim))
-    return "generic"
-
-
 def _interior_rows(D, zs):
     """zs as (m, n) complex rows, all interior to D."""
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
@@ -579,14 +560,38 @@ def _phases(zs):
 
 
 def _search(D, zs, method):
-    """(t, xi) per row of interior zs from the search method routes to: the
-    moduli-section reduction or the generic direction search."""
-    if _route(D, method, None) == "section":
+    """(t, xi) per row of interior zs from a search: the moduli-section
+    reduction for a Reinhardt domain in C^2 unless method is "generic",
+    else the generic direction search, which "reinhardt" refuses."""
+    if method != "generic" and D.is_reinhardt and D.dim == 2:
         x = np.abs(zs)
         t, d = _moduli_section_distance(D, x)
         return t, (x + t[:, None] * d) * _phases(zs)
+    if method == "reinhardt" and not D.is_reinhardt:
+        raise DomainError("%s is not flagged Reinhardt" % D.name)
+    if method == "reinhardt":
+        raise DomainError("the moduli-section reduction needs C^2; %s is in C^%d"
+                          % (D.name, D.dim))
     t, dirs = _generic_distance(D, zs)
     return t, zs + t[:, None] * dirs
+
+
+def _boundary(D, zs, method, nearest=False):
+    """The distance dispatch over (m, n) rows already known to be interior:
+    their distances t, or (t, xi) with their nearest boundary points when
+    nearest is true.  Under "auto" the domain's dist_fn and nearest_fn
+    answer where it has them; one _search call answers the rest."""
+    if method not in ("auto", "reinhardt", "generic"):
+        raise DomainError("unknown distance method %r" % (method,))
+    closed = method == "auto"
+    t = D.dist_fn(zs) if closed and D.dist_fn is not None else None
+    xi = D.nearest_fn(zs) if nearest and closed and D.nearest_fn is not None else None
+    if t is None or (nearest and xi is None):
+        ts, xs = _search(D, zs, method)
+        t = ts if t is None else t
+        xi = xs if xi is None else xi
+    t = np.asarray(t, dtype=float)
+    return (t, xi) if nearest else t
 
 
 def boundary_distance(D, z, method="auto"):
@@ -602,20 +607,12 @@ def boundary_distance(D, z, method="auto"):
 
     One row of boundary_distance_batch.
     """
-    z = as_point(z, D.dim)
-    return float(boundary_distance_batch(D, z[None, :], method)[0])
+    return float(_boundary(D, _interior_rows(D, as_point(z, D.dim)), method)[0])
 
 
 def boundary_distance_batch(D, zs, method="auto"):
     """boundary_distance over rows of zs, which must all be interior."""
-    return _distances(D, _interior_rows(D, zs), method)
-
-
-def _distances(D, zs, method):
-    """boundary_distance_batch on (m, n) rows already known to be interior."""
-    if _route(D, method, D.dist_fn) == "fast":
-        return np.asarray(D.dist_fn(zs), dtype=float)
-    return _search(D, zs, method)[0]
+    return _boundary(D, _interior_rows(D, zs), method)
 
 
 def nearest_boundary_point(D, z, method="auto"):
@@ -624,27 +621,7 @@ def nearest_boundary_point(D, z, method="auto"):
     Ties between equally near boundary points are broken deterministically:
     the first minimizer found under the fixed direction seeding wins.
     """
-    z = as_point(z, D.dim)
-    return _nearest(D, z[None, :], method)[1][0]
-
-
-def _nearest(D, zs, method):
-    """(t, xi) over interior rows zs: the nearest boundary points xi and,
-    when a search found them, its distances t (None on the fast route)."""
-    zs = _interior_rows(D, zs)
-    if _route(D, method, D.nearest_fn) == "fast":
-        return None, D.nearest_fn(zs)
-    return _search(D, zs, method)
-
-
-def _distance_and_nearest(D, z, method="auto"):
-    """(boundary_distance, nearest_boundary_point) of z, from one search when
-    both take the same search route (they do unless one is "fast")."""
-    z = as_point(z, D.dim)
-    t, xi = _nearest(D, z[None, :], method)
-    if t is None or _route(D, method, D.dist_fn) == "fast":
-        t = _distances(D, z[None, :], method)
-    return float(t[0]), xi[0]
+    return _boundary(D, _interior_rows(D, as_point(z, D.dim)), method, nearest=True)[1][0]
 
 
 def directional_distance(D, z, v, n_phases=256, refine=True):
@@ -669,6 +646,9 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
     if not isinstance(n_phases, (int, np.integer)) or n_phases < 1:
         raise DomainError("n_phases must be an integer of at least 1, got %r" % (n_phases,))
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
+    if vs.shape != zs.shape:
+        raise DomainError("directions must pair with the points: %s rows for %s"
+                          % (vs.shape, zs.shape))
     if not np.all(np.isfinite(vs)):
         raise DomainError("direction v must be finite")
     nv = np.linalg.norm(vs, axis=-1, keepdims=True)
@@ -779,7 +759,7 @@ def certify_cone_condition(D, W, samples):
     if not (np.all(contains(D, samples)) and np.all(contains(W, samples))):
         raise DomainError("cone samples must lie in W cap D")
     witnesses = []
-    for w, xi in zip(samples, _nearest(D, samples, "auto")[1]):
+    for w, xi in zip(samples, _boundary(D, samples, "auto", nearest=True)[1]):
         gap = np.linalg.norm(w - xi)
         if gap < 1e-14:
             raise DomainError("sample coincides with its boundary projection")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainError, _distances, _interior_rows, _zoom_min, as_point,
+from .domains import (DomainError, _boundary, _interior_rows, _zoom_min, as_point,
                       boundary_distance, boundary_distance_batch, contains,
                       directional_distance, directional_distance_batch,
                       hermitian_inner)
@@ -90,7 +90,7 @@ def sibony_lower_bound(u, z, v, c, alpha=4.0):
     constant and is recorded on the bound.
     """
     z = np.asarray(z, dtype=complex)
-    uz = float(u.fn(z) if hasattr(u, "fn") else u(z))
+    uz = float(u(z))
     if uz >= 0.0:
         raise DomainError("witness must be negative at z")
     if c <= 0 or alpha <= 0:
@@ -104,14 +104,15 @@ def sibony_lower_bound(u, z, v, c, alpha=4.0):
 def inscribed_ball_upper_bound(D, z, v):
     """|v| / delta_D(z): the inclusion of the inscribed ball is
     distance-decreasing, so the ball's metric dominates the domain's."""
-    z = _interior_rows(D, as_point(z, D.dim))[0]
+    zs = _interior_rows(D, as_point(z, D.dim))
+    z = zs[0]
     v = np.asarray(v, dtype=complex)
     if not np.all(np.isfinite(v)):
         raise DomainError("direction must be finite")
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return MetricBound(0.0, "upper", "inscribed_ball", at=(z, v))
-    d = boundary_distance(D, z)
+    d = float(_boundary(D, zs, "auto")[0])
     return MetricBound(nv / d, "upper", "inscribed_ball", at=(z, v),
                        constants={"delta": d})
 
@@ -245,7 +246,7 @@ def path_distance_upper(D, z1, z2):
         mids = 0.5 * (p + q)
         inside = contains(D, mids)
         dmid = np.zeros(inside.shape)
-        dmid[inside] = _distances(D, mids[inside], "auto")
+        dmid[inside] = _boundary(D, mids[inside], "auto")
         seglen = np.linalg.norm(q - p, axis=-1)
         return np.divide(seglen, dmid, out=np.full(dmid.shape, np.inf),
                          where=dmid > 0).sum(axis=-1)
@@ -294,16 +295,10 @@ def fit_pair_constant(D, o, vq_samples, vxi_samples):
     gap = min(np.linalg.norm(a - b) for a in vq for b in vx)
     if gap <= 0:
         raise DomainError("sample clouds must have disjoint closures")
-    to_o = {}
+    to_o = [path_distance_upper(D, w, o) for w in vq + vx]
     kprime = -math.inf
-    for w1 in vq:
-        k1 = tuple(np.round(w1, 12))
-        if k1 not in to_o:
-            to_o[k1] = path_distance_upper(D, w1, o)
-        for w2 in vx:
-            k2 = tuple(np.round(w2, 12))
-            if k2 not in to_o:
-                to_o[k2] = path_distance_upper(D, w2, o)
-            val = to_o[k1] + to_o[k2] - path_distance_upper(D, w1, w2)
+    for i, w1 in enumerate(vq):
+        for j, w2 in enumerate(vx):
+            val = to_o[i] + to_o[len(vq) + j] - path_distance_upper(D, w1, w2)
             kprime = max(kprime, val)
     return max(0.0, kprime - math.log(boundary_distance(D, o)))

@@ -219,8 +219,7 @@ def pushforward_tau(F, rho, w):
     pts = np.asarray(F.fibers(w), dtype=complex)
     if pts.shape[-2] == 0:
         raise DomainError("empty fiber")
-    vals = np.asarray(rho.fn(pts) if isinstance(rho, PshWitness) else rho(pts),
-                      dtype=float)
+    vals = np.asarray(rho(pts), dtype=float)
     tau = np.max(vals, axis=-1)
     return float(tau) if w.ndim == 1 else tau
 

@@ -322,9 +322,12 @@ def h_integral(omega, t):
     if tt > omega.domain_end * (1 + 1e-12):
         raise DomainError("|t| outside the modulus domain")
     if omega.grid is not None:
-        # exact integral of the piecewise-linear table
-        full = _cumulative_trapezoid(omega.grid, omega.values)
-        return float(np.interp(tt, omega.grid, full))
+        # exact integral of the piecewise-linear table: the full cells below
+        # tt, then the trapezoid of the cell [g_k, tt] that omega is linear on
+        g = omega.grid
+        k = np.searchsorted(g, tt, side="right") - 1
+        full = _cumulative_trapezoid(g, omega.values)
+        return float(full[k] + 0.5 * (tt - g[k]) * (omega.values[k] + omega(tt)))
     # GL16 on DINI_LEVELS dyadic panels toward 0, centre 3 half, half-width half
     half = tt * 2.0 ** (-np.arange(DINI_LEVELS)[:, None] - 2)
     return float(np.sum(half[:, 0] * (omega(3.0 * half + half * GL16_X) @ GL16_W)))

@@ -163,7 +163,7 @@ def scenario_ball_sandwich(seed=0, tol=1e-6):
     vs = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
     deltas = domains.directional_distance_batch(B, zs, vs, n_phases=4096,
                                                 refine=False)
-    exact = np.array([metrics.kob_metric_ball_exact(z, v) for z, v in zip(zs, vs)])
+    exact = metrics.kob_metric_ball_exact(zs, vs)
     nv = np.linalg.norm(vs, axis=-1)
     lower = nv / (2.0 * deltas)
     upper = nv / deltas

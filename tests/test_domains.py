@@ -104,6 +104,10 @@ def test_distance_unknown_method_raises(ball2):
         kx.boundary_distance_batch(ball2, z[None, :], method="bogus")
     with pytest.raises(kx.DomainError, match="unknown distance method"):
         kx.nearest_boundary_point(ball2, z, method="bogus")
+    # rows are checked before the method
+    for entry in (kx.boundary_distance, kx.nearest_boundary_point):
+        with pytest.raises(kx.DomainError, match="outside the closure"):
+            entry(ball2, kx.cpoint(2.0, 0), method="bogus")
 
 
 def test_reinhardt_method_needs_reinhardt_domain(d22):
@@ -217,6 +221,13 @@ def test_directional_rejects_a_non_finite_direction(ball2, v):
 def test_directional_rejects_a_bad_phase_count(ball2, n_phases):
     with pytest.raises(kx.DomainError, match="n_phases"):
         kx.directional_distance(ball2, (0.1, 0.2), (1.0, 0.0), n_phases=n_phases)
+
+
+@pytest.mark.parametrize("vs", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.5]])
+def test_directional_batch_rejects_unpaired_directions(ball2, vs):
+    zs = [[0.1, 0.0], [0.0, 0.1], [0.2, 0.2j]]
+    with pytest.raises(kx.DomainError, match="pair with the points"):
+        kx.directional_distance_batch(ball2, zs, vs)
 
 
 def test_directional_batch_rejects_outside_rows(ball2):
@@ -524,16 +535,17 @@ def test_cone_certificate_makes_one_nearest_call(case, monkeypatch):
         "corner": (kx.ex21_Omega(), kx.ball(2, center=(1.0, 0.0), radius=0.4, name="W"),
                    [kx.cpoint(1 - 5e-3, 0), kx.cpoint(1 - 1e-2, 0)]),
     }[case]
-    real = dm._nearest
+    real = dm._boundary
     calls = []
-    monkeypatch.setattr(dm, "_nearest", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(dm, "_boundary", lambda *a, **k: calls.append(k) or real(*a, **k))
     cert = kx.certify_cone_condition(D, W, samples)
-    assert len(calls) == 1
+    assert calls == [{"nearest": True}]
 
-    def per_row(D, zs, method):
-        return None, np.array([real(D, z[None, :], method)[1][0] for z in zs])
+    def per_row(D, zs, method, nearest=False):
+        rows = [real(D, z[None, :], method, nearest) for z in zs]
+        return np.concatenate([t for t, _ in rows]), np.concatenate([xi for _, xi in rows])
 
-    monkeypatch.setattr(dm, "_nearest", per_row)
+    monkeypatch.setattr(dm, "_boundary", per_row)
     ref = kx.certify_cone_condition(D, W, samples)
     # the batch shares one ray cap: the gaps |w - xi| and r move by rounding
     # only, xi along a flat edge within the nearest-point tolerance
@@ -862,9 +874,40 @@ def test_sphere_directions_match_scipy_quantile(d):
 def test_distance_and_nearest_match_their_entry_points(name, method):
     D = kx.bundled_domain(name)
     z = D.interior_point + kx.cpoint(0.1, 0.2j)
-    delta, xi = dm._distance_and_nearest(D, z, method)
-    assert delta == kx.boundary_distance(D, z, method)
-    assert np.array_equal(xi, kx.nearest_boundary_point(D, z, method))
+    delta, xi = dm._boundary(D, z[None, :], method, nearest=True)
+    assert delta[0] == kx.boundary_distance(D, z, method)
+    assert np.array_equal(xi[0], kx.nearest_boundary_point(D, z, method))
+
+
+def _method_cases():
+    for name in sorted(dm.BUNDLED):
+        D = kx.bundled_domain(name)
+        for method in ("auto", "generic", "reinhardt"):
+            if method != "reinhardt" or D.is_reinhardt:
+                yield name, method
+
+
+@pytest.mark.parametrize("name,method", list(_method_cases()))
+def test_boundary_runs_at_most_one_search(name, method, monkeypatch):
+    # delta(z) and xi of every row from one search call at most, row for
+    # row the numbers of the public entry points
+    D = kx.bundled_domain(name)
+    zs = _offsets(D, 3)
+    searches = []
+    for fn in ("_generic_distance", "_moduli_section_distance"):
+        real = getattr(dm, fn)
+        monkeypatch.setattr(dm, fn, lambda *a, real=real: searches.append(1) or real(*a))
+    t, xi = dm._boundary(D, zs, method, nearest=True)
+    assert len(searches) <= 1
+    assert t.shape == (3,) and xi.shape == (3, 2)
+    assert np.array_equal(t, kx.boundary_distance_batch(D, zs, method))
+    for z in zs:
+        searches.clear()
+        t1, xi1 = dm._boundary(D, z[None, :], method, nearest=True)
+        assert len(searches) <= 1
+        assert t1[0] == kx.boundary_distance(D, z, method)
+        assert np.array_equal(xi1[0], kx.nearest_boundary_point(D, z, method))
+
 
 
 def test_unbounded_domain_rejected():
@@ -900,7 +943,7 @@ def test_generic_batch_rows_match_single_rows(name):
     t = kx.boundary_distance_batch(D, zs, method="generic")
     one = np.array([kx.boundary_distance(D, z, method="generic") for z in zs])
     assert np.all(np.abs(t - one) <= 1e-15 * one)
-    _, xi = dm._nearest(D, zs, "generic")
+    _, xi = dm._boundary(D, zs, "generic", nearest=True)
     for z, x in zip(zs, xi):
         gap = np.abs(x - kx.nearest_boundary_point(D, z, "generic"))
         assert np.max(gap) <= 1e-8 * (1 + np.linalg.norm(z))

@@ -163,6 +163,14 @@ def test_h_integral_values():
     assert kx.h_integral(linear_rate(), -0.3) == pytest.approx(0.045, abs=1e-12)
 
 
+def test_h_integral_of_a_table_is_exact_between_table_points():
+    # the table is piecewise linear, so the integral is piecewise quadratic
+    w = kx.ModulusOfContinuity.from_table([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])
+    for t, exact in [(0.25, 0.0), (0.5, 0.0), (0.6, 0.01), (0.75, 0.0625), (1.0, 0.25)]:
+        assert kx.h_integral(w, t) == pytest.approx(exact, rel=1e-12, abs=1e-15)
+        assert kx.h_integral(w, -t) == kx.h_integral(w, t)
+
+
 def test_h_vanishes_to_first_order():
     ts = np.geomspace(1e-6, 1e-2, 8)
     ratios = np.array([kx.h_integral(sqrt_rate(), t) / t for t in ts])
