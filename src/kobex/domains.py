@@ -433,9 +433,26 @@ def _complex_to_real(z):
 
 ZOOM_K = 6
 ZOOM_ROUNDS = 11
+# Rays one lookahead call of _zoom_min may hold.  A bounded _ray_exit call
+# costs its ~7 sequential root steps nearly alike for 6 rays and for a few
+# hundred.  One scalar delta(z; v), median ms over 5 points on a 2-vCPU Xeon
+# looking 0, 1, 2 and 3 rounds ahead (6, 48, 342 and 2,400 rays a call):
+# ball2 12.5, 8.2, 8.0, 8.9; ex21_d 14.4, 10.6, 8.9, 10.9.  So one row looks
+# 2 rounds ahead, 2 to 10 rows 1, and 11 or more rows none.
+ZOOM_RAY_BUDGET = 512
 
 
-def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf):
+def _zoom_depth(m):
+    """Rounds a lookahead call of _zoom_min adds for m rows: the most that
+    keep its m * ZOOM_K * (1 + 7 + ... + 7^depth) = m * (7^(depth+1) - 1)
+    rays within ZOOM_RAY_BUDGET."""
+    depth = 0
+    while 0 < m * ((ZOOM_K + 1) ** (depth + 2) - 1) <= ZOOM_RAY_BUDGET:
+        depth += 1
+    return depth
+
+
+def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf, lookahead=False):
     """Row-wise minimization: a grid scan, then ZOOM_ROUNDS zoom rounds.
 
     grid is (K,), shared by all rows, or (m, K); f(points, incumbent) maps
@@ -447,26 +464,86 @@ def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf):
     its best point x; a round samples ZOOM_K evenly spaced interior points of
     [x - step, x + step] cap [lo, hi], moves x only to a strictly better
     point and sets step to that bracket's width / (ZOOM_K + 1), so the
-    bracket shrinks by 2/7 per round.  step (scalar or (m,)) is the first
-    half-width, passed in because a one-point grid has no spacing.
+    bracket shrinks by 2/7 per round.  step, lo and hi are scalars or (m,);
+    step is the first half-width, passed in because a one-point grid has no
+    spacing.
     Returns (x, f(x)) per row.
+
+    With lookahead, f(points, incumbent, rows) also takes the row of each
+    row of points (slice(None): all rows, in order), and where
+    _zoom_depth(m) > 0 the rounds run in groups of one f call (_zoom_ahead).
     """
-    vals = f(grid, math.inf)
+    call = f if lookahead else lambda p, incumbent, _: f(p, incumbent)
+    whole = slice(None)
+    vals = call(grid, math.inf, whole)
     rows = np.arange(vals.shape[0])
     k = np.argmin(vals, axis=1)
     x = np.broadcast_to(grid, vals.shape)[rows, k]
     best = vals[rows, k]
+    depth = _zoom_depth(rows.size) if lookahead else 0
+    if depth:
+        return _zoom_ahead(f, x, best, step, lo, hi, depth)
     frac = np.arange(1, ZOOM_K + 1) / (ZOOM_K + 1)
     for _ in range(ZOOM_ROUNDS):
         a = np.maximum(x - step, lo)
         b = np.minimum(x + step, hi)
         pts = a[:, None] + (b - a)[:, None] * frac
-        vals = f(pts, best)
+        vals = call(pts, best, whole)
         k = np.argmin(vals, axis=1)
         better = vals[rows, k] < best
         x = np.where(better, pts[rows, k], x)
         best = np.where(better, vals[rows, k], best)
         step = (b - a) / (ZOOM_K + 1)
+    return x, best
+
+
+def _zoom_ahead(f, x, best, step, lo, hi, depth):
+    """The zoom rounds of _zoom_min from its scan's (x, best), in groups of
+    1 + depth rounds with one f(points, incumbent, rows) call each.
+
+    A round from a state (x, step) has ZOOM_K + 1 outcomes: x moves to one
+    of its points, or stays.  So the call takes the points of every state
+    the group's rounds can reach, 7^l per row for its l-th round, each state
+    its own row of points, all with the row's incumbent at the group's
+    start.  The rounds are then resolved in order from the values of the
+    states reached, by the argmin, strict test and np.where of one round.
+    That is exact: a state's points come from its (x, step) by the same
+    arithmetic, and the group's incumbent is at least the incumbent of each
+    of its rounds, so every returned w also meets _zoom_min's bound for that
+    round's incumbent, and the min, argmin and strict test come out the
+    same.  The call is 1 + 7 + ... + 7^depth times the points of a round;
+    only an f whose cost is nearly flat in its rows gains, such as ray
+    exits, whose time goes to sequential root steps.
+    """
+    m = x.size
+    rows = np.arange(m)
+    frac = np.arange(1, ZOOM_K + 1) / (ZOOM_K + 1)
+    lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    for first in range(0, ZOOM_ROUNDS, depth + 1):
+        # pts[l] and steps[l]: per row the points and next step of the 7^l
+        # states the group's round l can start from; a state's children are
+        # x moved to each of its points, then x kept
+        xs, ss, pts, steps = x[:, None], np.reshape(step, (-1, 1)), [], []
+        for level in range(min(depth + 1, ZOOM_ROUNDS - first)):
+            if level:
+                xs = np.concatenate([pts[-1], xs[..., None]], axis=-1).reshape(m, -1)
+                ss = np.repeat(steps[-1], ZOOM_K + 1, axis=1)
+            a = np.maximum(xs - ss, lo)
+            b = np.minimum(xs + ss, hi)
+            pts.append(a[..., None] + (b - a)[..., None] * frac)
+            steps.append((b - a) / (ZOOM_K + 1))
+        width = [p.shape[1] for p in pts]
+        n = sum(width)
+        vals = f(np.concatenate(pts, axis=1).reshape(m * n, ZOOM_K),
+                 np.repeat(best, n), np.repeat(rows, n)).reshape(m, n, ZOOM_K)
+        state = np.zeros(m, dtype=int)
+        for p, v, s in zip(pts, np.split(vals, np.cumsum(width)[:-1], axis=1), steps):
+            p, v, step = p[rows, state], v[rows, state], s[rows, state]
+            k = np.argmin(v, axis=1)
+            better = v[rows, k] < best
+            x = np.where(better, p[rows, k], x)
+            best = np.where(better, v[rows, k], best)
+            state = state * (ZOOM_K + 1) + np.where(better, k, ZOOM_K)
     return x, best
 
 
@@ -533,14 +610,15 @@ def _moduli_section_distance(D, x):
     directions that attain them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    m = x.shape[0]
 
-    def exits(theta, best):
+    def exits(theta, best, rows):
         d = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
-        return _ray_exit(D, x, np.broadcast_to(d, (m,) + d.shape[-2:]), best)
+        xr = x[rows]
+        return _ray_exit(D, xr, np.broadcast_to(d, xr.shape[:1] + d.shape[-2:]), best)
 
     n = 256
-    theta, t = _zoom_min(exits, 2.0 * math.pi * (np.arange(n) + 0.5) / n, 2.0 * math.pi / n)
+    theta, t = _zoom_min(exits, 2.0 * math.pi * (np.arange(n) + 0.5) / n, 2.0 * math.pi / n,
+                         lookahead=True)
     return t, np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
@@ -576,22 +654,24 @@ def _search(D, zs, method):
     return t, zs + t[:, None] * dirs
 
 
-def _boundary(D, zs, method, nearest=False):
+def _boundary(D, zs, method, dist=True, nearest=False):
     """The distance dispatch over (m, n) rows already known to be interior:
-    their distances t, or (t, xi) with their nearest boundary points when
-    nearest is true.  Under "auto" the domain's dist_fn and nearest_fn
-    answer where it has them; one _search call answers the rest."""
+    their distances t if dist, their nearest boundary points xi if nearest,
+    and (t, xi) if both.  Under "auto" the domain's dist_fn and nearest_fn
+    answer what is asked where it has them; one _search call answers the
+    rest."""
     if method not in ("auto", "reinhardt", "generic"):
         raise DomainError("unknown distance method %r" % (method,))
     closed = method == "auto"
-    t = D.dist_fn(zs) if closed and D.dist_fn is not None else None
+    t = D.dist_fn(zs) if dist and closed and D.dist_fn is not None else None
     xi = D.nearest_fn(zs) if nearest and closed and D.nearest_fn is not None else None
-    if t is None or (nearest and xi is None):
+    if (dist and t is None) or (nearest and xi is None):
         ts, xs = _search(D, zs, method)
         t = ts if t is None else t
         xi = xs if xi is None else xi
-    t = np.asarray(t, dtype=float)
-    return (t, xi) if nearest else t
+    if not nearest:
+        return np.asarray(t, dtype=float)
+    return (np.asarray(t, dtype=float), xi) if dist else xi
 
 
 def boundary_distance(D, z, method="auto"):
@@ -621,7 +701,8 @@ def nearest_boundary_point(D, z, method="auto"):
     Ties between equally near boundary points are broken deterministically:
     the first minimizer found under the fixed direction seeding wins.
     """
-    return _boundary(D, _interior_rows(D, as_point(z, D.dim)), method, nearest=True)[1][0]
+    return _boundary(D, _interior_rows(D, as_point(z, D.dim)), method, dist=False,
+                     nearest=True)[0]
 
 
 def directional_distance(D, z, v, n_phases=256, refine=True):
@@ -656,13 +737,13 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
         raise DomainError("direction v must be nonzero")
     u = vs / nv
 
-    def exits(theta, best):
-        return _ray_exit(D, zs, np.exp(1j * theta)[..., None] * u[:, None, :], best)
+    def exits(theta, best, rows):
+        return _ray_exit(D, zs[rows], np.exp(1j * theta)[..., None] * u[rows, None, :], best)
 
     theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
     if not refine:
-        return exits(theta, math.inf).min(axis=1)
-    return _zoom_min(exits, theta, 2.0 * math.pi / n_phases)[1]
+        return exits(theta, math.inf, slice(None)).min(axis=1)
+    return _zoom_min(exits, theta, 2.0 * math.pi / n_phases, lookahead=True)[1]
 
 
 def inward_normal(D, xi):
@@ -759,7 +840,7 @@ def certify_cone_condition(D, W, samples):
     if not (np.all(contains(D, samples)) and np.all(contains(W, samples))):
         raise DomainError("cone samples must lie in W cap D")
     witnesses = []
-    for w, xi in zip(samples, _boundary(D, samples, "auto", nearest=True)[1]):
+    for w, xi in zip(samples, _boundary(D, samples, "auto", dist=False, nearest=True)):
         gap = np.linalg.norm(w - xi)
         if gap < 1e-14:
             raise DomainError("sample coincides with its boundary projection")

@@ -106,7 +106,7 @@ def inscribed_ball_upper_bound(D, z, v):
     distance-decreasing, so the ball's metric dominates the domain's."""
     zs = _interior_rows(D, as_point(z, D.dim))
     z = zs[0]
-    v = np.asarray(v, dtype=complex)
+    v = as_point(v, D.dim)
     if not np.all(np.isfinite(v)):
         raise DomainError("direction must be finite")
     nv = np.linalg.norm(v)

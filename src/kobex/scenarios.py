@@ -12,14 +12,9 @@ import time
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import charts, domains, extension, metrics, psh, regularity
 from .reports import Report
-
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("kobex")
-except Exception:  # pragma: no cover
-    VERSION = "0.1.0"
 
 
 def infinite_type_check(phi, orders):

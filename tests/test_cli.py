@@ -123,6 +123,18 @@ def test_import_loads_no_scipy():
                           stdout=subprocess.DEVNULL).returncode == 0
 
 
+def test_import_loads_no_importlib_metadata():
+    # the report version is kobex.__version__, so starting kobex looks up no
+    # installed-distribution metadata
+    code = ("import sys, kobex, kobex.cli, kobex.scenarios\n"
+            "assert kobex.scenarios.VERSION == kobex.__version__\n"
+            "sys.exit('importlib.metadata' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(kx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_distance_outside_is_config_error(capsys):
     assert run_cli("distance", "ball2", "--at", "2,0") == 3
 
@@ -183,6 +195,15 @@ def test_metric_commands(capsys):
     assert run_cli("metric", "ball2", "--at", "0.5,0", "--dir", "1,0",
                    "--method", "exact") == 0
     assert "1.33333333333" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["graham", "inscribed"])
+@pytest.mark.parametrize("direction", ["1", "1,0,0"])
+def test_metric_direction_dimension_mismatch(method, direction, capsys):
+    assert run_cli("metric", "ball2", "--at", "0.1,0", "--dir", direction,
+                   "--method", method) == 3
+    captured = capsys.readouterr()
+    assert "dimension mismatch" in captured.err and "bound" not in captured.out
 
 
 def test_metric_exact_requires_ball(tmp_path, monkeypatch, capsys):

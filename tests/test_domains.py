@@ -317,6 +317,23 @@ def test_zoom_min_stays_inside_its_clip_bounds():
     assert np.all(np.abs(x - np.clip(centers, lo, hi)) <= 0.125 * shrink)
 
 
+@pytest.mark.parametrize("m", [1, 7, 11])
+def test_zoom_lookahead_keeps_per_row_clip_bounds(m):
+    # 7 rows look one round ahead, so a round's 7 states per row must not
+    # meet the (m,) clip bounds along the wrong axis
+    centers = np.linspace(-0.5, 1.7, m)
+    lo, hi = np.linspace(0.0, 0.3, m), np.linspace(1.0, 0.7, m)
+
+    def f(t, _, rows=slice(None)):
+        return (t - centers[rows, None]) ** 2
+
+    grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 9)
+    ahead = _zoom_min(f, grid, (hi - lo) / 8, lo, hi, lookahead=True)
+    plain = _zoom_min(f, grid, (hi - lo) / 8, lo, hi)
+    assert np.array_equal(ahead[0], plain[0]) and np.array_equal(ahead[1], plain[1])
+    assert np.all((lo <= ahead[0]) & (ahead[0] <= hi))
+
+
 def test_disc_radius_dominates_point_distance(ball2, omega21, d21, d22, rng):
     # delta(z) <= delta(z; v): the largest inscribed disc through z reaches
     # at least as far as the nearest boundary point in its worst direction
@@ -539,11 +556,10 @@ def test_cone_certificate_makes_one_nearest_call(case, monkeypatch):
     calls = []
     monkeypatch.setattr(dm, "_boundary", lambda *a, **k: calls.append(k) or real(*a, **k))
     cert = kx.certify_cone_condition(D, W, samples)
-    assert calls == [{"nearest": True}]
+    assert calls == [{"dist": False, "nearest": True}]
 
-    def per_row(D, zs, method, nearest=False):
-        rows = [real(D, z[None, :], method, nearest) for z in zs]
-        return np.concatenate([t for t, _ in rows]), np.concatenate([xi for _, xi in rows])
+    def per_row(D, zs, method, dist=True, nearest=False):
+        return np.concatenate([real(D, z[None, :], method, dist, nearest) for z in zs])
 
     monkeypatch.setattr(dm, "_boundary", per_row)
     ref = kx.certify_cone_condition(D, W, samples)
@@ -704,6 +720,66 @@ def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
     assert len(seen) <= calls
 
 
+def _named_domain(name):
+    # a bundled domain, or one of the two test domains defined below
+    return {"slab2": _slab2, "triangle2": _triangle2}.get(
+        name, lambda: kx.bundled_domain(name))()
+
+
+@pytest.mark.parametrize("name", sorted(kx.BUNDLED) + ["slab2", "triangle2"])
+def test_zoom_lookahead_equals_one_round_per_call(name, monkeypatch):
+    # a lookahead call resolves its rounds from the points and values one
+    # round per call would see, so with 1 to 11 rows (depths 2, 1 and 0)
+    # every distance and direction equals the depth-0 run bitwise
+    D = _named_domain(name)
+    rng = np.random.default_rng(23)
+    zs = D.interior_point + 0.3 * _unit_rows(rng, 400) * rng.random((400, 1))
+    zs = zs[kx.contains(D, zs) & kx.contains(D, np.abs(zs))][:11]
+    vs = _unit_rows(rng, 11) * rng.uniform(0.5, 2.0, (11, 1))
+    assert len(zs) == 11
+
+    def run():
+        out = []
+        for m in (1, 2, 3, 8, 11):
+            out.append(kx.directional_distance_batch(D, zs[:m], vs[:m]))
+            out.extend(dm._moduli_section_distance(D, np.abs(zs[:m])))
+        return out
+
+    ahead = run()
+    monkeypatch.setattr(dm, "ZOOM_RAY_BUDGET", 0)
+    for a, b in zip(ahead, run(), strict=True):
+        assert np.array_equal(a, b)
+
+
+def _counting_ray_exits(monkeypatch):
+    calls = []
+    real = dm._ray_exit
+    monkeypatch.setattr(dm, "_ray_exit", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name,z", [("ex21_d", (0.05, 0.05)), ("ball2", (0.3, 0.2j))])
+def test_one_row_zoom_makes_five_ray_batches(name, z, monkeypatch):
+    # the scan, then the 11 zoom rounds in lookahead groups of 3, 3, 3 and 2
+    D = kx.bundled_domain(name)
+    calls = _counting_ray_exits(monkeypatch)
+    kx.directional_distance(D, kx.cpoint(*z), kx.cpoint(1, 0.5j))
+    assert len(calls) <= 5
+    calls.clear()
+    dm._moduli_section_distance(D, np.abs(kx.cpoint(*z)))
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("rows", [50, 64])
+def test_large_zoom_batches_make_one_ray_batch_per_round(rows, monkeypatch):
+    D = kx.bundled_domain("ball2")
+    rng = np.random.default_rng(29)
+    zs = 0.5 * _unit_rows(rng, rows) * rng.random((rows, 1))
+    calls = _counting_ray_exits(monkeypatch)
+    kx.directional_distance_batch(D, zs, _unit_rows(rng, rows))
+    assert len(calls) == 1 + ZOOM_ROUNDS
+
+
 def _triangle2():
     # the README's text-spec domain: convex, with no interior point declared
     D = kx.textspec.loads("""domain triangle2
@@ -745,7 +821,7 @@ def test_pruned_ray_exits_keep_row_minima(name, rows, phases, radius, monkeypatc
     # so row minima, argmins and strict incumbent tests equal the exact ones;
     # on the convex domains the bound inf runs the coarse pass and the finite
     # bounds the probes
-    D = {"slab2": _slab2, "triangle2": _triangle2}.get(name, lambda: kx.bundled_domain(name))()
+    D = _named_domain(name)
     rng = np.random.default_rng(11)
     # uniform in a ball about the interior point; on ball2 these are the
     # rows of the 4096-phase oracle, uniform in the domain
@@ -947,6 +1023,21 @@ def test_generic_batch_rows_match_single_rows(name):
     for z, x in zip(zs, xi):
         gap = np.abs(x - kx.nearest_boundary_point(D, z, "generic"))
         assert np.max(gap) <= 1e-8 * (1 + np.linalg.norm(z))
+
+
+def test_nearest_point_callers_evaluate_no_dist_fn(monkeypatch):
+    # nearest points alone come from nearest_fn: the curve search of
+    # ex21_d's dist_fn is not run for a distance nobody reads
+    D = kx.bundled_domain("ex21_d")
+    calls = []
+    real = D.dist_fn
+    monkeypatch.setattr(D, "dist_fn", lambda zs: calls.append(1) or real(zs))
+    z = kx.cpoint(0.3, 0.85)
+    assert np.array_equal(kx.nearest_boundary_point(D, z), D.nearest_fn(z[None, :])[0])
+    W = kx.ball(2, center=(0.3, 0.9), radius=0.2, name="W")
+    cert = kx.certify_cone_condition(D, W, [z])
+    assert np.array_equal(cert.witnesses[0][1], D.nearest_fn(z[None, :])[0])
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["ball2", "ex21_d"])
