@@ -437,8 +437,11 @@ ZOOM_ROUNDS = 11
 # costs its ~7 sequential root steps nearly alike for 6 rays and for a few
 # hundred.  One scalar delta(z; v), median ms over 5 points on a 2-vCPU Xeon
 # looking 0, 1, 2 and 3 rounds ahead (6, 48, 342 and 2,400 rays a call):
-# ball2 12.5, 8.2, 8.0, 8.9; ex21_d 14.4, 10.6, 8.9, 10.9.  So one row looks
-# 2 rounds ahead, 2 to 10 rows 1, and 11 or more rows none.
+# ball2 12.5, 8.2, 8.0, 8.9; ex21_d 14.4, 10.6, 8.9, 10.9.  One batch of 2,
+# 5 and 10 rows, median ms of 5 runs looking 0 and 1 round ahead: ball2
+# 14.0 / 9.6, 14.6 / 11.6, 14.2 / 12.1; ex21_d 11.3 / 8.2, 12.6 / 12.5,
+# 17.5 / 15.8; ex22_omega 20.3 / 14.7, 26.5 / 20.2, 24.7 / 21.4.  So one row
+# looks 2 rounds ahead, 2 to 10 rows 1, and 11 or more rows none.
 ZOOM_RAY_BUDGET = 512
 
 
@@ -469,61 +472,37 @@ def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf, lookahead=False):
     spacing.
     Returns (x, f(x)) per row.
 
-    With lookahead, f(points, incumbent, rows) also takes the row of each
-    row of points (slice(None): all rows, in order), and where
-    _zoom_depth(m) > 0 the rounds run in groups of one f call (_zoom_ahead).
-    """
-    call = f if lookahead else lambda p, incumbent, _: f(p, incumbent)
-    whole = slice(None)
-    vals = call(grid, math.inf, whole)
-    rows = np.arange(vals.shape[0])
-    k = np.argmin(vals, axis=1)
-    x = np.broadcast_to(grid, vals.shape)[rows, k]
-    best = vals[rows, k]
-    depth = _zoom_depth(rows.size) if lookahead else 0
-    if depth:
-        return _zoom_ahead(f, x, best, step, lo, hi, depth)
-    frac = np.arange(1, ZOOM_K + 1) / (ZOOM_K + 1)
-    for _ in range(ZOOM_ROUNDS):
-        a = np.maximum(x - step, lo)
-        b = np.minimum(x + step, hi)
-        pts = a[:, None] + (b - a)[:, None] * frac
-        vals = call(pts, best, whole)
-        k = np.argmin(vals, axis=1)
-        better = vals[rows, k] < best
-        x = np.where(better, pts[rows, k], x)
-        best = np.where(better, vals[rows, k], best)
-        step = (b - a) / (ZOOM_K + 1)
-    return x, best
-
-
-def _zoom_ahead(f, x, best, step, lo, hi, depth):
-    """The zoom rounds of _zoom_min from its scan's (x, best), in groups of
-    1 + depth rounds with one f(points, incumbent, rows) call each.
-
-    A round from a state (x, step) has ZOOM_K + 1 outcomes: x moves to one
-    of its points, or stays.  So the call takes the points of every state
-    the group's rounds can reach, 7^l per row for its l-th round, each state
-    its own row of points, all with the row's incumbent at the group's
-    start.  The rounds are then resolved in order from the values of the
+    With lookahead, the rounds run in groups of 1 + _zoom_depth(m), one f
+    call a group.  A round from a state (x, step) has ZOOM_K + 1 outcomes:
+    x moves to one of its points, or stays.  So the call takes the points of
+    every state the group's rounds can reach, 7^l per row for its l-th
+    round, each state its own row of points, all with the row's incumbent at
+    the group's start, and f(points, incumbent, rows) also takes the row of
+    each.  The rounds are then resolved in order from the values of the
     states reached, by the argmin, strict test and np.where of one round.
     That is exact: a state's points come from its (x, step) by the same
     arithmetic, and the group's incumbent is at least the incumbent of each
-    of its rounds, so every returned w also meets _zoom_min's bound for that
+    of its rounds, so every returned w also meets the bound above for that
     round's incumbent, and the min, argmin and strict test come out the
     same.  The call is 1 + 7 + ... + 7^depth times the points of a round;
     only an f whose cost is nearly flat in its rows gains, such as ray
     exits, whose time goes to sequential root steps.
     """
-    m = x.size
+    vals = f(grid, math.inf)
+    m = vals.shape[0]
     rows = np.arange(m)
+    k = np.argmin(vals, axis=1)
+    x = np.broadcast_to(grid, vals.shape)[rows, k]
+    best = vals[rows, k]
+    depth = _zoom_depth(m) if lookahead else 0
     frac = np.arange(1, ZOOM_K + 1) / (ZOOM_K + 1)
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    step = np.broadcast_to(step, x.shape)
     for first in range(0, ZOOM_ROUNDS, depth + 1):
         # pts[l] and steps[l]: per row the points and next step of the 7^l
         # states the group's round l can start from; a state's children are
         # x moved to each of its points, then x kept
-        xs, ss, pts, steps = x[:, None], np.reshape(step, (-1, 1)), [], []
+        xs, ss, pts, steps = x[:, None], step[:, None], [], []
         for level in range(min(depth + 1, ZOOM_ROUNDS - first)):
             if level:
                 xs = np.concatenate([pts[-1], xs[..., None]], axis=-1).reshape(m, -1)
@@ -532,12 +511,15 @@ def _zoom_ahead(f, x, best, step, lo, hi, depth):
             b = np.minimum(xs + ss, hi)
             pts.append(a[..., None] + (b - a)[..., None] * frac)
             steps.append((b - a) / (ZOOM_K + 1))
-        width = [p.shape[1] for p in pts]
-        n = sum(width)
-        vals = f(np.concatenate(pts, axis=1).reshape(m * n, ZOOM_K),
-                 np.repeat(best, n), np.repeat(rows, n)).reshape(m, n, ZOOM_K)
-        state = np.zeros(m, dtype=int)
-        for p, v, s in zip(pts, np.split(vals, np.cumsum(width)[:-1], axis=1), steps):
+        n = sum(p.shape[1] for p in pts)
+        flat = np.concatenate(pts, axis=1).reshape(m * n, ZOOM_K)
+        # one state per row: the rows in order, so f needs no rows
+        vals = (f(flat, best) if n == 1 else
+                f(flat, np.repeat(best, n), np.repeat(rows, n))).reshape(m, n, ZOOM_K)
+        state = start = 0
+        for p, s in zip(pts, steps):
+            v = vals[:, start:start + p.shape[1]]
+            start += p.shape[1]
             p, v, step = p[rows, state], v[rows, state], s[rows, state]
             k = np.argmin(v, axis=1)
             better = v[rows, k] < best
@@ -611,7 +593,7 @@ def _moduli_section_distance(D, x):
     """
     x = np.atleast_2d(np.asarray(x, dtype=complex))
 
-    def exits(theta, best, rows):
+    def exits(theta, best, rows=slice(None)):
         d = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
         xr = x[rows]
         return _ray_exit(D, xr, np.broadcast_to(d, xr.shape[:1] + d.shape[-2:]), best)
@@ -737,12 +719,12 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
         raise DomainError("direction v must be nonzero")
     u = vs / nv
 
-    def exits(theta, best, rows):
+    def exits(theta, best, rows=slice(None)):
         return _ray_exit(D, zs[rows], np.exp(1j * theta)[..., None] * u[rows, None, :], best)
 
     theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
     if not refine:
-        return exits(theta, math.inf, slice(None)).min(axis=1)
+        return exits(theta, math.inf).min(axis=1)
     return _zoom_min(exits, theta, 2.0 * math.pi / n_phases, lookahead=True)[1]
 
 
