@@ -433,7 +433,7 @@ def _complex_to_real(z):
 
 ZOOM_K = 6
 ZOOM_ROUNDS = 11
-# Rays one lookahead call of _zoom_min may hold.  A bounded _ray_exit call
+# Rays one lookahead call of _rounds may hold.  A bounded _ray_exit call
 # costs its ~7 sequential root steps nearly alike for 6 rays and for a few
 # hundred.  One scalar delta(z; v), median ms over 5 points on a 2-vCPU Xeon
 # looking 0, 1, 2 and 3 rounds ahead (6, 48, 342 and 2,400 rays a call):
@@ -441,92 +441,108 @@ ZOOM_ROUNDS = 11
 # 5 and 10 rows, median ms of 5 runs looking 0 and 1 round ahead: ball2
 # 14.0 / 9.6, 14.6 / 11.6, 14.2 / 12.1; ex21_d 11.3 / 8.2, 12.6 / 12.5,
 # 17.5 / 15.8; ex22_omega 20.3 / 14.7, 26.5 / 20.2, 24.7 / 21.4.  So one row
-# looks 2 rounds ahead, 2 to 10 rows 1, and 11 or more rows none.
+# looks 2 rounds ahead, 2 to 10 rows 1, and 11 or more rows none.  One
+# generic search (3 starts of 12 directions), median ms over 5 points of the
+# best of 3 runs, looking 0, 1 and 2 rounds ahead (36, 504 and 6,588 rays):
+# ball2 28.1, 17.4, 31.5; ex21_d 49.5, 38.3, 85.7; ex21_omega 25.8, 19.3,
+# 28.3; triangle2 21.1, 16.0, 22.2.  So it looks 1 round ahead.
 ZOOM_RAY_BUDGET = 512
 
 
-def _zoom_depth(m):
-    """Rounds a lookahead call of _zoom_min adds for m rows: the most that
-    keep its m * ZOOM_K * (1 + 7 + ... + 7^depth) = m * (7^(depth+1) - 1)
-    rays within ZOOM_RAY_BUDGET."""
+def _zoom_depth(m, k):
+    """Rounds a lookahead call of _rounds adds for m states of k points: the
+    most that keep its m * k * (1 + (k+1) + ... + (k+1)^depth) =
+    m * ((k+1)^(depth+1) - 1) rays within ZOOM_RAY_BUDGET."""
     depth = 0
-    while 0 < m * ((ZOOM_K + 1) ** (depth + 2) - 1) <= ZOOM_RAY_BUDGET:
+    while 0 < m * ((k + 1) ** (depth + 2) - 1) <= ZOOM_RAY_BUDGET:
         depth += 1
     return depth
+
+
+def _rounds(f, spread, x, step, best, rounds, depth, stop=None):
+    """The round loop of _zoom_min and of the generic pattern search.
+
+    A row's state is (x, step), x a scalar or a vector; spread(xs, steps)
+    gives states' K points and their steps after a move and after a stay.
+    A round moves x to its argmin point only if that value is below best,
+    so f may return, for a value v, any w with min(incumbent, the least
+    value of the state's points) < w <= v.  A state whose step is below
+    stop evaluates nothing more and keeps (x, best); the loop ends when all
+    have stopped.  Rounds run in groups of 1 + depth, one f call a group on
+    the points of every live state the group can reach, (K+1)^l per row in
+    its l-th round (a move to each point, or a stay), with the incumbent
+    at the group's start; f(points, incumbent, rows) gets their rows (none
+    for one state per row and no stop).  The rounds are then resolved in
+    order as one round would be.  That is exact: the group's incumbent is
+    at least each round's, so every w meets that round's bound, and the
+    argmin and strict test come out the same.  Returns (x, best).
+    """
+    m = best.shape[0]
+    rows = np.arange(m)
+    for first in range(0, rounds, depth + 1):
+        # levels[l]: (steps, points, moved and kept steps) of round l's states
+        xs, ss, levels = x[:, None], step[:, None], []
+        for level in range(min(depth + 1, rounds - first)):
+            if level:
+                _, p, moved, kept = levels[-1]
+                xs = np.append(p, xs[:, :, None], 2).reshape((m, -1) + x.shape[1:])
+                ss = np.append(np.repeat(moved[..., None], p.shape[2], 2), kept[..., None], 2)
+                ss = ss.reshape(m, -1)
+            levels.append((ss,) + spread(xs, ss))
+        pts = np.concatenate([lv[1] for lv in levels], axis=1) if depth else levels[0][1]
+        n, k = pts.shape[1:3]
+        flat = pts.reshape((m * n, k) + x.shape[1:])
+        if stop is None:
+            vals = f(flat, best) if n == 1 else f(flat, np.repeat(best, n), np.repeat(rows, n))
+        else:
+            live = np.flatnonzero(np.concatenate([lv[0] for lv in levels], axis=1) >= stop)
+            if not live.size:
+                break
+            vals = np.full((m * n, k), np.inf)
+            vals[live] = f(flat[live], best[live // n], live // n)
+        vals = vals.reshape(m, n, k)
+        state = start = 0
+        for ss, p, moved, kept in levels:
+            v = vals[:, start:start + ss.shape[1]]
+            start += ss.shape[1]
+            at = (slice(None), 0) if ss.shape[1] == 1 else (rows, state)  # a view, no lookup
+            p, v = p[at], v[at]
+            j = np.argmin(v, axis=1)
+            vj = v[rows, j]
+            better = vj < best
+            x = np.where(better.reshape((m,) + (1,) * (x.ndim - 1)), p[rows, j], x)
+            best = np.where(better, vj, best)
+            step = kept[at] if moved is kept else np.where(better, moved[at], kept[at])
+            if start < n:
+                state = state * (k + 1) + np.where(better, j, k)
+    return x, best
 
 
 def _zoom_min(f, grid, step, lo=-math.inf, hi=math.inf, lookahead=False):
     """Row-wise minimization: a grid scan, then ZOOM_ROUNDS zoom rounds.
 
     grid is (K,), shared by all rows, or (m, K); f(points, incumbent) maps
-    it, and any (m, k) array of points, to (m, k) values in one call.  The
-    incumbent is inf for the scan, then each row's best value so far.  In
-    place of a value v, f may return any w with min(incumbent, the row's
-    least value) < w <= v, because a row's values are used only through
-    their min, argmin and the strict test min < incumbent.  Each row keeps
-    its best point x; a round samples ZOOM_K evenly spaced interior points of
-    [x - step, x + step] cap [lo, hi], moves x only to a strictly better
-    point and sets step to that bracket's width / (ZOOM_K + 1), so the
-    bracket shrinks by 2/7 per round.  step, lo and hi are scalars or (m,);
-    step is the first half-width, passed in because a one-point grid has no
-    spacing.
-    Returns (x, f(x)) per row.
-
-    With lookahead, the rounds run in groups of 1 + _zoom_depth(m), one f
-    call a group.  A round from a state (x, step) has ZOOM_K + 1 outcomes:
-    x moves to one of its points, or stays.  So the call takes the points of
-    every state the group's rounds can reach, 7^l per row for its l-th
-    round, each state its own row of points, all with the row's incumbent at
-    the group's start, and f(points, incumbent, rows) also takes the row of
-    each.  The rounds are then resolved in order from the values of the
-    states reached, by the argmin, strict test and np.where of one round.
-    That is exact: a state's points come from its (x, step) by the same
-    arithmetic, and the group's incumbent is at least the incumbent of each
-    of its rounds, so every returned w also meets the bound above for that
-    round's incumbent, and the min, argmin and strict test come out the
-    same.  The call is 1 + 7 + ... + 7^depth times the points of a round;
-    only an f whose cost is nearly flat in its rows gains, such as ray
-    exits, whose time goes to sequential root steps.
+    it, and any (m, k) array of points, to (m, k) values in one call, with
+    incumbent inf for the scan.  A zoom round (_rounds) samples ZOOM_K evenly
+    spaced interior points of [x - step, x + step] cap [lo, hi] and sets
+    step to that bracket's width / (ZOOM_K + 1): it shrinks 2/7 a round.
+    step, lo and hi are scalars or (m,); step is the first half-width (a
+    one-point grid has no spacing).  With lookahead the rounds look
+    _zoom_depth(m, ZOOM_K) ahead.  Returns (x, f(x)) per row.
     """
     vals = f(grid, math.inf)
-    m = vals.shape[0]
-    rows = np.arange(m)
-    k = np.argmin(vals, axis=1)
-    x = np.broadcast_to(grid, vals.shape)[rows, k]
-    best = vals[rows, k]
-    depth = _zoom_depth(m) if lookahead else 0
+    rows, k = np.arange(vals.shape[0]), np.argmin(vals, axis=1)
     frac = np.arange(1, ZOOM_K + 1) / (ZOOM_K + 1)
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
-    step = np.broadcast_to(step, x.shape)
-    for first in range(0, ZOOM_ROUNDS, depth + 1):
-        # pts[l] and steps[l]: per row the points and next step of the 7^l
-        # states the group's round l can start from; a state's children are
-        # x moved to each of its points, then x kept
-        xs, ss, pts, steps = x[:, None], step[:, None], [], []
-        for level in range(min(depth + 1, ZOOM_ROUNDS - first)):
-            if level:
-                xs = np.concatenate([pts[-1], xs[..., None]], axis=-1).reshape(m, -1)
-                ss = np.repeat(steps[-1], ZOOM_K + 1, axis=1)
-            a = np.maximum(xs - ss, lo)
-            b = np.minimum(xs + ss, hi)
-            pts.append(a[..., None] + (b - a)[..., None] * frac)
-            steps.append((b - a) / (ZOOM_K + 1))
-        n = sum(p.shape[1] for p in pts)
-        flat = np.concatenate(pts, axis=1).reshape(m * n, ZOOM_K)
-        # one state per row: the rows in order, so f needs no rows
-        vals = (f(flat, best) if n == 1 else
-                f(flat, np.repeat(best, n), np.repeat(rows, n))).reshape(m, n, ZOOM_K)
-        state = start = 0
-        for p, s in zip(pts, steps):
-            v = vals[:, start:start + p.shape[1]]
-            start += p.shape[1]
-            p, v, step = p[rows, state], v[rows, state], s[rows, state]
-            k = np.argmin(v, axis=1)
-            better = v[rows, k] < best
-            x = np.where(better, p[rows, k], x)
-            best = np.where(better, v[rows, k], best)
-            state = state * (ZOOM_K + 1) + np.where(better, k, ZOOM_K)
-    return x, best
+
+    def spread(xs, ss):
+        a, b = np.maximum(xs - ss, lo), np.minimum(xs + ss, hi)
+        s = (b - a) / (ZOOM_K + 1)
+        return a[..., None] + (b - a)[..., None] * frac, s, s
+
+    x = np.broadcast_to(grid, vals.shape)[rows, k]
+    return _rounds(f, spread, x, np.broadcast_to(step, x.shape), vals[rows, k], ZOOM_ROUNDS,
+                   _zoom_depth(rows.size, ZOOM_K) if lookahead else 0)
 
 
 GENERIC_DIRS = 512
@@ -537,17 +553,17 @@ GENERIC_ROUNDS = 30
 def _generic_distance(D, zs):
     """min over real directions of the first-exit radius = dist to complement.
 
-    Coarse low-discrepancy scan of the direction sphere, then pattern search
-    from each row's best few starts: each round evaluates a fan of perturbed
-    directions for all live (row, start) searches in one ray batch, and a
-    search that does not improve halves its radius; one below 1e-7 stops.
-    In practice none gets there: the radius starts near 0.5, improving
-    rounds keep it, and on 200 points each of polydisc, the ex22 domains and
-    ball2 every search was still live at GENERIC_ROUNDS, where it ends
-    unconverged; 70 of the 1,000 points overshot delta(z) by more than
+    Coarse low-discrepancy scan of the direction sphere, then pattern rounds
+    (_rounds) from each row's best few starts: a state is a unit direction u
+    and a radius rad, its points the 6n directions u + rad * fan normalized;
+    rad is kept after a move, halved after a stay, and one below 1e-7 stops.
+    Only one row looks ahead: a row whose starts have all stopped would stay
+    in the group's ray call, where its |z| could move the cap and so, by
+    rounding, other rows' exits.  Few stop: on 200 points each of polydisc,
+    the ex22 domains and ball2 every search was live at GENERIC_ROUNDS, where
+    it ends unconverged; 70 of the 1,000 overshot delta(z) by more than
     1e-8 (1 + |z|), up to 2.8e-3 relative, and none undershot.  Returns per
-    row the best start's distance and unit direction (ties to the earlier
-    start).
+    row the best start's distance and unit direction (ties to the earlier).
     """
     m = zs.shape[0]
     real_dim = 2 * D.dim
@@ -556,25 +572,18 @@ def _generic_distance(D, zs):
     t = _ray_exit(D, zs, np.broadcast_to(_real_to_complex(dirs_r), (m, GENERIC_DIRS, D.dim)))
     order = np.argsort(t, axis=1)[:, :GENERIC_STARTS]
     row = np.repeat(np.arange(m), GENERIC_STARTS)
-    u = dirs_r[order.ravel()]
-    tu = np.take_along_axis(t, order, axis=1).ravel()
-    rad = np.full(tu.size, 4.0 / GENERIC_DIRS ** (1.0 / (real_dim - 1)))
     fan = np.concatenate([np.eye(real_dim), -np.eye(real_dim),
                           _sphere_directions(real_dim, real_dim)], axis=0)
-    live = np.arange(tu.size)
-    for _ in range(GENERIC_ROUNDS):
-        if not live.size:
-            break
-        cand = u[live, None, :] + rad[live, None, None] * fan
-        cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
-        tc = _ray_exit(D, zs[row[live]], _real_to_complex(cand), tu[live])
-        k = np.argmin(tc, axis=1)
-        tk = tc[np.arange(live.size), k]
-        better = tk < tu[live]
-        u[live[better]] = cand[better, k[better]]
-        tu[live[better]] = tk[better]
-        rad[live[~better]] *= 0.5
-        live = live[rad[live] >= 1e-7]
+
+    def spread(u, rad):
+        cand = u[..., None, :] + rad[..., None, None] * fan
+        return cand / np.linalg.norm(cand, axis=-1, keepdims=True), rad, 0.5 * rad
+
+    u, tu = _rounds(lambda c, b, r: _ray_exit(D, zs[row[r]], _real_to_complex(c), b), spread,
+                    dirs_r[order.ravel()],
+                    np.full(row.size, 4.0 / GENERIC_DIRS ** (1.0 / (real_dim - 1))),
+                    np.take_along_axis(t, order, axis=1).ravel(), GENERIC_ROUNDS,
+                    _zoom_depth(row.size, fan.shape[0]) if m == 1 else 0, stop=1e-7)
     pick = np.arange(m) * GENERIC_STARTS + np.argmin(tu.reshape(m, GENERIC_STARTS), axis=1)
     return tu[pick], _real_to_complex(u[pick])
 

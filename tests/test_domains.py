@@ -721,8 +721,8 @@ def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
 
 
 def _named_domain(name):
-    # a bundled domain, or one of the two test domains defined below
-    return {"slab2": _slab2, "triangle2": _triangle2}.get(
+    # a bundled domain, one of the two test domains defined below, or the unit disc
+    return {"slab2": _slab2, "triangle2": _triangle2, "disc1": lambda: kx.ball(dim=1)}.get(
         name, lambda: kx.bundled_domain(name))()
 
 
@@ -768,6 +768,66 @@ def test_one_row_zoom_makes_five_ray_batches(name, z, monkeypatch):
     calls.clear()
     dm._moduli_section_distance(D, np.abs(kx.cpoint(*z)))
     assert len(calls) <= 5
+
+
+def test_zoom_depth_rule():
+    # phase and section zooms: 1 row looks 2 rounds ahead, 2 to 10 rows 1,
+    # 11 or more none; a generic row (3 starts of 12 directions in C^2) 1
+    assert [dm._zoom_depth(m, ZOOM_K) for m in (1, 2, 10, 11)] == [2, 1, 1, 0]
+    assert dm._zoom_depth(3, 12) == 1 and dm._zoom_depth(6, 12) == 0
+
+
+def _generic_cases():
+    for name in sorted(kx.BUNDLED) + ["slab2", "triangle2", "disc1"]:
+        yield name, None
+    yield "ball2", (0, 0)
+    yield "ex21_omega", (0, 0)
+
+
+@pytest.mark.parametrize("name,z", list(_generic_cases()))
+def test_generic_lookahead_equals_one_round_per_call(name, z, monkeypatch):
+    # one generic row looks ahead; its delta and nearest point equal the
+    # depth-0 run bitwise, also at the centres, where every start stops
+    D = _named_domain(name)
+    if z is None:
+        rng = np.random.default_rng(24)
+        zs = D.interior_point + 0.3 * _unit_rows(rng, 40, D.dim) * rng.random((40, 1))
+        zs = zs[kx.contains(D, zs)][:3]
+    else:
+        zs = np.array([z], dtype=complex)
+
+    def run():
+        return [dm._boundary(D, z[None, :], "generic", nearest=True) for z in zs]
+
+    ahead = run()
+    monkeypatch.setattr(dm, "ZOOM_RAY_BUDGET", 0)
+    for (t, xi), (t0, xi0) in zip(ahead, run(), strict=True):
+        assert np.array_equal(t, t0) and np.array_equal(xi, xi0)
+
+
+@pytest.mark.parametrize("name", ["ex21_d", "ex22_omega", "triangle2"])
+def test_one_row_generic_search_makes_sixteen_ray_batches(name, monkeypatch):
+    # the scan, then 30 pattern rounds in lookahead groups of 2
+    D = _named_domain(name)
+    calls = _counting_ray_exits(monkeypatch)
+    kx.boundary_distance(D, D.interior_point + kx.cpoint(0.1, -0.05j), method="generic")
+    assert len(calls) <= 16
+
+
+def test_generic_search_stops_calling_once_every_start_has_stopped(monkeypatch):
+    # at the centre of ball2 no start improves, so all three stop together
+    # after R < GENERIC_ROUNDS rounds; one round a call makes R + 1 calls,
+    # two rounds a call 1 + ceil(R / 2), and none once all have stopped
+    D = kx.bundled_domain("ball2")
+    calls = _counting_ray_exits(monkeypatch)
+    kx.boundary_distance(D, np.zeros(2, complex), method="generic")
+    ahead = len(calls)
+    calls.clear()
+    monkeypatch.setattr(dm, "ZOOM_RAY_BUDGET", 0)
+    kx.boundary_distance(D, np.zeros(2, complex), method="generic")
+    rounds = len(calls) - 1
+    assert rounds < dm.GENERIC_ROUNDS
+    assert ahead == 1 + (rounds + 1) // 2
 
 
 @pytest.mark.parametrize("rows", [50, 64])
