@@ -38,8 +38,7 @@ def main():
                              [kx.cpoint(0, 0.95), kx.cpoint(0, 0.98)])
     print("  target pair constant K = %.4f" % K)
     C = 0.0
-    for nu in range(4):
-        est = kx.path_distance_upper(B, z1[nu], z2[nu])
+    for nu, est in enumerate(kx.path_distance_upper_batch(B, z1[:4], z2[:4]).tolist()):
         sep = float(np.linalg.norm(z1[nu] - z2[nu]))
         rhs0 = math.log(1 / d[nu]) - math.log(1 / (d[nu] + sep))
         C = max(C, est - rhs0)

@@ -68,8 +68,8 @@ def main():
     print("\nPath-integrated distance upper estimates vs the exact ball law:")
     pairs = [(kx.cpoint(0.9, 0), kx.cpoint(0, 0.9)),
              (kx.cpoint(0.5, 0), kx.cpoint(-0.5, 0))]
-    for z1, z2 in pairs:
-        est = kx.path_distance_upper(B, z1, z2)
+    ests = kx.path_distance_upper_batch(B, [z1 for z1, _ in pairs], [z2 for _, z2 in pairs])
+    for (z1, z2), est in zip(pairs, ests.tolist()):
         exact = kx.kob_distance_ball_exact(z1, z2)
         print("  est %.4f >= exact %.4f" % (est, exact))
     K = kx.fit_pair_constant(B, np.zeros(2, complex),

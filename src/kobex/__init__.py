@@ -17,7 +17,8 @@ from .metrics import (LtcFit, MetricBound, NotLogTypeConvex,
                       inscribed_ball_upper_bound, kob_distance_ball_exact,
                       kob_metric_ball_exact, ltc_fit,
                       ltc_metric_lower_bound, pair_lower_bound,
-                      path_distance_upper, sibony_lower_bound)
+                      path_distance_upper, path_distance_upper_batch,
+                      sibony_lower_bound)
 from .regularity import (ChartError, DiniIntegral, GraphChart, HFunction,
                          ModelDomainParams, ModulusOfContinuity,
                          chart_consistency, composed_rate, dini_integral,

@@ -14,7 +14,7 @@ import numpy as np
 from .domains import (DomainError, _boundary, _interior_rows, _zoom_min, as_point,
                       boundary_distance, boundary_distance_batch, contains,
                       directional_distance, directional_distance_batch,
-                      hermitian_inner)
+                      hermitian_inner, row_norms)
 
 METHODS = ("graham_lower", "graham_upper", "sibony", "inscribed_ball",
            "ltc_lower", "pair_lower")
@@ -219,86 +219,127 @@ def pair_lower_bound(delta1, delta2, K):
 PATH_SEGMENTS = 128
 
 
-def path_distance_upper(D, z1, z2):
-    """Upper estimate of the invariant distance by integrating the inscribed
-    ball bound |gamma'| / delta_D(gamma) along a polygonal path (midpoint
-    rule, PATH_SEGMENTS pieces), a path with a midpoint outside D scoring
-    +inf.  The path is shortened toward the anchor D.interior_point (the
-    chord's midpoint when D has none): first by the best bump of the whole
-    path, then by one red-black descent that moves all odd interior nodes
-    along their anchor directions in one _zoom_min search, then all even
-    ones.  A node's cost involves only its two neighbours, which the other
-    parity holds fixed, and a node moves only if its cost falls.  Both
-    endpoints must lie inside D.
+def path_distance_upper_batch(D, z1s, z2s):
+    """Upper estimates of the invariant distance between paired (m, n) rows
+    z1s[k], z2s[k]: (m,) integrals of the inscribed ball bound
+    |gamma'| / delta_D(gamma) along polygonal paths (midpoint rule,
+    PATH_SEGMENTS pieces), a path with a midpoint outside D scoring +inf.
+
+    A path is shortened toward the anchor D.interior_point (its chord's
+    midpoint when D has none): first by the best bump of the whole path,
+    one _zoom_min over the m rows, then by one red-black descent that moves
+    all odd interior nodes of every path along their anchor directions in
+    one _zoom_min search over (path, node) rows, then all even ones.  A
+    node's cost involves only its two neighbours, which the other parity
+    holds fixed, and a node moves only if its cost falls; a node within
+    1e-12 of the anchor stays.  All endpoints must lie inside D.
+
+    Nodes, trial points and midpoints are held coordinate first, (n, ...),
+    so the oracle and the norms run long inner loops; D.value and dist_fn
+    get the (points, n) view np.moveaxis(mids, 0, -1).  Where every midpoint
+    of a cost call is inside, the usual case, the whole view goes to
+    _boundary, else only its inside rows.  Each row comes out bitwise as its
+    one-row call wherever D has a dist_fn; a searched distance shares its
+    ray cap with the call's other rows (see _ray_exit), so there a row can
+    move by rounding.  path_distance_upper is the one-row call.
     """
-    z1 = as_point(z1, D.dim)
-    z2 = as_point(z2, D.dim)
-    if not (contains(D, z1) and contains(D, z2)):
+    z1s = np.asarray(z1s, dtype=complex)
+    z2s = np.asarray(z2s, dtype=complex)
+    if z1s.ndim != 2 or z1s.shape != z2s.shape:
+        raise DomainError("path endpoints must be paired (m, n) rows, got shapes %s and %s"
+                          % (z1s.shape, z2s.shape))
+    if z1s.shape[1] != D.dim:
+        raise DomainError("dimension mismatch: points have %d coordinates, domain has %d"
+                          % (z1s.shape[1], D.dim))
+    m = z1s.shape[0]
+    if not m:
+        return np.empty(0)
+    if not (np.all(contains(D, z1s)) and np.all(contains(D, z2s))):
         raise DomainError("path endpoints must lie inside %s" % D.name)
-    anchor = D.interior_point if D.interior_point is not None else 0.5 * (z1 + z2)
-    lam = np.linspace(0.0, 1.0, PATH_SEGMENTS + 1)[:, None]
-    nodes = (1.0 - lam) * z1[None, :] + lam * z2[None, :]
+    a, b = z1s.T, z2s.T
+    anchor = (D.interior_point[:, None] if D.interior_point is not None
+              else 0.5 * (a + b))[..., None]                                  # (n, m or 1, 1)
+    lam = np.linspace(0.0, 1.0, PATH_SEGMENTS + 1)
+    nodes = (1.0 - lam) * a[..., None] + lam * b[..., None]                 # (n, m, P + 1)
     scan = np.linspace(0.0, 1.0, 16)
 
     def cost(p, q):
-        """Sum of |q - p| / delta((p + q)/2) over the segment axis -2; +inf
-        where a midpoint is outside D."""
+        """Sum of |q - p| / delta((p + q)/2) over the last (segment) axis of
+        coordinate-first p and q; +inf where a midpoint is outside D."""
         mids = 0.5 * (p + q)
-        inside = contains(D, mids)
-        dmid = np.zeros(inside.shape)
-        dmid[inside] = _boundary(D, mids[inside], "auto")
-        seglen = np.linalg.norm(q - p, axis=-1)
+        rows = np.moveaxis(mids.reshape(D.dim, -1), 0, -1)
+        inside = contains(D, rows)
+        if inside.all():
+            dmid = _boundary(D, rows, "auto")
+        else:
+            dmid = np.zeros(inside.shape)
+            dmid[inside] = _boundary(D, rows[inside], "auto")
+        seglen = np.linalg.norm(q - p, axis=0)
+        dmid = dmid.reshape(seglen.shape)
         return np.divide(seglen, dmid, out=np.full(dmid.shape, np.inf),
                          where=dmid > 0).sum(axis=-1)
 
-    # bump the whole path toward the anchor; t = 0 is the straight path
+    # bump every path toward its anchor; t = 0 is the straight path
     bump = np.sin(math.pi * lam) ** 2
+    toward = (anchor - nodes)[:, :, None]
 
-    def bumped(t):
-        return nodes + np.reshape(t, (-1, 1, 1)) * bump * (anchor[None, :] - nodes)
+    def bumped(t):  # (m, K) -> (n, m, K, P + 1)
+        return nodes[:, :, None] + (t[..., None] * bump) * toward
 
     def length(t, _):
-        paths = bumped(t)
-        return cost(paths[:, :-1], paths[:, 1:]).reshape(1, -1)
+        paths = bumped(np.broadcast_to(t, (m, np.shape(t)[-1])))
+        return cost(paths[..., :-1], paths[..., 1:])
 
     t, best = _zoom_min(length, scan, scan[1], 0.0, 1.0)
-    nodes = bumped(t)[0]
+    nodes = bumped(t[:, None])[:, :, 0]
 
     # red-black descent along each node's anchor direction
     for first in (1, 2):
         i = np.arange(first, PATH_SEGMENTS, 2)
-        d = anchor[None, :] - nodes[i]
-        nd = np.linalg.norm(d, axis=-1)
+        d = anchor - nodes[..., i]                                          # (n, m, L)
+        nd = np.linalg.norm(d, axis=0)
         keep = nd >= 1e-12
-        i, nd, u = i[keep], nd[keep], d[keep] / nd[keep, None]
-        ends = np.stack([nodes[i - 1], nodes[i + 1]], axis=1)[:, None]  # (m, 1, 2, n)
+        path, j = np.nonzero(keep)
+        i, nd, u = i[j], nd[keep], d[:, keep] / nd[keep]
+        at = nodes[:, path, i]
+        ends = np.stack([nodes[:, path, i - 1], nodes[:, path, i + 1]], axis=-1)[:, :, None]
 
-        def local(t, _):  # (m, K) offsets along u -> (m, K) costs
-            trial = nodes[i][:, None, :] + t[..., None] * u[:, None, :]
-            return cost(ends, trial[..., None, :])
+        def local(t, _):  # (r, K) offsets along u -> (r, K) costs
+            trial = at[..., None] + t * u[..., None]
+            return cost(ends, trial[..., None])
 
         lo, hi = -0.1 * nd, np.minimum(nd, 0.5)
         t, c = _zoom_min(local, lo[:, None] + (hi - lo)[:, None] * scan,
                          (hi - lo) * scan[1], lo, hi)
         move = c < local(np.zeros((i.size, 1)), None)[:, 0]
-        nodes[i[move]] += t[move, None] * u[move]
-    return float(min(best[0], cost(nodes[:-1], nodes[1:])))
+        nodes[:, path[move], i[move]] += t[move] * u[:, move]
+    return np.minimum(best, cost(nodes[..., :-1], nodes[..., 1:]))
+
+
+def path_distance_upper(D, z1, z2):
+    """Upper estimate of the invariant distance between two points of D:
+    the one-row path_distance_upper_batch."""
+    z1 = as_point(z1, D.dim)
+    z2 = as_point(z2, D.dim)
+    return float(path_distance_upper_batch(D, z1[None], z2[None])[0])
 
 
 def fit_pair_constant(D, o, vq_samples, vxi_samples):
     """Smallest K' with est(w1, o) + est(o, w2) - est(w1, w2) <= K' over the
-    sample clouds (whose closures must be disjoint), returned as
-    K = max(0, K' - log delta_D(o)); est is path_distance_upper on D."""
+    sample clouds (nonempty, with disjoint closures), returned as
+    K = max(0, K' - log delta_D(o)); est is path_distance_upper on D, all
+    |vq| + |vxi| paths to o and |vq| |vxi| cross paths in one batch."""
     o = as_point(o, D.dim)
-    vq = [as_point(w, D.dim) for w in vq_samples]
-    vx = [as_point(w, D.dim) for w in vxi_samples]
-    gap = min(np.linalg.norm(a - b) for a in vq for b in vx)
-    if gap <= 0:
+    vq = np.array([as_point(w, D.dim) for w in vq_samples])
+    vx = np.array([as_point(w, D.dim) for w in vxi_samples])
+    if not (len(vq) and len(vx)):
+        raise DomainError("sample clouds must be nonempty")
+    if np.min(row_norms(vq[:, None] - vx[None])) <= 0:
         raise DomainError("sample clouds must have disjoint closures")
-    to_o = [path_distance_upper(D, w, o) for w in vq + vx]
-    kprime = -math.inf
-    for i, w1 in enumerate(vq):
-        for j, w2 in enumerate(vx):
-            val = to_o[i] + to_o[len(vq) + j] - path_distance_upper(D, w1, w2)
-            kprime = max(kprime, val)
+    nq, nx = len(vq), len(vx)
+    est = path_distance_upper_batch(
+        D, np.concatenate([vq, vx, np.repeat(vq, nx, axis=0)]),
+        np.concatenate([np.broadcast_to(o, (nq + nx, D.dim)), np.tile(vx, (nq, 1))]))
+    kprime = float(np.max(est[:nq, None] + est[None, nq:nq + nx]
+                          - est[nq + nx:].reshape(nq, nx)))
     return max(0.0, kprime - math.log(boundary_distance(D, o)))

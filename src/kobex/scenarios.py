@@ -588,8 +588,7 @@ def scenario_dichotomy_demo(seed=0):
 
     # source-side constant from the path estimator over the first terms
     C_fit = 0.0
-    for nu in range(4):
-        est = metrics.path_distance_upper(B, z1[nu], z2[nu])
+    for nu, est in enumerate(metrics.path_distance_upper_batch(B, z1[:4], z2[:4]).tolist()):
         dd1, dd2 = d[nu], d[nu]
         sep = float(np.linalg.norm(z1[nu] - z2[nu]))
         rhs0 = (0.5 * math.log(1 / dd1) + 0.5 * math.log(1 / dd2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kobex as kx
+from kobex import scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,134 @@ def test_pair_bound_stays_below_path_estimate(ball2):
             lb = kx.pair_lower_bound(kx.boundary_distance(ball2, w1),
                                      kx.boundary_distance(ball2, w2), K)
             assert lb.value <= est + 1e-6
+
+
+def _cheap_ball_spec(name, interior_point=None):
+    # the unit ball of C^2 with a one-line dist_fn
+    return kx.DomainSpec(name, 2, kx.ball(2).constraints, is_convex=True,
+                         bounding_radius=1.0, interior_point=interior_point,
+                         dist_fn=lambda zs: 1.0 - np.linalg.norm(zs, axis=-1))
+
+
+def _holed_ball(interior_point=None):
+    # B^2 minus the closed ball of radius 0.1 about (0.3, 0): not convex
+    c = np.array([0.3, 0.0], dtype=complex)
+
+    def hole(z):
+        return 0.01 - np.sum(np.abs(z - c) ** 2, axis=-1)
+
+    def dist(zs):
+        return np.minimum(1.0 - np.linalg.norm(zs, axis=-1),
+                          np.linalg.norm(zs - c, axis=-1) - 0.1)
+
+    return kx.DomainSpec("holed_ball", 2, kx.ball(2).constraints + [kx.Constraint(hole)],
+                         bounding_radius=1.0, interior_point=interior_point, dist_fn=dist)
+
+
+def _seeded_pairs(D, seed, count):
+    rng = np.random.default_rng(seed)
+    z = 0.45 * (rng.uniform(-1, 1, (4 * count, 2, D.dim))
+                + 1j * rng.uniform(-1, 1, (4 * count, 2, D.dim)))
+    z = z[np.all(kx.contains(D, z), axis=1)][:count]
+    assert len(z) == count
+    return z[:, 0], z[:, 1]
+
+
+def _assert_rows_equal_scalar_calls(D, z1s, z2s):
+    batch = kx.path_distance_upper_batch(D, z1s, z2s)
+    assert batch.shape == (len(z1s),)
+    scalar = [kx.path_distance_upper(D, a, b) for a, b in zip(z1s, z2s)]
+    assert batch.tolist() == scalar
+    return batch
+
+
+@pytest.mark.parametrize("name", ["ball2", "polydisc", "ex21_omega"])
+def test_path_batch_rows_equal_scalar_calls(name):
+    # rows are independent: one batch is bitwise its one-row calls, a pair
+    # whose chord passes through the anchor 0 included (its middle node sits
+    # on the anchor and is dropped from the descent)
+    D = kx.bundled_domain(name)
+    z1s, z2s = _seeded_pairs(D, 25, 4)
+    z1s = np.concatenate([z1s, [[0.3, 0.2j]]])
+    z2s = np.concatenate([z2s, [[-0.3, -0.2j]]])
+    _assert_rows_equal_scalar_calls(D, z1s, z2s)
+
+
+def test_path_batch_chord_midpoint_anchor():
+    # without an interior point each path bends toward its own chord's midpoint
+    D = _cheap_ball_spec("ball_no_anchor")
+    z1s, z2s = _seeded_pairs(D, 26, 4)
+    batch = _assert_rows_equal_scalar_calls(D, z1s, z2s)
+    anchored = kx.path_distance_upper_batch(_cheap_ball_spec("ball_anchored", (0, 0)),
+                                            z1s, z2s)
+    assert not np.array_equal(batch, anchored)
+
+
+def test_path_batch_scores_outside_midpoints_inf(monkeypatch):
+    # bumps toward the anchor 0 cross the hole: those midpoints are outside
+    # and cost +inf, and the estimates stay finite.  Without an interior
+    # point the paths of a pair stay on its chord's line and bend toward the
+    # chord's midpoint: through the hole's centre, every path scores +inf
+    seen = []
+    real = kx.metrics.contains
+    monkeypatch.setattr(kx.metrics, "contains",
+                        lambda D, z: seen.append(inside := real(D, z)) or inside)
+    batch = _assert_rows_equal_scalar_calls(_holed_ball((0, 0)),
+                                            [[0.6, 0.0], [0.55, 0.2], [0.0, 0.5j]],
+                                            [[0.6, 0.3], [0.5, -0.25j], [0.3, 0.5]])
+    assert any(not inside.all() for inside in seen)
+    assert np.all(np.isfinite(batch))
+    chords = _assert_rows_equal_scalar_calls(_holed_ball(), [[0.15, 0.0], [0.6, 0.0]],
+                                             [[0.45, 0.0], [0.6, 0.3]])
+    assert chords[0] == math.inf and math.isfinite(chords[1])
+
+
+def test_path_batch_validates_rows(ball2):
+    good = np.array([[0.1, 0.0], [0.0, 0.2]], dtype=complex)
+    with pytest.raises(kx.DomainError, match="inside"):
+        kx.path_distance_upper_batch(ball2, good, [[0.1, 0.1], [1.2, 0.0]])
+    with pytest.raises(kx.DomainError, match="paired"):
+        kx.path_distance_upper_batch(ball2, good, good[:1])
+    with pytest.raises(kx.DomainError, match="paired"):
+        kx.path_distance_upper_batch(ball2, good[0], good[1])
+    with pytest.raises(kx.DomainError, match="dimension"):
+        kx.path_distance_upper_batch(ball2, [[0.1, 0, 0]], [[0, 0.1, 0]])
+    empty = kx.path_distance_upper_batch(ball2, np.zeros((0, 2)), np.zeros((0, 2)))
+    assert empty.shape == (0,)
+
+
+def test_fit_pair_constant_equals_per_pair_formula(ball2, monkeypatch):
+    # one batch of the 2 + 3 paths to o and the 6 cross paths gives the K of
+    # the per-pair scalar calls, bitwise
+    o = kx.cpoint(0.1, 0.05j)
+    vq = [kx.cpoint(0.9, 0), kx.cpoint(0.95, 0.1j)]
+    vx = [kx.cpoint(0, 0.9), kx.cpoint(0.1j, 0.92), kx.cpoint(-0.2, 0.9)]
+    kprime = max(kx.path_distance_upper(ball2, w1, o) + kx.path_distance_upper(ball2, w2, o)
+                 - kx.path_distance_upper(ball2, w1, w2) for w1 in vq for w2 in vx)
+    expected = max(0.0, kprime - math.log(kx.boundary_distance(ball2, o)))
+    calls = []
+    real = kx.metrics.path_distance_upper_batch
+    monkeypatch.setattr(kx.metrics, "path_distance_upper_batch",
+                        lambda *a: calls.append(len(a[1])) or real(*a))
+    assert kx.fit_pair_constant(ball2, o, vq, vx) == expected
+    assert calls == [2 + 3 + 6]
+
+
+@pytest.mark.parametrize("vq,vx", [([], [(0, 0.9)]), ([(0.9, 0)], []), ([], [])])
+def test_fit_pair_constant_rejects_empty_clouds(ball2, vq, vx):
+    with pytest.raises(kx.DomainError, match="nonempty"):
+        kx.fit_pair_constant(ball2, np.zeros(2, complex), vq, vx)
+
+
+def test_dichotomy_demo_makes_two_path_batches(monkeypatch):
+    # the pair constant's 15 paths and the separation constant's 4
+    calls = []
+    real = kx.metrics.path_distance_upper_batch
+    monkeypatch.setattr(kx.metrics, "path_distance_upper_batch",
+                        lambda *a: calls.append(len(a[1])) or real(*a))
+    monkeypatch.setattr(kx.metrics, "path_distance_upper", None)
+    scenarios.scenario_dichotomy_demo(0)
+    assert calls == [15, 4]
 
 
 # ---------------------------------------------------------------------------
