@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Boundary geometry walkthrough: distances, directional distances, nearest
-points, inward normals, and interior-cone certificates on the bundled
-domains.
+points and inward normals on the bundled domains.
 
 Run:  python demos/demo_boundary_geometry.py
 """
@@ -51,19 +50,6 @@ def main():
     print("  nearest boundary point          : (%.8f, %.8f)"
           % (xi[0].real, xi[1].real))
     print("  cubic-root prediction           : (%.8f, %.8f)" % (X, Y))
-    r1, r2 = kx.lagrange_residuals(0.95, 0.0, X, Y)
-    print("  stationarity residuals          : %.2e, %.2e" % (r1, r2))
-
-    print("\nInterior-cone certificates (Monte-Carlo, fixed seed):")
-    W = kx.ball(2, center=(1.0, 0.0), radius=0.5, name="W")
-    cert = kx.certify_cone_condition(B, W, [kx.cpoint(1 - 1e-3, 0)])
-    print("  sphere, sample 1e-3 inside      : aperture %.4f of pi = %.4f"
-          % (cert.theta, math.pi))
-    Wc = kx.ball(2, center=(1.0, 0.0), radius=0.4, name="Wc")
-    cert = kx.certify_cone_condition(Om, Wc, [kx.cpoint(1 - 5e-3, 0)])
-    print("  corner of |z| + |w| = 1         : aperture %.4f (stays narrow)"
-          % cert.theta)
-
 
 if __name__ == "__main__":
     main()

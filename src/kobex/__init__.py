@@ -4,21 +4,18 @@ verification for domains in C^n, with a scenario-driven verification CLI.
 
 __version__ = "0.1.0"
 
-from .domains import (BUNDLED, Constraint, ConeCertificate, ConvergenceError,
-                      DomainError, DomainSpec, NonSmoothBoundaryError, ball,
+from .domains import (BUNDLED, Constraint, ConvergenceError, DomainError,
+                      DomainSpec, NonSmoothBoundaryError, ball,
                       boundary_distance, boundary_distance_batch,
-                      bundled_domain, certify_cone_condition, contains, cpoint,
+                      bundled_domain, contains, cpoint,
                       directional_distance, directional_distance_batch,
                       ex21_D, ex21_Omega, ex22_D, ex22_Omega,
                       ex22_Omega_local, halfspace, hermitian_inner,
                       inward_normal, nearest_boundary_point, polydisc)
-from .metrics import (LtcFit, MetricBound, NotLogTypeConvex,
-                      fit_pair_constant, graham_bounds,
+from .metrics import (MetricBound, fit_pair_constant, graham_bounds,
                       inscribed_ball_upper_bound, kob_distance_ball_exact,
-                      kob_metric_ball_exact, ltc_fit,
-                      ltc_metric_lower_bound, pair_lower_bound,
-                      path_distance_upper, path_distance_upper_batch,
-                      sibony_lower_bound)
+                      kob_metric_ball_exact, path_distance_upper,
+                      path_distance_upper_batch, sibony_lower_bound)
 from .regularity import (ChartError, DiniIntegral, GraphChart, HFunction,
                          ModelDomainParams, ModulusOfContinuity,
                          chart_consistency, composed_rate, dini_integral,
@@ -27,8 +24,8 @@ from .regularity import (ChartError, DiniIntegral, GraphChart, HFunction,
                          verify_embedding, verify_lipschitz_sandwich,
                          vertical_height)
 from .psh import (FiberMap, HopfFit, PshReport, PshWitness, SmoothnessError,
-                  check_psh, hopf_fit, lagrange_residuals, levi_form,
-                  make_psi, nearest_point_cubic, psi_bound, pushforward_tau,
+                  check_psh, hopf_fit, levi_form, make_psi,
+                  nearest_point_cubic, psi_bound, pushforward_tau,
                   step1_constant_ex21)
 from .extension import (ContinuityReport, DichotomyReport,
                         DichotomySequences, ExtensionResult, HolomorphicMap,

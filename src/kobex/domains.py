@@ -1,7 +1,6 @@
 """Domains in C^n given by defining-function oracles, and their Euclidean
 boundary geometry: interior tests, boundary distance, directional boundary
-distance, nearest boundary points, inward normals, and interior-cone
-certificates.
+distance, nearest boundary points and inward normals.
 
 Conventions used throughout the package:
 
@@ -35,12 +34,6 @@ class NonSmoothBoundaryError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """An iterative geometric computation failed to converge."""
-
-
-CONE_THETA_MIN = 1e-3
-CONE_SEARCH_POINTS = 4096
-CONE_MC_POINTS = 100_000
-CONE_BISECT_ITERS = 24
 
 
 def cpoint(*coords):
@@ -426,11 +419,6 @@ def _real_to_complex(x):
     return x[..., :n] + 1j * x[..., n:]
 
 
-def _complex_to_real(z):
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag], axis=-1)
-
-
 ZOOM_K = 6
 ZOOM_ROUNDS = 11
 # Rays one lookahead call of _rounds may hold.  A bounded _ray_exit call
@@ -779,108 +767,6 @@ def inward_normal(D, xi):
         raise NonSmoothBoundaryError("vanishing constraint gradient at boundary point")
     eta = -g / norm[:, None]
     return eta if xi.ndim == 2 else eta[0]
-
-
-# ---------------------------------------------------------------------------
-# cones
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConeCertificate:
-    r: float
-    theta: float
-    witnesses: list           # (sample w, boundary point xi_w, direction v_w)
-    violation_count: int
-    violations: list = field(default_factory=list)
-
-
-def _cone_ball_points(rng, vertex, axis, theta, r, count):
-    """Deterministic interior samples of (vertex + cone(axis, theta)) cap B(vertex, r).
-
-    Polar angles are biased toward the cone edge, radii toward r, so that
-    near-violations at the certificate boundary are probed hard.
-    """
-    n = vertex.size
-    rd = 2 * n
-    g = rng.standard_normal((count, rd))
-    g = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    ax = _complex_to_real(axis)
-    # component orthogonal to the axis
-    perp = g - (g @ ax)[:, None] * ax[None, :]
-    pn = np.linalg.norm(perp, axis=-1, keepdims=True)
-    perp = np.where(pn > 1e-12, perp / np.where(pn > 1e-12, pn, 1.0), 0.0)
-    u = rng.random(count)
-    alpha = (theta / 2.0) * (1.0 - u ** 3)      # clusters near the edge
-    dirs = np.cos(alpha)[:, None] * ax[None, :] + np.sin(alpha)[:, None] * perp
-    s = r * rng.random(count) ** (1.0 / (2 * n))  # clusters near radius r
-    pts = _complex_to_real(vertex)[None, :] + s[:, None] * dirs
-    return _real_to_complex(pts)
-
-
-def certify_cone_condition(D, W, samples):
-    """Search for the largest (r, theta) such that for every sample w the
-    truncated cone from its nearest boundary point xi_w along
-    v_w = (w - xi_w)/|w - xi_w| stays inside W cap D (Monte-Carlo check,
-    zero tolerated violations), with w on the cone axis and
-    |w - xi_w| < r <= 4 max_w |w - xi_w|.
-
-    Samples admitting no cone at CONE_THETA_MIN are recorded as violations
-    and excluded from the common certificate.
-    """
-    samples = np.array([as_point(w, D.dim) for w in samples])
-    if not (np.all(contains(D, samples)) and np.all(contains(W, samples))):
-        raise DomainError("cone samples must lie in W cap D")
-    witnesses = []
-    for w, xi in zip(samples, _boundary(D, samples, "auto", dist=False, nearest=True)):
-        gap = np.linalg.norm(w - xi)
-        if gap < 1e-14:
-            raise DomainError("sample coincides with its boundary projection")
-        witnesses.append((w, xi, (w - xi) / gap))
-    r_needed = max(np.linalg.norm(w - xi) for w, xi, _ in witnesses) * (1.0 + 1e-9)
-    r_cap = 4.0 * r_needed
-
-    def feasible(theta, r, count):
-        rng = np.random.default_rng(0)
-        for w, xi, v in witnesses:
-            pts = _cone_ball_points(rng, xi, v, theta, r, count)
-            if not (np.all(contains(D, pts)) and np.all(contains(W, pts))):
-                return False
-        return True
-
-    violations = []
-    keep = []
-    for trip in witnesses:
-        rng = np.random.default_rng(0)
-        w, xi, v = trip
-        pts = _cone_ball_points(rng, xi, v, CONE_THETA_MIN,
-                                np.linalg.norm(w - xi) * (1 + 1e-9), CONE_SEARCH_POINTS)
-        if np.all(contains(D, pts)) and np.all(contains(W, pts)):
-            keep.append(trip)
-        else:
-            violations.append(trip)
-    if not keep:
-        return ConeCertificate(0.0, 0.0, [], len(violations), violations)
-    witnesses = keep
-
-    if not feasible(CONE_THETA_MIN, r_needed, CONE_SEARCH_POINTS):
-        return ConeCertificate(0.0, 0.0, witnesses, len(violations) + 1, violations)
-    theta = float(_bisect(lambda th: feasible(th, r_needed, CONE_SEARCH_POINTS),
-                          CONE_THETA_MIN, math.pi - 1e-6, CONE_BISECT_ITERS)[0])
-
-    r = r_cap
-    if not feasible(theta, r, CONE_SEARCH_POINTS):
-        r = float(_bisect(lambda rr: feasible(theta, rr, CONE_SEARCH_POINTS),
-                          r_needed, r_cap, CONE_BISECT_ITERS)[0])
-
-    # final certification at full Monte-Carlo resolution, with backoff
-    for _ in range(8):
-        if feasible(theta, r, CONE_MC_POINTS):
-            break
-        theta *= 0.97
-        r = max(r_needed, 0.97 * r)
-    else:
-        raise ConvergenceError("cone certificate failed full-resolution verification")
-    return ConeCertificate(float(r), float(theta), witnesses, len(violations), violations)
 
 
 # ---------------------------------------------------------------------------

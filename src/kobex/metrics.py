@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import (DomainError, _boundary, _interior_rows, _zoom_min, as_point,
-                      boundary_distance, boundary_distance_batch, contains,
-                      directional_distance, directional_distance_batch,
+                      boundary_distance, contains, directional_distance,
                       hermitian_inner, row_norms)
 
-METHODS = ("graham_lower", "graham_upper", "sibony", "inscribed_ball",
-           "ltc_lower", "pair_lower")
+METHODS = ("graham_lower", "graham_upper", "sibony", "inscribed_ball")
 
 
 @dataclass
@@ -115,101 +113,6 @@ def inscribed_ball_upper_bound(D, z, v):
     d = float(_boundary(D, zs, "auto")[0])
     return MetricBound(nv / d, "upper", "inscribed_ball", at=(z, v),
                        constants={"delta": d})
-
-
-# ---------------------------------------------------------------------------
-# log-type convexity fit: delta(z; v) <= C / |log delta(z)|^(1+nu)
-# ---------------------------------------------------------------------------
-
-LTC_NU_GRID = np.arange(0.05, 5.0 + 1e-9, 0.05)
-LTC_MIN_BANDS = 4
-
-@dataclass
-class LtcFit:
-    C: float
-    nu: float
-    sample_count: int
-    max_violation: float
-
-
-class NotLogTypeConvex(DomainError):
-    pass
-
-
-def ltc_fit(D, samples):
-    """Envelope fit of the log-type convexity inequality from samples.
-
-    samples: sequence of (z, v) with interior z and delta_D(z) < 1.
-    The samples are stratified into dyadic bands of delta_D(z); for each
-    band the envelope sup of delta(z; v) is regressed (log-log) against
-    log|log delta|; the slope gives the largest admissible exponent, and
-    nu is snapped down to LTC_NU_GRID after subtracting a margin of 0.25.
-    C is the envelope maximum of delta(z;v) |log delta(z)|^(1+nu) times a
-    safety factor of 1.25.  Both margins push the certified envelope up,
-    so the fitted inequality generalizes to held-out samples from the same
-    region (lowering nu enlarges the bound wherever delta < 1/e).
-    """
-    if not D.is_convex:
-        raise DomainError("log-type convexity is defined for convex domains")
-    zs = np.array([as_point(z, D.dim) for z, _ in samples])
-    vs = np.array([as_point(v, D.dim) for _, v in samples])
-    deltas = boundary_distance_batch(D, zs)
-    if np.any(deltas >= 1.0):
-        raise DomainError("fit requires delta_D(z) < 1 on all samples")
-    ddirs = directional_distance_batch(D, zs, vs)
-
-    bands = np.floor(-np.log2(deltas)).astype(int)
-    uniq = np.unique(bands)
-    if uniq.size < LTC_MIN_BANDS:
-        raise DomainError("need samples across >= %d dyadic bands of delta, got %d"
-                          % (LTC_MIN_BANDS, uniq.size))
-    env_delta = []
-    env_dir = []
-    for b in uniq:
-        sel = bands == b
-        env_delta.append(np.exp(np.mean(np.log(deltas[sel]))))
-        env_dir.append(np.max(ddirs[sel]))
-    env_delta = np.array(env_delta)
-    env_dir = np.array(env_dir)
-
-    x = np.log(np.abs(np.log(env_delta)))
-    y = np.log(env_dir)
-    slope = np.polyfit(x, y, 1)[0]
-    nu_hat = -slope - 1.0
-    admissible = LTC_NU_GRID[LTC_NU_GRID <= nu_hat - 0.25 + 1e-12]
-    if admissible.size == 0:
-        raise NotLogTypeConvex(
-            "not log-type convex at sampled resolution (fitted exponent %.3f < %.2f)"
-            % (nu_hat, LTC_NU_GRID[0]))
-    nu = float(admissible[-1])
-    C_env = float(np.max(ddirs * np.abs(np.log(deltas)) ** (1.0 + nu)))
-    C = C_env * 1.25
-    viol = float(np.max(ddirs - C / np.abs(np.log(deltas)) ** (1.0 + nu)))
-    return LtcFit(C=C, nu=nu, sample_count=len(samples), max_violation=viol)
-
-
-def ltc_metric_lower_bound(fit, w, v, delta, c=None):
-    """c |v| (log(1/delta))^(1+nu), the metric lower bound a log-type convex
-    fit induces near the boundary; by default c = 1/(2C) from the fit,
-    matching the directional-distance sandwich with the fitted envelope."""
-    if not (0.0 < delta < 1.0):
-        raise DomainError("delta must lie in (0, 1)")
-    cc = (1.0 / (2.0 * fit.C)) if c is None else c
-    nv = np.linalg.norm(np.asarray(v, dtype=complex))
-    val = cc * nv * math.log(1.0 / delta) ** (1.0 + fit.nu)
-    return MetricBound(val, "lower", "ltc_lower", at=(np.asarray(w, dtype=complex), v),
-                       constants={"c": cc, "nu": fit.nu, "C": fit.C, "delta": delta})
-
-
-def pair_lower_bound(delta1, delta2, K):
-    """(1/2) log(1/delta_1) + (1/2) log(1/delta_2) - K, for points near two
-    fixed distinct boundary patches; K comes from fit_pair_constant."""
-    if not (0.0 < delta1 <= 1.0 and 0.0 < delta2 <= 1.0):
-        raise DomainError("distances must lie in (0, 1]")
-    val = 0.5 * math.log(1.0 / delta1) + 0.5 * math.log(1.0 / delta2) - K
-    return MetricBound(max(0.0, val), "lower", "pair_lower",
-                       constants={"delta1": delta1, "delta2": delta2, "K": K,
-                                  "raw": val})
 
 
 # ---------------------------------------------------------------------------

@@ -173,15 +173,6 @@ def step1_constant_ex21():
     return C, 9.0 / (5.0 * C)
 
 
-def lagrange_residuals(x0, y0, X, Y):
-    """Stationarity residuals of the nearest-point system on the curve
-    Y = 1 - X^2: the eliminated cubic and the collinearity condition.
-    Both vanish at the true nearest point."""
-    r1 = 2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0
-    r2 = (X - x0) - 2.0 * X * (Y - y0)
-    return float(r1), float(r2)
-
-
 def nearest_point_cubic(x0, y0):
     """Root of 2X^3 + (2y0 - 1)X - x0 = 0 by bisection on [x0, 1]; valid in
     the region 9/10 < x0 < 1, 0 <= y0 < 1/10, x0^2 + y0 < 1 where the

@@ -141,8 +141,9 @@ def test_inscribed_dominates_graham_lower(ball2, omega21, rng):
 def test_metric_bound_validation():
     with pytest.raises(ValueError):
         kx.MetricBound(1.0, "sideways", "sibony")
-    with pytest.raises(ValueError):
-        kx.MetricBound(1.0, "lower", "mystery")
+    for method in ("mystery", "ltc_lower", "pair_lower"):
+        with pytest.raises(ValueError):
+            kx.MetricBound(1.0, "lower", method)
     with pytest.raises(ValueError):
         kx.MetricBound(-1.0, "lower", "sibony")
     with pytest.raises(kx.DomainError):
@@ -164,164 +165,6 @@ def test_graham_bounds_reject_bad_direction_data(ball2, v):
 def test_inscribed_ball_bound_rejects_bad_input(ball2, z, v):
     with pytest.raises(kx.DomainError):
         kx.inscribed_ball_upper_bound(ball2, z, v)
-
-
-# ---------------------------------------------------------------------------
-# log-type convexity fitting
-# ---------------------------------------------------------------------------
-
-def _boundary_band_samples(rng, count_per_band, bands):
-    # mix random directions with exact tangential ones: the widest discs
-    # hug the sphere, and random draws almost never come near tangency at
-    # small delta, so the envelope needs the tangential probes
-    samples = []
-    for k in bands:
-        for j in range(count_per_band):
-            d = 2.0 ** -k * (0.7 + 0.6 * rng.random())
-            u = rng.standard_normal(4)
-            u /= np.linalg.norm(u)
-            z = (1.0 - d) * (u[:2] + 1j * u[2:])
-            if j % 2 == 0:
-                v = np.array([-np.conj(z[1]), np.conj(z[0])])  # <v, z> = 0
-            else:
-                v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            samples.append((z, v))
-    return samples
-
-
-def test_ltc_fit_ball(ball2, rng):
-    fit = kx.ltc_fit(ball2, _boundary_band_samples(rng, 25, range(2, 12)))
-    assert fit.nu >= 0.05
-    assert fit.max_violation <= 0.0
-    # held-out samples from the same construction stay below the envelope
-    held = _boundary_band_samples(np.random.default_rng(7), 25, range(2, 12))
-    zs = np.array([z for z, _ in held])
-    vs = np.array([v for _, v in held])
-    deltas = kx.boundary_distance_batch(ball2, zs)
-    ddirs = kx.directional_distance_batch(ball2, zs, vs)
-    envelope = fit.C / np.abs(np.log(deltas)) ** (1.0 + fit.nu)
-    assert float(np.max(ddirs - envelope)) <= 0.0
-
-
-def test_ltc_fit_polydisc_flat_face_fails(rng):
-    P = kx.polydisc((1.0, 1.0))
-    samples = []
-    for k in range(2, 12):
-        for _ in range(10):
-            d = 2.0 ** -k * (0.7 + 0.6 * rng.random())
-            z = np.array([1.0 - d, 0.1 * rng.random()], dtype=complex)
-            samples.append((z, np.array([0.0, 1.0], dtype=complex)))
-    with pytest.raises(kx.NotLogTypeConvex):
-        kx.ltc_fit(P, samples)
-
-
-def _mild_flat_local(radius=0.75):
-    """{ Re z > exp(-1/sqrt(|w|)) } cap B(0, radius): infinite type at the
-    origin yet with disc radii decaying like |log delta|^(-2)."""
-    from kobex.domains import _wall_distance
-
-    def profile(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            val = np.exp(-1.0 / np.sqrt(np.where(s > 0, s, 1.0)))
-        return np.where(s > 0, val, 0.0)
-
-    def g1(z):
-        return profile(np.abs(z[..., 1])) - np.real(z[..., 0])
-
-    def g2(z):
-        return np.sum(np.abs(z) ** 2, axis=-1) - radius * radius
-
-    def dist(zs):
-        zs2 = np.atleast_2d(zs)
-        d1 = _wall_distance(zs2, profile)
-        d2 = radius - np.linalg.norm(zs2, axis=-1)
-        return np.minimum(d1, d2)
-
-    return kx.DomainSpec("mild-flat", 2, [kx.Constraint(g1), kx.Constraint(g2)],
-                         is_convex=True, bounding_radius=radius,
-                         interior_point=np.array([0.3, 0], dtype=complex),
-                         dist_fn=dist)
-
-
-def _flat_approach_samples(rng, bands, per_band=10):
-    samples = []
-    for k in bands:
-        for _ in range(per_band):
-            d = 2.0 ** -k * (0.75 + 0.5 * rng.random())
-            z = np.array([d, 0.0], dtype=complex)
-            v = np.array([0.0, 1.0], dtype=complex) if rng.random() < 0.5 else \
-                rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            samples.append((z, v))
-    return samples
-
-
-def test_ltc_fit_mild_flat_succeeds(rng):
-    # exponent-1/2 flatness keeps the fat directions summable: the fitted
-    # exponent approaches 1/ (1/2) - 1 = 1
-    M = _mild_flat_local()
-    fit = kx.ltc_fit(M, _flat_approach_samples(rng, range(4, 14), 8))
-    assert fit.nu >= 0.5
-    assert fit.max_violation <= 0.0
-    held = _flat_approach_samples(np.random.default_rng(23), range(4, 14), 8)
-    zs = np.array([z for z, _ in held])
-    vs = np.array([v for _, v in held])
-    deltas = kx.boundary_distance_batch(M, zs)
-    ddirs = kx.directional_distance_batch(M, zs, vs)
-    envelope = fit.C / np.abs(np.log(deltas)) ** (1.0 + fit.nu)
-    assert float(np.max(ddirs - envelope)) <= 0.0
-
-
-def test_ltc_fit_quadratic_flatness_is_rejected(omega22_local, rng):
-    # along the flat approach the widest disc decays like
-    # |log delta|^(-1/2), slower than any admissible envelope exponent
-    z = kx.cpoint(1e-6, 0)
-    dv = kx.directional_distance(omega22_local, z, kx.cpoint(0, 1))
-    assert dv == pytest.approx(1.0 / math.sqrt(math.log(1e6)), rel=1e-3)
-    with pytest.raises(kx.NotLogTypeConvex):
-        kx.ltc_fit(omega22_local, _flat_approach_samples(rng, range(4, 14), 8))
-
-
-def test_ltc_metric_lower_bound_values():
-    fit = kx.LtcFit(C=0.5, nu=1.0, sample_count=1, max_violation=0.0)
-    b = kx.ltc_metric_lower_bound(fit, np.zeros(2, complex), kx.cpoint(1, 0),
-                                  math.exp(-1.0), c=1.0)
-    assert b.value == pytest.approx(1.0)
-    b = kx.ltc_metric_lower_bound(fit, np.zeros(2, complex), kx.cpoint(1, 0),
-                                  math.exp(-2.0), c=1.0)
-    assert b.value == pytest.approx(4.0)
-    # default scale ties to the fitted envelope
-    b = kx.ltc_metric_lower_bound(fit, np.zeros(2, complex), kx.cpoint(1, 0),
-                                  math.exp(-1.0))
-    assert b.value == pytest.approx(1.0 / (2 * 0.5))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(1e-6, 0.5), st.floats(1e-6, 0.5))
-def test_ltc_lower_bound_monotone(d1, d2):
-    fit = kx.LtcFit(C=1.0, nu=1.0, sample_count=1, max_violation=0.0)
-    lo, hi = min(d1, d2), max(d1, d2)
-    blo = kx.ltc_metric_lower_bound(fit, np.zeros(2, complex), kx.cpoint(1, 0), lo)
-    bhi = kx.ltc_metric_lower_bound(fit, np.zeros(2, complex), kx.cpoint(1, 0), hi)
-    assert blo.value >= bhi.value - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# distance-bound formulas
-# ---------------------------------------------------------------------------
-
-def test_pair_lower_bound_values():
-    d = math.exp(-2.0)
-    assert kx.pair_lower_bound(d, d, 1.0).value == pytest.approx(1.0)
-    assert kx.pair_lower_bound(1.0, 1.0, 0.0).value == 0.0
-
-
-def test_pair_lower_bound_additivity():
-    d1, d2, K = 0.07, 0.3, 0.9
-    whole = kx.pair_lower_bound(d1, d2, K).constants["raw"]
-    parts = (kx.pair_lower_bound(d1, 1.0, 0.0).constants["raw"]
-             + kx.pair_lower_bound(1.0, d2, 0.0).constants["raw"] - K)
-    assert whole == pytest.approx(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +221,9 @@ def test_pair_bound_stays_below_path_estimate(ball2):
     for w1 in vq:
         for w2 in vx:
             est = kx.path_distance_upper(ball2, w1, w2)
-            lb = kx.pair_lower_bound(kx.boundary_distance(ball2, w1),
-                                     kx.boundary_distance(ball2, w2), K)
-            assert lb.value <= est + 1e-6
+            lb = (0.5 * math.log(1.0 / kx.boundary_distance(ball2, w1))
+                  + 0.5 * math.log(1.0 / kx.boundary_distance(ball2, w2)) - K)
+            assert lb <= est + 1e-6
 
 
 def _cheap_ball_spec(name, interior_point=None):
@@ -461,6 +304,30 @@ def test_path_batch_scores_outside_midpoints_inf(monkeypatch):
     chords = _assert_rows_equal_scalar_calls(_holed_ball(), [[0.15, 0.0], [0.6, 0.0]],
                                              [[0.45, 0.0], [0.6, 0.3]])
     assert chords[0] == math.inf and math.isfinite(chords[1])
+
+
+@pytest.mark.xfail(strict=True, reason="midpoint-only checks let the descent "
+                   "build a finite-cost polygon through the hole")
+def test_path_batch_polygon_stays_inside_holed_ball(monkeypatch):
+    # the final polygon, rebuilt from the midpoints of the last cost call as
+    # node_{k+1} = 2 mid_k - node_k from z1, must lie in D at 201 points per
+    # segment, or the estimate must be +inf
+    D = _holed_ball((0, 0))
+    z1, z2 = kx.cpoint(0.15, 0), kx.cpoint(0.45, 0)
+    seen = []
+    real = kx.metrics.contains
+    monkeypatch.setattr(kx.metrics, "contains",
+                        lambda D, z: seen.append(np.array(z)) or real(D, z))
+    est = kx.path_distance_upper(D, z1, z2)
+    if est == math.inf:
+        return
+    nodes = [z1]
+    for mid in seen[-1]:
+        nodes.append(2.0 * mid - nodes[-1])
+    assert np.max(np.abs(nodes[-1] - z2)) <= 1e-12
+    lam = np.linspace(0.0, 1.0, 201)[:, None]
+    for p, q in zip(nodes[:-1], nodes[1:]):
+        assert np.all(real(D, p + lam * (q - p)))
 
 
 def test_path_batch_validates_rows(ball2):

@@ -361,22 +361,6 @@ def test_step1_constants():
     assert 6.0 * 0.81 - 1.0 == pytest.approx(3.86)  # lower corner is smaller
 
 
-def test_lagrange_residuals_on_curve_point():
-    # a point on the curve is its own nearest point
-    x0 = 0.93
-    y0 = 1.0 - x0 * x0
-    r1, r2 = kx.lagrange_residuals(x0, y0, x0, y0)
-    assert r1 == pytest.approx(0.0, abs=1e-12)
-    assert r2 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lagrange_residuals_continuous():
-    vals = [kx.lagrange_residuals(0.95, 0.0, X, 1 - X * X)
-            for X in np.linspace(0.94, 0.99, 7)]
-    diffs = np.diff(np.array(vals), axis=0)
-    assert np.all(np.abs(diffs) < 0.1)
-
-
 def test_nearest_point_cubic_vectorized_matches_roots():
     # admissible region: x0^2 + y0 < 1 keeps the root inside (x0, 1)
     x0 = np.array([0.91, 0.95, 0.99])
