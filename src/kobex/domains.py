@@ -84,7 +84,6 @@ class Constraint:
     fn: callable
     grad: callable = None
     smooth: callable = None
-    label: str = ""
 
     def __call__(self, z):
         return np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=float)
@@ -354,24 +353,6 @@ def _exit_chunk(D, z, dirs, cap, best):
         want[:] = new
         t = np.minimum(np.maximum(new, tl), 1.0 - tl)
     raise ConvergenceError("ray exit root finder did not converge in %d steps" % ROOT_STEPS)
-
-
-def _bisect(inside, lo, hi, iters):
-    """Bisection keeping inside(lo) true and inside(hi) false.
-
-    Brackets may be scalars or float arrays (one independent search per
-    element, inside evaluated once per round on all of them).  Array
-    brackets are updated in place, so a caller's ray batch is not held
-    twice; scalars come back as 0-d arrays.  Returns the final (lo, hi).
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ok = np.asarray(inside(mid))
-        np.copyto(lo, mid, where=ok)
-        np.copyto(hi, mid, where=~ok)
-    return lo, hi
 
 
 def _row_blocks(m, width):
@@ -802,7 +783,7 @@ def ball(dim=2, center=None, radius=1.0, name=None):
         return center + radius * w / np.where(small, 1.0, nw)
 
     return DomainSpec(name or "ball%d" % dim, dim,
-                      [Constraint(g, grad=grad, label="|z-c|^2-r^2")],
+                      [Constraint(g, grad=grad)],
                       is_convex=True, is_reinhardt=(np.all(center == 0)),
                       bounding_radius=float(np.linalg.norm(center) + radius),
                       interior_point=center, dist_fn=dist, nearest_fn=nearest)
@@ -824,7 +805,7 @@ def polydisc(radii=(1.0, 1.0)):
         def smooth(z, j=j):
             return _moduli(z[..., j]) > 1e-12
 
-        cons.append(Constraint(g, grad=grad, smooth=smooth, label="|z%d|-r" % (j + 1)))
+        cons.append(Constraint(g, grad=grad, smooth=smooth))
 
     def dist(zs):
         return np.min(np.array(radii)[None, :] - np.abs(zs), axis=-1)
@@ -880,7 +861,7 @@ def ex21_D():
         return _curve_nearest_1d(np.abs(zs), T, curve)[1] * _phases(zs)
 
     return DomainSpec("ex21_d", 2,
-                      [Constraint(g, grad=grad, smooth=smooth, label="|z|^2+|w|-1")],
+                      [Constraint(g, grad=grad, smooth=smooth)],
                       is_convex=False, is_reinhardt=True, bounding_radius=1.0,
                       interior_point=np.zeros(2, dtype=complex),
                       dist_fn=dist, nearest_fn=nearest)
@@ -903,7 +884,7 @@ def ex21_Omega():
         return (1.0 - x - y) / math.sqrt(2.0)
 
     return DomainSpec("ex21_omega", 2,
-                      [Constraint(g, grad=grad, smooth=smooth, label="|z|+|w|-1")],
+                      [Constraint(g, grad=grad, smooth=smooth)],
                       is_convex=True, is_reinhardt=True, bounding_radius=1.0,
                       interior_point=np.zeros(2, dtype=complex), dist_fn=dist)
 
@@ -967,14 +948,13 @@ def ex22_D():
         return np.minimum(d1, d2)
 
     return DomainSpec("ex22_d", 2,
-                      [Constraint(g1, grad=g1_grad, label="phi(|w|^2)-Re z"),
-                       Constraint(g2, grad=g2_grad, label="|z|^2+|w|^4-1")],
+                      [Constraint(g1, grad=g1_grad), Constraint(g2, grad=g2_grad)],
                       is_convex=False, is_reinhardt=False, bounding_radius=1.0,
                       interior_point=np.array([0.5, 0.0], dtype=complex),
                       dist_fn=dist)
 
 
-def _graph_ball_cap(name, radius, convex, interior, label):
+def _graph_ball_cap(name, radius, convex, interior):
     """{ Re z > phi(|w|) } cap B^2(0, radius), phi(x) = exp(-1/x^2)."""
     def g1(z):
         return _phi_flat(np.abs(z[..., 1])) - np.real(z[..., 0])
@@ -993,9 +973,8 @@ def _graph_ball_cap(name, radius, convex, interior, label):
         return np.minimum(_wall_distance(zs2, _phi_flat), radius - np.linalg.norm(zs2, axis=-1))
 
     return DomainSpec(name, 2,
-                      [Constraint(g1, grad=g1_grad, label="phi(|w|)-Re z"),
-                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex),
-                                  label=label)],
+                      [Constraint(g1, grad=g1_grad),
+                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex))],
                       is_convex=convex, is_reinhardt=False, bounding_radius=radius,
                       interior_point=np.array([interior, 0.0], dtype=complex),
                       dist_fn=dist)
@@ -1003,7 +982,7 @@ def _graph_ball_cap(name, radius, convex, interior, label):
 
 def ex22_Omega():
     """{ Re z > phi(|w|) } cap B^2(0, 1), phi(x) = exp(-1/x^2)."""
-    return _graph_ball_cap("ex22_omega", 1.0, False, 0.5, "|z|^2+|w|^2-1")
+    return _graph_ball_cap("ex22_omega", 1.0, False, 0.5)
 
 
 def ex22_Omega_local():
@@ -1011,7 +990,7 @@ def ex22_Omega_local():
     constraint is convex where |w| <= sqrt(2/3) ~ 0.816, and the ball
     keeps |w| below that.
     """
-    return _graph_ball_cap("ex22_omega_local", 0.75, True, 0.3, "|z|^2-r^2")
+    return _graph_ball_cap("ex22_omega_local", 0.75, True, 0.3)
 
 
 HALFSPACE_RADIUS = 4.0   # radius of the ball that truncates halfspace()
@@ -1036,10 +1015,8 @@ def halfspace(normal, offset=0.0, name="halfspace"):
         return np.minimum(to_plane, to_sphere)
 
     return DomainSpec(name, normal.size,
-                      [Constraint(g1, grad=lambda z: np.broadcast_to(nn, np.shape(z)),
-                                  label="Re<z,n> - c"),
-                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex),
-                                  label="|z|^2-R^2")],
+                      [Constraint(g1, grad=lambda z: np.broadcast_to(nn, np.shape(z))),
+                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex))],
                       is_convex=True, bounding_radius=HALFSPACE_RADIUS,
                       interior_point=(offset - 1.0) * nn, dist_fn=dist)
 

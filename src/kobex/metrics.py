@@ -124,9 +124,15 @@ PATH_SEGMENTS = 128
 
 def path_distance_upper_batch(D, z1s, z2s):
     """Upper estimates of the invariant distance between paired (m, n) rows
-    z1s[k], z2s[k]: (m,) integrals of the inscribed ball bound
-    |gamma'| / delta_D(gamma) along polygonal paths (midpoint rule,
-    PATH_SEGMENTS pieces), a path with a midpoint outside D scoring +inf.
+    z1s[k], z2s[k]: (m,) bounds on the integral of the inscribed ball bound
+    |gamma'| / delta_D(gamma) along polygonal paths of PATH_SEGMENTS pieces.
+    delta is 1-Lipschitz, so a segment of length h with delta(mid) = d
+    costs at most 2 log(d / (d - h/2)) = -2 log1p(-h / (2d)), and lies in
+    the ball B(mid, d) inside D, when h/2 < d; otherwise it costs +inf.  A
+    finite total thus proves the polygon lies in D, and bounds its integral
+    from above wherever delta(mid) is exact: the closed-form dist_fn of
+    ball2, polydisc and ex21_omega.  Where delta is searched (which can
+    overshoot) the total is an estimate.
 
     A path is shortened toward the anchor D.interior_point (its chord's
     midpoint when D has none): first by the best bump of the whole path,
@@ -167,8 +173,9 @@ def path_distance_upper_batch(D, z1s, z2s):
     scan = np.linspace(0.0, 1.0, 16)
 
     def cost(p, q):
-        """Sum of |q - p| / delta((p + q)/2) over the last (segment) axis of
-        coordinate-first p and q; +inf where a midpoint is outside D."""
+        """Sum of -2 log1p(-|q - p| / (2 delta((p + q)/2))) over the last
+        (segment) axis of coordinate-first p and q; a term is +inf unless
+        |q - p| / 2 < delta((p + q)/2), so also where a midpoint is outside D."""
         mids = 0.5 * (p + q)
         rows = np.moveaxis(mids.reshape(D.dim, -1), 0, -1)
         inside = contains(D, rows)
@@ -179,8 +186,8 @@ def path_distance_upper_batch(D, z1s, z2s):
             dmid[inside] = _boundary(D, rows[inside], "auto")
         seglen = np.linalg.norm(q - p, axis=0)
         dmid = dmid.reshape(seglen.shape)
-        return np.divide(seglen, dmid, out=np.full(dmid.shape, np.inf),
-                         where=dmid > 0).sum(axis=-1)
+        r = np.divide(seglen, 2.0 * dmid, out=np.full(dmid.shape, np.inf), where=dmid > 0)
+        return -2.0 * np.log1p(-r, out=np.full(r.shape, -np.inf), where=r < 1.0).sum(axis=-1)
 
     # bump every path toward its anchor; t = 0 is the straight path
     bump = np.sin(math.pi * lam) ** 2

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainError, _bisect, as_point, boundary_distance_batch,
-                      contains, row_norms)
+from .domains import DomainError, as_point, boundary_distance_batch, contains, row_norms
 
 
 class SmoothnessError(DomainError):
@@ -21,7 +20,6 @@ class SmoothnessError(DomainError):
 PSH_FLOOR = -1e-8      # least Levi form check_psh accepts
 PSH_DIRS = 4           # random unit directions per sample of check_psh
 HOPF_MIN_BANDS = 4     # dyadic bands of delta a Hopf fit must span
-CUBIC_ITERS = 90       # bisection steps of nearest_point_cubic
 
 
 @dataclass
@@ -96,7 +94,6 @@ class PshReport:
     argmin: tuple
     n_checked: int
     violations: int
-    tol: float
 
     @property
     def passes(self):
@@ -113,7 +110,7 @@ def check_psh(u, D, samples, seed=0):
     if u.smooth is not None:
         zs = zs[np.asarray(u.smooth(zs), dtype=bool)]
     if len(zs) == 0:
-        return PshReport(math.inf, None, 0, 0, PSH_FLOOR)
+        return PshReport(math.inf, None, 0, 0)
     g = np.random.default_rng(seed).standard_normal((len(zs), PSH_DIRS, 2, D.dim))
     vs = (g[:, :, 0] + 1j * g[:, :, 1]).reshape(-1, D.dim)
     vs = vs / row_norms(vs)[:, None]
@@ -121,7 +118,7 @@ def check_psh(u, D, samples, seed=0):
     vals = levi_form(u, zs, vs)
     i = int(np.argmin(vals))
     return PshReport(min_value=vals[i], argmin=(zs[i], vs[i]), n_checked=len(vals),
-                     violations=int(np.sum(vals < PSH_FLOOR)), tol=PSH_FLOOR)
+                     violations=int(np.sum(vals < PSH_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +171,22 @@ def step1_constant_ex21():
 
 
 def nearest_point_cubic(x0, y0):
-    """Root of 2X^3 + (2y0 - 1)X - x0 = 0 by bisection on [x0, 1]; valid in
-    the region 9/10 < x0 < 1, 0 <= y0 < 1/10, x0^2 + y0 < 1 where the
-    nearest curve point has X between x0 and 1.  Vectorized."""
+    """Cardano's root X of 2X^3 + (2y0 - 1)X - x0 = 0, i.e. X^3 + pX + q with
+    p = y0 - 1/2, q = -x0/2: X = u - p / (3u), u = cbrt(s - q/2), s^2 =
+    q^2/4 + p^3/27 (the -cbrt(s + q/2) term without its cancellation).  In
+    the region 9/10 < x0 < 1, 0 <= y0 < 1/10, x0^2 + y0 < 1, s^2 > 0, so the
+    root is the one real one, the nearest curve point's X, in (x0, 1); rows
+    outside raise DomainError.  Vectorized."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    lo, hi = _bisect(lambda X: 2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0 < 0,
-                     x0.copy(), np.ones_like(x0), CUBIC_ITERS)
-    X = 0.5 * (lo + hi)
+    if not np.all((0.9 < x0) & (x0 < 1.0) & (0.0 <= y0) & (y0 < 0.1)
+                  & (x0 ** 2 + y0 < 1.0)):
+        raise DomainError("nearest_point_cubic needs 9/10 < x0 < 1, 0 <= y0 < 1/10 "
+                          "and x0^2 + y0 < 1")
+    p = y0 - 0.5
+    q = -0.5 * x0
+    u = np.cbrt(np.sqrt(q * q / 4.0 + p ** 3 / 27.0) - q / 2.0)
+    X = u - p / (3.0 * u)
     return X, 1.0 - X ** 2
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainError, _bisect, as_point, boundary_distance_batch,
-                      contains, inward_normal)
+from .domains import DomainError, as_point, boundary_distance_batch, contains, inward_normal
 
 
 class ChartError(DomainError):
@@ -20,7 +19,6 @@ class ChartError(DomainError):
 
 DINI_LEVELS = 60          # dyadic panels of the rate integral
 DINI_ABS_FLOOR = 1e-13    # tail contributions below this count as converged
-HINV_ITERS = 80           # bisection steps of HFunction.inv
 EMBED_GRID = 1000         # eps candidates per refinement of the embedding
 EMBED_EPS_FLOOR = 1e-12   # smallest eps the embedding refinement tries
 MODULUS_PAIRS = 6000      # sampled pairs of estimate_modulus
@@ -82,7 +80,6 @@ class DiniIntegral:
     """Outcome of the endpoint-singular rate integral int_0^eps omega(r)/r dr."""
     value: float
     divergent: bool
-    tail_estimate: float
 
 
 def dyadic_panels(f, t, levels, n):
@@ -121,13 +118,13 @@ def dini_integral(omega, eps):
     total = float(np.cumsum(contributions)[-1])   # in panel order, not pairwise
     tail = contributions[-10:]
     if np.all(tail <= DINI_ABS_FLOOR):
-        return DiniIntegral(total, False, 0.0)
+        return DiniIntegral(total, False)
     ratios = tail[1:] / np.where(tail[:-1] > 0, tail[:-1], np.inf)
     rho = float(np.median(ratios))
     if rho >= 0.97:
-        return DiniIntegral(math.inf, True, math.inf)
+        return DiniIntegral(math.inf, True)
     tail_est = contributions[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-    return DiniIntegral(total + tail_est, False, tail_est)
+    return DiniIntegral(total + tail_est, False)
 
 
 def composed_rate(omega, kappa, m):
@@ -334,31 +331,15 @@ def h_integral(omega, t):
 
 
 class HFunction:
-    """Dense cached version of h with a bisection inverse on t >= 0."""
+    """Dense cached version of h, nondecreasing and continuous in |t|."""
 
     def __init__(self, omega):
-        self.omega = omega
         self.t = np.linspace(0.0, omega.domain_end, 4096)
         self.h = _cumulative_trapezoid(self.t, np.atleast_1d(omega(self.t)))
-        self.hmax = float(self.h[-1])
-        self.flat = self.hmax <= 0.0
 
     def __call__(self, t):
         t = np.abs(np.asarray(t, dtype=float))
         out = np.interp(t, self.t, self.h)
-        return out if out.shape else float(out)
-
-    def inv(self, x):
-        """Smallest t >= 0 with h(t) = x; +inf where h never reaches x
-        (in particular everywhere when h vanishes identically)."""
-        x = np.asarray(x, dtype=float)
-        if self.flat:
-            out = np.where(x <= 0.0, 0.0, math.inf)
-            return out if out.shape else float(out)
-        lo, hi = _bisect(lambda t: np.interp(t, self.t, self.h) < x,
-                         np.zeros_like(x, dtype=float),
-                         np.full_like(x, self.t[-1], dtype=float), HINV_ITERS)
-        out = np.where(x > self.hmax, math.inf, 0.5 * (lo + hi))
         return out if out.shape else float(out)
 
 
@@ -370,7 +351,6 @@ class ModelDomainParams:
     beta: float
     eps: float
     h: HFunction
-    omega: ModulusOfContinuity = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -415,7 +395,8 @@ def select_embedding_params(chart, m, r_V, omega):
 
       beta = max(1 + 1e-9, 4 sqrt(2) / m),
       eps  = the largest value on a grid of EMBED_GRID points with
-             sqrt(2) eps < r_V and x / h^{-1}(x) < 1/beta for all grid
+             sqrt(2) eps < r_V and h(beta x) < x (that is, x / h^{-1}(x)
+             < 1/beta, as h is nondecreasing and continuous) for all grid
              x in (0, eps]; the grid refines below its first point while
              that point fails, down to EMBED_EPS_FLOOR.
 
@@ -436,11 +417,7 @@ def select_embedding_params(chart, m, r_V, omega):
     cap = eps_cap
     while True:
         xs = np.linspace(cap / EMBED_GRID, cap, EMBED_GRID)
-        hinv = h.inv(xs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.isfinite(hinv),
-                             xs / np.where(hinv > 0, hinv, np.inf), 0.0)
-        bad = ratio >= 1.0 / beta
+        bad = h(beta * xs) >= xs
         if not bad.any():
             eps = float(xs[-1])
             break
@@ -453,7 +430,7 @@ def select_embedding_params(chart, m, r_V, omega):
         if xs[0] <= EMBED_EPS_FLOOR:
             raise DomainError("no admissible eps at the grid floor %g" % EMBED_EPS_FLOOR)
         cap = xs[0]
-    return ModelDomainParams(beta=beta, eps=eps, h=h, omega=omega,
+    return ModelDomainParams(beta=beta, eps=eps, h=h,
                              provenance={"m": m, "r_V": r_V, "binding": binding,
                                          "eps_cap": eps_cap, "grid": EMBED_GRID})
 

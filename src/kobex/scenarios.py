@@ -452,8 +452,7 @@ def scenario_embedding_suite(seed=0):
             value=emb.n_pairs, constants={"violations": len(emb.violations),
                                           "worst_margin": emb.worst_margin})
 
-    doubled = regularity.ModelDomainParams(beta=params.beta, eps=2.0 * params.eps,
-                                           h=params.h, omega=params.omega)
+    doubled = regularity.ModelDomainParams(beta=params.beta, eps=2.0 * params.eps, h=params.h)
     zetas2 = regularity.sample_model_domain(doubled, 100, seed=seed)
     emb2 = regularity.verify_embedding(D, chart, pts, doubled, zetas2)
     rep.add("doubled-eps-control", verdict=bool(len(emb2.violations) >= 1),

@@ -79,7 +79,6 @@ def compile_expr(text, variables):
         scope.update(env)
         return eval(code, {"__builtins__": {}}, scope)
 
-    fn.source = text
     return fn
 
 
@@ -139,7 +138,7 @@ def _build_domain(name, items):
             env = {"z%d" % (j + 1): z[..., j] for j in range(dim)}
             return np.real(fn(env))
 
-        constraints.append(Constraint(g, label=text))
+        constraints.append(Constraint(g))
     return DomainSpec(name, dim, constraints,
                       is_convex="convex" in flags,
                       is_reinhardt="reinhardt" in flags,

@@ -5,8 +5,7 @@ import pytest
 
 import kobex as kx
 import kobex.domains as dm
-from kobex.domains import (RAY_CHUNK, ZOOM_K, ZOOM_ROUNDS, _bisect, _halton,
-                           _ray_exit, _zoom_min)
+from kobex.domains import RAY_CHUNK, ZOOM_K, ZOOM_ROUNDS, _halton, _ray_exit, _zoom_min
 
 
 SQRT2 = math.sqrt(2.0)
@@ -268,30 +267,6 @@ def test_boundary_distance_batch_rejects_outside_rows(name):
         kx.boundary_distance_batch(D, [[0.1, 0.0], [2.0, 0.0]])
 
 
-def test_bisect_reaches_sqrt2():
-    lo, hi = _bisect(lambda x: x * x < 2.0, 1.0, 2.0, 60)
-    assert abs(lo - math.sqrt(2.0)) < 1e-12
-    assert abs(hi - math.sqrt(2.0)) < 1e-12
-
-
-def test_bisect_scalar_and_array_brackets_agree():
-    def inside(x):
-        return np.cos(x) > 0.3 * x
-
-    ls, hs = _bisect(inside, 0.0, 2.0, 40)
-    la, ha = _bisect(inside, np.array([0.0]), np.array([2.0]), 40)
-    assert la.shape == ha.shape == (1,)
-    assert float(ls) == la[0] and float(hs) == ha[0]
-
-
-def test_bisect_rows_are_independent():
-    targets = np.array([2.0, 3.0, 5.0, 7.0])
-    lo, hi = _bisect(lambda x: x * x < targets, np.ones(4), np.full(4, 3.0), 50)
-    for k, c in enumerate(targets):
-        lk, hk = _bisect(lambda x: x * x < c, 1.0, 3.0, 50)
-        assert lo[k] == float(lk) and hi[k] == float(hk)
-
-
 def test_zoom_min_finds_per_row_quadratic_minimizers():
     centers = np.array([0.013, 0.3, 0.5, 0.777, 0.99])
     grid = np.linspace(0.0, 1.0, 11)
@@ -367,7 +342,7 @@ def test_nearest_ball(ball2):
 
 def test_nearest_d21_matches_cubic_root(d21):
     # the nearest point on the curve y = 1 - x^2 from (0.95, 0) solves
-    # 2X^3 + (2 y0 - 1) X - x0 = 0; bisection oracle, then substitute
+    # 2X^3 + (2 y0 - 1) X - x0 = 0; np.roots oracle, then substitute
     roots = np.roots([2.0, 0.0, -1.0, -0.95])
     X_oracle = float(roots[np.isreal(roots)].real.max())
     X, Y = kx.nearest_point_cubic(0.95, 0.0)

@@ -306,8 +306,6 @@ def test_path_batch_scores_outside_midpoints_inf(monkeypatch):
     assert chords[0] == math.inf and math.isfinite(chords[1])
 
 
-@pytest.mark.xfail(strict=True, reason="midpoint-only checks let the descent "
-                   "build a finite-cost polygon through the hole")
 def test_path_batch_polygon_stays_inside_holed_ball(monkeypatch):
     # the final polygon, rebuilt from the midpoints of the last cost call as
     # node_{k+1} = 2 mid_k - node_k from z1, must lie in D at 201 points per
@@ -328,6 +326,31 @@ def test_path_batch_polygon_stays_inside_holed_ball(monkeypatch):
     lam = np.linspace(0.0, 1.0, 201)[:, None]
     for p, q in zip(nodes[:-1], nodes[1:]):
         assert np.all(real(D, p + lam * (q - p)))
+
+
+@pytest.mark.parametrize("name", ["ball2", "polydisc"])
+def test_path_total_is_not_below_a_refined_integral(name, monkeypatch):
+    # delta is exact and concave here, so 1/delta is convex along a segment
+    # and a one-midpoint rule would fall below the integral; the returned
+    # total must not fall below a 64-point midpoint refinement of
+    # int |gamma'| / delta(gamma) along the polygon rebuilt from the
+    # midpoints of the last cost call
+    D = kx.bundled_domain(name)
+    seen = []
+    real = kx.metrics.contains
+    monkeypatch.setattr(kx.metrics, "contains",
+                        lambda D, z: seen.append(np.array(z)) or real(D, z))
+    lam = (np.arange(64) + 0.5)[:, None] / 64
+    for z1, z2 in zip(*_seeded_pairs(D, 27, 4)):
+        total = kx.path_distance_upper(D, z1, z2)
+        nodes = [z1]
+        for mid in seen[-1]:
+            nodes.append(2.0 * mid - nodes[-1])
+        assert np.max(np.abs(nodes[-1] - z2)) <= 1e-12
+        refined = sum(np.linalg.norm(q - p) / 64
+                      * np.sum(1.0 / kx.boundary_distance_batch(D, p + lam * (q - p)))
+                      for p, q in zip(nodes[:-1], nodes[1:]))
+        assert total >= refined
 
 
 def test_path_batch_validates_rows(ball2):

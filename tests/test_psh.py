@@ -376,6 +376,28 @@ def test_nearest_point_cubic_vectorized_matches_roots():
     assert np.allclose(Y, 1 - X ** 2)
 
 
+def test_nearest_point_cubic_closed_form_on_the_example21_grid():
+    # Cardano's root on example21's stage-2 grid lies in (x0, 1) and leaves
+    # a cubic residual at rounding level
+    x0 = np.linspace(0.9, 1.0, 102)[1:-1]
+    y0 = np.linspace(0.0, 0.1, 101)[:-1]
+    X0, Y0 = np.meshgrid(x0, y0)
+    mask = X0 ** 2 + Y0 < 1.0
+    x0, y0 = X0[mask], Y0[mask]
+    assert x0.size == 7504
+    X, _ = kx.nearest_point_cubic(x0, y0)
+    assert np.all((x0 < X) & (X < 1.0))
+    assert np.max(np.abs(2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0)) <= 1e-15
+
+
+def test_nearest_point_cubic_rejects_rows_outside_its_region():
+    # at (0.05, 0) the cubic has three real roots and s^2 < 0
+    with pytest.raises(kx.DomainError, match="needs"):
+        kx.nearest_point_cubic(0.05, 0.0)
+    with pytest.raises(kx.DomainError, match="needs"):
+        kx.nearest_point_cubic([0.95, 0.05], [0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # pushforward barrier
 # ---------------------------------------------------------------------------

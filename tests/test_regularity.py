@@ -186,15 +186,6 @@ def test_h_convex_where_omega_increasing():
             assert h(0.5 * (a + b)) <= 0.5 * (h(a) + h(b)) + 1e-12
 
 
-def test_h_inverse_bisection():
-    h = kx.HFunction(linear_rate())
-    for x in (1e-6, 1e-3, 0.1):
-        t = h.inv(x)
-        assert h(t) == pytest.approx(x, rel=1e-6)
-    flat = kx.HFunction(kx.ModulusOfContinuity.from_function(lambda r: 0.0 * r, 1.0))
-    assert math.isinf(float(flat.inv(0.5)))
-
-
 # ---------------------------------------------------------------------------
 # model domains
 # ---------------------------------------------------------------------------
@@ -217,7 +208,7 @@ def test_select_embedding_params_linear_modulus():
     ch = charts.flat_chart()
     params = kx.select_embedding_params(ch, m=1.0, r_V=0.1, omega=linear_rate())
     assert params.beta == pytest.approx(4.0 * math.sqrt(2.0))
-    # x / h^-1(x) = sqrt(x/2) < 1/beta forces x < 2/beta^2 = 1/16
+    # h(beta x) = beta^2 x^2 / 2 < x forces x < 2/beta^2 = 1/16
     assert params.eps == pytest.approx(1.0 / 16.0, rel=2e-3)
     assert params.eps < 1.0 / 16.0
 
@@ -236,6 +227,17 @@ def test_select_embedding_params_small_gradient():
     p2 = kx.select_embedding_params(ch, m=0.1, r_V=0.1, omega=linear_rate())
     assert p2.beta > p1.beta
     assert p2.eps < p1.eps
+
+
+@pytest.mark.parametrize("omega", ["linear", "sqrt", "ex22"])
+def test_select_embedding_params_eps_keeps_h_below_x(omega):
+    # the forward rule h(beta x) < x holds at 1,000 points of (0, eps]
+    ch = charts.ex22_chart() if omega == "ex22" else charts.flat_chart()
+    w = {"linear": linear_rate, "sqrt": sqrt_rate,
+         "ex22": lambda: kx.estimate_modulus(ch)}[omega]()
+    params = kx.select_embedding_params(ch, m=1.0, r_V=0.1, omega=w)
+    xs = np.linspace(params.eps / 1000, params.eps, 1000)
+    assert np.all(params.h(params.beta * xs) < xs)
 
 
 def test_select_embedding_params_rejects_bad_inputs():
