@@ -61,13 +61,11 @@ def main():
     gx = np.linspace(-0.1, 0.1, 20)
     grid = np.array([chart.boundary_point(np.array([a + 0j]), b)
                      for a in gx for b in gx])
-    results = kx.extend_map(fmap, chart, grid, tprime=0.005, tol=2.5e-7, psi=psi)
-    direct = np.asarray(fmap.fn(grid))
-    dev = max(float(np.max(np.abs(r.value - d)))
-              for r, d in zip(results, direct))
+    ext = kx.extend_map(fmap, chart, grid, tprime=0.005, tol=2.5e-7, psi=psi)
+    dev = np.max(np.abs(ext.value - np.asarray(fmap.fn(grid))))
     print("  max deviation from the entire map: %.2e" % dev)
     ladder = kx.PsiLadder(psi, 0.005)
-    cont = kx.continuity_modulus(results[:100], fmap, ladder)
+    cont = kx.continuity_modulus(ext.xi[:100], ext.value[:100], fmap, ladder)
     print("  empirical boundary modulus:")
     for r, e, c in zip(cont.radii, cont.empirical, cont.certified):
         print("    within %.3f : max deviation %.4f (certified %.4f)"

@@ -61,8 +61,6 @@ def cmd_run(args):
     print("wall clock: %.2f s" % report.wall_clock)
     if args.out:
         print("report written to %s/%s.jsonl" % (args.out, args.scenario))
-    elif args.print_report:
-        sys.stdout.write(report.to_jsonl())
     return 0 if report.passed else 2
 
 
@@ -135,8 +133,6 @@ def build_parser():
                     help="tolerance of ball-sandwich and extension-oracle")
     sp.add_argument("--out", default=None, help="directory for jsonl/csv output")
     sp.add_argument("--csv", action="store_true", help="also emit csv tables")
-    sp.add_argument("--print-report", action="store_true",
-                    help="dump the jsonl report to stdout")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("distance", help="boundary / directional distance")

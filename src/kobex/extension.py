@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (ConvergenceError, DomainError, _row_blocks,
-                      boundary_distance_batch)
+                      boundary_distance_batch, row_norms)
 from .regularity import (GL16_W, GL16_X, ChartError, GraphChart, dyadic_panels,
                          vertical_height)
 
@@ -153,12 +153,14 @@ def normal_line_integral(fmap, xi, t, tprime, psi=None):
 
 @dataclass
 class ExtensionResult:
-    """A recovered boundary value with its error budget.
+    """Recovered boundary values with their error budget.
 
-    value approximates the boundary limit; t_used is the ladder rung the
-    value was taken at, with err_budget = int_0^{t_used} psi < tol bounding
-    the remaining gap.  tail_bound = int_0^{t_prime} psi dominates
-    |value_j - fmap_j(xi + t_prime * eps)| for every component.
+    xi (..., n) are the boundary points and value (..., n) approximates
+    the boundary limit at each; quadrature_error (...) is each line's
+    telescoping residual.  All points share one ladder: t_used is the rung
+    the values were taken at, with err_budget = int_0^{t_used} psi < tol
+    bounding the remaining gap, and tail_bound = int_0^{t_prime} psi
+    dominates |value_j - fmap_j(xi + t_prime * eps)| for every component.
     """
     xi: np.ndarray
     value: np.ndarray
@@ -166,7 +168,7 @@ class ExtensionResult:
     t_used: float
     tail_bound: float
     err_budget: float
-    quadrature_error: float
+    quadrature_error: np.ndarray
     levels: int
 
 
@@ -199,7 +201,7 @@ def psi_tail(psi, t):
 
 
 def _ladder_values(fmap, xis, tprime, tol, psi):
-    """ExtensionResult of every row of xis (m, n), all on one ladder rung."""
+    """ExtensionResult of the points xis (..., n), all on one ladder rung."""
     ladder = PsiLadder(psi, tprime)
     below = np.flatnonzero(ladder.tails[:LADDER_MAX_LEVELS + 1] < tol)
     if below.size == 0:
@@ -209,21 +211,20 @@ def _ladder_values(fmap, xis, tprime, tol, psi):
     t_used = ladder.rung(kstar)
     ev = _eps_vec(xis.shape[-1])
     values = np.asarray(fmap.fn(xis + t_used * ev), dtype=complex)
-    quad_err = np.zeros(len(xis))
+    quad_err = np.zeros(xis.shape[:-1])[()]
     if kstar > 0:
         integral, ierr = normal_line_integral(fmap, xis, t_used, tprime, psi=psi)
         top = np.asarray(fmap.fn(xis + tprime * ev), dtype=complex)
         quad_err = np.max(np.abs(top - integral - values), axis=-1) + ierr
-    return [ExtensionResult(xi=xi, value=value, t_prime=float(tprime),
-                            t_used=float(t_used), tail_bound=ladder.tail(0),
-                            err_budget=ladder.tail(kstar),
-                            quadrature_error=float(q), levels=kstar)
-            for xi, value, q in zip(xis, values, quad_err)]
+    return ExtensionResult(xi=xis, value=values, t_prime=float(tprime),
+                           t_used=float(t_used), tail_bound=ladder.tail(0),
+                           err_budget=ladder.tail(kstar),
+                           quadrature_error=quad_err, levels=kstar)
 
 
 def boundary_value(fmap, xi, tprime, tol, psi):
-    """Boundary value of the map at a chart boundary point xi: the one-row
-    case of extend_map, without its grid-margin check.
+    """Boundary value of the map at a chart boundary point xi (n,): the
+    one-point case of extend_map, without its grid-margin check.
 
     Descends the geometric ladder t_k = t' 2^-k, at most LADDER_MAX_LEVELS
     rungs, until the rate tail int_0^{t_k} psi falls below tol, and reports
@@ -231,8 +232,7 @@ def boundary_value(fmap, xi, tprime, tol, psi):
     telescoping identity between the top of the ladder and the rung used
     (quadrature_error).  The result does not depend on t' beyond 2 tol.
     """
-    return _ladder_values(fmap, np.asarray(xi, dtype=complex)[None], tprime,
-                          tol, psi)[0]
+    return _ladder_values(fmap, np.asarray(xi, dtype=complex), tprime, tol, psi)
 
 
 def grid_safety_margin(chart, grid_points):
@@ -251,7 +251,8 @@ def extend_map(fmap, chart, grid_points, tprime, tol, psi):
 
     t' stays within grid_safety_margin.  One ladder gives every point the
     same rung, so the whole grid takes one batched boundary_value pass.
-    Returns the list of ExtensionResult in grid order.
+    Returns one ExtensionResult whose xi, value and quadrature_error have
+    one row per grid point, in grid order.
     """
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=complex))
     margin = grid_safety_margin(chart, grid_points)
@@ -268,67 +269,49 @@ class ContinuityReport:
     certified: np.ndarray
 
 
-def continuity_modulus(results, fmap, ladder):
-    """Empirical modulus of the recovered boundary values against the
-    three-term certificate: two rate tails plus the oscillation of the
-    map on the lifted slice at each candidate lift height."""
-    if len(results) < 2:
+def continuity_modulus(xi, vals, fmap, ladder):
+    """Empirical modulus of the recovered boundary values vals (m, n) at
+    the points xi (m, n) against the three-term certificate: two rate tails
+    plus the oscillation of the map on the lifted slice at each candidate
+    lift height, every fourth ladder rung, all in one fmap.fn call."""
+    if len(xi) < 2:
         raise DomainError("need at least two grid points")
-    xi = np.array([r.xi for r in results])
-    vals = np.array([r.value for r in results])
-    n = xi.shape[0]
-    ev = _eps_vec(xi.shape[1])
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(len(xi), k=1)
     d = np.linalg.norm(xi[iu[0]] - xi[iu[1]], axis=-1)
     dev = np.max(np.abs(vals[iu[0]] - vals[iu[1]]), axis=-1)
     radii = np.quantile(d, np.linspace(0.15, 1.0, 8))
-    empirical = np.array([dev[d <= r].max() if np.any(d <= r) else 0.0
-                          for r in radii])
-    # certificate: minimize over lift heights on the ladder
-    certified = np.full(radii.size, math.inf)
-    for k in range(0, LADDER_LEVELS, 4):
-        t = ladder.rung(k)
-        lifted = np.asarray(fmap.fn(xi + t * ev[None, :]), dtype=complex)
-        osc = np.max(np.abs(lifted[iu[0]] - lifted[iu[1]]), axis=-1)
-        for i, r in enumerate(radii):
-            sel = d <= r
-            if np.any(sel):
-                bound = 2.0 * ladder.tail(k) + float(osc[sel].max())
-                certified[i] = min(certified[i], bound)
+    # every radius is at least the smallest pair distance, so each row of
+    # within selects a pair, and a 0 fill never exceeds a nonnegative max
+    within = d <= radii[:, None]
+    empirical = np.max(np.where(within, dev, 0.0), axis=-1)
+    ks = np.arange(0, LADDER_LEVELS, 4)
+    lifted = np.asarray(fmap.fn(xi + ladder.rung(ks)[:, None, None]
+                                * _eps_vec(xi.shape[-1])), dtype=complex)
+    osc = np.max(np.abs(lifted[:, iu[0]] - lifted[:, iu[1]]), axis=-1)
+    worst = np.max(np.where(within, osc[:, None], 0.0), axis=-1)
+    certified = np.min(2.0 * ladder.tails[ks, None] + worst, axis=0)
     return ContinuityReport(radii=radii, empirical=empirical, certified=certified)
 
 
 def cluster_set_sample(F, p, sequences):
     """Representatives of the accumulation set of F along sequences that
     end within 1e-2 of p: single-linkage clustering of the per-sequence
-    image limits at linkage radius CLUSTER_RADIUS; a map continuous at p
-    yields one cluster."""
-    p = np.asarray(p, dtype=complex)
-    limits = []
-    for seq in sequences:
-        seq = np.atleast_2d(np.asarray(seq, dtype=complex))
-        if np.linalg.norm(seq[-1] - p) > 1e-2:
-            raise DomainError("sequence does not approach the base point")
-        img = np.asarray(F(seq[-2:]), dtype=complex)
-        limits.append(img[-1])
-    limits = np.array(limits)
-    m = len(limits)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.linalg.norm(limits[i] - limits[j]) <= CLUSTER_RADIUS:
-                parent[find(i)] = find(j)
-    reps = {}
-    for i in range(m):
-        reps.setdefault(find(i), []).append(limits[i])
-    return [np.mean(np.array(v), axis=0) for v in reps.values()]
+    image limits at linkage radius CLUSTER_RADIUS, in order of each
+    cluster's first sequence; a map continuous at p yields one cluster."""
+    ends = np.array([np.atleast_2d(np.asarray(seq, dtype=complex))[-1]
+                     for seq in sequences])
+    if np.any(row_norms(ends - np.asarray(p, dtype=complex)) > 1e-2):
+        raise DomainError("sequence does not approach the base point")
+    limits = np.asarray(F(ends), dtype=complex)
+    # transitive closure of the link matrix by repeated squaring
+    linked = row_norms(limits[:, None] - limits[None]) <= CLUSTER_RADIUS
+    while True:
+        closed = linked @ linked
+        if np.array_equal(closed, linked):
+            break
+        linked = closed
+    first = np.unique(np.argmax(linked, axis=1))
+    return [np.mean(limits[linked[i]], axis=0) for i in first]
 
 
 # ---------------------------------------------------------------------------
@@ -374,38 +357,28 @@ class DichotomySequences:
 
 @dataclass
 class DichotomyReport:
-    rows: list
+    """Per-index columns of dichotomy_report, each (N,), read as rep[name]:
+    nu, dD1, dD2, sepD, dO1, dO2, U, L, l, bridge_slack, margin,
+    applicable and consistent."""
+    columns: dict
 
-    @property
-    def l_values(self):
-        return np.array([r["l"] for r in self.rows])
-
-    @property
-    def l_monotone(self):
-        l = self.l_values
-        return bool(np.all(np.diff(l) >= -1e-12))
+    def __getitem__(self, name):
+        return self.columns[name]
 
     @property
     def first_failure(self):
-        for r in self.rows:
-            if r["applicable"] and not r["consistent"]:
-                return r["nu"]
-        return None
+        failed = np.flatnonzero(self["applicable"] & ~self["consistent"])
+        return int(failed[0]) if failed.size else None
 
     def table(self):
         hdr = ("nu", "dD1", "dD2", "sepD", "dO1", "dO2", "U", "L", "l",
                "margin", "ok")
-        lines = ["  ".join("%8s" % h for h in hdr)]
-        for r in self.rows:
-            lines.append("  ".join([
-                "%8d" % r["nu"],
-                "%8.2e" % r["dD1"], "%8.2e" % r["dD2"], "%8.2e" % r["sepD"],
-                "%8.2e" % r["dO1"], "%8.2e" % r["dO2"],
-                "%8.3f" % r["U"], "%8.3f" % r["L"], "%8.3f" % r["l"],
-                "%8.3f" % r["margin"],
-                "%8s" % ("yes" if r["consistent"] else ("NO" if r["applicable"] else "n/a")),
-            ]))
-        return "\n".join(lines)
+        row = "  ".join(["%8d"] + ["%8.2e"] * 5 + ["%8.3f"] * 4 + ["%8s"])
+        ok = np.where(self["consistent"], "yes",
+                      np.where(self["applicable"], "NO", "n/a"))
+        cols = [self[h] for h in hdr[:-1]] + [ok]
+        return "\n".join(["  ".join("%8s" % h for h in hdr)]
+                         + [row % r for r in zip(*(c.tolist() for c in cols))])
 
 
 def dichotomy_report(seqs, D, Omega):
@@ -425,28 +398,22 @@ def dichotomy_report(seqs, D, Omega):
     dO1, dO2 = (boundary_distance_batch(Omega, ws) for ws in (seqs.w1, seqs.w2))
     sepD = np.linalg.norm(seqs.z1 - seqs.z2, axis=-1)
     C, K, C0 = seqs.C, seqs.K, seqs.C0
+    U = (0.5 * np.log(1.0 / dD1) + 0.5 * np.log(1.0 / dD2)
+         - 0.5 * np.log(1.0 / (dD1 + sepD))
+         - 0.5 * np.log(1.0 / (dD2 + sepD)) + C)
+    L = 0.5 * np.log(1.0 / dO1) + 0.5 * np.log(1.0 / dO2) - K
+    l = (0.5 * np.log(1.0 / (dD1 + sepD))
+         + 0.5 * np.log(1.0 / (dD2 + sepD)))
+    bridge = (0.5 * np.log(dD1 / (C0 * dO1))
+              + 0.5 * np.log(dD2 / (C0 * dO2)))
+    margin = (K + C - math.log(C0)) - l
     # the pair bound needs disjoint closed neighborhoods of q and xi
     disjoint = np.linalg.norm(seqs.q - seqs.xi) > 2.0 * seqs.sep_radius
-    rows = []
-    for nu in range(len(dD1)):
-        U = (0.5 * math.log(1.0 / dD1[nu]) + 0.5 * math.log(1.0 / dD2[nu])
-             - 0.5 * math.log(1.0 / (dD1[nu] + sepD[nu]))
-             - 0.5 * math.log(1.0 / (dD2[nu] + sepD[nu])) + C)
-        L = 0.5 * math.log(1.0 / dO1[nu]) + 0.5 * math.log(1.0 / dO2[nu]) - K
-        l = (0.5 * math.log(1.0 / (dD1[nu] + sepD[nu]))
-             + 0.5 * math.log(1.0 / (dD2[nu] + sepD[nu])))
-        bridge = (0.5 * math.log(dD1[nu] / (C0 * dO1[nu]))
-                  + 0.5 * math.log(dD2[nu] / (C0 * dO2[nu])))
-        margin = (K + C - math.log(C0)) - l
-        applicable = (disjoint
-                      and np.linalg.norm(seqs.w1[nu] - seqs.q) < seqs.sep_radius
-                      and np.linalg.norm(seqs.w2[nu] - seqs.xi) < seqs.sep_radius)
-        rows.append({
-            "nu": nu, "dD1": float(dD1[nu]), "dD2": float(dD2[nu]),
-            "sepD": float(sepD[nu]), "dO1": float(dO1[nu]), "dO2": float(dO2[nu]),
-            "U": U, "L": L, "l": l,
-            "bridge_slack": bridge, "margin": margin,
-            "applicable": bool(applicable),
-            "consistent": bool(margin >= 0.0) if applicable else True,
-        })
-    return DichotomyReport(rows=rows)
+    applicable = (disjoint
+                  & (row_norms(seqs.w1 - seqs.q) < seqs.sep_radius)
+                  & (row_norms(seqs.w2 - seqs.xi) < seqs.sep_radius))
+    return DichotomyReport(columns={
+        "nu": np.arange(len(dD1)), "dD1": dD1, "dD2": dD2, "sepD": sepD,
+        "dO1": dO1, "dO2": dO2, "U": U, "L": L, "l": l,
+        "bridge_slack": bridge, "margin": margin, "applicable": applicable,
+        "consistent": ~applicable | (margin >= 0.0)})

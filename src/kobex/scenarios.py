@@ -194,7 +194,6 @@ def scenario_example21(seed=0):
     the target."""
     rep = Report("example21", seed, VERSION)
     rng = np.random.default_rng(seed)
-    D = domains.ex21_D()
     Om = domains.ex21_Omega()
 
     # stage 1: explicit constants of the nearest-point estimate
@@ -521,23 +520,18 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
     a, b = np.meshgrid(gx, gx, indexing="ij")
     grid = chart.boundary_point((a.ravel() + 0j)[:, None], b.ravel())
     tprime = 0.005
-    results = extension.extend_map(fmap, chart, grid, tprime=tprime, tol=tol,
-                                   psi=psi_fn)
+    res = extension.extend_map(fmap, chart, grid, tprime=tprime, tol=tol,
+                               psi=psi_fn)
     direct = np.asarray(fmap.fn(grid), dtype=complex)
-    dev = float(max(np.max(np.abs(r.value - dvec))
-                    for r, dvec in zip(results, direct)))
+    dev = float(np.max(np.abs(res.value - direct)))
     rep.add("boundary-values-match-direct", verdict=bool(dev <= 1e-6), value=dev,
             tolerances={"abs": 1e-6}, constants={"grid": "20x20", "tol": tol})
 
-    ev = np.array([0.0, 1j])
-    top = np.asarray(fmap.fn(np.array([r.xi + r.t_prime * ev for r in results])),
+    top = np.asarray(fmap.fn(res.xi + res.t_prime * np.array([0.0, 1j])),
                      dtype=complex)
-    cert_ok = all(float(np.max(np.abs(r.value - tv))) <= r.tail_bound
-                  for r, tv in zip(results, top))
-    budget_ok = all(r.err_budget < tol for r in results)
-    rep.add("ladder-certificates", verdict=bool(cert_ok and budget_ok),
-            value={"tail_bound": results[0].tail_bound,
-                   "err_budget": results[0].err_budget})
+    cert_ok = np.all(np.max(np.abs(res.value - top), axis=-1) <= res.tail_bound)
+    rep.add("ladder-certificates", verdict=bool(cert_ok and res.err_budget < tol),
+            value={"tail_bound": res.tail_bound, "err_budget": res.err_budget})
 
     r1 = extension.boundary_value(fmap, grid[37], tprime, tol, psi=psi_fn)
     r2 = extension.boundary_value(fmap, grid[37], tprime / 2.0, tol, psi=psi_fn)
@@ -546,18 +540,19 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
             value=tp_gap, tolerances={"abs": 2.0 * tol})
 
     ladder = extension.PsiLadder(psi_fn, tprime)
-    cont = extension.continuity_modulus(results[:120], fmap, ladder)
+    cont = extension.continuity_modulus(res.xi[:120], res.value[:120], fmap,
+                                        ladder)
     rep.add("boundary-modulus-decays",
             verdict=bool(cont.empirical[0] <= cont.empirical[-1] + 1e-15
                          and np.all(cont.empirical <= cont.certified + 1e-12)),
             value=[float(cont.empirical[0]), float(cont.empirical[-1])])
+    # a complex array viewed as floats interleaves real and imaginary parts
+    parts = np.concatenate([res.xi, res.value], axis=-1).view(float)
+    budgets = np.broadcast_to([res.tail_bound, res.err_budget], (len(parts), 2))
     rep.add_table("extension-grid",
                   ["re_z1", "im_z1", "re_zn", "im_zn", "re_f1", "im_f1",
                    "re_f2", "im_f2", "tail_bound", "err_budget"],
-                  [[r.xi[0].real, r.xi[0].imag, r.xi[1].real, r.xi[1].imag,
-                    r.value[0].real, r.value[0].imag, r.value[1].real,
-                    r.value[1].imag, r.tail_bound, r.err_budget]
-                   for r in results])
+                  np.concatenate([parts, budgets], axis=-1).tolist())
     return rep
 
 
@@ -568,7 +563,6 @@ def scenario_dichotomy_demo(seed=0):
     rep = Report("dichotomy-demo", seed, VERSION)
     B = domains.ball(2)
     o = np.zeros(2, dtype=complex)
-    rng = np.random.default_rng(seed)
 
     N = 30
     nus = np.arange(1, N + 1)
@@ -602,22 +596,19 @@ def scenario_dichotomy_demo(seed=0):
     rep.add("domain-sequences-cauchy", verdict=bool(seqs.domain_cauchy_ok()),
             value=True)
     dich = extension.dichotomy_report(seqs, D=B, Omega=B)
-    lvals = dich.l_values
+    lvals = dich["l"]
     mono20 = bool(np.all(np.diff(lvals[:20]) > 0))
     rep.add("diverging-quantity-monotone", verdict=mono20,
             value=[float(lvals[0]), float(lvals[19])])
     rep.add("consistency-fails-at-finite-index",
             verdict=bool(dich.first_failure is not None),
             value=dich.first_failure)
-    slack_ok = all(r["bridge_slack"] >= -1e-9 for r in dich.rows)
-    rep.add("barrier-bridge-slack", verdict=bool(slack_ok),
-            value=min(r["bridge_slack"] for r in dich.rows))
-    rep.add_table("dichotomy",
-                  ["nu", "dD1", "dD2", "sepD", "dO1", "dO2", "U", "L", "l",
-                   "margin", "applicable", "consistent"],
-                  [[r["nu"], r["dD1"], r["dD2"], r["sepD"], r["dO1"], r["dO2"],
-                    r["U"], r["L"], r["l"], r["margin"], r["applicable"],
-                    r["consistent"]] for r in dich.rows])
+    slack = float(np.min(dich["bridge_slack"]))
+    rep.add("barrier-bridge-slack", verdict=bool(slack >= -1e-9), value=slack)
+    cols = ["nu", "dD1", "dD2", "sepD", "dO1", "dO2", "U", "L", "l",
+            "margin", "applicable", "consistent"]
+    rep.add_table("dichotomy", cols,
+                  zip(*(dich[c].tolist() for c in cols)))
 
     # control: images collapsing to one point stay consistent throughout
     seqs_same = extension.DichotomySequences(
@@ -626,7 +617,7 @@ def scenario_dichotomy_demo(seed=0):
         sep_radius=0.01)
     dich_same = extension.dichotomy_report(seqs_same, D=B, Omega=B)
     rep.add("same-limit-control",
-            verdict=bool(all(r["consistent"] for r in dich_same.rows)),
+            verdict=bool(np.all(dich_same["consistent"])),
             value=True)
     return rep
 

@@ -291,11 +291,11 @@ def _grid(chart, n, half_width=0.08):
 def test_extend_map_oracle_equivalence(corner_map):
     chart, fmap = corner_map
     grid = _grid(chart, 8)
-    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=2.5e-7,
-                            psi=sqrt_rate_psi())
+    res = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=2.5e-7,
+                        psi=sqrt_rate_psi())
     direct = np.asarray(fmap.fn(grid))
-    for r, d in zip(results, direct):
-        assert np.max(np.abs(r.value - d)) <= 2.5e-7 + r.quadrature_error + 1e-9
+    assert np.all(np.max(np.abs(res.value - direct), axis=-1)
+                  <= 2.5e-7 + res.quadrature_error + 1e-9)
 
 
 def test_extend_map_tol_shrink_never_worse(corner_map):
@@ -304,9 +304,9 @@ def test_extend_map_tol_shrink_never_worse(corner_map):
     direct = np.asarray(fmap.fn(grid))
 
     def worst(tol):
-        rs = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=tol,
-                           psi=sqrt_rate_psi())
-        return max(np.max(np.abs(r.value - d)) for r, d in zip(rs, direct))
+        res = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=tol,
+                            psi=sqrt_rate_psi())
+        return np.max(np.abs(res.value - direct))
 
     assert worst(1e-7) <= worst(1e-6) + 1e-12
 
@@ -314,15 +314,17 @@ def test_extend_map_tol_shrink_never_worse(corner_map):
 def test_extend_map_is_boundary_value_per_point(corner_map):
     chart, fmap = corner_map
     grid = _grid(chart, 8)
-    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=2.5e-7,
-                            psi=sqrt_rate_psi())
-    for xi, r in zip(grid, results):
+    res = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=2.5e-7,
+                        psi=sqrt_rate_psi())
+    assert res.xi.shape == res.value.shape == grid.shape
+    assert res.quadrature_error.shape == grid.shape[:1]
+    for i, xi in enumerate(grid):
         one = kx.boundary_value(fmap, xi, 0.004, 2.5e-7, psi=sqrt_rate_psi())
-        assert np.array_equal(r.value, one.value)
-        assert (r.t_used, r.tail_bound, r.err_budget, r.levels) == \
+        assert np.array_equal(res.value[i], one.value)
+        assert (res.t_used, res.tail_bound, res.err_budget, res.levels) == \
             (one.t_used, one.tail_bound, one.err_budget, one.levels)
         # per-line error sums may round differently in a larger block
-        assert abs(r.quadrature_error - one.quadrature_error) \
+        assert abs(res.quadrature_error[i] - one.quadrature_error) \
             <= 1e-12 * one.quadrature_error
 
 
@@ -347,6 +349,20 @@ def test_extension_oracle_pass_makes_few_derivative_calls(monkeypatch):
     assert len(calls) <= 30
 
 
+def test_telescoping_residual_detects_a_wrong_derivative(corner_map):
+    # on the extension-oracle grid the residual |top - integral - value| is
+    # rounding noise (1.4e-16); a 1 % error in dzn shows as about 1e-4
+    chart, fmap = corner_map
+    grid = _grid(chart, 20, 0.1)
+    scaled = kx.HolomorphicMap(fn=fmap.fn, dzn=lambda Z: 1.01 * fmap.dzn(Z),
+                               chart=chart)
+    true, wrong = (kx.extend_map(m, chart, grid, tprime=0.005, tol=2.5e-7,
+                                 psi=sqrt_rate_psi()) for m in (fmap, scaled))
+    assert true.levels > 0
+    assert np.max(true.quadrature_error) <= 1e-12
+    assert np.min(wrong.quadrature_error) >= 1e-6
+
+
 def test_extend_map_respects_safety_margin(corner_map):
     chart, fmap = corner_map
     grid = _grid(chart, 3)
@@ -367,10 +383,10 @@ def test_continuity_constant_map(corner_map):
         cval, np.asarray(Z).shape).copy(),
         dzn=lambda Z: np.zeros_like(Z), chart=chart)
     grid = _grid(chart, 4)
-    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-7,
-                            psi=sqrt_rate_psi())
+    res = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-7,
+                        psi=sqrt_rate_psi())
     ladder = kx.PsiLadder(sqrt_rate_psi(), 0.004)
-    rep = kx.continuity_modulus(results, fmap, ladder)
+    rep = kx.continuity_modulus(res.xi, res.value, fmap, ladder)
     assert np.all(rep.empirical == 0.0)
 
 
@@ -378,10 +394,11 @@ def test_continuity_budget_monotone(corner_map):
     # doubling the rate budget never shrinks the certified bound
     chart, fmap = corner_map
     grid = _grid(chart, 5)
-    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-6,
-                            psi=sqrt_rate_psi())
-    rep1 = kx.continuity_modulus(results, fmap, kx.PsiLadder(sqrt_rate_psi(), 0.004))
-    rep2 = kx.continuity_modulus(results, fmap,
+    res = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-6,
+                        psi=sqrt_rate_psi())
+    rep1 = kx.continuity_modulus(res.xi, res.value, fmap,
+                                 kx.PsiLadder(sqrt_rate_psi(), 0.004))
+    rep2 = kx.continuity_modulus(res.xi, res.value, fmap,
                                  kx.PsiLadder(sqrt_rate_psi(C=2.0), 0.004))
     assert np.all(rep2.certified >= rep1.certified - 1e-12)
 
@@ -389,13 +406,51 @@ def test_continuity_budget_monotone(corner_map):
 def test_continuity_bounded_by_map_modulus(corner_map):
     chart, fmap = corner_map
     grid = _grid(chart, 6)
-    results = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-7,
-                            psi=sqrt_rate_psi())
+    res = kx.extend_map(fmap, chart, grid, tprime=0.004, tol=1e-7,
+                        psi=sqrt_rate_psi())
     ladder = kx.PsiLadder(sqrt_rate_psi(), 0.004)
-    rep = kx.continuity_modulus(results, fmap, ladder)
+    rep = kx.continuity_modulus(res.xi, res.value, fmap, ladder)
     # the entire map is 3-Lipschitz on the patch in ambient coordinates
     assert np.all(rep.empirical <= 3.0 * rep.radii + 1e-9)
     assert np.all(rep.empirical <= rep.certified + 1e-12)
+
+
+def _continuity_reference(xi, vals, fmap, ladder):
+    """continuity_modulus as a loop over rungs and radii, one fn call a rung."""
+    iu = np.triu_indices(len(xi), k=1)
+    d = np.linalg.norm(xi[iu[0]] - xi[iu[1]], axis=-1)
+    dev = np.max(np.abs(vals[iu[0]] - vals[iu[1]]), axis=-1)
+    radii = np.quantile(d, np.linspace(0.15, 1.0, 8))
+    empirical = np.array([dev[d <= r].max() if np.any(d <= r) else 0.0
+                          for r in radii])
+    certified = np.full(radii.size, math.inf)
+    for k in range(0, kx.extension.LADDER_LEVELS, 4):
+        lifted = np.asarray(fmap.fn(xi + ladder.rung(k) * EV), dtype=complex)
+        osc = np.max(np.abs(lifted[iu[0]] - lifted[iu[1]]), axis=-1)
+        for i, r in enumerate(radii):
+            sel = d <= r
+            if np.any(sel):
+                bound = 2.0 * ladder.tail(k) + float(osc[sel].max())
+                certified[i] = min(certified[i], bound)
+    return radii, empirical, certified
+
+
+@pytest.mark.parametrize("n, tol", [(6, 1e-7), (11, 2.5e-7)])
+def test_continuity_matches_the_per_rung_loop(corner_map, n, tol):
+    # max and min are exact and the lifted values are the same products,
+    # so the one-call form equals the loop bitwise, in one fn call (18 before)
+    chart, fmap = corner_map
+    res = kx.extend_map(fmap, chart, _grid(chart, n, 0.1), tprime=0.004,
+                        tol=tol, psi=sqrt_rate_psi())
+    ladder = kx.PsiLadder(sqrt_rate_psi(1.7), 0.004)
+    calls = []
+    counted = kx.HolomorphicMap(fn=lambda Z: calls.append(1) or fmap.fn(Z),
+                                dzn=fmap.dzn, chart=chart)
+    rep = kx.continuity_modulus(res.xi, res.value, counted, ladder)
+    assert len(calls) == 1
+    want = _continuity_reference(res.xi, res.value, fmap, ladder)
+    for got, ref in zip((rep.radii, rep.empirical, rep.certified), want):
+        assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +501,49 @@ def test_cluster_requires_approach():
         kx.cluster_set_sample(F, p, [np.array([[0.5, 0.5]], dtype=complex)])
 
 
+def _union_find_clusters(limits):
+    """cluster_set_sample's former union-find over linked pairs, kept as the
+    reference: clusters in order of their first member, each its mean."""
+    m = len(limits)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.linalg.norm(limits[i] - limits[j]) <= kx.extension.CLUSTER_RADIUS:
+                parent[find(i)] = find(j)
+    reps = {}
+    for i in range(m):
+        reps.setdefault(find(i), []).append(limits[i])
+    return [np.mean(np.array(v), axis=0) for v in reps.values()]
+
+
+def test_cluster_closure_matches_union_find():
+    # random walks with steps near the linkage radius, visited in shuffled
+    # order, give chains that link only through other limits
+    rng = np.random.default_rng(0)
+    p = np.zeros(2, dtype=complex)
+    sizes = set()
+    for _ in range(300):
+        m = int(rng.integers(1, 16))
+        steps = rng.standard_normal((m, 4))
+        steps *= (rng.uniform(0.6, 1.4, (m, 1)) * kx.extension.CLUSTER_RADIUS
+                  / np.linalg.norm(steps, axis=1, keepdims=True))
+        walk = np.cumsum(steps, axis=0)[rng.permutation(m)]
+        limits = walk[:, :2] + 1j * walk[:, 2:]
+        got = kx.cluster_set_sample(lambda z: limits, p, [p[None]] * m)
+        want = _union_find_clusters(limits)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        sizes.add(len(want))
+    assert {1, 2, 3, 4, 5} <= sizes
+
+
 # ---------------------------------------------------------------------------
 # paired-sequence dichotomy
 # ---------------------------------------------------------------------------
@@ -470,13 +568,13 @@ def test_dichotomy_distinct_limits(ball2):
                                  sep_radius=0.5)
     assert seqs.domain_cauchy_ok()
     rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
-    assert rep.l_monotone
-    assert np.all(np.diff(rep.l_values[:20]) > 0)
-    assert rep.l_values[-1] > rep.l_values[0] + 3.0
+    assert np.all(np.diff(rep["l"]) >= -1e-12)
+    assert np.all(np.diff(rep["l"][:20]) > 0)
+    assert rep["l"][-1] > rep["l"][0] + 3.0
     assert rep.first_failure is not None
     # identical source/image distances with C0 = 1: zero bridge slack
     # (up to rounding of the deep-band distances)
-    assert all(abs(r["bridge_slack"]) < 1e-6 for r in rep.rows)
+    assert np.all(np.abs(rep["bridge_slack"]) < 1e-6)
 
 
 def test_dichotomy_same_limit_consistent(ball2):
@@ -487,7 +585,7 @@ def test_dichotomy_same_limit_consistent(ball2):
                                  xi=np.array([1, 0], dtype=complex),
                                  sep_radius=0.01)
     rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
-    assert all(r["consistent"] for r in rep.rows)
+    assert np.all(rep["consistent"])
     assert rep.first_failure is None
 
 
@@ -500,9 +598,9 @@ def test_dichotomy_degenerate_flat(ball2):
                                  xi=np.array([0, 0.5], dtype=complex),
                                  sep_radius=0.1)
     rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
-    l = rep.l_values
+    l = rep["l"]
     assert np.allclose(l, l[0])
-    assert rep.l_monotone
+    assert np.all(np.diff(l) >= -1e-12)
 
 
 def test_dichotomy_l_monotone_under_decreasing_inputs(ball2):
@@ -519,7 +617,97 @@ def test_dichotomy_l_monotone_under_decreasing_inputs(ball2):
                                  xi=np.array([0, 1], dtype=complex),
                                  sep_radius=0.5)
     rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
-    assert rep.l_monotone
+    assert np.all(np.diff(rep["l"]) >= -1e-12)
+
+
+def _dichotomy_reference(seqs, D, Omega):
+    """dichotomy_report's former per-index loop with math.log, as columns."""
+    dD1, dD2 = (kx.boundary_distance_batch(D, zs) for zs in (seqs.z1, seqs.z2))
+    dO1, dO2 = (kx.boundary_distance_batch(Omega, ws) for ws in (seqs.w1, seqs.w2))
+    sepD = np.linalg.norm(seqs.z1 - seqs.z2, axis=-1)
+    C, K, C0 = seqs.C, seqs.K, seqs.C0
+    disjoint = np.linalg.norm(seqs.q - seqs.xi) > 2.0 * seqs.sep_radius
+    rows = []
+    for nu in range(len(dD1)):
+        U = (0.5 * math.log(1.0 / dD1[nu]) + 0.5 * math.log(1.0 / dD2[nu])
+             - 0.5 * math.log(1.0 / (dD1[nu] + sepD[nu]))
+             - 0.5 * math.log(1.0 / (dD2[nu] + sepD[nu])) + C)
+        L = 0.5 * math.log(1.0 / dO1[nu]) + 0.5 * math.log(1.0 / dO2[nu]) - K
+        l = (0.5 * math.log(1.0 / (dD1[nu] + sepD[nu]))
+             + 0.5 * math.log(1.0 / (dD2[nu] + sepD[nu])))
+        bridge = (0.5 * math.log(dD1[nu] / (C0 * dO1[nu]))
+                  + 0.5 * math.log(dD2[nu] / (C0 * dO2[nu])))
+        margin = (K + C - math.log(C0)) - l
+        applicable = (disjoint
+                      and np.linalg.norm(seqs.w1[nu] - seqs.q) < seqs.sep_radius
+                      and np.linalg.norm(seqs.w2[nu] - seqs.xi) < seqs.sep_radius)
+        rows.append({
+            "nu": nu, "dD1": dD1[nu], "dD2": dD2[nu], "sepD": sepD[nu],
+            "dO1": dO1[nu], "dO2": dO2[nu], "U": U, "L": L, "l": l,
+            "bridge_slack": bridge, "margin": margin, "applicable": applicable,
+            "consistent": bool(margin >= 0.0) if applicable else True})
+    return {k: np.array([r[k] for r in rows]) for k in rows[0]}
+
+
+def test_dichotomy_columns_equal_the_loop_on_the_demo_sequences(ball2):
+    # the 30-term sequences of dichotomy-demo (the demo uses the first 24),
+    # split and collapsing images: no log differs here, so every column is
+    # bitwise the per-index loop's
+    z1, z2, w1, w2 = _ball_sequences(30)
+    hoods = dict(C=0.35, K=0.8, C0=1.0, q=np.array([1, 0], dtype=complex))
+    for seqs in (
+            kx.DichotomySequences(z1=z1, z2=z2, w1=w1, w2=w2, sep_radius=0.5,
+                                  xi=np.array([0, 1], dtype=complex), **hoods),
+            kx.DichotomySequences(z1=z1, z2=z2, w1=w1, w2=z2.copy(),
+                                  sep_radius=0.01,
+                                  xi=np.array([1, 0], dtype=complex), **hoods)):
+        rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
+        ref = _dichotomy_reference(seqs, ball2, ball2)
+        assert rep.columns.keys() == ref.keys()
+        for k in ref:
+            assert np.array_equal(rep[k], ref[k]), k
+
+
+def test_dichotomy_columns_match_the_loop_on_random_sequences(ball2):
+    # np.log and math.log may differ in the last bit, so each column may
+    # move by 4 eps per magnitude of its log terms and constants; the
+    # distances, applicability (row_norms) and consistency stay exact
+    rng = np.random.default_rng(0)
+    N = 2000
+
+    def near_sphere():
+        u = rng.standard_normal((N, 4))
+        u *= (1.0 - 10.0 ** rng.uniform(-6.0, -0.3, (N, 1))) \
+            / np.linalg.norm(u, axis=1, keepdims=True)
+        return u[:, :2] + 1j * u[:, 2:]
+
+    seqs = kx.DichotomySequences(
+        z1=near_sphere(), z2=near_sphere(), w1=near_sphere(), w2=near_sphere(),
+        C=1.3, K=0.7, C0=2.0, q=np.array([1, 0], dtype=complex),
+        xi=np.array([0, 1], dtype=complex), sep_radius=0.6)
+    rep = kx.dichotomy_report(seqs, D=ball2, Omega=ball2)
+    ref = _dichotomy_reference(seqs, ball2, ball2)
+    for k in ("nu", "dD1", "dD2", "sepD", "dO1", "dO2", "applicable",
+              "consistent"):
+        assert np.array_equal(rep[k], ref[k]), k
+    assert 0 < ref["applicable"].sum() < N
+    dD1, dD2, dO1, dO2, sepD = (ref[k] for k in ("dD1", "dD2", "dO1", "dO2",
+                                                 "sepD"))
+
+    def size(*args):
+        return sum(np.abs(0.5 * np.log(a)) for a in args)
+
+    scale = {
+        "U": size(dD1, dD2, dD1 + sepD, dD2 + sepD) + seqs.C,
+        "L": size(dO1, dO2) + seqs.K,
+        "l": size(dD1 + sepD, dD2 + sepD),
+        "bridge_slack": size(dD1 / (seqs.C0 * dO1), dD2 / (seqs.C0 * dO2)),
+        "margin": size(dD1 + sepD, dD2 + sepD)
+        + abs(seqs.K + seqs.C - math.log(seqs.C0)),
+    }
+    eps = np.finfo(float).eps
+    for k, s in scale.items():
+        assert np.all(np.abs(rep[k] - ref[k]) <= 4.0 * eps * s), k
 
 
 def test_dichotomy_table_renders(ball2):
