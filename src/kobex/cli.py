@@ -14,6 +14,7 @@ converge, 3 configuration error (such as a tol no ladder rung certifies).
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -114,6 +115,7 @@ def cmd_extend(args):
     return 0 if report.passed else 2
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="kobex", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

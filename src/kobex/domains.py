@@ -135,10 +135,10 @@ def contains(D, z):
 # ray casting: first exit radius along rays, fully vectorized over rays
 # ---------------------------------------------------------------------------
 
-# Ray exits run in chunks of whole rows, at most RAY_CHUNK rays unless one
-# row has more, which bounds the root finder's live arrays; grid scans run
-# in row blocks of about 8 * RAY_CHUNK grid points (_row_blocks), the same
-# order of memory.
+# Ray exits build brackets in chunks of whole rows, at most RAY_CHUNK rays
+# unless one row has more, and root-find consecutive chunks in groups of at
+# most RAY_CHUNK // 8 bracketed rays unless one chunk has more; grid scans
+# run in row blocks of about 8 * RAY_CHUNK grid points (_row_blocks).
 RAY_CHUNK = 1 << 15
 MARCH_STEPS = 128
 ROOT_STEPS = 128
@@ -154,20 +154,21 @@ def _ray_exit(D, z, dirs, bound=None):
 
     z: (m, n) interior rows; dirs: (m, k, n) unit complex directions (a
     broadcast view is fine: each chunk materializes only its own rows).
-    Returns (m, k).  The bracket [lo, hi] with value(lo) < 0 <= value(hi)
-    is [0, cap] for a convex domain, whose inside set along a ray is an
-    interval; otherwise a fixed march of step cap/MARCH_STEPS finds the
-    first outside point.  The march goes on evaluating the rays that have
-    stopped, masked out, until half of the rays it carries have, so a ray
-    sees the same grid points and values whatever the other rays do.  A
-    Chandrupatla root finder on D.value along the ray then shrinks the
-    bracket to hi - lo <= 4 eps hi and returns the midpoint.
-    Where D.value is exactly 0, interpolation has no slope to use, so the
-    finder steps just inside a new zero, doubles that step while zeros
-    repeat and bisects once it is past them.  The cap, and with it the
-    march grid, is set by the largest |z| in the batch, so the other rows
-    can move an exit by rounding, or by tunnelling on the march; the chunks
-    of whole rows change no exit.
+    Returns (m, k).  _brackets finds per ray, a chunk at a time, a bracket
+    [lo, hi] with value(lo) < 0 <= value(hi): [0, cap] for a convex domain,
+    whose inside set along a ray is an interval; otherwise a fixed march of
+    step cap/MARCH_STEPS finds the first outside point.  The march goes on
+    evaluating the rays that have stopped, masked out, until half of the
+    rays it carries have, so a ray sees the same grid points and values
+    whatever the other rays do.  One Chandrupatla root finder on D.value
+    (_roots) per group of chunks then shrinks the brackets to hi - lo <=
+    4 eps hi and returns the midpoints.  Where D.value is exactly 0,
+    interpolation has no slope to use, so the finder steps just inside a
+    new zero, doubles that step while zeros repeat and bisects once it is
+    past them.  Points are (n, rays) arrays; the oracle gets transposes.
+    The cap, and with it the march grid, is set by the largest |z| in the
+    batch, so the other rows can move an exit by rounding, or by tunnelling
+    on the march; chunks and groups of whole rows change no exit.
 
     Without a bound every entry is the exact exit.  With one (scalar or
     (m,), inf for none), each row keeps best = min(bound, least upper
@@ -180,13 +181,13 @@ def _ray_exit(D, z, dirs, bound=None):
     Two more steps use the bound.  On a convex domain each ray of a row
     with 0 < best < cap is probed once, at p = best (1 + PROBE_MARGIN); a
     ray inside at p exits beyond it, since the inside set is an interval,
-    and returns p.  And when some row is unbounded, each chunk first finds
-    the exits of every s-th ray, s = isqrt(k), then bounds the other rays
-    by min(bound, those rays' row minima); on a non-convex domain the march
-    stops those rays once t exceeds that bound, as the root finder does.
-    Both only stop rays early; a ray that is not stopped runs the same
-    bracket and root steps, so every exact entry is bitwise the exit the
-    plain search finds.
+    and returns p.  And when some row is unbounded, a first pass finds the
+    exits of every s-th ray, s = isqrt(k), then a second pass bounds the
+    other rays by min(bound, those rays' row minima); on a non-convex
+    domain the march stops those rays once t exceeds that bound, as the
+    root finder does.  Both only stop rays early; a ray that is not stopped
+    runs the same bracket and root steps, so every exact entry is bitwise
+    the exit the plain search finds.
     """
     z = np.asarray(z, dtype=complex)
     dirs = np.asarray(dirs, dtype=complex)
@@ -198,62 +199,65 @@ def _ray_exit(D, z, dirs, bound=None):
     # bound no ray stops early
     best = np.broadcast_to(np.nan if bound is None else bound, (m,)).astype(float)
     s = math.isqrt(k)
-    coarse = s > 1 and np.any(best == math.inf)
-    rest = np.flatnonzero(np.arange(k) % s)
+    passes = [np.arange(k)]
+    if s > 1 and np.any(best == math.inf):
+        passes = [passes[0][::s], np.flatnonzero(passes[0] % s)]
     out = np.empty((m, k))
     step = max(1, RAY_CHUNK // k)
-    for r in range(0, m, step):
-        rows = slice(r, r + step)
-        if not coarse:
-            out[rows] = _exit_chunk(D, z[rows], dirs[rows], cap, best[rows])
-            continue
-        first = out[rows, ::s] = _exit_chunk(D, z[rows], dirs[rows, ::s], cap, best[rows])
-        out[rows, rest] = _exit_chunk(D, z[rows], np.take(dirs[rows], rest, axis=1),
-                                      cap, np.minimum(best[rows], first.min(axis=1)))
+    for i, cols in enumerate(passes):
+        if i:
+            best = np.minimum(best, out[:, ::s].min(axis=1))
+        group = []
+        for r in range(0, m, step):
+            state = _brackets(D, z, dirs, slice(r, r + step), cols, cap, best, out)
+            if state is None:
+                continue
+            if group and sum(g[0].shape[1] for g in group) + state[0].shape[1] > RAY_CHUNK // 8:
+                _roots(D, group, cap, best, out)
+                group = []
+            group.append(state)
+        if group:
+            _roots(D, group, cap, best, out)
     return out
 
 
-def _exit_chunk(D, z, dirs, cap, best):
-    """_ray_exit on one chunk of whole rows, with best a writable copy of
-    their bounds.  Without probes one oracle call takes the row origins and
-    every ray's cap point.  With probes one call takes the origins and the
-    probes, and a second the cap points of the rays the probes did not
-    stop, the only ones whose [0, cap] bracket is used.  The march keeps a
-    stopped ray in its arrays, masked out, until half of the rays it
-    carries have stopped; the root finder keeps its state in three arrays
-    and compacts them with one take each on steps where some ray stops."""
-    mc, k, n = dirs.shape
-    m = mc * k
-    row = np.repeat(np.arange(mc), k)
-    res = np.full(m, np.nan)
+def _brackets(D, z, dirs, rows, cols, cap, best, out):
+    """Brackets of the chunk dirs[rows][:, cols], best the pass's bounds.
+    Stopped rays get their entries of out by flat index; the others are
+    returned as a root state (None if there are none).  One oracle call
+    reads the origins and the probes, or every cap point without probes."""
+    z, best = z[rows].T, best[rows]
+    (n, mc), kc = z.shape, cols.size
+    d = np.take(dirs[rows].transpose(2, 0, 1), cols, axis=2).reshape(n, -1)
+    m, row = d.shape[1], np.repeat(np.arange(mc), kc)
+    flat = (np.arange(rows.start, rows.start + mc)[:, None] * out.shape[1] + cols).ravel()
     # a probed row has every ray probed
     pr = np.flatnonzero(D.is_convex & (best > 0.0) & (best < cap))
-    if pr.size:
-        p = best[pr, None] * (1.0 + PROBE_MARGIN)
-        probes = (z[pr, None] + p[..., None] * dirs[pr]).reshape(-1, n)
-        f0, fp = np.split(D.value(np.concatenate([z, probes])), [mc])
-        res.reshape(mc, k)[pr] = np.where(fp.reshape(-1, k) < 0.0, p, np.nan)
-        todo = np.flatnonzero(np.isnan(res))
-        dirs = dirs.reshape(m, n)
-        fcap = (D.value(np.take(z, row[todo], axis=0) + cap * np.take(dirs, todo, axis=0))
-                if todo.size else np.empty(0))
-    else:
-        todo = np.arange(m)
-        caps = (z[:, None] + cap * dirs).reshape(m, n)
-        f0, fcap = np.split(D.value(np.concatenate([z, caps])), [mc])
-        dirs = dirs.reshape(m, n)
-    if np.any(f0 >= 0.0) or np.any(fcap < 0.0):
+    sel = pr if 0 < pr.size < mc else slice(None)
+    p = best[sel, None] * (1.0 + PROBE_MARGIN) if pr.size else cap
+    ends = np.multiply(p, d.reshape(n, mc, kc)[:, sel])
+    ends += z[:, sel, None]
+    f = D.value(np.concatenate([z, ends.reshape(n, -1)], axis=1).T)
+    f0, fhi = f[:mc], f[mc:]
+    if np.any(f0 >= 0.0) or (not pr.size and np.any(fhi < 0.0)):
         raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
-    lo, flo = np.zeros(m), f0[row]
-    hi, fhi = np.full(m, cap), np.empty(m)
-    fhi[todo] = fcap
+    todo = np.arange(m)
+    if pr.size:
+        hit = np.zeros((mc, kc), dtype=bool)
+        hit[sel] = fhi.reshape(-1, kc) < 0.0
+        stopped = np.flatnonzero(hit)
+        out.put(flat[stopped], best[row[stopped]] * (1.0 + PROBE_MARGIN))
+        todo = np.flatnonzero(~hit)
+        fhi = np.full(todo.size, np.nan)    # NaN: a cap point not read yet
+    lo, flo, hi = 0.0, f0[row[todo]], cap
     if not D.is_convex:
+        lo, flo, hi, fhi = np.zeros(m), f0[row], np.full(m, np.nan), np.empty(m)
         step = cap / MARCH_STEPS
-        zt, dt, rt, fl = np.take(z, row, axis=0), dirs, row, flo
+        zt, dt, rt, fl = np.take(z, row, axis=1), d, row, flo
         live = np.ones(m, dtype=bool)
         for j in range(1, MARCH_STEPS + 1):
             t = j * step
-            f = D.value(zt + t * dt)
+            f = D.value((zt + t * dt).T)
             outside = f >= 0.0
             left = outside & live
             best[rt[left]] = np.minimum(best[rt[left]], t)
@@ -262,22 +266,43 @@ def _exit_chunk(D, z, dirs, cap, best):
             if stop.any():
                 ray = todo[left]
                 lo[ray], flo[ray], hi[ray], fhi[ray] = (j - 1) * step, fl[left], t, f[left]
-                res[todo[cut]] = t
+                out.put(flat[todo[cut]], t)
                 live &= ~stop
                 kept = np.count_nonzero(live)
                 if not kept:
                     break
                 if 2 * kept <= live.size:
                     keep = np.flatnonzero(live)
-                    todo, zt, dt, rt, f = (np.take(a, keep, axis=0)
-                                           for a in (todo, zt, dt, rt, f))
+                    todo, rt, f = (np.take(a, keep) for a in (todo, rt, f))
+                    zt, dt = (np.take(a, keep, axis=1) for a in (zt, dt))
                     live = live[keep]
             fl = f
         else:
             raise ConvergenceError("ray march found no exit within the bounding cap")
-        todo = np.flatnonzero(np.isnan(res))    # the rays that left, to root-find
+        todo = np.flatnonzero(hi >= 0.0)    # the rays that left, to root-find
+        lo, flo, hi, fhi = lo[todo], flo[todo], hi[todo], fhi[todo]
     if not todo.size:
-        return res.reshape(mc, k)
+        return None
+    state = np.empty((9, todo.size))
+    state[0], state[1], state[2], state[3], state[6] = lo, flo, hi, fhi, 0.5
+    zd = np.empty((2, n, todo.size), dtype=complex)
+    np.take(z, row[todo], axis=1, out=zd[0])
+    np.take(d, todo, axis=1, out=zd[1])
+    return state, zd, np.stack([flat[todo], rows.start + row[todo]])
+
+
+def _roots(D, group, cap, best, out):
+    """Root-finds a group of root states, concatenated if there are several,
+    after one call reads the cap points whose f2 is NaN; each exit goes
+    into out by its flat index.  A ray is a column of state (x1, f1, x2,
+    f2, x3, f3, want, x21 = x2 - x1, tol), of zd (origin, direction) and of
+    ids (flat index, row), compacted with three takes when a ray stops."""
+    s, zd, ids = group[0] if len(group) == 1 else (np.concatenate(a, -1) for a in zip(*group))
+    unread = np.flatnonzero(np.isnan(s[3]))
+    if unread.size:
+        s[3, unread] = D.value((np.take(zd[0], unread, 1) + cap * np.take(zd[1], unread, 1)).T)
+        if np.any(s[3, unread] < 0.0):
+            raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
 
     # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
     # bracket and x3 the point dropped last; each step tries inverse
@@ -295,29 +320,19 @@ def _exit_chunk(D, z, dirs, cap, best):
     # fraction asked for, t the one taken.
     # Given a bound, each step folds the live rays' upper ends into their
     # rows' best; a stopped ray's last upper end is already in it.
-    # A live ray's state is a column of s (x1, f1, x2, f2, x3, f3, want,
-    # x21 = x2 - x1, tol), of zd (origin, direction) and of ids (ray, row),
-    # so a stopping step compacts it with three takes; the (x, f) pairs of
-    # s are updated as (2, live) blocks.
-    s = np.empty((9, todo.size))
-    s[0], s[1], s[2], s[3], s[6] = lo[todo], flo[todo], hi[todo], fhi[todo], 0.5
-    zd = np.empty((2, todo.size, n), dtype=complex)
-    np.take(z, row[todo], axis=0, out=zd[0])
-    np.take(dirs, todo, axis=0, out=zd[1])
-    ids = np.stack([todo, row[todo]])
-    pts = np.empty((todo.size, n), dtype=complex)
+    pts = np.empty(zd.shape[1:], dtype=complex)
     bounded = not np.isnan(best).any()
     x1, f1, x2, f2, x3, f3, want, x21, tol = s
+    q = s[:6].reshape(3, 2, -1)    # the (x, f) pairs 1, 2 and 3
     np.subtract(x2, x1, out=x21)
     t = 0.5
     for _ in range(ROOT_STEPS):
         x = x1 + t * x21
-        np.multiply(x[:, None], zd[1], out=pts)
+        np.multiply(x, zd[1], out=pts)
         pts += zd[0]
-        f = D.value(pts)
+        f = D.value(pts.T)
         same = (f >= 0.0) == (f1 >= 0.0)
-        s[4:6] = np.where(same, s[0:2], s[2:4])
-        s[2:4] = np.where(same, s[2:4], s[0:2])
+        q[1:] = np.where(same, q[1::-1], q[:2])
         x1[:], f1[:] = x, f
         dx = np.abs(np.subtract(x2, x1, out=x21))
         up = np.maximum(x1, x2)
@@ -328,16 +343,17 @@ def _exit_chunk(D, z, dirs, cap, best):
         low = np.minimum(x1, x2)
         stop = done | (low > best[ids[1]])
         if stop.any():
-            res[ids[0, stop]] = np.where(done, 0.5 * (x1 + x2), low)[stop]
+            out.put(ids[0, stop], np.where(done, 0.5 * (x1 + x2), low)[stop])
             keep = np.flatnonzero(~stop)
             if not keep.size:
-                return res.reshape(mc, k)
-            s, zd, ids = (np.take(a, keep, axis=1) for a in (s, zd, ids))
-            pts = pts[:keep.size]
+                return
+            s, zd, ids = (np.take(a, keep, -1) for a in (s, zd, ids))
+            pts = np.empty(zd.shape[1:], dtype=complex)
             x1, f1, x2, f2, x3, f3, want, x21, tol = s
+            q = s[:6].reshape(3, 2, -1)
             dx = np.abs(x21)
         # num = (x1 - x2, f1 - f2) and den = (x3 - x2, f3 - f2)
-        num, den = s[0:2] - s[2:4], s[4:6] - s[2:4]
+        num, den = q[::2] - q[1]
         xi, phi = num / den
         f12, f32 = num[1], den[1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,8 +362,8 @@ def _exit_chunk(D, z, dirs, cap, best):
         accept = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
         tl = 0.5 * tol / dx
         new = np.where(accept & (f2 != 0.0), iqi, 0.5)
-        zero = np.flatnonzero(f1 == 0.0)
-        if zero.size:
+        if not f1.all():
+            zero = f1 == 0.0
             new[zero] = np.where(f3[zero] == 0.0, np.minimum(2.0 * want[zero], 0.5),
                                  0.5 * tl[zero])
         want[:] = new
@@ -698,7 +714,8 @@ def directional_distance_batch(D, zs, vs, n_phases=256, refine=True):
     u = vs / nv
 
     def exits(theta, best, rows=slice(None)):
-        return _ray_exit(D, zs[rows], np.exp(1j * theta)[..., None] * u[rows, None, :], best)
+        d = np.exp(1j * theta) * u.T[:, rows, None]    # coordinate first: (n, rows, k)
+        return _ray_exit(D, zs[rows], d.transpose(1, 2, 0), best)
 
     theta = 2.0 * math.pi * np.arange(n_phases) / n_phases
     if not refine:

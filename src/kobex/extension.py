@@ -67,7 +67,8 @@ class HolomorphicMap:
             return F(chart.from_chart(Z))
 
         def dzn(Z):
-            return np.asarray(jacobian(chart.from_chart(Z)), dtype=complex) @ uvec
+            J = np.asarray(jacobian(chart.from_chart(Z)), dtype=complex)
+            return np.einsum("...jk,k->...j", J, uvec)
 
         return cls(fn=fn, dzn=dzn, chart=chart, name=name)
 

@@ -17,6 +17,34 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _main_output(argv, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:    # argparse errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_calls_in_one_process_share_one_parser(capsys):
+    # the parser is built once; commands run one after another, an argparse
+    # error among them, print what each prints with a parser of its own
+    calls = [("list",),
+             ("metric", "ball2", "--at", "0.3,0.1", "--dir", "1,0.5j", "--method", "inscribed"),
+             ("distance", "ball2", "--at", "0.3,0.1", "--phases", "many"),
+             ("explain", "example21"),
+             ("distance", "ball2", "--at", "0.3,0.1", "--dir", "1,0.5j", "--phases", "64")]
+    together = [_main_output(argv, capsys) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(_main_output(argv, capsys))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 0]
+    assert "invalid int value: 'many'" in together[2][2]
+
+
 def test_list_names_catalog(capsys):
     assert run_cli("list") == 0
     out = capsys.readouterr().out.split()

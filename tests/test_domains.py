@@ -594,18 +594,28 @@ def test_convex_exits_reject_a_short_bounding_radius():
         kx.directional_distance_batch(D, z[None], v[None], n_phases=4096, refine=False)
 
 
+@pytest.mark.parametrize("bound", [None, math.inf, 0.3])
 @pytest.mark.parametrize("name", ["ball2", "ex22_omega", "ex21_d", "slab2"])
-def test_ray_exit_does_not_depend_on_the_chunk(name):
-    # chunks hold RAY_CHUNK // k whole rows; all rows share one origin, so
-    # one cap, and a call per row gives the same exits as the chunked call
+def test_ray_exit_does_not_depend_on_the_chunk(name, bound, monkeypatch):
+    # chunks hold RAY_CHUNK // k whole rows, and one root loop finishes the
+    # bracketed rays of consecutive chunks of a pass; all rows share one
+    # origin, so one cap, and a call per row gives the same exits as the
+    # chunked call.  The bound inf runs the coarse pass, whose root groups
+    # span chunks, then the probes on ball2; 0.3 probes or cuts the march
     D = {"slab2": _slab2}.get(name, lambda: kx.bundled_domain(name))()
     k = 1000
     m = 2 * (RAY_CHUNK // k) + 3
     z = np.tile(D.interior_point, (m, 1))
     dirs = _unit_rows(np.random.default_rng(4), m * k).reshape(m, k, 2)
-    t = _ray_exit(D, z, dirs)
-    rows = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1]) for i in range(m)]
-    assert np.array_equal(t, np.concatenate(rows))
+    groups = []
+    roots = dm._roots
+    monkeypatch.setattr(dm, "_roots", lambda D, group, *a: groups.append(len(group))
+                        or roots(D, group, *a))
+    t = _ray_exit(D, z, dirs, bound)
+    if bound is math.inf:
+        assert max(groups) > 1
+    rows = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1], bound) for i in range(m)]
+    assert np.concatenate(rows).tobytes() == t.tobytes()
 
 
 @pytest.mark.parametrize("bound", [None, 0.3])
@@ -628,16 +638,44 @@ def test_marched_rays_match_single_ray_calls(bound):
         assert np.any(t > bound)    # rays the bound stopped on the march
 
 
-@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 534),
-                                          ("ball2", (0.3, 0.2j), 72)])
+@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 249),
+                                          ("ball2", (0.3, 0.2j), 46)])
 def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
-    # masked march rays add oracle points, never oracle calls
+    # masked march rays add oracle points, never oracle calls, and a one-row
+    # call is one chunk, so one root loop and at most one cap-point call
     D = kx.bundled_domain(name)
     seen = []
     real = D.value
     monkeypatch.setattr(D, "value", lambda x: seen.append(1) or real(x))
     kx.directional_distance(D, kx.cpoint(*z), kx.cpoint(1, 0.5j))
     assert len(seen) <= calls
+
+
+def test_ball_sandwich_oracle_call_reads_its_points_in_few_calls(monkeypatch):
+    # ball-sandwich's seed-0 rows, 4096 phases at bound inf: 13 chunks of 8
+    # rows a pass, the coarse pass and then the probed rest; one root loop
+    # per group of chunks and one cap-point call per group read the same
+    # points as a root loop and a cap-point call per chunk (346 calls)
+    rng = np.random.default_rng(0)
+    zs = []
+    while len(zs) < 100:
+        z = (rng.random(2) - 0.5) * 1.9 + 1j * (rng.random(2) - 0.5) * 1.9
+        if np.linalg.norm(z) < 0.93:
+            zs.append(z)
+    vs = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
+    D = kx.ball(2)
+    calls, points = [], [0]
+    real = D.value
+
+    def value(x):
+        calls.append(1)
+        points[0] += int(np.prod(np.shape(x)[:-1]))
+        return real(x)
+
+    monkeypatch.setattr(D, "value", value)
+    kx.directional_distance_batch(D, np.array(zs), vs, n_phases=4096, refine=False)
+    assert points[0] == 466_670
+    assert len(calls) <= 90
 
 
 def _named_domain(name):

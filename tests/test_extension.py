@@ -349,6 +349,26 @@ def test_extension_oracle_pass_makes_few_derivative_calls(monkeypatch):
     assert len(calls) <= 30
 
 
+def test_from_ambient_derivative_equals_the_stacked_matmul(corner_map):
+    # dzn contracts the (..., n, n) Jacobians with the chart's last unitary
+    # row by einsum; on the extension-oracle grid the line integrals and
+    # their error estimates equal, bitwise, those of the matmul J @ uvec
+    chart, fmap = corner_map
+    _, jac = square_first_map()
+    uvec = np.conj(chart.unitary)[chart.dim - 1, :]
+    matmul = kx.HolomorphicMap(
+        fn=fmap.fn, chart=chart,
+        dzn=lambda Z: np.asarray(jac(chart.from_chart(Z)), dtype=complex) @ uvec)
+    grid = _grid(chart, 20, 0.1)
+    res = kx.extend_map(fmap, chart, grid, tprime=0.005, tol=2.5e-7, psi=sqrt_rate_psi())
+    assert res.levels > 0
+    (val, err), (ref, ref_err) = (kx.normal_line_integral(m, grid, res.t_used, 0.005,
+                                                          psi=sqrt_rate_psi())
+                                  for m in (fmap, matmul))
+    assert val.shape == (400, 2)
+    assert val.tobytes() == ref.tobytes() and err.tobytes() == ref_err.tobytes()
+
+
 def test_telescoping_residual_detects_a_wrong_derivative(corner_map):
     # on the extension-oracle grid the residual |top - integral - value| is
     # rounding noise (1.4e-16); a 1 % error in dzn shows as about 1e-4
