@@ -121,12 +121,10 @@ def build_parser():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("list", help="list bundled scenarios")
-    sp.set_defaults(fn=cmd_list)
+    sub.add_parser("list", help="list bundled scenarios")
 
     sp = sub.add_parser("explain", help="show per-stage formula anchors")
     sp.add_argument("scenario")
-    sp.set_defaults(fn=cmd_explain)
 
     sp = sub.add_parser("run", help="run a scenario and report verdicts")
     sp.add_argument("scenario")
@@ -135,7 +133,6 @@ def build_parser():
                     help="tolerance of ball-sandwich and extension-oracle")
     sp.add_argument("--out", default=None, help="directory for jsonl/csv output")
     sp.add_argument("--csv", action="store_true", help="also emit csv tables")
-    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("distance", help="boundary / directional distance")
     sp.add_argument("domain", help="bundled name or a .kx definition file")
@@ -145,7 +142,6 @@ def build_parser():
                     help="search for delta(z) (default auto)")
     sp.add_argument("--phases", type=int, default=None,
                     help="sampled phases of delta(z;v) (default 256)")
-    sp.set_defaults(fn=cmd_distance)
 
     sp = sub.add_parser("metric", help="one-sided metric bounds at (z, v)")
     sp.add_argument("domain")
@@ -153,13 +149,11 @@ def build_parser():
     sp.add_argument("--dir", required=True)
     sp.add_argument("--method", default="graham",
                     choices=["graham", "inscribed", "exact"])
-    sp.set_defaults(fn=cmd_metric)
 
     sp = sub.add_parser("extend", help="run the boundary-extension pipeline")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=2.5e-7)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_extend)
     return p
 
 
@@ -169,7 +163,9 @@ def main(argv=None):
         tol = getattr(args, "tol", None)
         if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise domains.DomainError("--tol must be finite and nonnegative, got %r" % tol)
-        return args.fn(args)
+        # the handler is looked up when called, not when the cached parser
+        # was built, so a wrapper later set on a cmd_* function is used
+        return globals()["cmd_" + args.command](args)
     except (domains.DomainError, extension.TailBoundError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
