@@ -353,7 +353,7 @@ def _roots(D, group, cap, best, out):
             q = s[:6].reshape(3, 2, -1)
             dx = np.abs(x21)
         # num = (x1 - x2, f1 - f2) and den = (x3 - x2, f3 - f2)
-        num, den = q[::2] - q[1]
+        num, den = s[0:2] - s[2:4], s[4:6] - s[2:4]
         xi, phi = num / den
         f12, f32 = num[1], den[1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -362,8 +362,8 @@ def _roots(D, group, cap, best, out):
         accept = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
         tl = 0.5 * tol / dx
         new = np.where(accept & (f2 != 0.0), iqi, 0.5)
-        if not f1.all():
-            zero = f1 == 0.0
+        zero = np.flatnonzero(f1 == 0.0)
+        if zero.size:
             new[zero] = np.where(f3[zero] == 0.0, np.minimum(2.0 * want[zero], 0.5),
                                  0.5 * tl[zero])
         want[:] = new

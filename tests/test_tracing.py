@@ -35,3 +35,22 @@ def test_tracer_installs_and_uninstalls_on_the_package(monkeypatch):
     finally:
         tracer.uninstall()
     assert current() == before
+
+
+def test_cli_spans_are_entered_after_an_untraced_call(monkeypatch, capsys):
+    # traced benchmark runs make an untraced pass first, so the CLI parser
+    # exists before the tracer wraps cmd_distance and cmd_metric
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("kobex_bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert kobex.cli.main(["distance", "ball2", "--at", "0.3,0.1"]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert kobex.cli.main(["distance", "ball2", "--at", "0.3,0.1"]) == 0
+        assert kobex.cli.main(["metric", "ball2", "--at", "0.3,0.1", "--dir", "1,0"]) == 0
+    finally:
+        tracer.uninstall()
+    entered = {tracer.names[i] for i in tracer.name}
+    assert {"cli.distance", "cli.metric"} <= entered
