@@ -45,16 +45,6 @@ def test_main_calls_in_one_process_share_one_parser(capsys):
     assert "invalid int value: 'many'" in together[2][2]
 
 
-def test_main_looks_up_its_handler_when_called(monkeypatch, capsys):
-    # a wrapper set on a cmd_* function after the parser was built is used
-    assert cli.main(["list"]) == 0
-    calls = []
-    real = cli.cmd_list
-    monkeypatch.setattr(cli, "cmd_list", lambda args: calls.append(args.command) or real(args))
-    assert cli.main(["list"]) == 0
-    assert calls == ["list"]
-
-
 def test_list_names_catalog(capsys):
     assert run_cli("list") == 0
     out = capsys.readouterr().out.split()

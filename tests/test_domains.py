@@ -594,9 +594,8 @@ def test_convex_exits_reject_a_short_bounding_radius():
         kx.directional_distance_batch(D, z[None], v[None], n_phases=4096, refine=False)
 
 
-@pytest.mark.parametrize("bound", [None, math.inf, 0.3])
 @pytest.mark.parametrize("name", ["ball2", "ex22_omega", "ex21_d", "slab2"])
-def test_ray_exit_does_not_depend_on_the_chunk(name, bound, monkeypatch):
+def test_ray_exit_does_not_depend_on_the_chunk(name, monkeypatch):
     # chunks hold RAY_CHUNK // k whole rows, and one root loop finishes the
     # bracketed rays of consecutive chunks of a pass; all rows share one
     # origin, so one cap, and a call per row gives the same exits as the
@@ -611,11 +610,13 @@ def test_ray_exit_does_not_depend_on_the_chunk(name, bound, monkeypatch):
     roots = dm._roots
     monkeypatch.setattr(dm, "_roots", lambda D, group, *a: groups.append(len(group))
                         or roots(D, group, *a))
-    t = _ray_exit(D, z, dirs, bound)
-    if bound is math.inf:
-        assert max(groups) > 1
-    rows = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1], bound) for i in range(m)]
-    assert np.concatenate(rows).tobytes() == t.tobytes()
+    for bound in (None, math.inf, 0.3):
+        groups.clear()
+        t = _ray_exit(D, z, dirs, bound)
+        if bound is math.inf:
+            assert max(groups) > 1
+        rows = [_ray_exit(D, z[i:i + 1], dirs[i:i + 1], bound) for i in range(m)]
+        assert np.concatenate(rows).tobytes() == t.tobytes()
 
 
 @pytest.mark.parametrize("bound", [None, 0.3])
@@ -638,11 +639,10 @@ def test_marched_rays_match_single_ray_calls(bound):
         assert np.any(t > bound)    # rays the bound stopped on the march
 
 
-@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 249),
-                                          ("ball2", (0.3, 0.2j), 46)])
+@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 534),
+                                          ("ball2", (0.3, 0.2j), 72)])
 def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
-    # masked march rays add oracle points, never oracle calls, and a one-row
-    # call is one chunk, so one root loop and at most one cap-point call
+    # masked march rays add oracle points, never oracle calls
     D = kx.bundled_domain(name)
     seen = []
     real = D.value
@@ -651,11 +651,12 @@ def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
     assert len(seen) <= calls
 
 
-def test_ball_sandwich_oracle_call_reads_its_points_in_few_calls(monkeypatch):
+def test_grouped_root_loops_read_the_same_points_in_fewer_calls(monkeypatch):
     # ball-sandwich's seed-0 rows, 4096 phases at bound inf: 13 chunks of 8
     # rows a pass, the coarse pass and then the probed rest; one root loop
-    # per group of chunks and one cap-point call per group read the same
-    # points as a root loop and a cap-point call per chunk (346 calls)
+    # and one cap-point call per group of chunks read the points a root loop
+    # and a cap-point call per chunk read, in 346 calls.  A one-row search
+    # is one chunk a ray batch, and keeps its calls
     rng = np.random.default_rng(0)
     zs = []
     while len(zs) < 100:
@@ -663,19 +664,28 @@ def test_ball_sandwich_oracle_call_reads_its_points_in_few_calls(monkeypatch):
         if np.linalg.norm(z) < 0.93:
             zs.append(z)
     vs = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
-    D = kx.ball(2)
     calls, points = [], [0]
-    real = D.value
 
-    def value(x):
-        calls.append(1)
-        points[0] += int(np.prod(np.shape(x)[:-1]))
-        return real(x)
+    def counted(D):
+        real = D.value
 
-    monkeypatch.setattr(D, "value", value)
-    kx.directional_distance_batch(D, np.array(zs), vs, n_phases=4096, refine=False)
+        def value(x):
+            calls.append(1)
+            points[0] += int(np.prod(np.shape(x)[:-1]))
+            return real(x)
+
+        monkeypatch.setattr(D, "value", value)
+        return D
+
+    kx.directional_distance_batch(counted(kx.ball(2)), np.array(zs), vs, n_phases=4096,
+                                  refine=False)
     assert points[0] == 466_670
     assert len(calls) <= 90
+    for name, z, most in (("ball2", (0.3, 0.2j), 46), ("ex21_d", (0.05, 0.05), 249)):
+        calls.clear()
+        kx.directional_distance(counted(kx.bundled_domain(name)), kx.cpoint(*z),
+                                kx.cpoint(1, 0.5j))
+        assert len(calls) <= most
 
 
 def _named_domain(name):
