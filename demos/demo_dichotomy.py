@@ -9,8 +9,6 @@ is why no such map exists and boundary values are single-valued.
 Run:  python demos/demo_dichotomy.py
 """
 
-import math
-
 import numpy as np
 
 import kobex as kx
@@ -37,11 +35,9 @@ def main():
     K = kx.fit_pair_constant(B, o, [kx.cpoint(0.95, 0), kx.cpoint(0.98, 0)],
                              [kx.cpoint(0, 0.95), kx.cpoint(0, 0.98)])
     print("  target pair constant K = %.4f" % K)
-    C = 0.0
-    for nu, est in enumerate(kx.path_distance_upper_batch(B, z1[:4], z2[:4]).tolist()):
-        sep = float(np.linalg.norm(z1[nu] - z2[nu]))
-        rhs0 = math.log(1 / d[nu]) - math.log(1 / (d[nu] + sep))
-        C = max(C, est - rhs0)
+    est = kx.path_distance_upper_batch(B, z1[:4], z2[:4])
+    sep = np.linalg.norm(z1[:4] - z2[:4], axis=-1)
+    C = max(0.0, float(np.max(est - kx.separation_bound(d[:4], d[:4], sep))))
     print("  source separation constant C = %.4f" % C)
     print("  barrier comparison constant C0 = 1 (the witness is -delta)")
 

@@ -73,7 +73,7 @@ def main():
     print("  normal embeddings checked     : %d pairs, %d violations"
           % (rep.n_pairs, len(rep.violations)))
     doubled = kx.ModelDomainParams(beta=params.beta, eps=2 * params.eps,
-                                   h=params.h)
+                                   omega=params.omega)
     rep2 = kx.verify_embedding(D, chart, pts, doubled,
                                kx.sample_model_domain(doubled, 80, seed=1))
     print("  negative control (2x eps)     : %d violations"

@@ -16,7 +16,7 @@ from .metrics import (MetricBound, fit_pair_constant, graham_bounds,
                       inscribed_ball_upper_bound, kob_distance_ball_exact,
                       kob_metric_ball_exact, path_distance_upper,
                       path_distance_upper_batch, sibony_lower_bound)
-from .regularity import (ChartError, DiniIntegral, GraphChart, HFunction,
+from .regularity import (ChartError, DiniIntegral, GraphChart,
                          ModelDomainParams, ModulusOfContinuity,
                          chart_consistency, composed_rate, dini_integral,
                          estimate_modulus, h_integral, model_domain_contains,
@@ -32,7 +32,7 @@ from .extension import (ContinuityReport, DichotomyReport,
                         PsiLadder, TailBoundError, boundary_value,
                         cluster_set_sample, continuity_modulus,
                         dichotomy_report, extend_map, grid_safety_margin,
-                        normal_line_integral, psi_tail)
+                        normal_line_integral, psi_tail, separation_bound)
 from .charts import (BUNDLED_CHARTS, ball_chart, ex21_chart, ex22_chart,
                      flat_chart, flat_domain, tilted_chart, tilted_domain)
 from .reports import Record, Report

@@ -382,14 +382,22 @@ class DichotomyReport:
                          + [row % r for r in zip(*(c.tolist() for c in cols))])
 
 
+def separation_bound(dD1, dD2, sepD):
+    """The source-side half-log distance bound without its constant C:
+    half-logs of 1/delta at the two points, less those of 1/(delta + sep)."""
+    return (0.5 * np.log(1.0 / dD1) + 0.5 * np.log(1.0 / dD2)
+            - 0.5 * np.log(1.0 / (dD1 + sepD))
+            - 0.5 * np.log(1.0 / (dD2 + sepD)))
+
+
 def dichotomy_report(seqs, D, Omega):
     """Per-index evaluation of the paired-sequence distance bounds.
 
     For each index nu the report evaluates the source-side upper value
-    U_nu (distance-sum formula with the separation correction plus C), the
-    target-side pair lower value L_nu (half-log sum minus K), the diverging
-    quantity l(nu), the barrier-comparison slack, and the consistency
-    margin (K + C - log C0) - l(nu).  When the image sequences approach two
+    U_nu (separation_bound plus C), the target-side pair lower value L_nu
+    (half-log sum minus K), the diverging quantity l(nu), the
+    barrier-comparison slack, and the consistency margin
+    (K + C - log C0) - l(nu).  When the image sequences approach two
     distinct boundary points, l(nu) grows without bound and the margin must
     eventually fail: no map with the assumed bounds can produce such
     sequences.  The margin applies only while both images sit inside the
@@ -399,9 +407,7 @@ def dichotomy_report(seqs, D, Omega):
     dO1, dO2 = (boundary_distance_batch(Omega, ws) for ws in (seqs.w1, seqs.w2))
     sepD = np.linalg.norm(seqs.z1 - seqs.z2, axis=-1)
     C, K, C0 = seqs.C, seqs.K, seqs.C0
-    U = (0.5 * np.log(1.0 / dD1) + 0.5 * np.log(1.0 / dD2)
-         - 0.5 * np.log(1.0 / (dD1 + sepD))
-         - 0.5 * np.log(1.0 / (dD2 + sepD)) + C)
+    U = separation_bound(dD1, dD2, sepD) + C
     L = 0.5 * np.log(1.0 / dO1) + 0.5 * np.log(1.0 / dO2) - K
     l = (0.5 * np.log(1.0 / (dD1 + sepD))
          + 0.5 * np.log(1.0 / (dD2 + sepD)))

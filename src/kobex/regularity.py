@@ -26,11 +26,6 @@ MODULUS_BINS = 64         # radius bins of estimate_modulus
 GL16_X, GL16_W = np.polynomial.legendre.leggauss(16)   # Gauss-Legendre on [-1, 1]
 
 
-def _cumulative_trapezoid(x, y):
-    """Running trapezoid integral of the samples y over x, from 0."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-
-
 # ---------------------------------------------------------------------------
 # moduli of continuity
 # ---------------------------------------------------------------------------
@@ -228,8 +223,7 @@ def vertical_height(chart, Z):
     """Y(Z', Z_n) = Im Z_n - phi(Z', Re Z_n); vanishes exactly on the chart
     boundary graph and is positive on the domain side."""
     Z = np.asarray(Z, dtype=complex)
-    inb = chart.in_box(Z, slack=1e-12)
-    if not np.all(inb):
+    if not np.all(chart.in_box(Z, slack=1e-12)):
         raise ChartError("point outside the chart box")
     out = Z[..., -1].imag - chart.phi_at(Z)
     return out if out.shape else float(out)
@@ -256,7 +250,7 @@ def chart_consistency(D, chart, seed=0):
     Zi = Zb.copy()
     Zi[:, -1] = Zi[:, -1] + 1j * lift
     inside = contains(D, chart.from_chart(Zi))
-    ypos = Zi[:, -1].imag - chart.phi_at(Zi)
+    ypos = vertical_height(chart, Zi)
     return {
         "isometry_defect": float(iso),
         "boundary_residual": bd_resid,
@@ -312,45 +306,34 @@ def estimate_modulus(chart, seed=0, pair_samples=None):
 
 def h_integral(omega, t):
     """h(t) = int_0^t omega(r) dr for t >= 0, and int_t^0 omega(-r) dr for
-    t < 0; even in t, strictly increasing in |t| once omega > 0."""
-    tt = abs(float(t))
-    if tt == 0.0:
-        return 0.0
-    if tt > omega.domain_end * (1 + 1e-12):
+    t < 0; even in t, strictly increasing in |t| once omega > 0.  t is a
+    float or an array, each entry integrated exactly as a lone float is."""
+    tt = np.abs(np.asarray(t, dtype=float))
+    if np.any(tt > omega.domain_end * (1 + 1e-12)):
         raise DomainError("|t| outside the modulus domain")
     if omega.grid is not None:
         # exact integral of the piecewise-linear table: the full cells below
         # tt, then the trapezoid of the cell [g_k, tt] that omega is linear on
-        g = omega.grid
+        g, v = omega.grid, omega.values
         k = np.searchsorted(g, tt, side="right") - 1
-        full = _cumulative_trapezoid(g, omega.values)
-        return float(full[k] + 0.5 * (tt - g[k]) * (omega.values[k] + omega(tt)))
-    # GL16 on DINI_LEVELS dyadic panels toward 0, centre 3 half, half-width half
-    half = tt * 2.0 ** (-np.arange(DINI_LEVELS)[:, None] - 2)
-    return float(np.sum(half[:, 0] * (omega(3.0 * half + half * GL16_X) @ GL16_W)))
-
-
-class HFunction:
-    """Dense cached version of h, nondecreasing and continuous in |t|."""
-
-    def __init__(self, omega):
-        self.t = np.linspace(0.0, omega.domain_end, 4096)
-        self.h = _cumulative_trapezoid(self.t, np.atleast_1d(omega(self.t)))
-
-    def __call__(self, t):
-        t = np.abs(np.asarray(t, dtype=float))
-        out = np.interp(t, self.t, self.h)
-        return out if out.shape else float(out)
+        full = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
+        out = full[k] + 0.5 * (tt - g[k]) * (v[k] + omega(tt))
+    else:
+        # GL16 on DINI_LEVELS dyadic panels toward 0, centre 3 half, half-width half
+        half = tt[..., None, None] * 2.0 ** (-np.arange(DINI_LEVELS)[:, None] - 2)
+        out = np.sum(half[..., 0] * (omega(3.0 * half + half * GL16_X) @ GL16_W), axis=-1)
+    return out if out.shape else float(out)
 
 
 @dataclass
 class ModelDomainParams:
     """Parameters of the attached planar domain
     { s + i t : |t| < eps, beta h(t) < s < eps } built from a boundary
-    gradient modulus; symmetric about the real axis and attached at 0."""
+    gradient modulus omega, h = h_integral(omega, .); symmetric about the
+    real axis and attached at 0."""
     beta: float
     eps: float
-    h: HFunction
+    omega: ModulusOfContinuity
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -361,11 +344,12 @@ class ModelDomainParams:
 
 
 def model_domain_contains(params, zeta):
-    """Strict membership of a complex scalar in the attached model domain."""
+    """Strict membership of complex numbers in the attached model domain."""
     zeta = np.asarray(zeta, dtype=complex)
     s = zeta.real
     t = zeta.imag
-    ok = (np.abs(t) < params.eps) & (s < params.eps) & (params.beta * params.h(np.abs(t)) < s)
+    ok = (np.abs(t) < params.eps) & (s < params.eps)
+    ok &= params.beta * h_integral(params.omega, np.where(ok, t, 0.0)) < s
     return ok if ok.shape else bool(ok)
 
 
@@ -374,7 +358,6 @@ def sample_model_domain(params, n=400, seed=0):
     the attachment corner at 0 and the far edge (rejection on a grid plus
     seeded jitter)."""
     rng = np.random.default_rng(seed)
-    pts = []
     k = int(math.ceil(math.sqrt(4 * n)))
     ss = np.linspace(1e-9, params.eps * (1 - 1e-9), k)
     tt = np.linspace(-params.eps * (1 - 1e-9), params.eps * (1 - 1e-9), k)
@@ -397,8 +380,9 @@ def select_embedding_params(chart, m, r_V, omega):
       eps  = the largest value on a grid of EMBED_GRID points with
              sqrt(2) eps < r_V and h(beta x) < x (that is, x / h^{-1}(x)
              < 1/beta, as h is nondecreasing and continuous) for all grid
-             x in (0, eps]; the grid refines below its first point while
-             that point fails, down to EMBED_EPS_FLOOR.
+             x in (0, eps]; a grid x with beta x past omega's domain
+             fails, as h is undefined there.  The grid refines below its
+             first point while that point fails, down to EMBED_EPS_FLOOR.
 
     m is the caller-supplied infimum of the defining-function gradient norm
     over the boundary patch; r_V < chart radius controls how far the patch
@@ -409,7 +393,6 @@ def select_embedding_params(chart, m, r_V, omega):
         raise DomainError("gradient infimum m must be positive")
     if not (0 < r_V < chart.radius):
         raise DomainError("need 0 < r_V < chart radius")
-    h = HFunction(omega)
     beta = max(1.0 + 1e-9, 4.0 * math.sqrt(2.0) / m)
     eps_cap = (r_V / math.sqrt(2.0)) * (1.0 - 1e-12)
     eps = None
@@ -417,7 +400,8 @@ def select_embedding_params(chart, m, r_V, omega):
     cap = eps_cap
     while True:
         xs = np.linspace(cap / EMBED_GRID, cap, EMBED_GRID)
-        bad = h(beta * xs) >= xs
+        bx = np.minimum(beta * xs, omega.domain_end)
+        bad = (beta * xs > omega.domain_end) | (h_integral(omega, bx) >= xs)
         if not bad.any():
             eps = float(xs[-1])
             break
@@ -430,7 +414,7 @@ def select_embedding_params(chart, m, r_V, omega):
         if xs[0] <= EMBED_EPS_FLOOR:
             raise DomainError("no admissible eps at the grid floor %g" % EMBED_EPS_FLOOR)
         cap = xs[0]
-    return ModelDomainParams(beta=beta, eps=eps, h=h,
+    return ModelDomainParams(beta=beta, eps=eps, omega=omega,
                              provenance={"m": m, "r_V": r_V, "binding": binding,
                                          "eps_cap": eps_cap, "grid": EMBED_GRID})
 
@@ -460,7 +444,8 @@ def verify_embedding(D, chart, boundary_points, params, zetas):
     gvals = D.value(pts)
     Z = chart.to_chart(pts)
     inb = chart.in_box(Z)
-    ypos = np.where(inb, Z[..., -1].imag - chart.phi_at(Z), -1.0)
+    ypos = np.full(inb.shape, -1.0)
+    ypos[inb] = vertical_height(chart, Z[inb])
     ok = (gvals < 0.0) & inb & (ypos > 0.0)
     violations = [(xis[p], complex(zetas[j]), float(gvals[p, j]))
                   for p, j in zip(*np.nonzero(~ok))]
@@ -473,10 +458,7 @@ def verify_lipschitz_sandwich(D, chart, samples):
     smallest empirical C with Y <= C dist; C is at least 1 and at most the
     Lipschitz constant of Y, sqrt(1 + Lip(phi)^2), up to sampling slack."""
     zs = np.atleast_2d(np.asarray(samples, dtype=complex))
-    Z = chart.to_chart(zs)
-    if not np.all(chart.in_box(Z)):
-        raise ChartError("sample outside the chart box")
-    Y = Z[..., -1].imag - chart.phi_at(Z)
+    Y = vertical_height(chart, chart.to_chart(zs))
     delta = boundary_distance_batch(D, zs)
     scale = 1.0 + np.max(np.linalg.norm(zs, axis=-1))
     if np.min(Y - delta) < -1e-9 * scale:

@@ -344,7 +344,9 @@ def scenario_example22(seed=0):
     rep.add("flatness-orders", verdict=bool(flat["passes"]),
             value=flat["finite_type_at"], constants={"orders": 20})
 
-    # (d) boundary decay constant at exponent one near the origin
+    # (d) boundary decay constant at exponent one near the origin.  The fit
+    # holds by construction; the worst delta / -rho, 1/C, is at most 1, since
+    # (phi(|w|^2) + i Im z, w) is a boundary point at distance -rho(z)
     r = rng.random((96, 4))
     d = np.repeat(0.5 ** np.arange(3, 11), 12) * (0.75 + 0.5 * r[:, 0])
     w = 0.15 * (r[:, 1] + 1j * r[:, 2] - 0.5 - 0.5j)
@@ -355,6 +357,9 @@ def scenario_example22(seed=0):
             verdict=bool(fit.residual <= 0.0 and fit.C > 0.0),
             value=fit.C, constants={"alpha": fit.alpha, "residual": fit.residual,
                                     "points": fit.sample_count})
+    rep.add("decay-distance-bound", verdict=bool(1.0 / fit.C <= 1.0 + 1e-12),
+            value=1.0 / fit.C, tolerances={"rel": 1e-12},
+            constants={"points": fit.sample_count})
 
     # (e) the chart at the origin realizes the domain
     chart = charts.ex22_chart()
@@ -451,7 +456,8 @@ def scenario_embedding_suite(seed=0):
             value=emb.n_pairs, constants={"violations": len(emb.violations),
                                           "worst_margin": emb.worst_margin})
 
-    doubled = regularity.ModelDomainParams(beta=params.beta, eps=2.0 * params.eps, h=params.h)
+    doubled = regularity.ModelDomainParams(beta=params.beta, eps=2.0 * params.eps,
+                                           omega=params.omega)
     zetas2 = regularity.sample_model_domain(doubled, 100, seed=seed)
     emb2 = regularity.verify_embedding(D, chart, pts, doubled, zetas2)
     rep.add("doubled-eps-control", verdict=bool(len(emb2.violations) >= 1),
@@ -532,6 +538,9 @@ def scenario_extension_oracle(seed=0, tol=2.5e-7):
     cert_ok = np.all(np.max(np.abs(res.value - top), axis=-1) <= res.tail_bound)
     rep.add("ladder-certificates", verdict=bool(cert_ok and res.err_budget < tol),
             value={"tail_bound": res.tail_bound, "err_budget": res.err_budget})
+    resid = float(np.max(res.quadrature_error))
+    rep.add("telescoping-residual", verdict=bool(resid <= 1e-12), value=resid,
+            tolerances={"abs": 1e-12})
 
     r1 = extension.boundary_value(fmap, grid[37], tprime, tol, psi=psi_fn)
     r2 = extension.boundary_value(fmap, grid[37], tprime / 2.0, tol, psi=psi_fn)
@@ -580,13 +589,9 @@ def scenario_dichotomy_demo(seed=0):
     rep.add("pair-constant", value=K, verdict=bool(K >= 0.0))
 
     # source-side constant from the path estimator over the first terms
-    C_fit = 0.0
-    for nu, est in enumerate(metrics.path_distance_upper_batch(B, z1[:4], z2[:4]).tolist()):
-        dd1, dd2 = d[nu], d[nu]
-        sep = float(np.linalg.norm(z1[nu] - z2[nu]))
-        rhs0 = (0.5 * math.log(1 / dd1) + 0.5 * math.log(1 / dd2)
-                - 0.5 * math.log(1 / (dd1 + sep)) - 0.5 * math.log(1 / (dd2 + sep)))
-        C_fit = max(C_fit, est - rhs0)
+    est = metrics.path_distance_upper_batch(B, z1[:4], z2[:4])
+    sep = np.linalg.norm(z1[:4] - z2[:4], axis=-1)
+    C_fit = max(0.0, float(np.max(est - extension.separation_bound(d[:4], d[:4], sep))))
     rep.add("separation-constant", value=C_fit, verdict=bool(C_fit > 0.0))
 
     seqs = extension.DichotomySequences(
@@ -658,6 +663,8 @@ EXPLAIN = {
         ("psh-check", "Levi form nonnegative over interior samples"),
         ("flatness-orders", "exp(-1/x^2)/x^k -> 0 for k <= 20"),
         ("decay-constant-exponent-one", "rho <= -C delta with exponent one"),
+        ("decay-distance-bound", "delta <= -rho: (phi(|w|^2) + i Im z, w) is "
+                                 "a boundary point at distance -rho"),
         ("chart-consistency", "flat graph chart realizes the domain"),
         ("single-cluster-at-origin", "square-second map clusters to (0,0)"),
     ],
@@ -680,6 +687,8 @@ EXPLAIN = {
         ("rate-dominates-derivative", "psi(Y) bounds the vertical derivative"),
         ("boundary-values-match-direct", "ladder values vs the entire map"),
         ("ladder-certificates", "|value - f(xi + t' eps)| <= int_0^t' psi"),
+        ("telescoping-residual", "|f(xi + t' eps) - int - value| + quadrature "
+                                 "error on every grid line"),
         ("top-rung-independence", "two ladders agree within 2 tol"),
         ("boundary-modulus-decays", "three-term continuity certificate"),
     ],

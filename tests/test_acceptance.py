@@ -262,7 +262,7 @@ def test_criterion_8_embedding_suite(d22):
     emb = kx.verify_embedding(d22, chart, pts, params, zetas)
 
     doubled = kx.ModelDomainParams(beta=params.beta, eps=2.0 * params.eps,
-                                   h=params.h)
+                                   omega=params.omega)
     zetas2 = kx.sample_model_domain(doubled, 100, seed=4)
     emb2 = kx.verify_embedding(d22, chart, pts, doubled, zetas2)
     elapsed = time.time() - t0

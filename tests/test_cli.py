@@ -155,6 +155,46 @@ def test_import_loads_no_scipy():
                           stdout=subprocess.DEVNULL).returncode == 0
 
 
+# what `import kobex` gives; an import made lazy must keep every name
+PUBLIC_NAMES = [
+    "BUNDLED", "BUNDLED_CHARTS", "ChartError", "Constraint",
+    "ContinuityReport", "ConvergenceError", "DichotomyReport",
+    "DichotomySequences", "DiniIntegral", "DomainError", "DomainSpec",
+    "ExtensionResult", "FiberMap", "GraphChart", "HolomorphicMap", "HopfFit",
+    "MetricBound", "ModelDomainParams", "ModulusOfContinuity",
+    "NonSmoothBoundaryError", "PshReport", "PshWitness", "PsiLadder", "Record",
+    "Report", "SmoothnessError", "TailBoundError", "ball", "ball_chart",
+    "boundary_distance", "boundary_distance_batch", "boundary_value",
+    "bundled_domain", "chart_consistency", "charts", "check_psh",
+    "cluster_set_sample", "composed_rate", "contains", "continuity_modulus",
+    "cpoint", "dichotomy_report", "dini_integral", "directional_distance",
+    "directional_distance_batch", "domains", "estimate_modulus", "ex21_D",
+    "ex21_Omega", "ex21_chart", "ex22_D", "ex22_Omega", "ex22_Omega_local",
+    "ex22_chart", "extend_map", "extension", "fit_pair_constant", "flat_chart",
+    "flat_domain", "graham_bounds", "grid_safety_margin", "h_integral",
+    "halfspace", "hermitian_inner", "hopf_fit", "inscribed_ball_upper_bound",
+    "inward_normal", "kob_distance_ball_exact", "kob_metric_ball_exact",
+    "levi_form", "make_psi", "metrics", "model_domain_contains",
+    "nearest_boundary_point", "nearest_point_cubic", "normal_line_integral",
+    "path_distance_upper", "path_distance_upper_batch", "polydisc", "psh",
+    "psi_bound", "psi_tail", "pushforward_tau", "regularity", "reports",
+    "sample_model_domain", "select_embedding_params", "separation_bound",
+    "sibony_lower_bound", "step1_constant_ex21", "textspec", "tilted_chart",
+    "tilted_domain", "verify_embedding", "verify_lipschitz_sandwich",
+    "vertical_height"]
+
+
+def test_import_gives_the_public_names():
+    # a fresh interpreter, so submodules other tests import do not count
+    code = "import kobex\nprint(' '.join(n for n in dir(kobex) if not n.startswith('_')))"
+    src = os.path.dirname(os.path.dirname(kx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    names = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert sorted(names) == PUBLIC_NAMES
+
+
 def test_distance_outside_is_config_error(capsys):
     assert run_cli("distance", "ball2", "--at", "2,0") == 3
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -178,8 +179,20 @@ def test_h_vanishes_to_first_order():
     assert ratios[0] < 1e-3 and ratios[-1] < 0.1
 
 
+@pytest.mark.parametrize("omega", ["function", "table"])
+def test_h_integral_of_an_array_is_the_scalar_calls(omega, rng):
+    w = sqrt_rate() if omega == "function" else kx.estimate_modulus(charts.ex22_chart())
+    ts = np.concatenate([[0.0, w.domain_end, -0.5 * w.domain_end],
+                         (rng.random(200) - 0.5) * (2.0 * w.domain_end)])
+    rows = kx.h_integral(w, ts.reshape(29, 7))
+    assert rows.shape == (29, 7)
+    assert rows.tobytes() == np.array([kx.h_integral(w, float(t)) for t in ts]).tobytes()
+    with pytest.raises(kx.DomainError):
+        kx.h_integral(w, np.array([0.0, 1.1 * w.domain_end]))
+
+
 def test_h_convex_where_omega_increasing():
-    h = kx.HFunction(sqrt_rate())
+    h = partial(kx.h_integral, sqrt_rate())
     grid = np.linspace(0.0, 1.0, 41)
     for a in grid[::4]:
         for b in grid[::4]:
@@ -191,17 +204,26 @@ def test_h_convex_where_omega_increasing():
 # ---------------------------------------------------------------------------
 
 def test_model_domain_membership():
-    p = kx.ModelDomainParams(beta=2.0, eps=0.1, h=kx.HFunction(linear_rate()))
+    p = kx.ModelDomainParams(beta=2.0, eps=0.1, omega=linear_rate())
     assert bool(kx.model_domain_contains(p, 0.05 + 0.01j))
     assert not bool(kx.model_domain_contains(p, 0.1 + 0.0j))   # strict at eps
     assert bool(kx.model_domain_contains(p, 0.05 + 0.0j))      # h(0) = 0
 
 
 def test_model_domain_symmetry():
-    p = kx.ModelDomainParams(beta=2.0, eps=0.1, h=kx.HFunction(sqrt_rate()))
+    p = kx.ModelDomainParams(beta=2.0, eps=0.1, omega=sqrt_rate())
     zs = kx.sample_model_domain(p, 200, seed=3)
     flipped = np.conj(zs)
     assert np.all(kx.model_domain_contains(p, flipped))
+
+
+def test_model_domain_edge_is_beta_h_on_a_table():
+    w = kx.ModulusOfContinuity.from_table([0.0, 0.02, 0.05, 0.1], [0.0, 0.1, 0.15, 0.4])
+    p = kx.ModelDomainParams(beta=3.0, eps=0.09, omega=w)
+    for t in (0.01, 0.03, -0.04, 0.07):
+        s = p.beta * kx.h_integral(w, t)
+        assert not kx.model_domain_contains(p, complex(s, t))
+        assert kx.model_domain_contains(p, complex(np.nextafter(s, 1.0), t))
 
 
 def test_select_embedding_params_linear_modulus():
@@ -221,6 +243,16 @@ def test_select_embedding_params_flat_modulus():
     assert params.provenance["binding"] == "patch-clearance"
 
 
+def test_select_embedding_params_stays_in_the_modulus_domain():
+    # omega = r on [0, 0.1]: h(beta x) is undefined once beta x > 0.1, so eps
+    # stops there although h(beta x) < x would hold up to x = 1/16
+    w = kx.ModulusOfContinuity.from_function(lambda r: r, 0.1)
+    params = kx.select_embedding_params(charts.flat_chart(), m=1.0, r_V=0.1, omega=w)
+    assert params.beta * params.eps <= w.domain_end
+    assert params.eps > 0.1 / params.beta - params.provenance["eps_cap"] / 1000
+    assert params.provenance["binding"] == "modulus-growth"
+
+
 def test_select_embedding_params_small_gradient():
     ch = charts.flat_chart()
     p1 = kx.select_embedding_params(ch, m=1.0, r_V=0.1, omega=linear_rate())
@@ -237,7 +269,7 @@ def test_select_embedding_params_eps_keeps_h_below_x(omega):
          "ex22": lambda: kx.estimate_modulus(ch)}[omega]()
     params = kx.select_embedding_params(ch, m=1.0, r_V=0.1, omega=w)
     xs = np.linspace(params.eps / 1000, params.eps, 1000)
-    assert np.all(params.h(params.beta * xs) < xs)
+    assert np.all(kx.h_integral(params.omega, params.beta * xs) < xs)
 
 
 def test_select_embedding_params_rejects_bad_inputs():
@@ -277,7 +309,7 @@ def test_verify_embedding_doubled_eps_breaks(d22):
                                kx.sample_model_domain(params, 60, seed=2))
     assert good.ok
     doubled = kx.ModelDomainParams(beta=params.beta, eps=2 * params.eps,
-                                   h=params.h)
+                                   omega=params.omega)
     bad = kx.verify_embedding(d22, ch, xis, doubled,
                               kx.sample_model_domain(doubled, 60, seed=2))
     assert len(bad.violations) >= 1

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from kobex import domains, scenarios
+from kobex import domains, psh, scenarios
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,6 +62,28 @@ def test_extension_oracle_calls_the_map_in_batches(monkeypatch):
     monkeypatch.setattr(scenarios, "_square_first_map", counted)
     assert scenarios.run_scenario("extension-oracle").passed
     assert 0 < len(calls) <= 26
+
+
+def test_decay_distance_bound_fails_for_the_wrong_exponent(monkeypatch):
+    # stage (d) with the witness -delta^2, of exponent two: the fitted
+    # constant still passes, delta <= -rho does not (1/delta reaches ~1.3e3)
+    real = psh.hopf_fit
+    monkeypatch.setattr(psh, "hopf_fit", lambda fn, D, zs: real(
+        lambda z: -domains.boundary_distance_batch(D, z) ** 2, D, zs))
+    recs = {r.op: r for r in scenarios.scenario_example22(seed=0).records}
+    assert recs["decay-constant-exponent-one"].verdict
+    assert not recs["decay-distance-bound"].verdict
+    assert recs["decay-distance-bound"].value > 1e3
+
+
+def test_telescoping_residual_record_fails_for_a_wrong_derivative(monkeypatch):
+    # a 1 % error in the map's Jacobian shows in the residual as about 1e-4
+    F, jac, fibers = scenarios._square_first_map()
+    monkeypatch.setattr(scenarios, "_square_first_map",
+                        lambda: (F, lambda z: 1.01 * jac(z), fibers))
+    rep = scenarios.scenario_extension_oracle(seed=0)
+    rec = next(r for r in rep.records if r.op == "telescoping-residual")
+    assert not rec.verdict and rec.value >= 1e-6
 
 
 def test_block_sampler_matches_one_candidate_at_a_time():
