@@ -224,6 +224,7 @@ def test_model_domain_edge_is_beta_h_on_a_table():
         s = p.beta * kx.h_integral(w, t)
         assert not kx.model_domain_contains(p, complex(s, t))
         assert kx.model_domain_contains(p, complex(np.nextafter(s, 1.0), t))
+    assert not kx.model_domain_contains(p, 0.05 + 0.5j)   # |t| past the modulus domain
 
 
 def test_select_embedding_params_linear_modulus():
