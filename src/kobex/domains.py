@@ -213,11 +213,11 @@ def _ray_exit(D, z, dirs, bound=None):
             if state is None:
                 continue
             if group and sum(g[0].shape[1] for g in group) + state[0].shape[1] > RAY_CHUNK // 8:
-                _roots(D, group, cap, best, out)
+                _roots(D, group, best, out)
                 group = []
             group.append(state)
         if group:
-            _roots(D, group, cap, best, out)
+            _roots(D, group, best, out)
     return out
 
 
@@ -291,15 +291,17 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
     return state, zd, np.stack([flat[todo], rows.start + row[todo]])
 
 
-def _roots(D, group, cap, best, out):
+def _roots(D, group, best, out):
     """Root-finds a group of root states, concatenated if there are several,
-    after one call reads the cap points whose f2 is NaN; each exit goes
-    into out by its flat index.  A ray is a column of state (x1, f1, x2,
-    f2, x3, f3, want, x21 = x2 - x1, tol), of zd (origin, direction) and of
-    ids (flat index, row), compacted with three takes when a ray stops."""
+    after one call reads the upper ends x2 (the cap) whose f2 is NaN; each
+    exit goes into out by its flat index.  A ray is a column of state (x1,
+    f1, x2, f2, x3, f3, want, x21 = x2 - x1, tol), of zd (origin, direction)
+    and of ids (flat index, row), compacted with three takes when a ray
+    stops."""
     s, zd, ids = group[0] if len(group) == 1 else (np.concatenate(a, -1) for a in zip(*group))
     unread = np.flatnonzero(np.isnan(s[3]))
     if unread.size:
+        cap = s[2, unread[0]]    # every unread ray's x2 is the cap
         s[3, unread] = D.value((np.take(zd[0], unread, 1) + cap * np.take(zd[1], unread, 1)).T)
         if np.any(s[3, unread] < 0.0):
             raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
@@ -855,6 +857,32 @@ def _curve_nearest_1d(xy, T_grid, curve):
     return np.sqrt(d2), np.stack(curve(T), axis=-1)
 
 
+def nearest_point_cubic(x0, y0):
+    """The nearest point (X, 1 - X^2) of ex21_D's curve x^2 + y = 1 to each
+    (x0, y0) of its moduli section x0, y0 >= 0, x0^2 + y0 < 1 (rows outside
+    raise DomainError): X in [0, 1) is the largest real root of
+    2X^3 + (2y0 - 1)X - x0, i.e. of X^3 + pX + q, p = y0 - 1/2, q = -x0/2.
+    Where s^2 = q^2/4 + p^3/27 > 0 it is the one real root, Cardano's
+    X = u - p / (3u), u = cbrt(s - q/2) (the -cbrt(s + q/2) term without
+    its cancellation), clipped at 0, since rounding can put it below the
+    root 0 of x0 = 0, y0 > 1/2.  Else p <= 0 and X = 2r cos(arccos(3q /
+    (2pr)) / 3), r = sqrt(-p/3), but X = 0 at x0 = 0, y0 = 1/2, where
+    p = q = u = 0.  Vectorized."""
+    # (..., 1) arrays, since a numpy scalar's p ** 3 rounds otherwise
+    x0, y0 = (np.asarray(a, dtype=float)[..., None] for a in (x0, y0))
+    if not np.all((x0 >= 0.0) & (y0 >= 0.0) & (x0 ** 2 + y0 < 1.0)):
+        raise DomainError("nearest_point_cubic needs x0, y0 >= 0 and x0^2 + y0 < 1")
+    p, q = y0 - 0.5, -0.5 * x0
+    s2 = q * q / 4.0 + p ** 3 / 27.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.cbrt(np.sqrt(s2) - q / 2.0)
+        X = u - p / (3.0 * u)
+        r = np.sqrt(-p / 3.0)
+        trig = 2.0 * r * np.cos(np.arccos(np.minimum(1.5 * q / (p * r), 1.0)) / 3.0)
+    X = np.where(s2 > 0.0, np.maximum(X, 0.0), np.where(p < 0.0, trig, 0.0))
+    return X[..., 0], (1.0 - X ** 2)[..., 0]
+
+
 def ex21_D():
     """{ (z, w) : |z|^2 + |w| < 1 }; Lipschitz corner circle at |z| = 1, w = 0."""
     def g(z):
@@ -866,16 +894,13 @@ def ex21_D():
     def smooth(z):
         return _moduli(z[..., 1]) > 1e-12
 
-    T = np.linspace(0.0, 1.0, 4097)
-
-    def curve(T):
-        return T, 1.0 - T ** 2
-
     def dist(zs):
-        return _curve_nearest_1d(np.abs(zs), T, curve)[0]
+        x, y = np.abs(zs).T
+        X, Y = nearest_point_cubic(x, y)
+        return np.sqrt((x - X) ** 2 + (y - Y) ** 2)
 
     def nearest(zs):
-        return _curve_nearest_1d(np.abs(zs), T, curve)[1] * _phases(zs)
+        return np.stack(nearest_point_cubic(*np.abs(zs).T), axis=-1) * _phases(zs)
 
     return DomainSpec("ex21_d", 2,
                       [Constraint(g, grad=grad, smooth=smooth)],

@@ -2,7 +2,7 @@
 distance, plus closed-form ball oracles for sandwich testing.
 
 Every estimate is returned as a MetricBound carrying its side (lower /
-upper), the method tag, and the evaluation point, so reports can be
+upper), the method tag and the constants it used, so reports can be
 recomputed from recorded numbers alone.
 """
 
@@ -23,7 +23,6 @@ class MetricBound:
     value: float
     side: str                 # "lower" | "upper"
     method: str
-    at: tuple = None
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -74,10 +73,8 @@ def graham_bounds(D, z, v):
     v = as_point(v, D.dim)
     d = directional_distance(D, z, v)
     nv = np.linalg.norm(v)
-    lower = MetricBound(nv / (2.0 * d), "lower", "graham_lower", at=(z, v),
-                        constants={"delta_dir": d})
-    upper = MetricBound(nv / d, "upper", "graham_upper", at=(z, v),
-                        constants={"delta_dir": d})
+    lower = MetricBound(nv / (2.0 * d), "lower", "graham_lower", constants={"delta_dir": d})
+    upper = MetricBound(nv / d, "upper", "graham_upper", constants={"delta_dir": d})
     return lower, upper
 
 
@@ -95,7 +92,7 @@ def sibony_lower_bound(u, z, v, c, alpha=4.0):
         raise DomainError("c and alpha must be positive")
     nv = np.linalg.norm(np.asarray(v, dtype=complex))
     val = math.sqrt(c / alpha) * nv / math.sqrt(abs(uz))
-    return MetricBound(val, "lower", "sibony", at=(z, np.asarray(v, dtype=complex)),
+    return MetricBound(val, "lower", "sibony",
                        constants={"c": c, "alpha": alpha, "u(z)": uz})
 
 
@@ -103,16 +100,14 @@ def inscribed_ball_upper_bound(D, z, v):
     """|v| / delta_D(z): the inclusion of the inscribed ball is
     distance-decreasing, so the ball's metric dominates the domain's."""
     zs = _interior_rows(D, as_point(z, D.dim))
-    z = zs[0]
     v = as_point(v, D.dim)
     if not np.all(np.isfinite(v)):
         raise DomainError("direction must be finite")
     nv = np.linalg.norm(v)
     if nv == 0.0:
-        return MetricBound(0.0, "upper", "inscribed_ball", at=(z, v))
+        return MetricBound(0.0, "upper", "inscribed_ball")
     d = float(_boundary(D, zs, "auto")[0])
-    return MetricBound(nv / d, "upper", "inscribed_ball", at=(z, v),
-                       constants={"delta": d})
+    return MetricBound(nv / d, "upper", "inscribed_ball", constants={"delta": d})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ def path_distance_upper_batch(D, z1s, z2s):
     the ball B(mid, d) inside D, when h/2 < d; otherwise it costs +inf.  A
     finite total thus proves the polygon lies in D, and bounds its integral
     from above wherever delta(mid) is exact: the closed-form dist_fn of
-    ball2, polydisc and ex21_omega.  Where delta is searched (which can
+    ball2, polydisc, ex21_d and ex21_omega.  Where delta is searched (which can
     overshoot) the total is an estimate.
 
     A path is shortened toward the anchor D.interior_point (its chord's

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainError, as_point, boundary_distance_batch, contains, row_norms
+# nearest_point_cubic is bound here as the psh attribute example21 calls
+from .domains import (DomainError, as_point, boundary_distance_batch, contains,
+                      nearest_point_cubic, row_norms)
 
 
 class SmoothnessError(DomainError):
@@ -170,38 +172,16 @@ def step1_constant_ex21():
     return C, 9.0 / (5.0 * C)
 
 
-def nearest_point_cubic(x0, y0):
-    """Cardano's root X of 2X^3 + (2y0 - 1)X - x0 = 0, i.e. X^3 + pX + q with
-    p = y0 - 1/2, q = -x0/2: X = u - p / (3u), u = cbrt(s - q/2), s^2 =
-    q^2/4 + p^3/27 (the -cbrt(s + q/2) term without its cancellation).  In
-    the region 9/10 < x0 < 1, 0 <= y0 < 1/10, x0^2 + y0 < 1, s^2 > 0, so the
-    root is the one real one, the nearest curve point's X, in (x0, 1); rows
-    outside raise DomainError.  Vectorized."""
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if not np.all((0.9 < x0) & (x0 < 1.0) & (0.0 <= y0) & (y0 < 0.1)
-                  & (x0 ** 2 + y0 < 1.0)):
-        raise DomainError("nearest_point_cubic needs 9/10 < x0 < 1, 0 <= y0 < 1/10 "
-                          "and x0^2 + y0 < 1")
-    p = y0 - 0.5
-    q = -0.5 * x0
-    u = np.cbrt(np.sqrt(q * q / 4.0 + p ** 3 / 27.0) - q / 2.0)
-    X = u - p / (3.0 * u)
-    return X, 1.0 - X ** 2
-
-
 # ---------------------------------------------------------------------------
 # pushforward of a barrier through a proper map with enumerable fibers
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FiberMap:
-    """A holomorphic map with a user-supplied finite fiber enumerator.
+    """A proper holomorphic map given by its finite fiber enumerator.
 
-    forward: vectorized map oracle, (..., n) -> (..., n).
-    fibers:  (..., n) -> (..., k, n) arrays of the k preimages of each w.
+    fibers: (..., n) -> (..., k, n) arrays of the k preimages of each w.
     """
-    forward: callable
     fibers: callable
     name: str = ""
 

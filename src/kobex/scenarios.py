@@ -76,21 +76,17 @@ def _square_second_map():
 
 
 def _u21_witness():
-    """|z| + |w| - 1 with its diagonal complex Hessian away from the axes."""
+    """ex21_Omega's |z| + |w| - 1 with its diagonal complex Hessian away
+    from the axes."""
+    g = domains.ex21_Omega().constraints[0]
     return psh.PshWitness(
-        fn=lambda z: np.abs(np.asarray(z, dtype=complex)[..., 0])
-        + np.abs(np.asarray(z, dtype=complex)[..., 1]) - 1.0,
-        hess=lambda z: np.eye(2) / (4.0 * domains._moduli(z))[..., None],
-        smooth=lambda z: np.all(domains._moduli(z) > 1e-9, axis=-1),
-        name="corner-sum")
+        fn=g, hess=lambda z: np.eye(2) / (4.0 * domains._moduli(z))[..., None],
+        smooth=g.smooth, name="corner-sum")
 
 
 def _rho22_witness():
-    """phi(|w|^2) - Re z with its analytic w-Levi coefficient."""
-    def fn(z):
-        z = np.asarray(z, dtype=complex)
-        return domains._phi_flat(np.abs(z[..., 1]) ** 2) - np.real(z[..., 0])
-
+    """ex22_D's graph constraint phi(|w|^2) - Re z with its analytic w-Levi
+    coefficient."""
     def levi_w(aw):
         # displayed in terms of |w|: 4 |w|^-6 exp(-1/|w|^4) (1/|w|^4 - 1)
         if aw == 0.0:
@@ -103,7 +99,8 @@ def _rho22_witness():
         H[..., 1, 1] = np.reshape([levi_w(a) for a in aw.ravel().tolist()], aw.shape)
         return H
 
-    w = psh.PshWitness(fn=fn, hess=hess, name="flat-graph-defect")
+    w = psh.PshWitness(fn=domains.ex22_D().constraints[0], hess=hess,
+                       name="flat-graph-defect")
     w.levi_w = levi_w
     return w
 
@@ -121,19 +118,20 @@ def _scalar_sq(x):
     return np.array([abs(t) ** 2 for t in x.tolist()])
 
 
-def _first_accepted(rng, k, build, D):
-    """The first k candidates inside D of a rejection loop that draws 4
-    uniforms per candidate, built in blocks: build maps an (m, 4) block of
-    uniforms to (m, n) points.  Returns the kept rows of uniforms and their
-    points, and leaves the generator where that loop would."""
+def _first_accepted(rng, k, build, accept, width=4):
+    """The first k accepted candidates of a rejection loop that draws width
+    uniforms per candidate, built in blocks: build maps an (m, width) block
+    of uniforms to (m, ...) candidates and accept maps those to an (m,)
+    mask.  Returns the kept rows of uniforms and their candidates, and
+    leaves the generator where that loop would."""
     start, m = rng.bit_generator.state, 2 * k
     while True:
-        r = rng.random((m, 4))
+        r = rng.random((m, width))
         pts = build(r)
-        kept = np.flatnonzero(domains.contains(D, pts))[:k]
+        kept = np.flatnonzero(accept(pts))[:k]
         rng.bit_generator.state = start
         if kept.size == k:
-            rng.random((kept[-1] + 1, 4))
+            rng.random((kept[-1] + 1, width))
             return r[kept], pts[kept]
         m *= 2
 
@@ -149,12 +147,9 @@ def scenario_ball_sandwich(seed=0, tol=1e-6):
     rep = Report("ball-sandwich", seed, VERSION)
     rng = np.random.default_rng(seed)
     B = domains.ball(2)
-    zs = []
-    while len(zs) < 100:
-        z = (rng.random(2) - 0.5) * 1.9 + 1j * (rng.random(2) - 0.5) * 1.9
-        if np.linalg.norm(z) < 0.93:
-            zs.append(z)
-    zs = np.array(zs)
+    zs = _first_accepted(rng, 100,
+                         lambda r: (r[:, :2] - 0.5) * 1.9 + 1j * (r[:, 2:] - 0.5) * 1.9,
+                         lambda z: domains.row_norms(z) < 0.93)[1]
     vs = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
     deltas = domains.directional_distance_batch(B, zs, vs, n_phases=4096,
                                                 refine=False)
@@ -214,7 +209,9 @@ def scenario_example21(seed=0):
     rep.add("lagrange-cubic-grid", verdict=bool(viol == 0), value=viol,
             constants={"grid": "100x100", "points": int(mask.sum())})
 
-    # stage 3: corner-distance law delta = (1 - |z| - |w|)/sqrt(2)
+    # stage 3: corner-distance law delta = (1 - |z| - |w|)/sqrt(2).  Here and
+    # in stages 4-7 a candidate draws its phases (and directions) only once
+    # accepted, or mixes in normals, so _first_accepted does not apply
     pts = []
     while len(pts) < 1000:
         x, y = rng.random(), rng.random()
@@ -223,7 +220,7 @@ def scenario_example21(seed=0):
                         y * np.exp(2j * math.pi * rng.random())])
     pts = np.array(pts)
     numeric = domains.boundary_distance_batch(Om, pts, method="reinhardt")
-    formula = (1.0 - np.abs(pts[:, 0]) - np.abs(pts[:, 1])) / math.sqrt(2.0)
+    formula = Om.dist_fn(pts)
     err = float(np.max(np.abs(numeric - formula)))
     rep.add("corner-distance-law", verdict=bool(err <= 1e-6), value=err,
             tolerances={"abs": 1e-6}, constants={"points": 1000})
@@ -241,7 +238,7 @@ def scenario_example21(seed=0):
         vs.append(v / np.linalg.norm(v))
     worst = float(np.min(psh.levi_form(u, np.array(zs), np.array(vs)) - 0.25))
     rep.add("levi-quarter-bound", verdict=bool(worst >= -1e-8), value=worst,
-            tolerances={"abs": -1e-8}, constants={"points": 1000})
+            tolerances={"abs": -1e-8}, constants={"points": len(zs)})
 
     # stage 5: sqrt-rate lower bound at smooth points, two formula routes
     alpha = 4.0
@@ -275,9 +272,9 @@ def scenario_example21(seed=0):
 
     # stage 7: pushforward barrier through the fibers equals the corner sum
     F, jac, fibers = _square_first_map()
-    Fm = psh.FiberMap(forward=F, fibers=fibers, name="square-first")
-    rho = psh.PshWitness(fn=lambda z: Ctilde * (np.abs(z[..., 0]) ** 2
-                                                + np.abs(z[..., 1]) - 1.0))
+    Fm = psh.FiberMap(fibers=fibers, name="square-first")
+    g21 = domains.ex21_D().constraints[0]
+    rho = psh.PshWitness(fn=lambda z: Ctilde * g21(z))
     ws = []
     for _ in range(100):
         x, y = rng.random() * 0.8, rng.random() * 0.8
@@ -320,7 +317,7 @@ def scenario_example22(seed=0):
         s = domains._phi_flat(_scalar_sq(aw)) + 0.05 + 0.4 * r[:, 2]
         return np.stack([s + 0.1j * (r[:, 3] - 0.5), aw * np.exp(2j * math.pi * r[:, 1])], -1)
 
-    r, zs = _first_accepted(rng, 1000, build_a, D)
+    r, zs = _first_accepted(rng, 1000, build_a, lambda z: domains.contains(D, z))
     formula = np.array([rho.levi_w(aw) for aw in (0.65 + 0.3 * r[:, 0]).tolist()])
     fd = psh.levi_form(rho, zs, [0, 1], use_hessian=False, step=fd_step)
     worst_rel = float(np.max(np.abs(fd - formula) / np.abs(formula)))
@@ -334,7 +331,7 @@ def scenario_example22(seed=0):
         s = domains._phi_flat(_scalar_sq(w)) + r[:, 2] * 0.6 + 1e-3
         return np.stack([s + 0.2j * (r[:, 3] - 0.5), w], axis=-1)
 
-    samples = _first_accepted(rng, 250, build_b, D)[1]
+    samples = _first_accepted(rng, 250, build_b, lambda z: domains.contains(D, z))[1]
     psh_rep = psh.check_psh(rho, D, samples, seed=seed)
     rep.add("psh-check", verdict=bool(psh_rep.passes), value=psh_rep.min_value,
             tolerances={"min": -1e-8}, constants={"points": psh_rep.n_checked})
@@ -432,17 +429,12 @@ def scenario_embedding_suite(seed=0):
     chart = charts.ex22_chart()
     omega_p = regularity.estimate_modulus(chart, seed=seed)
 
-    pts = []
-    while len(pts) < 100:
-        c = (rng.random(3) - 0.5) * 0.3
-        if np.linalg.norm(c) > 0.15:
-            continue
-        pts.append(chart.from_chart(chart.boundary_point(np.array([c[0] + 1j * c[1]]), c[2])))
+    c = _first_accepted(rng, 100, lambda r: (r - 0.5) * 0.3,
+                        lambda x: domains.row_norms(x) <= 0.15, width=3)[1]
     # force patch-edge points so the negative control has teeth
-    for xedge in (0.15, -0.15):
-        pts.append(chart.from_chart(chart.boundary_point(np.zeros(1, dtype=complex), xedge)))
-
-    coords = np.array([chart.base_coords(chart.to_chart(p)) for p in pts])
+    c = np.concatenate([c, [[0.0, 0.0, 0.15], [0.0, 0.0, -0.15]]])
+    pts = chart.from_chart(chart.boundary_point((c[:, 0] + 1j * c[:, 1])[:, None], c[:, 2]))
+    coords = chart.base_coords(chart.to_chart(pts))
     g = chart.grad_phi(coords)
     m = float(np.min(np.sqrt(1.0 + np.sum(g * g, axis=-1))))
     params = regularity.select_embedding_params(chart, m=m, r_V=0.1, omega=omega_p)
@@ -482,6 +474,8 @@ def scenario_embedding_suite(seed=0):
 
 
 def _chart_interior_samples(D, chart, rng, count):
+    # a candidate draws its lift only once its tangential part is accepted,
+    # so _first_accepted does not apply
     out = []
     while len(out) < count:
         c = (rng.random(3) - 0.5) * (0.7 * chart.radius)

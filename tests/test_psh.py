@@ -316,7 +316,7 @@ def test_barrier_chain_through_the_fibers(d21, omega21, rng):
         r = np.sqrt(complex(w[0]))
         return np.array([[r, w[1]], [-r, w[1]]], dtype=complex)
 
-    Fm = kx.FiberMap(forward=F, fibers=fibers)
+    Fm = kx.FiberMap(fibers=fibers)
     zs = []
     for k in range(4, 12):
         accepted = 0
@@ -391,11 +391,46 @@ def test_nearest_point_cubic_closed_form_on_the_example21_grid():
 
 
 def test_nearest_point_cubic_rejects_rows_outside_its_region():
-    # at (0.05, 0) the cubic has three real roots and s^2 < 0
+    # the moduli section is x0, y0 >= 0, x0^2 + y0 < 1; at (0.05, 0), inside
+    # it, the cubic has three real roots
+    X, _ = kx.nearest_point_cubic(0.05, 0.0)
+    assert abs(2.0 * X ** 3 - X - 0.05) <= 4e-15
+    for x0, y0 in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.75), (0.9, 0.5), (-0.1, 0.2),
+                   (0.2, -1e-300)):
+        with pytest.raises(kx.DomainError, match="needs"):
+            kx.nearest_point_cubic(x0, y0)
     with pytest.raises(kx.DomainError, match="needs"):
-        kx.nearest_point_cubic(0.05, 0.0)
-    with pytest.raises(kx.DomainError, match="needs"):
-        kx.nearest_point_cubic([0.95, 0.05], [0.0, 0.0])
+        kx.nearest_point_cubic([0.95, 0.5], [0.0, 0.75])
+
+
+def test_nearest_point_cubic_on_the_whole_section():
+    # seeded rows of the section, the edges x0 = 0 (on both sides of and at
+    # y0 = 1/2, where p = q = 0) and y0 = 0, and the three-root region s^2 <= 0
+    rng = np.random.default_rng(21)
+    r = rng.random((20_000, 2))
+    r = r[r[:, 0] ** 2 + r[:, 1] < 1.0][:10_000]
+    edges = [(0.0, y) for y in (0.0, 0.25, 0.4999999, 0.5, 0.5000001, 0.75, 0.999999)]
+    edges += [(x, 0.0) for x in (1e-300, 1e-12, 0.05, 0.5, 0.999999)]
+    edges += [(0.05, 0.1), (0.1, 0.3), (0.01, 0.49), (0.3, 0.0)]
+    x0, y0 = np.concatenate([r, edges]).T
+    assert x0.size == 10_016
+    p, q = y0 - 0.5, -0.5 * x0
+    assert np.count_nonzero(q * q / 4.0 + p ** 3 / 27.0 <= 0.0) > 500
+
+    X, Y = kx.nearest_point_cubic(x0, y0)
+    assert not np.any(np.isnan(X))
+    assert np.all((0.0 <= X) & (X < 1.0)) and np.array_equal(Y, 1.0 - X ** 2)
+    assert np.max(np.abs(2.0 * X ** 3 + (2.0 * y0 - 1.0) * X - x0)) <= 4e-15
+    # the largest root is the nearest curve point: no point of a dense
+    # sample of the curve is nearer
+    T = np.linspace(0.0, 1.0, 2049)
+    d = np.hypot(X - x0, Y - y0)
+    for rows in np.array_split(np.arange(x0.size), 20):
+        grid = np.hypot(T - x0[rows, None], 1.0 - T ** 2 - y0[rows, None]).min(axis=1)
+        assert np.all(d[rows] <= grid + 1e-15)
+    assert np.all(X[-13:-9] <= 1e-16) and X[-13] == 0.0    # x0 = 0, y0 >= 1/2
+    one = [float(kx.nearest_point_cubic(a, b)[0]) for a, b in zip(x0[::10], y0[::10])]
+    assert np.array_equal(one, X[::10])
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +439,12 @@ def test_nearest_point_cubic_rejects_rows_outside_its_region():
 
 def test_pushforward_identity_map():
     rho = kx.PshWitness(fn=lambda zs: -np.ones(np.atleast_2d(zs).shape[0]))
-    Fm = kx.FiberMap(forward=lambda z: np.asarray(z, dtype=complex),
-                     fibers=lambda w: np.asarray(w, dtype=complex)[None, :])
+    Fm = kx.FiberMap(fibers=lambda w: np.asarray(w, dtype=complex)[None, :])
     assert kx.pushforward_tau(Fm, rho, kx.cpoint(0.2, 0.1)) == -1.0
 
 
 def test_pushforward_permutation_invariant():
     rho = kx.PshWitness(fn=lambda zs: -np.abs(np.atleast_2d(zs)[..., 0]) - 0.5)
-
-    def fwd(z):
-        z = np.asarray(z, dtype=complex)
-        return np.stack([z[..., 0] ** 2, z[..., 1]], axis=-1)
 
     def fib_a(w):
         r = np.sqrt(complex(w[0]))
@@ -425,8 +455,8 @@ def test_pushforward_permutation_invariant():
         return np.array([[-r, w[1]], [r, w[1]]])
 
     w = kx.cpoint(0.3 + 0.2j, 0.1)
-    t1 = kx.pushforward_tau(kx.FiberMap(forward=fwd, fibers=fib_a), rho, w)
-    t2 = kx.pushforward_tau(kx.FiberMap(forward=fwd, fibers=fib_b), rho, w)
+    t1 = kx.pushforward_tau(kx.FiberMap(fibers=fib_a), rho, w)
+    t2 = kx.pushforward_tau(kx.FiberMap(fibers=fib_b), rho, w)
     assert t1 == t2
 
 
@@ -443,7 +473,7 @@ def test_pushforward_stays_negative(omega21, rng):
         r = np.sqrt(complex(w[0]))
         return np.array([[r, w[1]], [-r, w[1]]])
 
-    Fm = kx.FiberMap(forward=fwd, fibers=fib)
+    Fm = kx.FiberMap(fibers=fib)
     for _ in range(50):
         x, y = rng.random(), rng.random()
         if x + y >= 0.98:
@@ -455,8 +485,7 @@ def test_pushforward_stays_negative(omega21, rng):
 
 
 def test_pushforward_empty_fiber_errors():
-    Fm = kx.FiberMap(forward=lambda z: z,
-                     fibers=lambda w: np.zeros((0, 2), dtype=complex))
+    Fm = kx.FiberMap(fibers=lambda w: np.zeros((0, 2), dtype=complex))
     rho = kx.PshWitness(fn=lambda zs: -np.ones(np.atleast_2d(zs).shape[0]))
     with pytest.raises(kx.DomainError):
         kx.pushforward_tau(Fm, rho, kx.cpoint(0, 0))
@@ -464,14 +493,14 @@ def test_pushforward_empty_fiber_errors():
 
 def test_pushforward_rows_equal_one_point_calls(rng):
     F, _, fibers = _square_first_map()
-    Fm = kx.FiberMap(forward=F, fibers=fibers)
+    Fm = kx.FiberMap(fibers=fibers)
     rho = kx.PshWitness(fn=lambda zs: np.abs(zs[..., 0]) ** 2 + np.abs(zs[..., 1]) - 1.0)
     ws = (rng.random((40, 2)) - 0.5) + 1j * (rng.random((40, 2)) - 0.5)
     assert np.allclose(F(fibers(ws)), np.stack([ws, ws], axis=1), rtol=0.0, atol=1e-15)
     taus = kx.pushforward_tau(Fm, rho, ws)
     assert taus.shape == (40,)
     assert taus.tolist() == [kx.pushforward_tau(Fm, rho, w) for w in ws]
-    empty = kx.FiberMap(forward=F, fibers=lambda w: np.zeros(w.shape[:-1] + (0, 2), complex))
+    empty = kx.FiberMap(fibers=lambda w: np.zeros(w.shape[:-1] + (0, 2), complex))
     with pytest.raises(kx.DomainError):
         kx.pushforward_tau(empty, rho, ws)
 

@@ -96,7 +96,7 @@ def test_block_sampler_matches_one_candidate_at_a_time():
         return (r[:, :1] - 0.5) + 1j * (r[:, 1:2] - 0.5)
 
     rng = np.random.default_rng(11)
-    kept, pts = scenarios._first_accepted(rng, 25, build, D)
+    kept, pts = scenarios._first_accepted(rng, 25, build, lambda z: domains.contains(D, z))
     assert len(blocks) > 1
 
     ref = np.random.default_rng(11)
@@ -107,4 +107,17 @@ def test_block_sampler_matches_one_candidate_at_a_time():
             want.append(r)
     assert np.array_equal(kept, want)
     assert np.array_equal(pts[:, 0], [complex(a - 0.5, b - 0.5) for a, b, _, _ in want])
+    assert rng.random() == ref.random()
+
+    # three uniforms a candidate, accepted by a mask of their own
+    rng = np.random.default_rng(12)
+    kept, pts = scenarios._first_accepted(rng, 40, lambda r: r - 0.5,
+                                          lambda c: np.sum(c * c, axis=-1) < 0.04, width=3)
+    ref = np.random.default_rng(12)
+    want = []
+    while len(want) < 40:
+        c = ref.random(3) - 0.5
+        if np.sum(c * c) < 0.04:
+            want.append(c)
+    assert np.array_equal(pts, want) and np.array_equal(kept - 0.5, want)
     assert rng.random() == ref.random()
