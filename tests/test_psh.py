@@ -428,7 +428,9 @@ def test_nearest_point_cubic_on_the_whole_section():
     for rows in np.array_split(np.arange(x0.size), 20):
         grid = np.hypot(T - x0[rows, None], 1.0 - T ** 2 - y0[rows, None]).min(axis=1)
         assert np.all(d[rows] <= grid + 1e-15)
-    assert np.all(X[-13:-9] <= 1e-16) and X[-13] == 0.0    # x0 = 0, y0 >= 1/2
+    # the root 0 of x0 = 0, y0 >= 1/2, exact where p = q = 0
+    assert np.all(X[(x0 == 0.0) & (y0 >= 0.5)] <= 1e-16)
+    assert X[(x0 == 0.0) & (y0 == 0.5)].tolist() == [0.0]
     one = [float(kx.nearest_point_cubic(a, b)[0]) for a, b in zip(x0[::10], y0[::10])]
     assert np.array_equal(one, X[::10])
 
