@@ -80,10 +80,18 @@ class Constraint:
     to (..., n) real gradients, ``grad_j = dg/dx_j + i dg/dy_j`` for
     z_j = x_j + i y_j, and ``smooth`` (optional) to (...,) flags marking where
     g is differentiable; where one is False no gradient is finite-differenced.
+
+    ``lipschitz`` is a bound on |grad g|, the norm of the complex gradient
+    (that of the real one), over the closed ball |z| <= the domain's
+    bounding_radius, so that g is L-Lipschitz there; inf declares none.  The
+    ray march of a non-convex domain (_march) skips the grid points this
+    bound proves inside, so a bound below the true one can let a ray step
+    over a crossing and return a wrong exit.
     """
     fn: callable
     grad: callable = None
     smooth: callable = None
+    lipschitz: float = math.inf
 
     def __call__(self, z):
         return np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=float)
@@ -108,6 +116,11 @@ class DomainSpec:
     nearest_fn: callable = field(default=None, repr=False)
 
     def __post_init__(self):
+        # NaN fails the test too; the ray cap and the march rest on D lying
+        # in the ball of this radius
+        if not self.bounding_radius > 0.0:
+            raise DomainError("domain %r needs a positive bounding radius, got %r"
+                              % (self.name, self.bounding_radius))
         self.constraints = [c if isinstance(c, Constraint) else Constraint(c)
                             for c in self.constraints]
         if self.interior_point is not None:
@@ -156,11 +169,12 @@ def _ray_exit(D, z, dirs, bound=None):
     broadcast view is fine: each chunk materializes only its own rows).
     Returns (m, k).  _brackets finds per ray, a chunk at a time, a bracket
     [lo, hi] with value(lo) < 0 <= value(hi): [0, cap] for a convex domain,
-    whose inside set along a ray is an interval; otherwise a fixed march of
-    step cap/MARCH_STEPS finds the first outside point.  The march goes on
-    evaluating the rays that have stopped, masked out, until half of the
-    rays it carries have, so a ray sees the same grid points and values
-    whatever the other rays do.  One Chandrupatla root finder on D.value
+    whose inside set along a ray is an interval; otherwise a march (_march)
+    on the grid of step cap/MARCH_STEPS finds the first outside point,
+    reading only the grid points the domain's declared Lipschitz bound does
+    not prove inside, and only on the rays still marching; a ray's bracket
+    is [its last inside grid point, its first outside one], as if the march
+    had read every point.  One Chandrupatla root finder on D.value
     (_roots) per group of chunks then shrinks the brackets to hi - lo <=
     4 eps hi and returns the midpoints.  Where D.value is exactly 0,
     interpolation has no slope to use, so the finder steps just inside a
@@ -225,7 +239,8 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
     """Brackets of the chunk dirs[rows][:, cols], best the pass's bounds.
     Stopped rays get their entries of out by flat index; the others are
     returned as a root state (None if there are none).  One oracle call
-    reads the origins and the probes, or every cap point without probes."""
+    reads the origins and the probes, or every cap point without probes;
+    on a non-convex domain _march then brackets the rays."""
     z, best = z[rows].T, best[rows]
     (n, mc), kc = z.shape, cols.size
     d = np.take(dirs[rows].transpose(2, 0, 1), cols, axis=2).reshape(n, -1)
@@ -251,36 +266,7 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
         fhi = np.full(todo.size, np.nan)    # NaN: a cap point not read yet
     lo, flo, hi = 0.0, f0[row[todo]], cap
     if not D.is_convex:
-        lo, flo, hi, fhi = np.zeros(m), f0[row], np.full(m, np.nan), np.empty(m)
-        step = cap / MARCH_STEPS
-        zt, dt, rt, fl = np.take(z, row, axis=1), d, row, flo
-        live = np.ones(m, dtype=bool)
-        for j in range(1, MARCH_STEPS + 1):
-            t = j * step
-            f = D.value((zt + t * dt).T)
-            outside = f >= 0.0
-            left = outside & live
-            best[rt[left]] = np.minimum(best[rt[left]], t)
-            cut = (t > best[rt]) & live & ~outside
-            stop = left | cut
-            if stop.any():
-                ray = todo[left]
-                lo[ray], flo[ray], hi[ray], fhi[ray] = (j - 1) * step, fl[left], t, f[left]
-                out.put(flat[todo[cut]], t)
-                live &= ~stop
-                kept = np.count_nonzero(live)
-                if not kept:
-                    break
-                if 2 * kept <= live.size:
-                    keep = np.flatnonzero(live)
-                    todo, rt, f = (np.take(a, keep) for a in (todo, rt, f))
-                    zt, dt = (np.take(a, keep, axis=1) for a in (zt, dt))
-                    live = live[keep]
-            fl = f
-        else:
-            raise ConvergenceError("ray march found no exit within the bounding cap")
-        todo = np.flatnonzero(hi >= 0.0)    # the rays that left, to root-find
-        lo, flo, hi, fhi = lo[todo], flo[todo], hi[todo], fhi[todo]
+        todo, lo, flo, hi, fhi = _march(D, z, d, row, f0[row], cap, best, flat, out)
     if not todo.size:
         return None
     state = np.empty((9, todo.size))
@@ -291,20 +277,96 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
     return state, zd, np.stack([flat[todo], rows.start + row[todo]])
 
 
+def _march(D, z, d, row, f, cap, best, flat, out):
+    """The march of _brackets on a non-convex domain: each ray's first
+    outside point on the grid t_j = j cap/MARCH_STEPS, j = 1..MARCH_STEPS,
+    unless the bound cuts the ray first.  z: (n, rows) origins; d: (n, m)
+    directions of the rays, row their rows and f their origins' values.
+
+    D lies in the ball of its bounding radius, where D.value = max g_i is
+    L-Lipschitz, L the largest declared Constraint.lipschitz.  So a point
+    read at f < 0 proves the ray inside for a further -f/L, and after a read
+    at j the next is at j + 1 + floor(-f/(L step) (1 - 2^-20)), the factor
+    absorbing the rounding of f; with L = inf every grid point is read.
+    The cuts come out as a march over every grid point makes them: with c0
+    a row's first grid index above its bound and first the least first
+    outside index among its rays, a ray leaves at its first outside index o
+    if o <= min(c0, first + 1), else it is cut there, that grid point its
+    entry; a NaN bound cuts nothing.  A ray stops reading once its next
+    index passes that limit as known so far, which can only fall.  One call
+    at the end reads the inside ends o - 1 the skips stepped over.  The
+    leaving rays' upper ends go into best and the cuts into out; returns the
+    leaving rays and their brackets (lo, flo, hi, fhi).
+    """
+    m = d.shape[1]
+    step = cap / MARCH_STEPS
+    shrink = -(1.0 - 2.0 ** -20) / (max(c.lipschitz for c in D.constraints) * step)
+    # per row c0 (MARCH_STEPS + 1 for a NaN bound, which sorts last), and
+    # the cut's gap past first, inf where nothing cuts
+    c0 = np.maximum(np.searchsorted(np.arange(MARCH_STEPS + 1) * step, best, "right"), 1)
+    gap = np.where(np.isnan(best), np.inf, 1.0)
+    first = np.full(best.shape, np.inf)
+    stop = np.minimum(c0, MARCH_STEPS)      # the last index a row's rays may read
+    o, flo, fhi = np.full(m, np.inf), np.empty(m), np.empty(m)
+    ids, zt, dt, rt = np.arange(m), np.take(z, row, axis=1), d, row
+    j = np.zeros(m)     # the origins, read
+    while True:
+        skip = np.floor(np.fmax(f * shrink, 0.0))   # 0 for NaN
+        nj = j + 1.0 + skip
+        keep = np.flatnonzero(nj <= stop[rt])
+        if not keep.size:
+            break
+        fl = np.where(skip, np.nan, f)      # the value at nj - 1 where it was read
+        if keep.size < nj.size:
+            ids, rt, nj, fl = (np.take(a, keep) for a in (ids, rt, nj, fl))
+            zt, dt = (np.take(a, keep, axis=1) for a in (zt, dt))
+        j = nj
+        f = D.value((zt + (j * step) * dt).T)
+        left = f >= 0.0
+        if left.any():
+            k = ids[left]
+            o[k], flo[k], fhi[k] = j[left], fl[left], f[left]
+            np.minimum.at(first, rt[left], j[left])
+            stop = np.minimum(np.minimum(c0, first + gap), MARCH_STEPS)
+            j[left] = np.inf    # read no further
+    lim = np.minimum(c0, first + gap)[row]
+    cut = np.flatnonzero(o > lim)
+    if np.any(lim[cut] > MARCH_STEPS):
+        raise ConvergenceError("ray march found no exit within the bounding cap")
+    out.put(flat[cut], lim[cut] * step)
+    todo = np.flatnonzero(o <= lim)
+    lo, hi, flo, fhi = (o[todo] - 1.0) * step, o[todo] * step, flo[todo], fhi[todo]
+    with np.errstate(invalid="ignore"):     # a NaN bound stays NaN
+        np.minimum.at(best, row[todo], hi)
+    skipped = np.flatnonzero(np.isnan(flo))
+    if skipped.size:
+        ray = todo[skipped]
+        flo[skipped] = D.value((np.take(z, row[ray], axis=1)
+                                + lo[skipped] * np.take(d, ray, axis=1)).T)
+        if np.any(flo[skipped] >= 0.0):
+            raise DomainError("a grid point that the declared Lipschitz bounds of %s prove "
+                              "inside reads outside: a bound is too small" % D.name)
+    return todo, lo, flo, hi, fhi
+
+
 def _roots(D, group, best, out):
-    """Root-finds a group of root states, concatenated if there are several,
-    after one call reads the upper ends x2 (the cap) whose f2 is NaN; each
-    exit goes into out by its flat index.  A ray is a column of state (x1,
-    f1, x2, f2, x3, f3, want, x21 = x2 - x1, tol), of zd (origin, direction)
-    and of ids (flat index, row), compacted with three takes when a ray
+    """Root-finds a group of root states, concatenated if there are several;
+    the first step's oracle call also reads the upper ends x2 (the cap)
+    whose f2 is NaN, which that step's trial points do not need.  Each exit
+    goes into out by its flat index.  A ray is a column of state (x1, f1,
+    x2, f2, x3, f3, want, x21 = x2 - x1, tol), of zd (origin, direction) and
+    of ids (flat index, row), compacted with three takes when a ray
     stops."""
     s, zd, ids = group[0] if len(group) == 1 else (np.concatenate(a, -1) for a in zip(*group))
-    unread = np.flatnonzero(np.isnan(s[3]))
+    # the first step's points, then the cap points after them
+    r, unread = zd.shape[2], np.flatnonzero(np.isnan(s[3]))
+    pts = np.empty((zd.shape[1], r + unread.size), dtype=complex)
+    head = pts[:, :r]
     if unread.size:
         cap = s[2, unread[0]]    # every unread ray's x2 is the cap
-        s[3, unread] = D.value((np.take(zd[0], unread, 1) + cap * np.take(zd[1], unread, 1)).T)
-        if np.any(s[3, unread] < 0.0):
-            raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
+        tail = pts[:, r:]
+        np.multiply(cap, np.take(zd[1], unread, 1), out=tail)
+        tail += np.take(zd[0], unread, 1)
 
     # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
     # bracket and x3 the point dropped last; each step tries inverse
@@ -322,7 +384,6 @@ def _roots(D, group, best, out):
     # fraction asked for, t the one taken.
     # Given a bound, each step folds the live rays' upper ends into their
     # rows' best; a stopped ray's last upper end is already in it.
-    pts = np.empty(zd.shape[1:], dtype=complex)
     bounded = not np.isnan(best).any()
     x1, f1, x2, f2, x3, f3, want, x21, tol = s
     q = s[:6].reshape(3, 2, -1)    # the (x, f) pairs 1, 2 and 3
@@ -330,9 +391,15 @@ def _roots(D, group, best, out):
     t = 0.5
     for _ in range(ROOT_STEPS):
         x = x1 + t * x21
-        np.multiply(x, zd[1], out=pts)
-        pts += zd[0]
+        np.multiply(x, zd[1], out=head)
+        head += zd[0]
         f = D.value(pts.T)
+        if unread.size:
+            f, s[3, unread] = f[:r], f[r:]
+            if np.any(s[3, unread] < 0.0):
+                raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
+            unread = unread[:0]
+            pts = head = np.empty(zd.shape[1:], dtype=complex)
         same = (f >= 0.0) == (f1 >= 0.0)
         q[1:] = np.where(same, q[1::-1], q[:2])
         x1[:], f1[:] = x, f
@@ -350,7 +417,7 @@ def _roots(D, group, best, out):
             if not keep.size:
                 return
             s, zd, ids = (np.take(a, keep, -1) for a in (s, zd, ids))
-            pts = np.empty(zd.shape[1:], dtype=complex)
+            pts = head = np.empty(zd.shape[1:], dtype=complex)
             x1, f1, x2, f2, x3, f3, want, x21, tol = s
             q = s[:6].reshape(3, 2, -1)
             dx = np.abs(x21)
@@ -884,7 +951,12 @@ def nearest_point_cubic(x0, y0):
 
 
 def ex21_D():
-    """{ (z, w) : |z|^2 + |w| < 1 }; Lipschitz corner circle at |z| = 1, w = 0."""
+    """{ (z, w) : |z|^2 + |w| < 1 }; Lipschitz corner circle at |z| = 1, w = 0.
+
+    Lipschitz bound: the gradient (2z, w/|w|) has |grad g|^2 = 4|z|^2 + 1,
+    at most 5 on the bounding ball |(z, w)| <= 1, so L = sqrt(5) =
+    2.23607 ..., declared rounded up.
+    """
     def g(z):
         return np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) - 1.0
 
@@ -903,7 +975,7 @@ def ex21_D():
         return np.stack(nearest_point_cubic(*np.abs(zs).T), axis=-1) * _phases(zs)
 
     return DomainSpec("ex21_d", 2,
-                      [Constraint(g, grad=grad, smooth=smooth)],
+                      [Constraint(g, grad=grad, smooth=smooth, lipschitz=2.2361)],
                       is_convex=False, is_reinhardt=True, bounding_radius=1.0,
                       interior_point=np.zeros(2, dtype=complex),
                       dist_fn=dist, nearest_fn=nearest)
@@ -961,7 +1033,17 @@ def _wall_distance(zs, profile):
 
 
 def ex22_D():
-    """{ Re z > phi(|w|^2) } cap { |z|^2 + |w|^4 < 1 }, phi(x) = exp(-1/x^2)."""
+    """{ Re z > phi(|w|^2) } cap { |z|^2 + |w|^4 < 1 }, phi(x) = exp(-1/x^2).
+
+    Lipschitz bounds on the bounding ball |(z, w)| <= 1.  The graph
+    constraint has gradient (-1, phi'(|w|^2) 2w), whose second entry has
+    modulus h(s) = 4 s^-5 exp(-s^-4) at s = |w|; with u = s^-4, h = 4 u^(5/4)
+    e^-u is largest at u = 5/4, s = 0.9457 ..., where h = 1.51471 ..., so
+    |grad g1| <= sqrt(1 + h^2) = 1.81503 ..., declared as 1.816.  The
+    quartic has gradient (2z, 4|w|^2 w): |grad g2|^2 = 4|z|^2 + 16|w|^6
+    <= 4a + 16(1 - a)^3 for a = |z|^2 in [0, 1], largest (16) at a = 0, so
+    |grad g2| <= 4.
+    """
     def g1(z):
         return _phi_flat(np.abs(z[..., 1]) ** 2) - np.real(z[..., 0])
 
@@ -990,14 +1072,22 @@ def ex22_D():
         return np.minimum(d1, d2)
 
     return DomainSpec("ex22_d", 2,
-                      [Constraint(g1, grad=g1_grad), Constraint(g2, grad=g2_grad)],
+                      [Constraint(g1, grad=g1_grad, lipschitz=1.816),
+                       Constraint(g2, grad=g2_grad, lipschitz=4.0)],
                       is_convex=False, is_reinhardt=False, bounding_radius=1.0,
                       interior_point=np.array([0.5, 0.0], dtype=complex),
                       dist_fn=dist)
 
 
 def _graph_ball_cap(name, radius, convex, interior):
-    """{ Re z > phi(|w|) } cap B^2(0, radius), phi(x) = exp(-1/x^2)."""
+    """{ Re z > phi(|w|) } cap B^2(0, radius), phi(x) = exp(-1/x^2).
+
+    Lipschitz bounds on the bounding ball: the graph constraint has gradient
+    (-1, phi'(|w|) w/|w|), phi'(s) = 2 s^-3 exp(-s^-2) = 2 u^(3/2) e^-u for
+    u = s^-2, largest at u = 3/2, where it is 0.81983 ...; so |grad g1| <=
+    sqrt(1 + 0.81983^2) = 1.29311 ..., declared as 1.294 for every radius.
+    The ball's gradient 2(z, w) has norm at most 2 radius.
+    """
     def g1(z):
         return _phi_flat(np.abs(z[..., 1])) - np.real(z[..., 0])
 
@@ -1015,8 +1105,9 @@ def _graph_ball_cap(name, radius, convex, interior):
         return np.minimum(_wall_distance(zs2, _phi_flat), radius - np.linalg.norm(zs2, axis=-1))
 
     return DomainSpec(name, 2,
-                      [Constraint(g1, grad=g1_grad),
-                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex))],
+                      [Constraint(g1, grad=g1_grad, lipschitz=1.294),
+                       Constraint(g2, grad=lambda z: 2.0 * np.asarray(z, dtype=complex),
+                                  lipschitz=2.0 * radius)],
                       is_convex=convex, is_reinhardt=False, bounding_radius=radius,
                       interior_point=np.array([interior, 0.0], dtype=complex),
                       dist_fn=dist)

@@ -119,7 +119,14 @@ def _build_domain(name, items):
         elif key == "flags":
             flags.update(val.split())
         elif key == "radius":
-            radius = float(val)
+            try:
+                radius = float(val)
+            except ValueError:
+                radius = math.nan
+            # ray caps and the march rest on the domain lying in this ball
+            if not radius > 0.0:
+                raise ParseError("domain %r: radius must be a positive number, got %r"
+                                 % (name, val))
         elif key == "constraint":
             exprs.append(val)
         elif key == "interior":

@@ -306,6 +306,17 @@ def test_bad_definition_file_is_config_error(text, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_non_positive_radius_is_config_error(radius, tmp_path, capsys):
+    # radius -1 used to fail later as a ray that does not leave the domain
+    path = tmp_path / "neg.kx"
+    path.write_text("domain tri\n  dim 2\n  flags reinhardt\n  radius %s\n"
+                    "  constraint abs(z1)^2 + abs(z2) - 1\nend\n" % radius)
+    assert run_cli("distance", str(path), "--at", "0.3,0.2", "--dir", "1,0") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "radius must be a positive number" in err
+
+
 @pytest.mark.parametrize("domain", ["nope", "missing/file.kx"])
 def test_unknown_domain_returns_config_error_in_process(domain, tmp_path,
                                                         monkeypatch, capsys):

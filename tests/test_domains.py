@@ -639,10 +639,11 @@ def test_marched_rays_match_single_ray_calls(bound):
         assert np.any(t > bound)    # rays the bound stopped on the march
 
 
-@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 534),
-                                          ("ball2", (0.3, 0.2j), 72)])
+@pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 63),
+                                          ("ball2", (0.3, 0.2j), 43)])
 def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
-    # masked march rays add oracle points, never oracle calls
+    # the march reads only the grid points ex21_d's Lipschitz bound does not
+    # prove inside, and the first root step's call reads the cap points
     D = kx.bundled_domain(name)
     seen = []
     real = D.value
@@ -654,9 +655,9 @@ def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
 def test_grouped_root_loops_read_the_same_points_in_fewer_calls(monkeypatch):
     # ball-sandwich's seed-0 rows, 4096 phases at bound inf: 13 chunks of 8
     # rows a pass, the coarse pass and then the probed rest; one root loop
-    # and one cap-point call per group of chunks read the points a root loop
-    # and a cap-point call per chunk read, in 346 calls.  A one-row search
-    # is one chunk a ray batch, and keeps its calls
+    # per group of chunks, whose first call reads the cap points too, reads
+    # the points a root loop and a cap-point call per chunk read, in 346
+    # calls.  A one-row search is one chunk a ray batch
     rng = np.random.default_rng(0)
     zs = []
     while len(zs) < 100:
@@ -680,12 +681,195 @@ def test_grouped_root_loops_read_the_same_points_in_fewer_calls(monkeypatch):
     kx.directional_distance_batch(counted(kx.ball(2)), np.array(zs), vs, n_phases=4096,
                                   refine=False)
     assert points[0] == 466_670
-    assert len(calls) <= 90
-    for name, z, most in (("ball2", (0.3, 0.2j), 46), ("ex21_d", (0.05, 0.05), 249)):
+    assert len(calls) <= 68
+    for name, z, most in (("ball2", (0.3, 0.2j), 43), ("ex21_d", (0.05, 0.05), 63)):
         calls.clear()
         kx.directional_distance(counted(kx.bundled_domain(name)), kx.cpoint(*z),
                                 kx.cpoint(1, 0.5j))
         assert len(calls) <= most
+
+
+# ---------------------------------------------------------------------------
+# declared Lipschitz bounds, and the march that skips by them
+# ---------------------------------------------------------------------------
+
+DECLARED = [(name, i) for name in sorted(kx.BUNDLED)
+            for i, c in enumerate(kx.bundled_domain(name).constraints)
+            if math.isfinite(c.lipschitz)]
+
+
+def _closed_ball(rng, m, radius):
+    # uniform in the ball of R^4, a tenth of the points on its sphere; rows
+    # whose norm rounds above the radius are dropped
+    r = radius * rng.random((m, 1)) ** 0.25
+    r[:m // 10] = radius
+    p = r * _unit_rows(rng, m)
+    return p[dm.row_norms(p) <= radius]
+
+
+def _lipschitz_violations(D, c, lipschitz, rng):
+    """How many of 10^5 points of D's closed bounding ball have |grad g| >
+    lipschitz, and how many of 2 * 10^4 pairs have |g(p) - g(q)| >
+    lipschitz |p - q|: pairs far apart, and pairs 1e-3 apart in directions
+    near the gradient, where the difference quotient is largest."""
+    R = D.bounding_radius
+    grads = dm.row_norms(c.grad(_closed_ball(rng, 100_000, R)))
+    p, far = _closed_ball(rng, 20_000, R), _closed_ball(rng, 20_000, R)
+    m = min(len(p), len(far))
+    u = c.grad(p)
+    u = u / dm.row_norms(u)[:, None] + 0.1 * _unit_rows(rng, len(p))
+    q = np.concatenate([far[:m], p - 1e-3 * u / dm.row_norms(u)[:, None]])
+    p = np.concatenate([p[:m], p])
+    inside = dm.row_norms(q) <= R
+    p, q = p[inside], q[inside]
+    assert len(p) >= 20_000
+    jumps = np.abs(c(p) - c(q)) > lipschitz * dm.row_norms(p - q)
+    return int(np.count_nonzero(grads > lipschitz)), int(np.count_nonzero(jumps))
+
+
+def test_every_non_convex_bundled_constraint_declares_a_bound():
+    # ball2, polydisc and the convex domains need none: their exits take no march
+    for name in sorted(kx.BUNDLED):
+        D = kx.bundled_domain(name)
+        if not D.is_convex:
+            assert all(math.isfinite(c.lipschitz) for c in D.constraints), name
+    assert len(DECLARED) == 7
+
+
+@pytest.mark.parametrize("name,index", DECLARED)
+def test_declared_lipschitz_bounds_hold_on_the_bounding_ball(name, index):
+    D = kx.bundled_domain(name)
+    c = D.constraints[index]
+    assert _lipschitz_violations(D, c, c.lipschitz, np.random.default_rng(index + 41)) == (0, 0)
+
+
+def test_an_under_declared_bound_fails_the_bound_test():
+    # ex21_d's |grad g|^2 = 4|z|^2 + 1 reaches 5 on the bounding ball, so 2
+    # in place of sqrt(5) is broken on both counts
+    D = kx.bundled_domain("ex21_d")
+    grads, jumps = _lipschitz_violations(D, D.constraints[0], 2.0, np.random.default_rng(41))
+    assert grads > 0 and jumps > 0
+
+
+def _without_bounds(D, monkeypatch):
+    for c in D.constraints:
+        monkeypatch.setattr(c, "lipschitz", math.inf)
+
+
+@pytest.mark.parametrize("name", ["ex21_d", "ex22_d", "ex22_omega"])
+def test_skipped_march_equals_the_march_over_every_point(name, monkeypatch):
+    # the declared bound skips only grid points it proves inside, and the
+    # cuts are the full march's, so every entry is bitwise the one the march
+    # over every grid point (L = inf) gives: random rows with no bound, inf,
+    # a finite bound and per-row bounds (inf, the row minimum, and the grid
+    # point below it, which cuts rays after the grid point, not at it), and
+    # rows of one origin in chunks of 4 rows against one row a call
+    D = kx.bundled_domain(name)
+    rng = np.random.default_rng(29)
+    zs = D.interior_point + 0.4 * _unit_rows(rng, 64) * rng.random((64, 1)) ** 0.25
+    zs = zs[kx.contains(D, zs)][:12]
+    dirs = _unit_rows(rng, 12 * 256).reshape(12, 256, 2)
+    lo = _ray_exit(D, zs, dirs).min(axis=1)
+    step = (float(np.max(np.linalg.norm(zs, axis=-1))) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
+    per_row = np.choose(np.arange(12) % 3, [math.inf, lo, np.floor(lo / step) * step])
+    shared = np.tile(D.interior_point, (9, 1))
+    monkeypatch.setattr(dm, "RAY_CHUNK", 1024)
+    points = _counting(D, monkeypatch)
+
+    def run():
+        out = [_ray_exit(D, zs, dirs, bound) for bound in (None, math.inf, 0.3, per_row)]
+        for bound in (None, math.inf, 0.3):
+            t = _ray_exit(D, shared, dirs[:9], bound)
+            rows = [_ray_exit(D, shared[i:i + 1], dirs[i:i + 1], bound) for i in range(9)]
+            assert np.concatenate(rows).tobytes() == t.tobytes()
+            out.append(t)
+        return out
+
+    skipped = run()
+    skipped_points, points[0] = points[0], 0
+    _without_bounds(D, monkeypatch)
+    for a, b in zip(skipped, run(), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert skipped_points < points[0]
+
+
+def _lockstep_cuts(D, z, dirs, bound):
+    """The march that reads every grid point of every live ray, all rays in
+    step, as kobex's march did before it skipped: per ray the grid point a
+    bound cuts it at, NaN where its first outside grid point comes first."""
+    cap = float(np.max(np.linalg.norm(z, axis=-1))) + 2.0 * D.bounding_radius + 1.0
+    step = cap / dm.MARCH_STEPS
+    best = np.broadcast_to(bound, z.shape[:1]).astype(float)
+    cuts = np.full(dirs.shape[:2], np.nan)
+    live = np.ones(dirs.shape[:2], dtype=bool)
+    for j in range(1, dm.MARCH_STEPS + 1):
+        t = j * step
+        outside = D.value(z[:, None] + t * dirs) >= 0.0
+        left = outside & live
+        best = np.where(left.any(axis=1), np.minimum(best, t), best)
+        cut = live & ~outside & (t > best[:, None])
+        cuts[cut] = t
+        live &= ~(left | cut)
+    assert not live.any()
+    return cuts
+
+
+@pytest.mark.parametrize("name", ["ex21_d", "ex22_d", "ex22_omega", "slab2"])
+def test_march_cuts_where_the_lockstep_march_does(name):
+    # finite bounds run one pass; each ray the lockstep march cuts has its
+    # grid point as entry, and every other ray its exit or a root-stopped
+    # lower bound above the bound.  The bounds include a grid point, which
+    # cuts only the rays inside after it
+    D = _named_domain(name)
+    rng = np.random.default_rng(37)
+    zs = D.interior_point + 0.4 * _unit_rows(rng, 64) * rng.random((64, 1)) ** 0.25
+    zs = zs[kx.contains(D, zs)][:9]
+    dirs = _unit_rows(rng, 9 * 64).reshape(9, 64, 2)
+    exact = _ray_exit(D, zs, dirs)
+    lo = exact.min(axis=1)
+    step = (float(np.max(np.linalg.norm(zs, axis=-1))) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
+    grid = np.floor(lo / step) * step
+    for bound in (0.3, lo, grid, np.choose(np.arange(9) % 3, [lo * 1.001, grid, 0.0])):
+        t = _ray_exit(D, zs, dirs, bound)
+        ref = _lockstep_cuts(D, zs, dirs, bound)
+        cut = ~np.isnan(ref)
+        assert cut.any()
+        assert np.array_equal(t[cut], ref[cut])
+        above = t > np.broadcast_to(bound, (9,))[:, None]
+        assert np.all(((t == exact) | (above & (t < exact)))[~cut])
+
+
+@pytest.mark.parametrize("name", ["ex21_d", "ex22_d", "ex22_omega"])
+def test_declared_bounds_halve_the_points_of_a_batch(name, monkeypatch):
+    # a 1,024-row delta(z; v) batch at 256 phases: scan, coarse pass and zoom
+    D = kx.bundled_domain(name)
+    rng = np.random.default_rng(5)
+    zs = D.interior_point + 0.45 * _unit_rows(rng, 4096) * rng.random((4096, 1)) ** 0.25
+    zs = zs[kx.contains(D, zs)][:1024]
+    vs = _unit_rows(rng, 1024)
+    assert len(zs) == 1024
+    points = _counting(D, monkeypatch)
+    t = kx.directional_distance_batch(D, zs, vs)
+    skipped, points[0] = points[0], 0
+    _without_bounds(D, monkeypatch)
+    assert t.tobytes() == kx.directional_distance_batch(D, zs, vs).tobytes()
+    assert skipped <= 0.5 * points[0]
+
+
+def test_march_reports_a_bound_that_skips_past_the_exit():
+    # the unit ball marched as non-convex, |grad g| <= 2 declared as 0.5: the
+    # first skip from the origin lands past the exit at t = 1, and the inside
+    # end it stepped over reads outside
+    D = kx.DomainSpec("ball", 2, [kx.Constraint(lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0,
+                                                lipschitz=0.5)], bounding_radius=1.0)
+    with pytest.raises(kx.DomainError, match="too small"):
+        _ray_exit(D, np.zeros((1, 2), complex), np.array([[[1.0, 0.0]]], complex))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_domain_spec_rejects_a_non_positive_bounding_radius(radius):
+    with pytest.raises(kx.DomainError, match="bounding radius"):
+        kx.DomainSpec("d", 2, [lambda z: np.abs(z[..., 0]) - 1.0], bounding_radius=radius)
 
 
 def _named_domain(name):

@@ -85,3 +85,12 @@ def test_load_from_file(tmp_path):
     path.write_text(SAMPLE)
     objs = textspec.load(str(path))
     assert "triangle2" in objs
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "-inf", "wide"])
+def test_radius_must_be_positive(radius):
+    # ray caps and the march rest on the domain lying in the ball of this radius
+    text = "domain d\n  dim 2\n  radius %s\n  constraint abs(z1) - 1\nend\n" % radius
+    with pytest.raises(textspec.ParseError, match="radius must be a positive number, got %r"
+                       % radius):
+        textspec.loads(text)
