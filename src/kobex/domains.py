@@ -294,9 +294,10 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     if o <= min(c0, first + 1), else it is cut there, that grid point its
     entry; a NaN bound cuts nothing.  A ray stops reading once its next
     index passes that limit as known so far, which can only fall.  One call
-    at the end reads the inside ends o - 1 the skips stepped over.  The
-    leaving rays' upper ends go into best and the cuts into out; returns the
-    leaving rays and their brackets (lo, flo, hi, fhi).
+    at the end reads the inside ends o - 1 the skips stepped over.  best
+    takes each row's least upper end, and out every ray's cut (the root
+    finder overwrites the leaving rays'); returns the leaving rays and their
+    brackets (lo, flo, hi, fhi).
     """
     m = d.shape[1]
     step = cap / MARCH_STEPS
@@ -306,38 +307,47 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     c0 = np.maximum(np.searchsorted(np.arange(MARCH_STEPS + 1) * step, best, "right"), 1)
     gap = np.where(np.isnan(best), np.inf, 1.0)
     first = np.full(best.shape, np.inf)
-    stop = np.minimum(c0, MARCH_STEPS)      # the last index a row's rays may read
-    o, flo, fhi = np.full(m, np.inf), np.empty(m), np.empty(m)
+    last = np.minimum(c0, MARCH_STEPS)
+    stop = last     # the last index a row's rays may read
+    found = []      # per read: (rays, their first outside index, value at the one before, value)
     ids, zt, dt, rt = np.arange(m), np.take(z, row, axis=1), d, row
     j = np.zeros(m)     # the origins, read
     while True:
-        skip = np.floor(np.fmax(f * shrink, 0.0))   # 0 for NaN
-        nj = j + 1.0 + skip
-        keep = np.flatnonzero(nj <= stop[rt])
-        if not keep.size:
-            break
-        fl = np.where(skip, np.nan, f)      # the value at nj - 1 where it was read
-        if keep.size < nj.size:
+        nj = np.fmax(f * shrink, 0.0)   # the points proven inside past j; 0 for NaN
+        np.floor(nj, out=nj)
+        fl = np.where(nj, np.nan, f)    # the value at the next index - 1 where it was read
+        nj += j
+        nj += 1.0
+        go = nj <= stop[rt]
+        if not go.all():
+            keep = np.flatnonzero(go)
+            if not keep.size:
+                break
             ids, rt, nj, fl = (np.take(a, keep) for a in (ids, rt, nj, fl))
             zt, dt = (np.take(a, keep, axis=1) for a in (zt, dt))
         j = nj
         f = D.value((zt + (j * step) * dt).T)
         left = f >= 0.0
         if left.any():
-            k = ids[left]
-            o[k], flo[k], fhi[k] = j[left], fl[left], f[left]
+            found.append((ids[left], j[left], fl[left], f[left]))
             np.minimum.at(first, rt[left], j[left])
-            stop = np.minimum(np.minimum(c0, first + gap), MARCH_STEPS)
+            stop = np.minimum(last, first + gap)
             j[left] = np.inf    # read no further
+    # a row's least upper end, where it leaves, is t_first (first <= c0),
+    # else above the bound; a NaN bound stays NaN
+    np.minimum(best, first * step, out=best)
     lim = np.minimum(c0, first + gap)[row]
-    cut = np.flatnonzero(o > lim)
-    if np.any(lim[cut] > MARCH_STEPS):
+    ray, o, flo, fhi = (np.concatenate(a) for a in zip(*found)) if found else \
+        (np.empty(0, dtype=int),) + (np.empty(0),) * 3
+    leave = o <= lim[ray]
+    todo, o, flo, fhi = ray[leave], o[leave], flo[leave], fhi[leave]
+    # every ray gets its cut; the root finder overwrites the leaving rays'
+    uncut = lim > MARCH_STEPS
+    uncut[todo] = False
+    if uncut.any():
         raise ConvergenceError("ray march found no exit within the bounding cap")
-    out.put(flat[cut], lim[cut] * step)
-    todo = np.flatnonzero(o <= lim)
-    lo, hi, flo, fhi = (o[todo] - 1.0) * step, o[todo] * step, flo[todo], fhi[todo]
-    with np.errstate(invalid="ignore"):     # a NaN bound stays NaN
-        np.minimum.at(best, row[todo], hi)
+    out.put(flat, lim * step)
+    lo, hi = (o - 1.0) * step, o * step
     skipped = np.flatnonzero(np.isnan(flo))
     if skipped.size:
         ray = todo[skipped]

@@ -794,9 +794,9 @@ def test_skipped_march_equals_the_march_over_every_point(name, monkeypatch):
 
 
 def _lockstep_cuts(D, z, dirs, bound):
-    """The march that reads every grid point of every live ray, all rays in
-    step, as kobex's march did before it skipped: per ray the grid point a
-    bound cuts it at, NaN where its first outside grid point comes first."""
+    """The reference march: it reads every grid point of every live ray, all
+    rays in step, and returns per ray the grid point a bound cuts it at,
+    NaN where its first outside grid point comes first."""
     cap = float(np.max(np.linalg.norm(z, axis=-1))) + 2.0 * D.bounding_radius + 1.0
     step = cap / dm.MARCH_STEPS
     best = np.broadcast_to(bound, z.shape[:1]).astype(float)
@@ -856,13 +856,15 @@ def test_declared_bounds_halve_the_points_of_a_batch(name, monkeypatch):
     assert skipped <= 0.5 * points[0]
 
 
-def test_march_reports_a_bound_that_skips_past_the_exit():
-    # the unit ball marched as non-convex, |grad g| <= 2 declared as 0.5: the
-    # first skip from the origin lands past the exit at t = 1, and the inside
-    # end it stepped over reads outside
+@pytest.mark.parametrize("lipschitz,error", [(0.5, kx.DomainError), (0.01, kx.ConvergenceError)])
+def test_march_reports_a_bound_that_skips_past_the_exit(lipschitz, error):
+    # the unit ball marched as non-convex, |grad g| <= 2 declared too small:
+    # at 0.5 the first skip from the origin lands past the exit at t = 1,
+    # and the inside end it stepped over reads outside; at 0.01 it lands
+    # past the cap point, which was read outside, and no exit is found
     D = kx.DomainSpec("ball", 2, [kx.Constraint(lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0,
-                                                lipschitz=0.5)], bounding_radius=1.0)
-    with pytest.raises(kx.DomainError, match="too small"):
+                                                lipschitz=lipschitz)], bounding_radius=1.0)
+    with pytest.raises(error, match="too small" if error is kx.DomainError else "no exit"):
         _ray_exit(D, np.zeros((1, 2), complex), np.array([[[1.0, 0.0]]], complex))
 
 
