@@ -65,6 +65,9 @@ def cmd_run(args):
     return 0 if report.passed else 2
 
 
+cmd_extend = cmd_run    # with extend's parser defaults: extension-oracle, CSVs beside --out
+
+
 def cmd_distance(args):
     D = _get_domain(args.domain)
     z = _parse_point(args.at)
@@ -106,15 +109,6 @@ def cmd_metric(args):
     return 0
 
 
-def cmd_extend(args):
-    report = scenarios.run_scenario("extension-oracle", seed=args.seed,
-                                    tol=args.tol, out_dir=args.out,
-                                    csv=args.out is not None)
-    print(report.summary())
-    print("wall clock: %.2f s" % report.wall_clock)
-    return 0 if report.passed else 2
-
-
 @functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="kobex", description=__doc__,
@@ -154,6 +148,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=2.5e-7)
     sp.add_argument("--out", default=None)
+    sp.set_defaults(scenario="extension-oracle", csv=True)
     return p
 
 
@@ -163,6 +158,8 @@ def main(argv=None):
         tol = getattr(args, "tol", None)
         if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise domains.DomainError("--tol must be finite and nonnegative, got %r" % tol)
+        if getattr(args, "seed", 0) < 0:
+            raise domains.DomainError("--seed must be nonnegative, got %d" % args.seed)
         # the handler is looked up when called, not when the cached parser
         # was built, so a wrapper later set on a cmd_* function is used
         return globals()["cmd_" + args.command](args)

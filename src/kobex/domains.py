@@ -125,6 +125,9 @@ class DomainSpec:
                             for c in self.constraints]
         if self.interior_point is not None:
             self.interior_point = as_point(self.interior_point, self.dim)
+            if not self.value(self.interior_point) < 0.0:
+                raise DomainError("domain %r: interior point %s is not inside it"
+                                  % (self.name, self.interior_point))
 
     def value(self, z):
         """max_i g_i, batched over leading axes."""
@@ -293,11 +296,11 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     outside index among its rays, a ray leaves at its first outside index o
     if o <= min(c0, first + 1), else it is cut there, that grid point its
     entry; a NaN bound cuts nothing.  A ray stops reading once its next
-    index passes that limit as known so far, which can only fall.  One call
-    at the end reads the inside ends o - 1 the skips stepped over.  best
-    takes each row's least upper end, and out every ray's cut (the root
-    finder overwrites the leaving rays'); returns the leaving rays and their
-    brackets (lo, flo, hi, fhi).
+    index passes that limit as known so far, which can only fall.  An
+    inside end o - 1 that a skip stepped over is left unread (flo NaN) for
+    _roots to read.  best takes each row's least upper end, and out every
+    ray's cut (the root finder overwrites the leaving rays'); returns the
+    leaving rays and their brackets (lo, flo, hi, fhi).
     """
     m = d.shape[1]
     step = cap / MARCH_STEPS
@@ -347,36 +350,25 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     if uncut.any():
         raise ConvergenceError("ray march found no exit within the bounding cap")
     out.put(flat, lim * step)
-    lo, hi = (o - 1.0) * step, o * step
-    skipped = np.flatnonzero(np.isnan(flo))
-    if skipped.size:
-        ray = todo[skipped]
-        flo[skipped] = D.value((np.take(z, row[ray], axis=1)
-                                + lo[skipped] * np.take(d, ray, axis=1)).T)
-        if np.any(flo[skipped] >= 0.0):
-            raise DomainError("a grid point that the declared Lipschitz bounds of %s prove "
-                              "inside reads outside: a bound is too small" % D.name)
-    return todo, lo, flo, hi, fhi
+    return todo, (o - 1.0) * step, flo, o * step, fhi
 
 
 def _roots(D, group, best, out):
     """Root-finds a group of root states, concatenated if there are several;
-    the first step's oracle call also reads the upper ends x2 (the cap)
-    whose f2 is NaN, which that step's trial points do not need.  Each exit
-    goes into out by its flat index.  A ray is a column of state (x1, f1,
-    x2, f2, x3, f3, want, x21 = x2 - x1, tol), of zd (origin, direction) and
-    of ids (flat index, row), compacted with three takes when a ray
-    stops."""
+    the first step's oracle call also reads every bracket end whose value
+    is NaN, the inside ends x1 the march skipped and the upper ends x2 (the
+    cap) the probes left, and checks their sides; that step's trial points
+    need neither value.  Each exit goes into out by its flat index.  A ray
+    is a column of state (x1, f1, x2, f2, x3, f3, want, x21 = x2 - x1,
+    tol), of zd (origin, direction) and of ids (flat index, row), compacted
+    with three takes when a ray stops."""
     s, zd, ids = group[0] if len(group) == 1 else (np.concatenate(a, -1) for a in zip(*group))
-    # the first step's points, then the cap points after them
-    r, unread = zd.shape[2], np.flatnonzero(np.isnan(s[3]))
-    pts = np.empty((zd.shape[1], r + unread.size), dtype=complex)
-    head = pts[:, :r]
-    if unread.size:
-        cap = s[2, unread[0]]    # every unread ray's x2 is the cap
-        tail = pts[:, r:]
-        np.multiply(cap, np.take(zd[1], unread, 1), out=tail)
-        tail += np.take(zd[0], unread, 1)
+    # the first step's points, then the unread ends, an x1 where end is 0
+    r, (end, ray) = zd.shape[2], np.nonzero(np.isnan(s[1:4:2]))
+    pts = np.empty((zd.shape[1], r + ray.size), dtype=complex)
+    head, tail = pts[:, :r], pts[:, r:]
+    np.multiply(s[2 * end, ray], np.take(zd[1], ray, 1), out=tail)
+    tail += np.take(zd[0], ray, 1)
 
     # Chandrupatla (1997): x1 is the newest point, x2 the other end of the
     # bracket and x3 the point dropped last; each step tries inverse
@@ -404,11 +396,15 @@ def _roots(D, group, best, out):
         np.multiply(x, zd[1], out=head)
         head += zd[0]
         f = D.value(pts.T)
-        if unread.size:
-            f, s[3, unread] = f[:r], f[r:]
-            if np.any(s[3, unread] < 0.0):
+        if ray.size:
+            f, fe = f[:r], f[r:]
+            s[2 * end + 1, ray] = fe
+            if np.any(fe[end == 0] >= 0.0):
+                raise DomainError("a grid point that the declared Lipschitz bounds of %s prove "
+                                  "inside reads outside: a bound is too small" % D.name)
+            if np.any(fe[end == 1] < 0.0):
                 raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
-            unread = unread[:0]
+            ray = ray[:0]
             pts = head = np.empty(zd.shape[1:], dtype=complex)
         same = (f >= 0.0) == (f1 >= 0.0)
         q[1:] = np.where(same, q[1::-1], q[:2])

@@ -201,8 +201,17 @@ def psi_tail(psi, t):
     return PsiLadder(psi, t).tail(0) if t > 0 else 0.0
 
 
-def _ladder_values(fmap, xis, tprime, tol, psi):
-    """ExtensionResult of the points xis (..., n), all on one ladder rung."""
+def boundary_value(fmap, xi, tprime, tol, psi):
+    """Boundary values of the map at chart boundary points xi (..., n), all
+    on one ladder rung: extend_map without its grid-margin check.
+
+    Descends the geometric ladder t_k = t' 2^-k, at most LADDER_MAX_LEVELS
+    rungs, until the rate tail int_0^{t_k} psi falls below tol, and reports
+    the map's values at that rung.  The vertical-line integral certifies the
+    telescoping identity between the top of the ladder and the rung used
+    (quadrature_error).  The result does not depend on t' beyond 2 tol.
+    """
+    xis = np.asarray(xi, dtype=complex)
     ladder = PsiLadder(psi, tprime)
     below = np.flatnonzero(ladder.tails[:LADDER_MAX_LEVELS + 1] < tol)
     if below.size == 0:
@@ -221,19 +230,6 @@ def _ladder_values(fmap, xis, tprime, tol, psi):
                            t_used=float(t_used), tail_bound=ladder.tail(0),
                            err_budget=ladder.tail(kstar),
                            quadrature_error=quad_err, levels=kstar)
-
-
-def boundary_value(fmap, xi, tprime, tol, psi):
-    """Boundary value of the map at a chart boundary point xi (n,): the
-    one-point case of extend_map, without its grid-margin check.
-
-    Descends the geometric ladder t_k = t' 2^-k, at most LADDER_MAX_LEVELS
-    rungs, until the rate tail int_0^{t_k} psi falls below tol, and reports
-    the map's value at that rung.  The vertical-line integral certifies the
-    telescoping identity between the top of the ladder and the rung used
-    (quadrature_error).  The result does not depend on t' beyond 2 tol.
-    """
-    return _ladder_values(fmap, np.asarray(xi, dtype=complex), tprime, tol, psi)
 
 
 def grid_safety_margin(chart, grid_points):
@@ -260,7 +256,7 @@ def extend_map(fmap, chart, grid_points, tprime, tol, psi):
     if tprime > margin * (1 + 1e-12):
         raise ChartError("t' = %g exceeds the grid safety margin %g"
                          % (tprime, margin))
-    return _ladder_values(fmap, grid_points, tprime, tol, psi)
+    return boundary_value(fmap, grid_points, tprime, tol, psi)
 
 
 @dataclass

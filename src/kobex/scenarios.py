@@ -118,22 +118,30 @@ def _scalar_sq(x):
     return np.array([abs(t) ** 2 for t in x.tolist()])
 
 
-def _first_accepted(rng, k, build, accept, width=4):
-    """The first k accepted candidates of a rejection loop that draws width
-    uniforms per candidate, built in blocks: build maps an (m, width) block
-    of uniforms to (m, ...) candidates and accept maps those to an (m,)
-    mask.  Returns the kept rows of uniforms and their candidates, and
-    leaves the generator where that loop would."""
-    start, m = rng.bit_generator.state, 2 * k
+def _first_accepted(rng, k, build, accept, width=4, head=None, more=0):
+    """The first k accepted candidates of a rejection loop, built in blocks:
+    a candidate draws width uniforms, then more unless head, a mask of
+    (m, width) blocks, rejects them; build maps the (m, width + more) rows
+    of the rest to candidates and accept those to a mask.  Returns the kept
+    rows and candidates, and leaves the generator where that loop would."""
+    size = width + more
+    start, n = rng.bit_generator.state, 2 * k * size
     while True:
-        r = rng.random((m, width))
+        u = rng.random(n)
+        rng.bit_generator.state = start
+        ok = [True] * n if head is None else \
+            head(np.lib.stride_tricks.sliding_window_view(u, width)).tolist()
+        at, p = [], 0   # the starts of the candidates whose head passes
+        while p + size <= n:
+            at += [p] if ok[p] else []
+            p += width + more * ok[p]
+        r = u[np.array(at, dtype=int)[:, None] + np.arange(size)]
         pts = build(r)
         kept = np.flatnonzero(accept(pts))[:k]
-        rng.bit_generator.state = start
         if kept.size == k:
-            rng.random((kept[-1] + 1, width))
+            rng.random(at[kept[-1]] + size)
             return r[kept], pts[kept]
-        m *= 2
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +217,12 @@ def scenario_example21(seed=0):
     rep.add("lagrange-cubic-grid", verdict=bool(viol == 0), value=viol,
             constants={"grid": "100x100", "points": int(mask.sum())})
 
-    # stage 3: corner-distance law delta = (1 - |z| - |w|)/sqrt(2).  Here and
-    # in stages 4-7 a candidate draws its phases (and directions) only once
-    # accepted, or mixes in normals, so _first_accepted does not apply
-    pts = []
-    while len(pts) < 1000:
-        x, y = rng.random(), rng.random()
-        if x + y < 0.98:
-            pts.append([x * np.exp(2j * math.pi * rng.random()),
-                        y * np.exp(2j * math.pi * rng.random())])
-    pts = np.array(pts)
+    # stage 3: corner-distance law delta = (1 - |z| - |w|)/sqrt(2).  Stages
+    # 4-6 stay loops: numpy draws normals from a varying number of raw
+    # outputs, which no block replays; stage 7 draws a fixed 100 candidates
+    pts = _first_accepted(rng, 1000, lambda r: r[:, :2] * np.exp(2j * math.pi * r[:, 2:]),
+                          lambda p: np.full(len(p), True), width=2, more=2,
+                          head=lambda r: r[:, 0] + r[:, 1] < 0.98)[1]
     numeric = domains.boundary_distance_batch(Om, pts, method="reinhardt")
     formula = Om.dist_fn(pts)
     err = float(np.max(np.abs(numeric - formula)))
@@ -474,21 +478,19 @@ def scenario_embedding_suite(seed=0):
 
 
 def _chart_interior_samples(D, chart, rng, count):
-    # a candidate draws its lift only once its tangential part is accepted,
-    # so _first_accepted does not apply
-    out = []
-    while len(out) < count:
-        c = (rng.random(3) - 0.5) * (0.7 * chart.radius)
-        zp = c[0] + 1j * c[1]
-        if abs(zp) >= 0.35 * chart.radius:
-            continue
-        val = float(chart.phi(np.array([c[0], c[1], c[2]])))
-        lift = rng.random() * 0.3 * chart.radius + 1e-6
-        Z = np.array([zp, c[2] + 1j * (val + lift)])
-        pt = chart.from_chart(Z)
-        if bool(domains.contains(D, pt)) and chart.in_box(Z):
-            out.append(pt)
-    return np.array(out)
+    # a lift is drawn once |Z'| < 0.35 radius; build stacks Z and its point
+    s = 0.7 * chart.radius
+
+    def build(r):
+        c = (r[:, :3] - 0.5) * s
+        lift = r[:, 3] * 0.3 * chart.radius + 1e-6
+        Z = np.stack([c[:, 0] + 1j * c[:, 1], c[:, 2] + 1j * (chart.phi(c) + lift)], axis=-1)
+        return np.stack([Z, chart.from_chart(Z)], axis=1)
+
+    return _first_accepted(
+        rng, count, build, lambda p: domains.contains(D, p[:, 1]) & chart.in_box(p[:, 0]),
+        width=3, head=lambda r: np.hypot(*((r[:, :2].T - 0.5) * s)) < 0.35 * chart.radius,
+        more=1)[1][:, 1]
 
 
 def scenario_extension_oracle(seed=0, tol=2.5e-7):
@@ -704,6 +706,8 @@ EXPLAIN = {
 def run_scenario(name, seed=0, tol=None, out_dir=None, csv=False):
     if name not in SCENARIOS:
         raise domains.DomainError("unknown scenario %r" % name)
+    if seed < 0:
+        raise domains.DomainError("seed must be nonnegative, got %r" % seed)
     t0 = time.perf_counter()
     kwargs = {"seed": seed}
     if tol is not None:

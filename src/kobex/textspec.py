@@ -115,9 +115,13 @@ def _build_domain(name, items):
     interior = None
     for key, val in items:
         if key == "dim":
-            dim = int(val)
+            dim = int(val) if val.isdigit() else 0
+            if dim < 1:
+                raise ParseError("domain %r: dim must be an integer >= 1, got %r" % (name, val))
         elif key == "flags":
             flags.update(val.split())
+            if not flags <= {"convex", "reinhardt"}:
+                raise ParseError("domain %r: flags are convex or reinhardt, got %r" % (name, val))
         elif key == "radius":
             try:
                 radius = float(val)
@@ -130,7 +134,10 @@ def _build_domain(name, items):
         elif key == "constraint":
             exprs.append(val)
         elif key == "interior":
-            interior = [complex(tok) for tok in val.split()]
+            try:
+                interior = [complex(tok) for tok in val.split()]
+            except ValueError:
+                raise ParseError("domain %r: interior must be numbers, got %r" % (name, val))
         else:
             raise ParseError("unknown domain key %r" % key)
     if dim is None or not exprs:
@@ -150,8 +157,7 @@ def _build_domain(name, items):
                       is_convex="convex" in flags,
                       is_reinhardt="reinhardt" in flags,
                       bounding_radius=radius,
-                      interior_point=np.asarray(interior, dtype=complex)
-                      if interior else None)
+                      interior_point=interior)
 
 
 def loads(text):

@@ -236,9 +236,23 @@ def test_tol_for_a_scenario_without_one_is_config_error(scenario, capsys):
     assert "error: scenario %r takes no tol" % scenario in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("run", "example21"), ("extend",)])
+def test_negative_seed_is_config_error(command, capsys):
+    assert run_cli(*command, "--seed", "-1") == 3
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+
+
+def test_run_scenario_refuses_a_negative_seed():
+    # dini-suite draws nothing, so nothing else would refuse it
+    with pytest.raises(kx.DomainError, match="seed must be nonnegative, got -1"):
+        scenarios.run_scenario("dini-suite", seed=-1)
+
+
 def test_tol_reaches_the_scenarios_that_read_it(tmp_path, capsys):
     assert run_cli("run", "ball-sandwich", "--tol", "1e-5", "--out", str(tmp_path)) == 0
     assert run_cli("extend", "--tol", "5e-7", "--out", str(tmp_path)) == 0
+    # extend runs extension-oracle as run does, and says where the report went
+    assert "report written to %s/extension-oracle.jsonl" % tmp_path in capsys.readouterr().out
     recs = [json.loads(line)
             for name in ("ball-sandwich", "extension-oracle")
             for line in (tmp_path / (name + ".jsonl")).read_text().splitlines()]
@@ -292,6 +306,13 @@ def test_distance_from_definition_file(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "domain tri\n  dim 2\n  constraint abs(z1) +\nend\n",     # syntax error
     "modulus m\n  domain_end 1.0\n  expr r\nend\n",          # not a domain block
+    "domain tri\n  dim two\n  radius 1\n  constraint abs(z1) - 1\nend\n",
+    "domain tri\n  dim 0\n  radius 1\n  constraint abs(z1) - 1\nend\n",
+    "domain tri\n  dim 2\n  radius 1\n  interior 0 x\n  constraint abs(z1) - 1\nend\n",
+    "domain tri\n  dim 2\n  flags convx reinhardt\n  radius 1\n"
+    "  constraint abs(z1) + abs(z2) - 1\nend\n",
+    "domain tri\n  dim 2\n  flags convex reinhardt\n  radius 1\n  interior 2 0\n"
+    "  constraint abs(z1) + abs(z2) - 1\nend\n",                # interior point outside
 ])
 def test_bad_definition_file_is_config_error(text, tmp_path):
     path = tmp_path / "bad.kx"

@@ -640,16 +640,27 @@ def test_marched_rays_match_single_ray_calls(bound):
 
 
 @pytest.mark.parametrize("name,z,calls", [("ex21_d", (0.05, 0.05), 63),
-                                          ("ball2", (0.3, 0.2j), 43)])
+                                          ("ball2", (0.3, 0.2j), 43),
+                                          ("ex21_d", (0.7, 0.0), 50)])
 def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
     # the march reads only the grid points ex21_d's Lipschitz bound does not
-    # prove inside, and the first root step's call reads the cap points
+    # prove inside, and the first root step's call reads the cap points and
+    # the inside ends the march skipped: from (0.7, 0) it skips some, which
+    # took a call of their own at each march (56 calls)
     D = kx.bundled_domain(name)
-    seen = []
-    real = D.value
+    seen, unread = [], []
+    real, march = D.value, dm._march
+
+    def counted_march(*a):
+        brackets = march(*a)
+        unread.append(int(np.isnan(brackets[2]).sum()))
+        return brackets
+
     monkeypatch.setattr(D, "value", lambda x: seen.append(1) or real(x))
+    monkeypatch.setattr(dm, "_march", counted_march)
     kx.directional_distance(D, kx.cpoint(*z), kx.cpoint(1, 0.5j))
     assert len(seen) <= calls
+    assert (sum(unread) > 0) == (z == (0.7, 0.0))
 
 
 def test_grouped_root_loops_read_the_same_points_in_fewer_calls(monkeypatch):
@@ -868,10 +879,38 @@ def test_march_reports_a_bound_that_skips_past_the_exit(lipschitz, error):
         _ray_exit(D, np.zeros((1, 2), complex), np.array([[[1.0, 0.0]]], complex))
 
 
+def test_root_finder_checks_the_cap_points_the_probes_left():
+    # a disc and a ring about |z| = 3 declared convex in the disc of radius
+    # 1: the probe at the bound 1 reads outside, so the first root step
+    # reads the cap point at t = 3, which lies in the ring
+    D = kx.DomainSpec("disc-and-ring", 1, [lambda z: np.minimum(
+        np.abs(z[..., 0]) - 0.5, np.abs(np.abs(z[..., 0]) - 3.0) - 0.5)],
+        is_convex=True, bounding_radius=1.0)
+    with pytest.raises(kx.DomainError, match="does not leave"):
+        _ray_exit(D, np.zeros((1, 1), complex), np.ones((1, 1, 1), complex), 1.0)
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
 def test_domain_spec_rejects_a_non_positive_bounding_radius(radius):
     with pytest.raises(kx.DomainError, match="bounding radius"):
         kx.DomainSpec("d", 2, [lambda z: np.abs(z[..., 0]) - 1.0], bounding_radius=radius)
+
+
+@pytest.mark.parametrize("point", [[2.0, 0.0], [1.0, 0.0], [math.nan, 0.0]])
+def test_domain_spec_rejects_an_interior_point_not_inside(point):
+    # the path bumps and the ray searches start from the interior point
+    with pytest.raises(kx.DomainError, match="interior point .* is not inside"):
+        kx.DomainSpec("d", 2, [lambda z: np.abs(z[..., 0]) - 1.0], bounding_radius=1.0,
+                      interior_point=point)
+
+
+def test_halfspace_interior_point_must_lie_in_its_ball():
+    # the point (offset - 1) nn leaves the truncating ball once |offset - 1| >= 4
+    D = dm.halfspace([1.0, 0.0], 4.9)
+    assert kx.contains(D, D.interior_point)
+    for offset in (5.0, -3.0):
+        with pytest.raises(kx.DomainError, match="is not inside"):
+            dm.halfspace([1.0, 0.0], offset)
 
 
 def _named_domain(name):

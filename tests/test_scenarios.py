@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from kobex import domains, psh, scenarios
+from kobex import charts, domains, psh, scenarios
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,3 +121,105 @@ def test_block_sampler_matches_one_candidate_at_a_time():
             want.append(c)
     assert np.array_equal(pts, want) and np.array_equal(kept - 0.5, want)
     assert rng.random() == ref.random()
+
+    # two stages: a head of two uniforms passes about half the time, and
+    # only a passing head draws two more; 20 % of those are accepted, so the
+    # first block of 2k candidates holds too few
+    blocks.clear()
+
+    def two_stage(r):
+        blocks.append(len(r))
+        return r
+
+    rng = np.random.default_rng(13)
+    kept, pts = scenarios._first_accepted(rng, 30, two_stage, lambda r: r[:, 3] < 0.2,
+                                          width=2, head=lambda h: h[:, 0] + h[:, 1] < 1.0,
+                                          more=2)
+    assert len(blocks) > 1 and np.array_equal(kept, pts)
+    ref = np.random.default_rng(13)
+    want, heads = [], set()
+    while len(want) < 30:
+        r = [ref.random(), ref.random()]
+        heads.add(r[0] + r[1] < 1.0)
+        if r[0] + r[1] >= 1.0:
+            continue
+        r += [ref.random(), ref.random()]
+        if r[3] < 0.2:
+            want.append(r)
+    assert heads == {True, False}
+    assert np.array_equal(kept, want)
+    assert rng.random() == ref.random()
+
+
+def _chart_samples_one_at_a_time(D, chart, rng, count):
+    # the per-candidate loop that _chart_interior_samples replays in blocks
+    out = []
+    while len(out) < count:
+        c = (rng.random(3) - 0.5) * (0.7 * chart.radius)
+        zp = c[0] + 1j * c[1]
+        if abs(zp) >= 0.35 * chart.radius:
+            continue
+        val = float(chart.phi(np.array([c[0], c[1], c[2]])))
+        lift = rng.random() * 0.3 * chart.radius + 1e-6
+        Z = np.array([zp, c[2] + 1j * (val + lift)])
+        pt = chart.from_chart(Z)
+        if bool(domains.contains(D, pt)) and chart.in_box(Z):
+            out.append(pt)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name,make_chart,make_domain", [
+    ("ball", charts.ball_chart, lambda: domains.ball(2)),
+    ("ex22", charts.ex22_chart, domains.ex22_D),
+    ("tilted45", charts.tilted_chart, charts.tilted_domain)])
+def test_chart_interior_samples_match_one_candidate_at_a_time(name, make_chart,
+                                                              make_domain):
+    chart, D = make_chart(), make_domain()
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = scenarios._chart_interior_samples(D, chart, rng, 200)
+        assert got.tobytes() == _chart_samples_one_at_a_time(D, chart, ref, 200).tobytes()
+        assert rng.random() == ref.random()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_example21_corner_points_match_one_candidate_at_a_time(seed, monkeypatch):
+    # stage 3's points and the generator after them, caught at the stage's
+    # boundary_distance_batch call, against the per-candidate loop it replaced
+    rngs, seen = [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: rngs.append(default_rng(s))
+                        or rngs[-1])
+
+    def caught(D, pts, method="auto"):
+        seen.append((pts, rngs[0].bit_generator.state))
+        raise _Stop
+
+    monkeypatch.setattr(domains, "boundary_distance_batch", caught)
+    with pytest.raises(_Stop):
+        scenarios.scenario_example21(seed)
+    ref = default_rng(seed)
+    want = []
+    while len(want) < 1000:
+        x, y = ref.random(), ref.random()
+        if x + y < 0.98:
+            want.append([x * np.exp(2j * np.pi * ref.random()),
+                         y * np.exp(2j * np.pi * ref.random())])
+    pts, state = seen[0]
+    assert pts.tobytes() == np.array(want).tobytes()
+    assert state == ref.bit_generator.state
+
+
+def test_embedding_suite_makes_few_oracle_calls(monkeypatch):
+    # the chart samples take one contains call per block, not one per
+    # candidate (605 calls a run when they were drawn one at a time)
+    calls = []
+    value = domains.DomainSpec.value
+    monkeypatch.setattr(domains.DomainSpec, "value",
+                        lambda self, z: calls.append(1) or value(self, z))
+    scenarios.run_scenario("embedding-suite", seed=3)
+    assert len(calls) <= 20

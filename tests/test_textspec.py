@@ -94,3 +94,26 @@ def test_radius_must_be_positive(radius):
     with pytest.raises(textspec.ParseError, match="radius must be a positive number, got %r"
                        % radius):
         textspec.loads(text)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("dim two", "dim must be an integer >= 1, got 'two'"),
+    ("dim 0", "dim must be an integer >= 1, got '0'"),
+    ("dim -1", "dim must be an integer >= 1, got '-1'"),
+    ("dim 1.5", "dim must be an integer >= 1, got '1.5'"),
+    ("interior 0 x", "interior must be numbers, got '0 x'"),
+    ("flags convx reinhardt", "flags are convex or reinhardt, got 'convx reinhardt'"),
+])
+def test_malformed_keys_are_parse_errors(line, message):
+    text = "domain d\n  dim 2\n  radius 1.0\n  %s\n  constraint abs(z1) - 1\nend\n" % line
+    with pytest.raises(textspec.ParseError, match="domain 'd': " + message):
+        textspec.loads(text)
+
+
+@pytest.mark.parametrize("point", ["2 0", "1 0", "nan 0"])
+def test_interior_point_must_lie_inside(point):
+    text = ("domain tri\n  dim 2\n  flags convex reinhardt\n  radius 1.0\n"
+            "  interior %s\n  constraint abs(z1) + abs(z2) - 1\nend\n" % point)
+    with pytest.raises(kx.DomainError, match="interior point .* is not inside"):
+        textspec.loads(text)
+    assert textspec.loads(text.replace(point, "0.2 0.1j"))["tri"].interior_point[1] == 0.1j
