@@ -91,8 +91,8 @@ def cmd_distance(args):
 
 def cmd_metric(args):
     D = _get_domain(args.domain)
-    z = _parse_point(args.at)
-    v = _parse_point(args.dir)
+    z = domains.as_point(_parse_point(args.at), D.dim)
+    v = domains.as_point(_parse_point(args.dir), D.dim)
     if args.method == "exact":
         if args.domain.lower() != "ball2":
             raise domains.DomainError("exact values exist only for the ball")

@@ -183,9 +183,9 @@ def _ray_exit(D, z, dirs, bound=None):
     interpolation has no slope to use, so the finder steps just inside a
     new zero, doubles that step while zeros repeat and bisects once it is
     past them.  Points are (n, rays) arrays; the oracle gets transposes.
-    The cap, and with it the march grid, is set by the largest |z| in the
-    batch, so the other rows can move an exit by rounding, or by tunnelling
-    on the march; chunks and groups of whole rows change no exit.
+    Each row has its own cap |z_i| + 2R + 1, R the bounding radius, and
+    with it its own march grid, so a row's exits do not depend on the other
+    rows of the call, nor on its chunks and groups.
 
     Without a bound every entry is the exact exit.  With one (scalar or
     (m,), inf for none), each row keeps best = min(bound, least upper
@@ -210,7 +210,7 @@ def _ray_exit(D, z, dirs, bound=None):
     dirs = np.asarray(dirs, dtype=complex)
     if not math.isfinite(D.bounding_radius):
         raise DomainError("domain %r has no bounding radius; rays may not exit" % D.name)
-    cap = float(np.max(np.linalg.norm(z, axis=-1), initial=0.0)) + 2.0 * D.bounding_radius + 1.0
+    cap = np.linalg.norm(z, axis=-1) + 2.0 * D.bounding_radius + 1.0
     m, k = dirs.shape[:2]
     # NaN never compares true and stays NaN under np.minimum, so without a
     # bound no ray stops early
@@ -244,7 +244,7 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
     returned as a root state (None if there are none).  One oracle call
     reads the origins and the probes, or every cap point without probes;
     on a non-convex domain _march then brackets the rays."""
-    z, best = z[rows].T, best[rows]
+    z, best, cap = z[rows].T, best[rows], cap[rows]
     (n, mc), kc = z.shape, cols.size
     d = np.take(dirs[rows].transpose(2, 0, 1), cols, axis=2).reshape(n, -1)
     m, row = d.shape[1], np.repeat(np.arange(mc), kc)
@@ -252,7 +252,7 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
     # a probed row has every ray probed
     pr = np.flatnonzero(D.is_convex & (best > 0.0) & (best < cap))
     sel = pr if 0 < pr.size < mc else slice(None)
-    p = best[sel, None] * (1.0 + PROBE_MARGIN) if pr.size else cap
+    p = best[sel, None] * (1.0 + PROBE_MARGIN) if pr.size else cap[:, None]
     ends = np.multiply(p, d.reshape(n, mc, kc)[:, sel])
     ends += z[:, sel, None]
     f = D.value(np.concatenate([z, ends.reshape(n, -1)], axis=1).T)
@@ -267,7 +267,7 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
         out.put(flat[stopped], best[row[stopped]] * (1.0 + PROBE_MARGIN))
         todo = np.flatnonzero(~hit)
         fhi = np.full(todo.size, np.nan)    # NaN: a cap point not read yet
-    lo, flo, hi = 0.0, f0[row[todo]], cap
+    lo, flo, hi = 0.0, f0[row[todo]], cap[row[todo]]
     if not D.is_convex:
         todo, lo, flo, hi, fhi = _march(D, z, d, row, f0[row], cap, best, flat, out)
     if not todo.size:
@@ -282,9 +282,10 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
 
 def _march(D, z, d, row, f, cap, best, flat, out):
     """The march of _brackets on a non-convex domain: each ray's first
-    outside point on the grid t_j = j cap/MARCH_STEPS, j = 1..MARCH_STEPS,
-    unless the bound cuts the ray first.  z: (n, rows) origins; d: (n, m)
-    directions of the rays, row their rows and f their origins' values.
+    outside point on its row's grid t_j = j cap/MARCH_STEPS, j = 1..MARCH_STEPS,
+    unless the bound cuts the ray first.  z: (n, rows) origins, cap their
+    caps; d: (n, m) directions of the rays, row their rows and f their
+    origins' values.
 
     D lies in the ball of its bounding radius, where D.value = max g_i is
     L-Lipschitz, L the largest declared Constraint.lipschitz.  So a point
@@ -303,11 +304,11 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     leaving rays and their brackets (lo, flo, hi, fhi).
     """
     m = d.shape[1]
-    step = cap / MARCH_STEPS
+    step = cap / MARCH_STEPS    # per row, as is all below
     shrink = -(1.0 - 2.0 ** -20) / (max(c.lipschitz for c in D.constraints) * step)
-    # per row c0 (MARCH_STEPS + 1 for a NaN bound, which sorts last), and
-    # the cut's gap past first, inf where nothing cuts
-    c0 = np.maximum(np.searchsorted(np.arange(MARCH_STEPS + 1) * step, best, "right"), 1)
+    # c0 counts the grid points not above the bound (all MARCH_STEPS + 1 for
+    # a NaN bound), and gap is the cut's gap past first, inf where none cuts
+    c0 = np.maximum(np.sum(~(np.arange(MARCH_STEPS + 1) * step[:, None] > best[:, None]), 1), 1)
     gap = np.where(np.isnan(best), np.inf, 1.0)
     first = np.full(best.shape, np.inf)
     last = np.minimum(c0, MARCH_STEPS)
@@ -316,7 +317,7 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     ids, zt, dt, rt = np.arange(m), np.take(z, row, axis=1), d, row
     j = np.zeros(m)     # the origins, read
     while True:
-        nj = np.fmax(f * shrink, 0.0)   # the points proven inside past j; 0 for NaN
+        nj = np.fmax(f * shrink[rt], 0.0)   # the points proven inside past j; 0 for NaN
         np.floor(nj, out=nj)
         fl = np.where(nj, np.nan, f)    # the value at the next index - 1 where it was read
         nj += j
@@ -329,7 +330,7 @@ def _march(D, z, d, row, f, cap, best, flat, out):
             ids, rt, nj, fl = (np.take(a, keep) for a in (ids, rt, nj, fl))
             zt, dt = (np.take(a, keep, axis=1) for a in (zt, dt))
         j = nj
-        f = D.value((zt + (j * step) * dt).T)
+        f = D.value((zt + (j * step[rt]) * dt).T)
         left = f >= 0.0
         if left.any():
             found.append((ids[left], j[left], fl[left], f[left]))
@@ -349,8 +350,8 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     uncut[todo] = False
     if uncut.any():
         raise ConvergenceError("ray march found no exit within the bounding cap")
-    out.put(flat, lim * step)
-    return todo, (o - 1.0) * step, flo, o * step, fhi
+    out.put(flat, lim * step[row])
+    return todo, (o - 1.0) * step[row[todo]], flo, o * step[row[todo]], fhi
 
 
 def _roots(D, group, best, out):
@@ -617,11 +618,10 @@ def _generic_distance(D, zs):
     (_rounds) from each row's best few starts: a state is a unit direction u
     and a radius rad, its points the 6n directions u + rad * fan normalized;
     rad is kept after a move, halved after a stay, and one below 1e-7 stops.
-    Only one row looks ahead: a row whose starts have all stopped would stay
-    in the group's ray call, where its |z| could move the cap and so, by
-    rounding, other rows' exits.  Few stop: on 200 points each of polydisc,
-    the ex22 domains and ball2 every search was live at GENERIC_ROUNDS, where
-    it ends unconverged; 70 of the 1,000 overshot delta(z) by more than
+    ZOOM_RAY_BUDGET sets how far the rounds look ahead; each row's result is
+    its one-row search's.  Few stop: on 200 points each of polydisc, the
+    ex22 domains and ball2 every search was live at GENERIC_ROUNDS, where it
+    ends unconverged; 70 of the 1,000 overshot delta(z) by more than
     1e-8 (1 + |z|), up to 2.8e-3 relative, and none undershot.  Returns per
     row the best start's distance and unit direction (ties to the earlier).
     """
@@ -643,7 +643,7 @@ def _generic_distance(D, zs):
                     dirs_r[order.ravel()],
                     np.full(row.size, 4.0 / GENERIC_DIRS ** (1.0 / (real_dim - 1))),
                     np.take_along_axis(t, order, axis=1).ravel(), GENERIC_ROUNDS,
-                    _zoom_depth(row.size, fan.shape[0]) if m == 1 else 0, stop=1e-7)
+                    _zoom_depth(row.size, fan.shape[0]), stop=1e-7)
     pick = np.arange(m) * GENERIC_STARTS + np.argmin(tu.reshape(m, GENERIC_STARTS), axis=1)
     return tu[pick], _real_to_complex(u[pick])
 

@@ -142,10 +142,8 @@ def path_distance_upper_batch(D, z1s, z2s):
     so the oracle and the norms run long inner loops; D.value and dist_fn
     get the (points, n) view np.moveaxis(mids, 0, -1).  Where every midpoint
     of a cost call is inside, the usual case, the whole view goes to
-    _boundary, else only its inside rows.  Each row comes out bitwise as its
-    one-row call wherever D has a dist_fn; a searched distance shares its
-    ray cap with the call's other rows (see _ray_exit), so there a row can
-    move by rounding.  path_distance_upper is the one-row call.
+    _boundary, else only its inside rows.  Rows are independent: each comes
+    out bitwise as its one-row call, path_distance_upper.
     """
     z1s = np.asarray(z1s, dtype=complex)
     z2s = np.asarray(z2s, dtype=complex)

@@ -43,15 +43,16 @@ class PshWitness:
         return self.fn(np.asarray(z, dtype=complex))
 
 
-def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False):
+def levi_form(u, z, v, step=None, cross_check=False):
     """<v, H_C u(z) v>: the complex Hessian quadratic form along v, for one
-    (n,) point and direction (a float) or (m, n) rows of them (an (m,)
+    (n,) point and direction (a float) or (m >= 0, n) rows of them (an (m,)
     array; either side may be one (n,) vector for all rows).
 
-    Uses one call of the analytic Hessian oracle when present, otherwise
-    central differences along v and iv, Richardson-extrapolated from steps h
-    and h/2, in one call of u over all rows' 9-point stencils.  With
-    cross_check=True both routes must agree to 1e-4 relative at every row.
+    The witness picks the route: one call of its Hessian oracle if it has
+    one, else central differences along v and iv, Richardson-extrapolated
+    from steps h and h/2, in one call of u over all rows' 9-point stencils.
+    With cross_check=True both routes must agree to 1e-4 relative at every
+    row.
     """
     z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
     zs, vs = np.broadcast_arrays(np.atleast_2d(z), np.atleast_2d(v))
@@ -60,7 +61,7 @@ def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False):
         raise SmoothnessError("Levi form requested at a non-smooth point")
 
     analytic = None
-    if u.hess is not None and use_hessian:
+    if u.hess is not None:
         H = np.asarray(u.hess(zs), dtype=complex)
         analytic = np.real(np.conj(vs)[:, None] @ H @ vs[..., None])[:, 0, 0]
         if not cross_check:
@@ -72,7 +73,7 @@ def levi_form(u, z, v, step=None, use_hessian=True, cross_check=False):
     hh = np.stack([h, h / 2.0], axis=1)
     # the centre, then z +- hh d for hh = h, h/2 and d = vhat, i vhat
     off = hh[:, :, None, None] * np.stack([vhat, 1j * vhat], axis=1)[:, None]
-    arms = (zs[:, None, None, None] + np.stack([off, -off], axis=3)).reshape(len(zs), 8, -1)
+    arms = (zs[:, None, None, None] + np.stack([off, -off], axis=3)).reshape(-1, 8, zs.shape[1])
     vals = np.asarray(u(np.concatenate([zs[:, None], arms], axis=1)), dtype=float)
     acc = -4.0 * vals[:, :1]
     for j in (1, 3):   # in the order of one point at a time

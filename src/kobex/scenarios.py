@@ -323,7 +323,7 @@ def scenario_example22(seed=0):
 
     r, zs = _first_accepted(rng, 1000, build_a, lambda z: domains.contains(D, z))
     formula = np.array([rho.levi_w(aw) for aw in (0.65 + 0.3 * r[:, 0]).tolist()])
-    fd = psh.levi_form(rho, zs, [0, 1], use_hessian=False, step=fd_step)
+    fd = psh.levi_form(psh.PshWitness(fn=rho.fn), zs, [0, 1], step=fd_step)
     worst_rel = float(np.max(np.abs(fd - formula) / np.abs(formula)))
     rep.add("levi-formula-agreement", verdict=bool(worst_rel <= 1e-4),
             value=worst_rel, tolerances={"rel": 1e-4},

@@ -129,8 +129,8 @@ def test_criterion_5_flat_graph_example(d22):
         z = np.array([s + 0.1j * (rng.random() - 0.5), w])
         if not bool(kx.contains(d22, z)):
             continue
-        fd = kx.levi_form(rho, z, np.array([0, 1], dtype=complex),
-                          use_hessian=False, step=2e-4)
+        fd = kx.levi_form(kx.PshWitness(fn=rho.fn), z, np.array([0, 1], dtype=complex),
+                          step=2e-4)
         worst_rel = max(worst_rel, abs(fd - levi_w(aw)) / abs(levi_w(aw)))
         n += 1
     part_a = worst_rel <= 1e-4

@@ -280,6 +280,15 @@ def test_metric_direction_dimension_mismatch(method, direction, capsys):
     assert "dimension mismatch" in captured.err and "bound" not in captured.out
 
 
+@pytest.mark.parametrize("direction", ["1,0,0", "1,0"])
+def test_metric_exact_checks_the_point_dimension(direction, capsys):
+    # a point of C^3 is not a point of ball2, with a direction of either size
+    assert run_cli("metric", "ball2", "--at", "0.1,0,0", "--dir", direction,
+                   "--method", "exact") == 3
+    captured = capsys.readouterr()
+    assert "error: dimension mismatch" in captured.err and "exact" not in captured.out
+
+
 def test_metric_exact_requires_ball(tmp_path, monkeypatch, capsys):
     assert run_cli("metric", "ex21_omega", "--at", "0.1,0", "--dir", "1,0",
                    "--method", "exact") == 3

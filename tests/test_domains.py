@@ -597,15 +597,18 @@ def test_convex_exits_reject_a_short_bounding_radius():
 @pytest.mark.parametrize("name", ["ball2", "ex22_omega", "ex21_d", "slab2"])
 def test_ray_exit_does_not_depend_on_the_chunk(name, monkeypatch):
     # chunks hold RAY_CHUNK // k whole rows, and one root loop finishes the
-    # bracketed rays of consecutive chunks of a pass; all rows share one
-    # origin, so one cap, and a call per row gives the same exits as the
-    # chunked call.  The bound inf runs the coarse pass, whose root groups
-    # span chunks, then the probes on ball2; 0.3 probes or cuts the march
+    # bracketed rays of consecutive chunks of a pass; the rows have origins
+    # of different |z|, so caps and march grids of their own, and a call per
+    # row gives the same exits as the chunked call.  The bound inf runs the
+    # coarse pass, whose root groups span chunks, then the probes on ball2;
+    # 0.3 probes or cuts the march
     D = {"slab2": _slab2}.get(name, lambda: kx.bundled_domain(name))()
     k = 1000
     m = 2 * (RAY_CHUNK // k) + 3
-    z = np.tile(D.interior_point, (m, 1))
-    dirs = _unit_rows(np.random.default_rng(4), m * k).reshape(m, k, 2)
+    rng = np.random.default_rng(4)
+    z = D.interior_point + 0.2 * _unit_rows(rng, m) * rng.random((m, 1))
+    assert np.all(kx.contains(D, z)) and np.unique(dm.row_norms(z)).size == m
+    dirs = _unit_rows(rng, m * k).reshape(m, k, 2)
     groups = []
     roots = dm._roots
     monkeypatch.setattr(dm, "_roots", lambda D, group, *a: groups.append(len(group))
@@ -665,10 +668,10 @@ def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
 
 def test_grouped_root_loops_read_the_same_points_in_fewer_calls(monkeypatch):
     # ball-sandwich's seed-0 rows, 4096 phases at bound inf: 13 chunks of 8
-    # rows a pass, the coarse pass and then the probed rest; one root loop
-    # per group of chunks, whose first call reads the cap points too, reads
-    # the points a root loop and a cap-point call per chunk read, in 346
-    # calls.  A one-row search is one chunk a ray batch
+    # rows a pass, the coarse pass and then the probed rest, each row with
+    # its own cap; one root loop per group of chunks, whose first call reads
+    # the cap points too, reads the points a root loop and a cap-point call
+    # per chunk read, in 346 calls.  A one-row search is one chunk a ray batch
     rng = np.random.default_rng(0)
     zs = []
     while len(zs) < 100:
@@ -691,8 +694,8 @@ def test_grouped_root_loops_read_the_same_points_in_fewer_calls(monkeypatch):
 
     kx.directional_distance_batch(counted(kx.ball(2)), np.array(zs), vs, n_phases=4096,
                                   refine=False)
-    assert points[0] == 466_670
-    assert len(calls) <= 68
+    assert points[0] == 466_124
+    assert len(calls) <= 67
     for name, z, most in (("ball2", (0.3, 0.2j), 43), ("ex21_d", (0.05, 0.05), 63)):
         calls.clear()
         kx.directional_distance(counted(kx.bundled_domain(name)), kx.cpoint(*z),
@@ -772,16 +775,16 @@ def test_skipped_march_equals_the_march_over_every_point(name, monkeypatch):
     # the declared bound skips only grid points it proves inside, and the
     # cuts are the full march's, so every entry is bitwise the one the march
     # over every grid point (L = inf) gives: random rows with no bound, inf,
-    # a finite bound and per-row bounds (inf, the row minimum, and the grid
-    # point below it, which cuts rays after the grid point, not at it), and
-    # rows of one origin in chunks of 4 rows against one row a call
+    # a finite bound and per-row bounds (inf, the row minimum, and the point
+    # of the row's grid below it, which cuts rays after that point, not at
+    # it), and rows of one origin in chunks of 4 rows against one row a call
     D = kx.bundled_domain(name)
     rng = np.random.default_rng(29)
     zs = D.interior_point + 0.4 * _unit_rows(rng, 64) * rng.random((64, 1)) ** 0.25
     zs = zs[kx.contains(D, zs)][:12]
     dirs = _unit_rows(rng, 12 * 256).reshape(12, 256, 2)
     lo = _ray_exit(D, zs, dirs).min(axis=1)
-    step = (float(np.max(np.linalg.norm(zs, axis=-1))) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
+    step = (np.linalg.norm(zs, axis=-1) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
     per_row = np.choose(np.arange(12) % 3, [math.inf, lo, np.floor(lo / step) * step])
     shared = np.tile(D.interior_point, (9, 1))
     monkeypatch.setattr(dm, "RAY_CHUNK", 1024)
@@ -806,20 +809,20 @@ def test_skipped_march_equals_the_march_over_every_point(name, monkeypatch):
 
 def _lockstep_cuts(D, z, dirs, bound):
     """The reference march: it reads every grid point of every live ray, all
-    rays in step, and returns per ray the grid point a bound cuts it at,
-    NaN where its first outside grid point comes first."""
-    cap = float(np.max(np.linalg.norm(z, axis=-1))) + 2.0 * D.bounding_radius + 1.0
-    step = cap / dm.MARCH_STEPS
+    rays in step, each row on the grid of its own cap, and returns per ray
+    the grid point a bound cuts it at, NaN where its first outside grid
+    point comes first."""
+    step = (np.linalg.norm(z, axis=-1) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
     best = np.broadcast_to(bound, z.shape[:1]).astype(float)
     cuts = np.full(dirs.shape[:2], np.nan)
     live = np.ones(dirs.shape[:2], dtype=bool)
     for j in range(1, dm.MARCH_STEPS + 1):
         t = j * step
-        outside = D.value(z[:, None] + t * dirs) >= 0.0
+        outside = D.value(z[:, None] + t[:, None, None] * dirs) >= 0.0
         left = outside & live
         best = np.where(left.any(axis=1), np.minimum(best, t), best)
-        cut = live & ~outside & (t > best[:, None])
-        cuts[cut] = t
+        cut = live & ~outside & (t[:, None] > best[:, None])
+        cuts[cut] = np.broadcast_to(t[:, None], cuts.shape)[cut]
         live &= ~(left | cut)
     assert not live.any()
     return cuts
@@ -829,8 +832,8 @@ def _lockstep_cuts(D, z, dirs, bound):
 def test_march_cuts_where_the_lockstep_march_does(name):
     # finite bounds run one pass; each ray the lockstep march cuts has its
     # grid point as entry, and every other ray its exit or a root-stopped
-    # lower bound above the bound.  The bounds include a grid point, which
-    # cuts only the rays inside after it
+    # lower bound above the bound.  The bounds include a point of each row's
+    # own grid, which cuts only the rays inside after it
     D = _named_domain(name)
     rng = np.random.default_rng(37)
     zs = D.interior_point + 0.4 * _unit_rows(rng, 64) * rng.random((64, 1)) ** 0.25
@@ -838,7 +841,7 @@ def test_march_cuts_where_the_lockstep_march_does(name):
     dirs = _unit_rows(rng, 9 * 64).reshape(9, 64, 2)
     exact = _ray_exit(D, zs, dirs)
     lo = exact.min(axis=1)
-    step = (float(np.max(np.linalg.norm(zs, axis=-1))) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
+    step = (np.linalg.norm(zs, axis=-1) + 2.0 * D.bounding_radius + 1.0) / dm.MARCH_STEPS
     grid = np.floor(lo / step) * step
     for bound in (0.3, lo, grid, np.choose(np.arange(9) % 3, [lo * 1.001, grid, 0.0])):
         t = _ray_exit(D, zs, dirs, bound)
@@ -996,6 +999,24 @@ def test_generic_lookahead_equals_one_round_per_call(name, z, monkeypatch):
     monkeypatch.setattr(dm, "ZOOM_RAY_BUDGET", 0)
     for (t, xi), (t0, xi0) in zip(ahead, run(), strict=True):
         assert np.array_equal(t, t0) and np.array_equal(xi, xi0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_generic_batch_in_c1_looks_ahead(m, monkeypatch):
+    # in C^1 a row has 3 starts of 6 directions, so batches of 2 and 3 rows
+    # look one round ahead, in fewer ray batches; rows have their own caps,
+    # so each batch equals its search without lookahead bitwise
+    D = _named_domain("disc1")
+    assert dm._zoom_depth(3 * m, 6) == 1
+    zs = np.array([[0.1], [-0.3j], [0.5 + 0.2j]])[:m]
+    calls = _counting_ray_exits(monkeypatch)
+    t, xi = dm._boundary(D, zs, "generic", nearest=True)
+    ahead = len(calls)
+    calls.clear()
+    monkeypatch.setattr(dm, "ZOOM_RAY_BUDGET", 0)
+    t0, xi0 = dm._boundary(D, zs, "generic", nearest=True)
+    assert ahead < len(calls)
+    assert t.tobytes() == t0.tobytes() and xi.tobytes() == xi0.tobytes()
 
 
 @pytest.mark.parametrize("name", ["ex21_d", "ex22_omega", "triangle2"])
@@ -1265,17 +1286,47 @@ def test_generic_batch_makes_one_ray_batch_per_round(monkeypatch):
 
 @pytest.mark.parametrize("name", ["ball2", "ex21_d", "ex22_omega"])
 def test_generic_batch_rows_match_single_rows(name):
-    # rows share one ray cap in a batch, so distances agree to rounding and
-    # nearest points within the nearest-point tolerance
+    # each row has its own ray cap, so a batch's distances and nearest
+    # points are bitwise its one-row calls
     D = kx.bundled_domain(name)
     zs = _offsets(D, 3)
     t = kx.boundary_distance_batch(D, zs, method="generic")
     one = np.array([kx.boundary_distance(D, z, method="generic") for z in zs])
-    assert np.all(np.abs(t - one) <= 1e-15 * one)
+    assert t.tobytes() == one.tobytes()
     _, xi = dm._boundary(D, zs, "generic", nearest=True)
     for z, x in zip(zs, xi):
-        gap = np.abs(x - kx.nearest_boundary_point(D, z, "generic"))
-        assert np.max(gap) <= 1e-8 * (1 + np.linalg.norm(z))
+        assert x.tobytes() == kx.nearest_boundary_point(D, z, "generic").tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(kx.BUNDLED) + ["slab2", "triangle2"])
+def test_rows_of_different_norms_equal_their_one_row_calls(name):
+    # a row's ray cap |z| + 2R + 1, and with it its march grid, is its own,
+    # so a batch of rows near and far from the origin is bitwise the one-row
+    # calls: directional (zoomed, and a 1,024-phase scan), generic and
+    # Reinhardt distances, nearest points, and paths on triangle2.  A cap
+    # shared with the row (-0.9, 0) moved slab2's delta(0) from 0.50541 to
+    # 0.50771
+    D = _named_domain(name)
+    rng = np.random.default_rng(43)
+    zs = D.interior_point + 0.6 * _unit_rows(rng, 64) * rng.random((64, 1))
+    zs = np.concatenate([D.interior_point[None], [[-0.9, 0.0]], zs])
+    zs = zs[kx.contains(D, zs)][:4]
+    assert np.unique(dm.row_norms(zs)).size == 4
+    vs = _unit_rows(rng, 4)
+
+    def rows_equal(f, *args):
+        batch = f(*args)
+        for i, b in enumerate(batch):
+            one = f(*(a[i:i + 1] for a in args))
+            assert np.asarray(b).tobytes() == np.asarray(one[0]).tobytes()
+
+    rows_equal(lambda z, v: kx.directional_distance_batch(D, z, v), zs, vs)
+    rows_equal(lambda z, v: kx.directional_distance_batch(D, z, v, 1024, refine=False), zs, vs)
+    for method in ("generic", "reinhardt") if D.is_reinhardt else ("generic",):
+        rows_equal(lambda z: kx.boundary_distance_batch(D, z, method), zs)
+        rows_equal(lambda z: dm._boundary(D, z, method, dist=False, nearest=True), zs)
+    if name == "triangle2":     # two paths: about a second a row
+        rows_equal(lambda a, b: kx.path_distance_upper_batch(D, a, b), zs[:2], zs[:1:-1] * 0.5)
 
 
 def test_nearest_point_callers_evaluate_no_dist_fn(monkeypatch):

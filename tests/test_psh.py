@@ -37,6 +37,12 @@ def flat_graph_witness():
     return w
 
 
+def without_hessian(u):
+    # the same witness without its Hessian oracle: levi_form takes the
+    # finite-difference route
+    return kx.PshWitness(fn=u.fn, smooth=u.smooth)
+
+
 # ---------------------------------------------------------------------------
 # Levi forms
 # ---------------------------------------------------------------------------
@@ -51,7 +57,7 @@ def test_levi_norm_squared_is_identity():
     u = kx.PshWitness(fn=lambda z: np.sum(np.abs(z) ** 2, axis=-1))
     for v in (kx.cpoint(1, 0), kx.cpoint(0.3, -0.4j), kx.cpoint(2j, 1)):
         want = float(np.linalg.norm(v) ** 2)
-        assert kx.levi_form(u, kx.cpoint(0.1, 0.2), v, use_hessian=False) == \
+        assert kx.levi_form(u, kx.cpoint(0.1, 0.2), v) == \
             pytest.approx(want, rel=1e-6)
 
 
@@ -74,7 +80,7 @@ def test_levi_fd_matches_analytic(rng):
                       y * np.exp(2j * math.pi * rng.random())])
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a = kx.levi_form(u, z, v)
-        f = kx.levi_form(u, z, v, use_hessian=False)
+        f = kx.levi_form(without_hessian(u), z, v)
         worst = max(worst, abs(a - f) / max(abs(a), 1e-12))
     assert worst < 1e-4
 
@@ -100,21 +106,31 @@ def _corner_rows(rng, m):
     return zs, vs
 
 
-@pytest.mark.parametrize("use_hessian", [True, False])
-def test_levi_rows_equal_one_row_calls(use_hessian, rng):
+@pytest.mark.parametrize("hessian", [True, False])
+def test_levi_rows_equal_one_row_calls(hessian, rng):
     zs, vs = _corner_rows(rng, 40)
     vs[3] = 0.0
     for u in (corner_sum_witness(), flat_graph_witness()):
-        rows = kx.levi_form(u, zs, vs, use_hessian=use_hessian)
-        one = [kx.levi_form(u, z, v, use_hessian=use_hessian) for z, v in zip(zs, vs)]
+        u = u if hessian else without_hessian(u)
+        rows = kx.levi_form(u, zs, vs)
+        one = [kx.levi_form(u, z, v) for z, v in zip(zs, vs)]
         assert rows.shape == (40,)
         assert all(type(x) is float for x in one)
         assert np.array_equal(rows, one)
         assert rows[3] == 0.0
         # one direction for all rows
-        assert np.array_equal(kx.levi_form(u, zs, vs[0], use_hessian=use_hessian),
-                              kx.levi_form(u, zs, np.tile(vs[0], (40, 1)),
-                                           use_hessian=use_hessian))
+        assert np.array_equal(kx.levi_form(u, zs, vs[0]),
+                              kx.levi_form(u, zs, np.tile(vs[0], (40, 1))))
+
+
+@pytest.mark.parametrize("route", ["analytic", "fd", "cross_check"])
+def test_levi_form_of_no_rows_is_empty(route):
+    # every route returns an empty (0,) array for zero rows, as the other
+    # batched entry points do
+    u = corner_sum_witness() if route != "fd" else without_hessian(corner_sum_witness())
+    for v in (np.zeros((0, 2), complex), kx.cpoint(1, 0)):
+        out = kx.levi_form(u, np.zeros((0, 2), complex), v, cross_check=route == "cross_check")
+        assert out.shape == (0,) and out.dtype == float
 
 
 def test_levi_fd_rows_sum_in_scalar_order(rng):
@@ -136,7 +152,7 @@ def test_levi_fd_rows_sum_in_scalar_order(rng):
         return (4.0 * quarter_laplacian(h / 2.0) - quarter_laplacian(h)) / 3.0 * (nv * nv)
 
     want = [scalar_fd(z, v) for z, v in zip(zs, vs)]
-    assert np.array_equal(kx.levi_form(u, zs, vs, use_hessian=False), want)
+    assert np.array_equal(kx.levi_form(without_hessian(u), zs, vs), want)
 
 
 def test_levi_cross_check_catches_one_wrong_row(rng):
@@ -155,9 +171,9 @@ def test_levi_cross_check_catches_one_wrong_row(rng):
 def test_levi_rejects_one_non_smooth_row(rng):
     zs, vs = _corner_rows(rng, 5)
     zs[4, 1] = 0.0
-    for use_hessian in (True, False):
+    for u in (corner_sum_witness(), without_hessian(corner_sum_witness())):
         with pytest.raises(kx.SmoothnessError):
-            kx.levi_form(corner_sum_witness(), zs, vs, use_hessian=use_hessian)
+            kx.levi_form(u, zs, vs)
 
 
 def test_levi_form_makes_one_hess_and_one_smooth_call(ball2, rng):
