@@ -179,7 +179,8 @@ def _ray_exit(D, z, dirs, bound=None):
     is [its last inside grid point, its first outside one], as if the march
     had read every point.  One Chandrupatla root finder on D.value
     (_roots) per group of chunks then shrinks the brackets to hi - lo <=
-    4 eps hi and returns the midpoints.  Where D.value is exactly 0,
+    4 eps hi and returns the midpoints; a ray inside at its cap means a
+    bound declared too small (DomainError).  Where D.value is exactly 0,
     interpolation has no slope to use, so the finder steps just inside a
     new zero, doubles that step while zeros repeat and bisects once it is
     past them.  Points are (n, rays) arrays; the oracle gets transposes.
@@ -242,32 +243,28 @@ def _brackets(D, z, dirs, rows, cols, cap, best, out):
     """Brackets of the chunk dirs[rows][:, cols], best the pass's bounds.
     Stopped rays get their entries of out by flat index; the others are
     returned as a root state (None if there are none).  One oracle call
-    reads the origins and the probes, or every cap point without probes;
-    on a non-convex domain _march then brackets the rays."""
+    reads the origins and the convex probes; a convex bracket [0, cap]
+    leaves its cap end unread (NaN), and _march brackets non-convex rays."""
     z, best, cap = z[rows].T, best[rows], cap[rows]
     (n, mc), kc = z.shape, cols.size
     d = np.take(dirs[rows].transpose(2, 0, 1), cols, axis=2).reshape(n, -1)
-    m, row = d.shape[1], np.repeat(np.arange(mc), kc)
+    row = np.repeat(np.arange(mc), kc)
     flat = (np.arange(rows.start, rows.start + mc)[:, None] * out.shape[1] + cols).ravel()
     # a probed row has every ray probed
     pr = np.flatnonzero(D.is_convex & (best > 0.0) & (best < cap))
-    sel = pr if 0 < pr.size < mc else slice(None)
-    p = best[sel, None] * (1.0 + PROBE_MARGIN) if pr.size else cap[:, None]
-    ends = np.multiply(p, d.reshape(n, mc, kc)[:, sel])
+    sel = pr if pr.size < mc else slice(None)
+    ends = np.multiply(best[sel, None] * (1.0 + PROBE_MARGIN), d.reshape(n, mc, kc)[:, sel])
     ends += z[:, sel, None]
     f = D.value(np.concatenate([z, ends.reshape(n, -1)], axis=1).T)
-    f0, fhi = f[:mc], f[mc:]
-    if np.any(f0 >= 0.0) or (not pr.size and np.any(fhi < 0.0)):
-        raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
-    todo = np.arange(m)
-    if pr.size:
-        hit = np.zeros((mc, kc), dtype=bool)
-        hit[sel] = fhi.reshape(-1, kc) < 0.0
-        stopped = np.flatnonzero(hit)
-        out.put(flat[stopped], best[row[stopped]] * (1.0 + PROBE_MARGIN))
-        todo = np.flatnonzero(~hit)
-        fhi = np.full(todo.size, np.nan)    # NaN: a cap point not read yet
-    lo, flo, hi = 0.0, f0[row[todo]], cap[row[todo]]
+    f0 = f[:mc]
+    if np.any(f0 >= 0.0):
+        raise DomainError("a ray does not start inside %s" % D.name)
+    hit = np.zeros((mc, kc), dtype=bool)
+    hit[sel] = f[mc:].reshape(-1, kc) < 0.0
+    stopped = np.flatnonzero(hit)
+    out.put(flat[stopped], best[row[stopped]] * (1.0 + PROBE_MARGIN))
+    todo = np.flatnonzero(~hit)
+    lo, flo, hi, fhi = 0.0, f0[row[todo]], cap[row[todo]], np.nan
     if not D.is_convex:
         todo, lo, flo, hi, fhi = _march(D, z, d, row, f0[row], cap, best, flat, out)
     if not todo.size:
@@ -299,9 +296,10 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     entry; a NaN bound cuts nothing.  A ray stops reading once its next
     index passes that limit as known so far, which can only fall.  An
     inside end o - 1 that a skip stepped over is left unread (flo NaN) for
-    _roots to read.  best takes each row's least upper end, and out every
-    ray's cut (the root finder overwrites the leaving rays'); returns the
-    leaving rays and their brackets (lo, flo, hi, fhi).
+    _roots to read, and a ray neither cut nor leaving by the cap, the last
+    grid point, raises DomainError.  best takes each row's least upper end,
+    and out every ray's cut (the root finder overwrites the leaving rays');
+    returns the leaving rays and their brackets (lo, flo, hi, fhi).
     """
     m = d.shape[1]
     step = cap / MARCH_STEPS    # per row, as is all below
@@ -349,7 +347,7 @@ def _march(D, z, d, row, f, cap, best, flat, out):
     uncut = lim > MARCH_STEPS
     uncut[todo] = False
     if uncut.any():
-        raise ConvergenceError("ray march found no exit within the bounding cap")
+        raise DomainError("a ray does not leave %s within its bounding radius" % D.name)
     out.put(flat, lim * step[row])
     return todo, (o - 1.0) * step[row[todo]], flo, o * step[row[todo]], fhi
 
@@ -357,9 +355,9 @@ def _march(D, z, d, row, f, cap, best, flat, out):
 def _roots(D, group, best, out):
     """Root-finds a group of root states, concatenated if there are several;
     the first step's oracle call also reads every bracket end whose value
-    is NaN, the inside ends x1 the march skipped and the upper ends x2 (the
-    cap) the probes left, and checks their sides; that step's trial points
-    need neither value.  Each exit goes into out by its flat index.  A ray
+    is NaN, the inside ends x1 the march skipped and the cap ends x2 of the
+    convex rays, and checks their sides; that step's trial points need
+    neither value.  Each exit goes into out by its flat index.  A ray
     is a column of state (x1, f1, x2, f2, x3, f3, want, x21 = x2 - x1,
     tol), of zd (origin, direction) and of ids (flat index, row), compacted
     with three takes when a ray stops."""
@@ -404,7 +402,7 @@ def _roots(D, group, best, out):
                 raise DomainError("a grid point that the declared Lipschitz bounds of %s prove "
                                   "inside reads outside: a bound is too small" % D.name)
             if np.any(fe[end == 1] < 0.0):
-                raise DomainError("a ray does not start inside %s or does not leave it" % D.name)
+                raise DomainError("a ray does not leave %s within its bounding radius" % D.name)
             ray = ray[:0]
             pts = head = np.empty(zd.shape[1:], dtype=complex)
         same = (f >= 0.0) == (f1 >= 0.0)

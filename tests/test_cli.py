@@ -347,6 +347,18 @@ def test_non_positive_radius_is_config_error(radius, tmp_path, capsys):
     assert err.startswith("error: ") and "radius must be a positive number" in err
 
 
+@pytest.mark.parametrize("direction", [(), ("--dir", "1,0")], ids=["auto", "dir"])
+def test_non_convex_radius_too_small_is_config_error(direction, tmp_path, capsys):
+    # a ball of radius 3 declared in the ball of radius 0.5: no ray leaves it
+    # by its cap, which is bad input, not a search that failed to converge
+    path = tmp_path / "big.kx"
+    path.write_text("domain big\n  dim 2\n  radius 0.5\n"
+                    "  constraint abs(z1)^2 + abs(z2)^2 - 9\nend\n")
+    assert run_cli("distance", str(path), "--at", "0.1,0", *direction) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not leave" in err
+
+
 @pytest.mark.parametrize("domain", ["nope", "missing/file.kx"])
 def test_unknown_domain_returns_config_error_in_process(domain, tmp_path,
                                                         monkeypatch, capsys):

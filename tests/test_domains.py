@@ -582,16 +582,18 @@ def test_ray_exit_through_exact_zeros_keeps_its_step_budget(ball2, monkeypatch):
 
 def test_convex_exits_reject_a_short_bounding_radius():
     # the cap |z| + 2 R + 1 stays inside the disc of radius 5, so the rays do
-    # not leave within it; both scans start unbounded, where every ray's cap
-    # point is checked
-    D = kx.DomainSpec("big", 2, [lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 25.0],
-                      is_convex=True, bounding_radius=0.2)
+    # not leave within it; both scans start unbounded, where the root finder
+    # checks every convex ray's cap point, and the march of the disc declared
+    # non-convex reads every grid point up to the cap
     z = np.zeros(2, complex)
     v = kx.cpoint(1, 0.5j)
-    with pytest.raises(kx.DomainError):
-        kx.directional_distance(D, z, v)
-    with pytest.raises(kx.DomainError):
-        kx.directional_distance_batch(D, z[None], v[None], n_phases=4096, refine=False)
+    for convex in (True, False):
+        D = kx.DomainSpec("big", 2, [lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 25.0],
+                          is_convex=convex, bounding_radius=0.2)
+        with pytest.raises(kx.DomainError, match="does not leave"):
+            kx.directional_distance(D, z, v)
+        with pytest.raises(kx.DomainError, match="does not leave"):
+            kx.directional_distance_batch(D, z[None], v[None], n_phases=4096, refine=False)
 
 
 @pytest.mark.parametrize("name", ["ball2", "ex22_omega", "ex21_d", "slab2"])
@@ -647,9 +649,9 @@ def test_marched_rays_match_single_ray_calls(bound):
                                           ("ex21_d", (0.7, 0.0), 50)])
 def test_scalar_directional_distance_oracle_calls(name, z, calls, monkeypatch):
     # the march reads only the grid points ex21_d's Lipschitz bound does not
-    # prove inside, and the first root step's call reads the cap points and
-    # the inside ends the march skipped: from (0.7, 0) it skips some, which
-    # took a call of their own at each march (56 calls)
+    # prove inside, and the first root step's call reads the convex cap
+    # points and the inside ends the march skipped: from (0.7, 0) it skips
+    # some, which took a call of their own at each march (56 calls)
     D = kx.bundled_domain(name)
     seen, unread = [], []
     real, march = D.value, dm._march
@@ -870,15 +872,17 @@ def test_declared_bounds_halve_the_points_of_a_batch(name, monkeypatch):
     assert skipped <= 0.5 * points[0]
 
 
-@pytest.mark.parametrize("lipschitz,error", [(0.5, kx.DomainError), (0.01, kx.ConvergenceError)])
-def test_march_reports_a_bound_that_skips_past_the_exit(lipschitz, error):
+@pytest.mark.parametrize("lipschitz,match", [
+    pytest.param(0.5, "too small", id="0.5-DomainError"),
+    pytest.param(0.01, "does not leave", id="0.01-DomainError")])
+def test_march_reports_a_bound_that_skips_past_the_exit(lipschitz, match):
     # the unit ball marched as non-convex, |grad g| <= 2 declared too small:
     # at 0.5 the first skip from the origin lands past the exit at t = 1,
     # and the inside end it stepped over reads outside; at 0.01 it lands
-    # past the cap point, which was read outside, and no exit is found
+    # past the cap point, and no exit is found
     D = kx.DomainSpec("ball", 2, [kx.Constraint(lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0,
                                                 lipschitz=lipschitz)], bounding_radius=1.0)
-    with pytest.raises(error, match="too small" if error is kx.DomainError else "no exit"):
+    with pytest.raises(kx.DomainError, match=match):
         _ray_exit(D, np.zeros((1, 2), complex), np.array([[[1.0, 0.0]]], complex))
 
 
@@ -891,6 +895,38 @@ def test_root_finder_checks_the_cap_points_the_probes_left():
         is_convex=True, bounding_radius=1.0)
     with pytest.raises(kx.DomainError, match="does not leave"):
         _ray_exit(D, np.zeros((1, 1), complex), np.ones((1, 1, 1), complex), 1.0)
+
+
+@pytest.mark.parametrize("name", ["ex21_d", "ex22_d", "slab2", "ball2"])
+def test_bracket_call_reads_only_the_origins(name, monkeypatch):
+    # each point is checked where it is read: a chunk's bracket call reads
+    # its origins, the march its own grid up to the cap, and the root
+    # finder a convex ray's cap end, so without probes (on ball2, no bound)
+    # the bracket call of every chunk (4 rows of 256 rays) holds exactly
+    # its origin rows
+    D = _named_domain(name)
+    rng = np.random.default_rng(31)
+    zs = D.interior_point + 0.3 * _unit_rows(rng, 64) * rng.random((64, 1))
+    zs = zs[kx.contains(D, zs)][:10]
+    dirs = _unit_rows(rng, 10 * 256).reshape(10, 256, 2)
+    monkeypatch.setattr(dm, "RAY_CHUNK", 1024)
+    reads, firsts = [], []
+    real, brackets = D.value, dm._brackets
+    monkeypatch.setattr(D, "value", lambda x: reads.append(np.array(x)) or real(x))
+
+    def first_read(D, z, dirs, rows, *a):
+        n = len(reads)
+        state = brackets(D, z, dirs, rows, *a)
+        firsts.append((reads[n], z[rows]))
+        return state
+
+    monkeypatch.setattr(dm, "_brackets", first_read)
+    for bound in (None,) if D.is_convex else (None, math.inf, 0.3):
+        firsts.clear()
+        _ray_exit(D, zs, dirs, bound)
+        assert len(firsts) == (6 if bound == math.inf else 3)
+        for read, origins in firsts:
+            assert np.array_equal(read, origins)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
