@@ -5,7 +5,9 @@ continues with indented or plain ``key value`` lines, and closes with
 ``end``.  ``#`` starts a comment.  Expressions use a small grammar over
 +, -, *, /, ^ (or **), parentheses, numeric literals (including complex
 like ``1j``), the constants pi and e, and the functions abs, re, im, exp,
-log, sqrt, sin, cos.  Constraints see the variables z1..zn.
+log, sqrt, sin, cos of one argument each.  A constraint must name one of
+the coordinates z1..zn; a part that names none is computed when the file
+is read, so ``1/0`` or ``10.0^400`` is a ParseError there.
 
 Example::
 
@@ -19,6 +21,7 @@ Example::
 
 import ast
 import math
+import operator
 
 import numpy as np
 
@@ -42,44 +45,65 @@ _ALLOWED_FUNCS = {
 
 _ALLOWED_CONSTS = {"pi": math.pi, "e": math.e}
 
-_ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name,
-                  ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
-                  ast.USub, ast.UAdd, ast.Load)
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow,
+              ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
 def compile_expr(text, variables):
-    """Compile an expression string into a vectorized callable of a dict of
-    named numpy arrays; only whitelisted names and node types evaluate."""
-    source = text.replace("^", "**")
+    """Compile an expression string into a vectorized callable of (..., n)
+    complex points, where the j-th name of ``variables`` is z[..., j]."""
     try:
-        tree = ast.parse(source, mode="eval")
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ParseError("bad expression %r: %s" % (text, exc)) from None
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ParseError("disallowed syntax %r in %r"
-                             % (type(node).__name__, text))
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
-                raise ParseError("disallowed function in %r" % text)
-            if node.keywords:
-                raise ParseError("keyword arguments not allowed in %r" % text)
-        if isinstance(node, ast.Name):
-            name = node.id
-            if name not in variables and name not in _ALLOWED_FUNCS \
-                    and name not in _ALLOWED_CONSTS:
-                raise ParseError("unknown name %r in %r" % (name, text))
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float, complex)):
-            raise ParseError("non-numeric literal in %r" % text)
-    code = compile(tree, "<kobex-expr>", "eval")
-
-    def fn(env):
-        scope = dict(_ALLOWED_FUNCS)
-        scope.update(_ALLOWED_CONSTS)
-        scope.update(env)
-        return eval(code, {"__builtins__": {}}, scope)
-
+    fn = _walk(tree.body, text, list(variables))
+    if not callable(fn):
+        raise ParseError("expression %r names no coordinate" % text)
     return fn
+
+
+def _walk(node, text, variables):
+    """Check one node and return its evaluator of points, or its value if it
+    names no coordinate: that value is computed here by the operations a call
+    would run, so it is the same to the bit."""
+    if isinstance(node, ast.Name):
+        if node.id in variables:
+            return operator.itemgetter((Ellipsis, variables.index(node.id)))
+        if node.id not in _ALLOWED_CONSTS:
+            raise ParseError("name %r is not a coordinate or a constant in %r" % (node.id, text))
+        return _ALLOWED_CONSTS[node.id]
+    if isinstance(node, ast.Constant):
+        if type(node.value) not in (int, float, complex):
+            raise ParseError("non-numeric literal in %r" % text)
+        return node.value
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _OPERATORS:
+        op = _OPERATORS[type(node.op)]
+        args = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _ALLOWED_FUNCS:
+        if len(node.args) != 1 or node.keywords:
+            raise ParseError("%s takes exactly one argument in %r" % (node.func.id, text))
+        op, args = _ALLOWED_FUNCS[node.func.id], node.args
+    else:
+        raise ParseError("disallowed syntax %r in %r" % (ast.unparse(node), text))
+    a, *b = [_walk(arg, text, variables) for arg in args]
+    if not b:
+        return (lambda z: op(a(z))) if callable(a) else _fold(text, op, a)
+    b, = b
+    if callable(a):
+        return (lambda z: op(a(z), b(z))) if callable(b) else (lambda z: op(a(z), b))
+    return (lambda z: op(a, b(z))) if callable(b) else _fold(text, op, a, b)
+
+
+def _fold(text, op, *args):
+    try:
+        if op is operator.pow:    # bounds an exact integer power before it is computed
+            complex(args[0]) ** complex(args[1])
+        value = op(*args)
+        complex(value)            # an integer past the floats a call converts it to
+    except (ArithmeticError, TypeError) as exc:
+        raise ParseError("%s: %s in %r" % (type(exc).__name__, exc, text)) from None
+    return value
 
 
 def _split_blocks(text):
@@ -143,16 +167,8 @@ def _build_domain(name, items):
     if dim is None or not exprs:
         raise ParseError("domain %r needs 'dim' and at least one 'constraint'" % name)
     variables = ["z%d" % (j + 1) for j in range(dim)]
-    constraints = []
-    for text in exprs:
-        fn = compile_expr(text, variables)
-
-        def g(z, fn=fn):
-            z = np.asarray(z, dtype=complex)
-            env = {"z%d" % (j + 1): z[..., j] for j in range(dim)}
-            return np.real(fn(env))
-
-        constraints.append(Constraint(g))
+    constraints = [Constraint(lambda z, fn=compile_expr(text, variables): np.real(fn(z)))
+                   for text in exprs]
     return DomainSpec(name, dim, constraints,
                       is_convex="convex" in flags,
                       is_reinhardt="reinhardt" in flags,

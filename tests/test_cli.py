@@ -336,6 +336,33 @@ def test_bad_definition_file_is_config_error(text, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("constraint", [
+    "abs(z1)^2 + abs(z2)^2 - 1 + 0*sqrt(z1, z2)",   # exited 0, its points overwritten
+    "-1",
+    "abs(z1)^2 + abs(z2)^2 - 1 + 1/0",
+    "abs(z1)^2 + abs(z2)^2 - 1 + 10.0^400",
+    "abs(z1)^2 + abs(z2)^2 - 1 + 0*exp",
+    "abs(z1)^2 + abs(z2)^2 - 1 + 0*9^9^9",
+])
+def test_bad_constraint_is_config_error(constraint, tmp_path, capsys):
+    path = tmp_path / "bad.kx"
+    path.write_text("domain b\n  dim 2\n  radius 1\n  constraint %s\nend\n" % constraint)
+    assert run_cli("distance", str(path), "--at", "0.3,0.2") == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "# nothing defined\n",
+    "domain a\n  dim 2\n  constraint abs(z1) - 1\nend\n"
+    "domain b\n  dim 2\n  constraint abs(z2) - 1\nend\n",
+], ids=["none", "two"])
+def test_definition_file_needs_one_domain(text, tmp_path, capsys):
+    path = tmp_path / "doms.kx"
+    path.write_text(text)
+    assert run_cli("distance", str(path), "--at", "0.1,0") == 3
+    assert "must define exactly one domain" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("radius", ["-1", "0"])
 def test_non_positive_radius_is_config_error(radius, tmp_path, capsys):
     # radius -1 used to fail later as a ray that does not leave the domain

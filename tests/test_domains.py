@@ -425,6 +425,13 @@ def test_inward_normal_corner_raises(omega21):
         kx.inward_normal(omega21, kx.cpoint(1, 0))
 
 
+def test_inward_normal_where_two_constraints_meet(d22):
+    # (i, 0) lies on both the graph Re z = phi(|w|^2) and |z|^2 + |w|^4 = 1
+    assert [float(c(kx.cpoint(1j, 0))) for c in d22.constraints] == [0.0, 0.0]
+    with pytest.raises(kx.NonSmoothBoundaryError, match="2 active constraints"):
+        kx.inward_normal(d22, kx.cpoint(1j, 0))
+
+
 def test_inward_normal_fd_matches_analytic(ball2):
     xi = kx.cpoint(math.sqrt(0.5), math.sqrt(0.5) * 1j)
     eta = kx.inward_normal(ball2, xi)

@@ -273,6 +273,37 @@ def test_select_embedding_params_eps_keeps_h_below_x(omega):
     assert np.all(kx.h_integral(params.omega, params.beta * xs) < xs)
 
 
+def power_rate(alpha):
+    return kx.ModulusOfContinuity.from_function(lambda r: np.power(r, alpha), 1.0,
+                                                name="r^%g" % alpha)
+
+
+def test_select_embedding_params_refines_below_the_first_grid_point():
+    # omega(r) = r^0.1 fails h(beta x) < x at every point of the first grid,
+    # so the grid is refined below its first point until some point passes
+    params = kx.select_embedding_params(charts.ex22_chart(), m=1.0, r_V=0.1,
+                                        omega=power_rate(0.1))
+    eps_cap = params.provenance["eps_cap"]
+    assert params.provenance["binding"] == "modulus-growth"
+    assert params.eps < eps_cap / regularity.EMBED_GRID
+    assert params.eps == pytest.approx(1.365e-8, rel=1e-3)
+    cap = eps_cap
+    while cap / regularity.EMBED_GRID > params.eps:
+        cap = cap / regularity.EMBED_GRID
+    xs = np.linspace(cap / regularity.EMBED_GRID, cap, regularity.EMBED_GRID)
+    below = xs <= params.eps
+    assert xs[below][-1] == params.eps
+    h = kx.h_integral(params.omega, params.beta * xs)
+    assert np.all(h[below] < xs[below])
+    assert h[np.argmin(below)] >= xs[np.argmin(below)]    # the next grid point fails
+
+
+def test_select_embedding_params_stops_at_the_grid_floor():
+    with pytest.raises(kx.DomainError, match="no admissible eps at the grid floor"):
+        kx.select_embedding_params(charts.ex22_chart(), m=1.0, r_V=0.1,
+                                   omega=power_rate(0.01))
+
+
 def test_select_embedding_params_rejects_bad_inputs():
     ch = charts.flat_chart()
     with pytest.raises(kx.DomainError):
